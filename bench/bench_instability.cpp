@@ -23,7 +23,7 @@ using namespace asyncmac::bench;
 void print_theorem4() {
   util::Table t({"protocol", "L", "R", "outcome", "alpha", "beta",
                  "X (units)", "Y (units)", "collision time (units)"});
-  auto run_case = [&](const char* name, adversary::ProtocolFactory f,
+  auto run_case = [&](const char* name, sim::ProtocolMaker f,
                       std::uint64_t L, std::uint32_t R) {
     const auto out =
         adversary::force_collision_or_overflow(f, util::Ratio(1, 2), L, R);
@@ -36,10 +36,10 @@ void print_theorem4() {
           to_units(out.y_ticks), to_units(out.collision_time));
   };
 
-  adversary::ProtocolFactory tdma = [](StationId) {
+  sim::ProtocolMaker tdma = [] {
     return std::make_unique<baselines::SilenceCountTdmaProtocol>();
   };
-  adversary::ProtocolFactory rrw = [](StationId) {
+  sim::ProtocolMaker rrw = [] {
     return std::make_unique<baselines::RrwProtocol>();
   };
   for (std::uint64_t L : {10u, 50u, 200u}) run_case("silence-TDMA", tdma, L, 2);
@@ -99,7 +99,7 @@ void print_theorem5() {
 }
 
 void BM_CollisionForcer(benchmark::State& state) {
-  adversary::ProtocolFactory tdma = [](StationId) {
+  sim::ProtocolMaker tdma = [] {
     return std::make_unique<baselines::SilenceCountTdmaProtocol>();
   };
   for (auto _ : state) {

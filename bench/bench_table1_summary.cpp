@@ -36,7 +36,7 @@ void print_async_rows() {
 
   // ---- Row 1: no control, collision-free => instability (Theorem 4).
   {
-    adversary::ProtocolFactory f = [](StationId) {
+    sim::ProtocolMaker f = [] {
       return std::make_unique<baselines::SilenceCountTdmaProtocol>();
     };
     const auto forced = adversary::force_collision_or_overflow(

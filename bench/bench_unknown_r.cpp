@@ -104,10 +104,10 @@ void print_adversarial_side() {
   util::Table t({"algorithm", "n", "r", "forced slots/station",
                  "mirror verified"});
   for (std::uint32_t r : {2u, 4u}) {
-    adversary::ProtocolFactory known = [](StationId) {
+    sim::ProtocolMaker known = [] {
       return std::make_unique<core::AbsProtocol>();
     };
-    adversary::ProtocolFactory unknown = [](StationId) {
+    sim::ProtocolMaker unknown = [] {
       return std::make_unique<core::AdaptiveAbsProtocol>();
     };
     adversary::MirrorRun mk(known, 64, r, r);

@@ -21,7 +21,7 @@ struct ProbeResult {
 // Run the target station alone against silence: unit slots, packets at the
 // end of slots S, S+d, S+2d, ... (k packets), stop at the protocol's first
 // transmission attempt.
-ProbeResult probe(const ProtocolFactory& factory, StationId target,
+ProbeResult probe(const sim::ProtocolMaker& factory, StationId target,
                   std::uint64_t s_start, std::uint64_t d, std::uint64_t k,
                   std::uint32_t bound_r) {
   sim::EngineConfig cfg;
@@ -31,8 +31,8 @@ ProbeResult probe(const ProtocolFactory& factory, StationId target,
   cfg.keep_channel_history = true;
 
   std::vector<std::unique_ptr<sim::Protocol>> protocols;
-  protocols.push_back(factory(1));
-  protocols.push_back(factory(2));
+  protocols.push_back(factory());
+  protocols.push_back(factory());
 
   std::vector<sim::Injection> script;
   for (std::uint64_t i = 0; i < k; ++i)
@@ -69,7 +69,7 @@ ProbeResult probe(const ProtocolFactory& factory, StationId target,
 }  // namespace
 
 CollisionForceOutcome force_collision_or_overflow(
-    const ProtocolFactory& factory, util::Ratio rho, std::uint64_t l_bound,
+    const sim::ProtocolMaker& factory, util::Ratio rho, std::uint64_t l_bound,
     std::uint32_t bound_r) {
   AM_REQUIRE(bound_r >= 2, "Theorem 4 needs R >= 2 (asynchrony)");
   AM_REQUIRE(rho.num > 0, "Theorem 4 needs a positive rate");
@@ -139,8 +139,8 @@ CollisionForceOutcome force_collision_or_overflow(
   cfg.bound_r = bound_r;
   cfg.allow_control = false;
   std::vector<std::unique_ptr<sim::Protocol>> protocols;
-  protocols.push_back(factory(1));
-  protocols.push_back(factory(2));
+  protocols.push_back(factory());
+  protocols.push_back(factory());
   sim::Engine engine(
       cfg, std::move(protocols),
       std::make_unique<PerStationSlotPolicy>(std::vector<Tick>{x, y}),

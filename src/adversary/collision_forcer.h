@@ -23,7 +23,7 @@
 
 #include <cstdint>
 
-#include "adversary/protocol_factory.h"
+#include "sim/protocol.h"
 #include "util/ratio.h"
 #include "util/types.h"
 
@@ -49,9 +49,8 @@ struct CollisionForceOutcome {
 /// and 2) for injection rate rho in (0, 1] and queue bound L (packets).
 /// Requires R >= 2. Throws if the protocol emits control messages (it is
 /// then outside the theorem's model class).
-CollisionForceOutcome force_collision_or_overflow(const ProtocolFactory& factory,
-                                                  util::Ratio rho,
-                                                  std::uint64_t l_bound,
-                                                  std::uint32_t bound_r);
+CollisionForceOutcome force_collision_or_overflow(
+    const sim::ProtocolMaker& factory, util::Ratio rho, std::uint64_t l_bound,
+    std::uint32_t bound_r);
 
 }  // namespace asyncmac::adversary

@@ -9,7 +9,7 @@
 
 namespace asyncmac::adversary {
 
-MirrorRun::MirrorRun(ProtocolFactory factory, std::uint32_t n,
+MirrorRun::MirrorRun(sim::ProtocolMaker factory, std::uint32_t n,
                      std::uint32_t r, std::uint32_t bound_r,
                      std::uint32_t max_phases)
     : factory_(std::move(factory)),
@@ -51,7 +51,7 @@ MirrorResult MirrorRun::run() {
   alive.reserve(n_);
   for (StationId id = 1; id <= n_; ++id) {
     AliveStation s{.id = id,
-                   .protocol = factory_(id),
+                   .protocol = factory_(),
                    .ctx = sim::StationContext(id, n_, bound_r_, id),
                    .pending = SlotAction::kListen,
                    .schedule = {}};

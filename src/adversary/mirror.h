@@ -30,7 +30,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "adversary/protocol_factory.h"
+#include "sim/protocol.h"
 #include "sim/station.h"
 #include "util/types.h"
 
@@ -48,7 +48,7 @@ class MirrorRun {
  public:
   /// n stations with IDs 1..n all start the SST protocol at time 0; the
   /// adversary picks slot lengths in [1, r] with 2 <= r <= R <= 16.
-  MirrorRun(ProtocolFactory factory, std::uint32_t n, std::uint32_t r,
+  MirrorRun(sim::ProtocolMaker factory, std::uint32_t n, std::uint32_t r,
             std::uint32_t bound_r, std::uint32_t max_phases = 1u << 20);
 
   /// Build the execution and (always) verify the mirror property by
@@ -76,7 +76,7 @@ class MirrorRun {
   Extension extend(const AliveStation& s) const;
   bool verify(const std::vector<AliveStation>& alive, Tick end_time) const;
 
-  ProtocolFactory factory_;
+  sim::ProtocolMaker factory_;
   std::uint32_t n_, r_, bound_r_, max_phases_;
 };
 

@@ -2,9 +2,11 @@
 //
 // Declarative experiment grids: describe a sweep (protocol x n x R x rho
 // x slot policy) once, run it, and get uniform records back for table or
-// CSV rendering. This is the machinery behind reproducible parameter
-// studies on top of the simulator — the benches use hand-rolled loops for
-// paper fidelity; downstream users get this instead.
+// CSV rendering. Every cell is one analysis::RunSpec (cell_run_spec in
+// analysis/grid.h), built through the shared materials() path. This is
+// the machinery behind reproducible parameter studies on top of the
+// simulator — the benches use hand-rolled loops for paper fidelity;
+// downstream users get this instead.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "util/ratio.h"
+#include "channel/transmission.h"
+#include "energy/model.h"
 #include "util/types.h"
 
 namespace asyncmac::analysis {
@@ -45,18 +48,13 @@ struct ExperimentSpec {
   /// the cohort engine's contract — so cohort, like jobs, is an
   /// execution knob and not part of the spec fingerprint.
   unsigned cohort = 0;
-  /// k-restrained channel for every cell (channel/transmission.h): at most
-  /// k transmissions on the air at once; 0 = unrestrained. Over-capacity
-  /// transmissions jam (sent anyway, guaranteed collision) when
-  /// restrained_jam is true, otherwise they are rejected (suppressed).
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  /// Per-slot energy accounting (energy/model.h, docs/ENERGY.md).
-  /// Observation-only: enabling it changes no non-energy record field.
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
+  /// k-restrained channel for every cell (channel/transmission.h); k = 0
+  /// is the unrestrained channel.
+  channel::RestrainedSpec restrained;
+  /// Per-slot energy accounting for every cell (energy/model.h,
+  /// docs/ENERGY.md). Observation-only: enabling it changes no
+  /// non-energy record field.
+  energy::EnergyModel energy;
   /// When non-empty, run_grid keeps a manifest (grid-manifest.snap, see
   /// docs/CHECKPOINT.md) in this directory: after every finished cell the
   /// manifest is atomically rewritten with the completed-cell set and
@@ -87,7 +85,7 @@ struct ExperimentRecord {
   std::uint64_t control_msgs = 0;
   double delivered_fraction = 0;
   double p99_latency_units = 0;
-  // Energy results (all zero unless spec.energy_enabled; docs/ENERGY.md).
+  // Energy results (all zero unless spec.energy.enabled; docs/ENERGY.md).
   std::uint64_t energy_total = 0;         ///< sum of station charges
   std::uint64_t energy_peak_station = 0;  ///< largest single-station charge
   double energy_per_delivery = 0;         ///< total / delivered (0 if none)
@@ -100,7 +98,7 @@ struct ExperimentRecord {
 std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec);
 
 /// Render records as an aligned ASCII table / CSV file. The energy
-/// columns are opt-in (energy_columns = spec.energy_enabled): a sweep
+/// columns are opt-in (energy_columns = spec.energy.enabled): a sweep
 /// without energy accounting writes byte-identical files to builds that
 /// predate the energy subsystem.
 std::string to_table(const std::vector<ExperimentRecord>& records);

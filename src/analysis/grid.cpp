@@ -1,12 +1,7 @@
 #include "analysis/grid.h"
 
 #include <filesystem>
-#include <memory>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
-#include "analysis/registry.h"
-#include "channel/transmission.h"
 #include "energy/meter.h"
 #include "sim/cohort_engine.h"
 #include "sim/engine.h"
@@ -17,63 +12,18 @@ namespace asyncmac::analysis {
 
 namespace {
 
-/// The lane-invariant parameters of one work unit's cells, with the
-/// registry lookup hoisted: every cell of a unit shares protocol, n, R
-/// and policy, while seed AND the injector parameters (rho) may vary per
-/// lane — injectors are free under cohort eligibility, so a whole grid
-/// row of injector cells batches as one lockstep cohort.
-struct CellSetup {
-  ProtocolMaker maker;
-  std::string protocol;
-  std::uint32_t n;
-  std::uint32_t bound_r;
-  std::string policy;
-  Tick burst_units;
-  channel::RestrainedSpec restrained;
-  energy::EnergyModel energy;
-
-  CellSetup(const ExperimentSpec& spec, const std::string& protocol_name,
-            std::uint32_t n_, std::uint32_t r_, const std::string& policy_)
-      : maker(protocol_maker(protocol_name)),
-        protocol(protocol_name),
-        n(n_),
-        bound_r(r_),
-        policy(policy_),
-        burst_units(spec.burst_units),
-        restrained{spec.restrained_k, spec.restrained_jam},
-        energy{spec.energy_enabled, spec.energy_cost_transmit,
-               spec.energy_cost_listen, spec.energy_cost_sleep} {}
-
-  /// Engine materials for one (seed, rho) cell of this unit.
-  sim::LaneMaterials materials(std::uint64_t seed, int rho_pct) const {
-    sim::LaneMaterials m;
-    m.cfg.n = n;
-    m.cfg.bound_r = bound_r;
-    m.cfg.seed = seed;
-    m.cfg.restrained = restrained;
-    m.cfg.energy = energy;
-    m.protocols.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) m.protocols.push_back(maker());
-    m.slot_policy = adversary::make_slot_policy(policy, n, bound_r, seed);
-    m.injection = std::make_unique<adversary::SaturatingInjector>(
-        util::Ratio(rho_pct, 100), burst_units * kTicksPerUnit,
-        adversary::TargetPattern::kRoundRobin, 1, seed + 1);
-    return m;
-  }
-};
-
-ExperimentRecord extract_record(const CellSetup& setup, int rho_pct,
-                                std::uint64_t seed,
+ExperimentRecord extract_record(const GridCell& cell,
+                                const energy::EnergyModel& energy,
                                 const metrics::RunStats& s,
                                 const channel::LedgerStats& ch,
                                 const energy::EnergyMeter& meter) {
   ExperimentRecord rec;
-  rec.protocol = setup.protocol;
-  rec.n = setup.n;
-  rec.bound_r = setup.bound_r;
-  rec.rho_pct = rho_pct;
-  rec.slot_policy = setup.policy;
-  rec.seed = seed;
+  rec.protocol = cell.protocol;
+  rec.n = cell.n;
+  rec.bound_r = cell.bound_r;
+  rec.rho_pct = cell.rho_pct;
+  rec.slot_policy = cell.slot_policy;
+  rec.seed = cell.seed;
   rec.injected = s.injected_packets;
   rec.delivered = s.delivered_packets;
   rec.queued = s.queued_packets;
@@ -87,9 +37,9 @@ ExperimentRecord extract_record(const CellSetup& setup, int rho_pct,
                          : 1.0;
   rec.p99_latency_units =
       s.latency.empty() ? 0.0 : to_units(s.latency.quantile(0.99));
-  if (setup.energy.enabled) {
-    rec.energy_total = meter.total_charge(setup.energy);
-    rec.energy_peak_station = meter.peak_station_charge(setup.energy);
+  if (energy.enabled) {
+    rec.energy_total = meter.total_charge(energy);
+    rec.energy_peak_station = meter.peak_station_charge(energy);
     rec.energy_per_delivery =
         s.delivered_packets ? static_cast<double>(rec.energy_total) /
                                   static_cast<double>(s.delivered_packets)
@@ -149,23 +99,61 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
   return plan;
 }
 
-std::uint32_t grid_fingerprint(const ExperimentSpec& spec) {
-  snapshot::Writer w;
-  for (const auto& p : spec.protocols) w.str(p);
+RunSpec cell_run_spec(const ExperimentSpec& spec, const GridCell& cell) {
+  RunSpec run;
+  run.protocol = cell.protocol;
+  run.n = cell.n;
+  run.bound_r = cell.bound_r;
+  run.slot_policy = cell.slot_policy;
+  run.seed = cell.seed;
+  run.horizon_units = spec.horizon_units;
+  run.injector.rho = util::Ratio(cell.rho_pct, 100);
+  run.injector.burst_ticks = spec.burst_units * kTicksPerUnit;
+  run.injector.seed = cell.seed + 1;
+  run.restrained = spec.restrained;
+  run.energy = spec.energy;
+  return run;
+}
+
+void save_grid_spec(snapshot::Writer& w, const ExperimentSpec& spec) {
+  snapshot::save_strings(w, spec.protocols);
+  w.u64(spec.station_counts.size());
   for (std::uint32_t n : spec.station_counts) w.u32(n);
+  w.u64(spec.bounds_r.size());
   for (std::uint32_t r : spec.bounds_r) w.u32(r);
+  w.u64(spec.rho_percents.size());
   for (int rho : spec.rho_percents) w.i64(rho);
-  for (const auto& p : spec.slot_policies) w.str(p);
+  snapshot::save_strings(w, spec.slot_policies);
   w.i64(spec.burst_units);
   w.i64(spec.horizon_units);
   w.u64(spec.seed);
   w.i64(spec.seeds);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
+  save_restrained(w, spec.restrained);
+  save_energy_model(w, spec.energy);
+}
+
+ExperimentSpec load_grid_spec(snapshot::Reader& r) {
+  ExperimentSpec spec;
+  spec.protocols = snapshot::load_strings(r);
+  spec.station_counts.resize(r.count(4));
+  for (auto& n : spec.station_counts) n = r.u32();
+  spec.bounds_r.resize(r.count(4));
+  for (auto& bound : spec.bounds_r) bound = r.u32();
+  spec.rho_percents.resize(r.count(8));
+  for (auto& rho : spec.rho_percents) rho = static_cast<int>(r.i64());
+  spec.slot_policies = snapshot::load_strings(r);
+  spec.burst_units = r.i64();
+  spec.horizon_units = r.i64();
+  spec.seed = r.u64();
+  spec.seeds = static_cast<int>(r.i64());
+  spec.restrained = load_restrained(r);
+  spec.energy = load_energy_model(r);
+  return spec;
+}
+
+std::uint32_t grid_fingerprint(const ExperimentSpec& spec) {
+  snapshot::Writer w;
+  save_grid_spec(w, spec);
   return snapshot::crc32(w.buffer().data(), w.buffer().size());
 }
 
@@ -227,35 +215,27 @@ std::vector<ExperimentRecord> run_grid_cells(
                    c.bound_r == c0.bound_r && c.slot_policy == c0.slot_policy,
                "cells of one work unit must share protocol, n, R and policy");
   }
-  const auto setup = std::make_shared<const CellSetup>(
-      spec, c0.protocol, c0.n, c0.bound_r, c0.slot_policy);
-
   std::vector<ExperimentRecord> out;
   out.reserve(todo.size());
   if (todo.size() == 1) {
-    sim::LaneMaterials m = setup->materials(c0.seed, c0.rho_pct);
-    sim::Engine engine(std::move(m.cfg), std::move(m.protocols),
-                       std::move(m.slot_policy), std::move(m.injection));
-    engine.run(sim::until(spec.horizon_units * kTicksPerUnit));
-    out.push_back(extract_record(*setup, c0.rho_pct, c0.seed, engine.stats(),
-                                 engine.channel_stats(),
-                                 engine.energy_meter()));
+    auto engine = build_engine(cell_run_spec(spec, c0));
+    engine->run(sim::until(spec.horizon_units * kTicksPerUnit));
+    out.push_back(extract_record(c0, spec.energy, engine->stats(),
+                                 engine->channel_stats(),
+                                 engine->energy_meter()));
   } else {
     std::vector<sim::LaneBuilder> builders;
     builders.reserve(todo.size());
     for (std::size_t i : todo)
-      builders.push_back(
-          [setup, seed = plan.cells[i].seed, rho = plan.cells[i].rho_pct] {
-            return setup->materials(seed, rho);
-          });
+      builders.push_back([run = cell_run_spec(spec, plan.cells[i])] {
+        return materials(run);
+      });
     sim::CohortEngine cohort(std::move(builders));
     cohort.run(sim::until(spec.horizon_units * kTicksPerUnit));
-    for (std::size_t k = 0; k < todo.size(); ++k) {
-      const GridCell& c = plan.cells[todo[k]];
-      out.push_back(extract_record(*setup, c.rho_pct, c.seed, cohort.stats(k),
-                                   cohort.channel_stats(k),
+    for (std::size_t k = 0; k < todo.size(); ++k)
+      out.push_back(extract_record(plan.cells[todo[k]], spec.energy,
+                                   cohort.stats(k), cohort.channel_stats(k),
                                    cohort.energy_meter(k)));
-    }
   }
   return out;
 }

@@ -1,8 +1,9 @@
 // asyncmac/analysis/grid.h
 //
 // The shared internals of experiment-grid execution: cell enumeration,
-// cohort-width work-unit chunking, the sweep fingerprint, record
-// (de)serialization and the resumable grid manifest (docs/CHECKPOINT.md).
+// each cell's RunSpec, cohort-width work-unit chunking, the grid-spec
+// encoding and its fingerprint, record (de)serialization and the
+// resumable grid manifest (docs/CHECKPOINT.md).
 //
 // analysis::run_grid composes these on a local thread pool; the
 // distributed sweep service (src/sweep/, docs/DISTRIBUTED.md) composes
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "analysis/run_spec.h"
 #include "snapshot/io.h"
 #include "util/types.h"
 
@@ -62,9 +64,22 @@ GridPlan plan_grid(const ExperimentSpec& spec);
 /// cell.
 unsigned grid_cohort_width(const ExperimentSpec& spec);
 
-/// CRC over the sweep-defining dimensions (not jobs / cohort /
-/// checkpoint_dir): a manifest — or a distributed worker — only serves
-/// the exact grid it was planned for.
+/// The run one cell denotes: the cell's protocol, n, R, slot policy and
+/// seed with the grid's horizon, channel variant and energy model, under
+/// the grid workload — a saturating round-robin injector at rate
+/// rho_pct / 100 with burstiness burst_units, seeded cell.seed + 1.
+RunSpec cell_run_spec(const ExperimentSpec& spec, const GridCell& cell);
+
+/// The byte encoding of the sweep-defining fields (every list
+/// length-prefixed; not jobs / cohort / checkpoint_dir, which are
+/// per-process choices). The distributed sweep's Welcome carries it, and
+/// grid_fingerprint is its CRC. load_grid_spec throws typed
+/// snapshot::SnapshotErrors on malformed input.
+void save_grid_spec(snapshot::Writer& w, const ExperimentSpec& spec);
+ExperimentSpec load_grid_spec(snapshot::Reader& r);
+
+/// CRC-32 of save_grid_spec: a manifest — or a distributed worker — only
+/// serves the exact grid it was planned for.
 std::uint32_t grid_fingerprint(const ExperimentSpec& spec);
 
 /// ExperimentRecord payload serialization (manifest rows and sweep

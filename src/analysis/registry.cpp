@@ -21,8 +21,8 @@ namespace asyncmac::analysis {
 
 namespace {
 
-const std::map<std::string, ProtocolMaker>& registry() {
-  static const std::map<std::string, ProtocolMaker> kRegistry = {
+const std::map<std::string, sim::ProtocolMaker>& registry() {
+  static const std::map<std::string, sim::ProtocolMaker> kRegistry = {
       {"ao-arrow",
        [] { return std::make_unique<core::AoArrowProtocol>(); }},
       {"ca-arrow",
@@ -55,7 +55,7 @@ const std::map<std::string, ProtocolMaker>& registry() {
 
 }  // namespace
 
-ProtocolMaker protocol_maker(const std::string& name) {
+sim::ProtocolMaker protocol_maker(const std::string& name) {
   const auto it = registry().find(name);
   AM_REQUIRE(it != registry().end(), "unknown protocol: " + name);
   return it->second;

@@ -6,7 +6,6 @@
 // experiment descriptions can be purely declarative.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,13 +14,11 @@
 
 namespace asyncmac::analysis {
 
-using ProtocolMaker = std::function<std::unique_ptr<sim::Protocol>()>;
-
 /// Factory for a registered protocol name; throws std::invalid_argument
 /// on an unknown name. Names:
 ///   ao-arrow, ca-arrow, adaptive-abs, abs,
 ///   rrw, mbtf, aloha, beb, silence-tdma, sync-binary-le, listen
-ProtocolMaker protocol_maker(const std::string& name);
+sim::ProtocolMaker protocol_maker(const std::string& name);
 
 /// Convenience: one instance.
 std::unique_ptr<sim::Protocol> make_protocol(const std::string& name);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
@@ -41,19 +39,18 @@ Daemon::Daemon(DaemonConfig cfg)
       n_(cfg_.spec.n),
       horizon_ticks_(cfg_.spec.horizon_units * kTicksPerUnit),
       max_slot_ticks_(static_cast<Tick>(cfg_.spec.bound_r) * kTicksPerUnit),
-      channel_(cfg_.spec.restrained()),
+      channel_(cfg_.spec.restrained),
       metrics_(cfg_.spec.n),
       meter_(cfg_.spec.n) {
-  AM_REQUIRE(n_ >= 1, "need at least one station");
-  AM_REQUIRE(cfg_.spec.bound_r >= 1, "R must be >= 1");
   AM_REQUIRE(cfg_.spec.horizon_units >= 1, "horizon must be positive");
   AM_REQUIRE(cfg_.chunks >= 1, "need at least one sampling chunk");
   AM_REQUIRE(cfg_.spec.prune_interval >= 1, "prune interval must be >= 1");
 
-  policy_ = adversary::make_slot_policy(cfg_.spec.slot_policy, n_,
-                                        cfg_.spec.bound_r, cfg_.spec.seed);
-  if (cfg_.spec.has_injector)
-    injector_ = adversary::make_injector(cfg_.spec.injector);
+  // The same construction path as every engine; the protocol instances
+  // it builds are dropped (stations own their automata).
+  sim::LaneMaterials m = analysis::materials(cfg_.spec);
+  policy_ = std::move(m.slot_policy);
+  injector_ = std::move(m.injection);
 
   // Per-station protocol RNG seeds, drawn exactly as sim::Engine draws
   // them so a station's randomized protocol walks the same stream.
@@ -248,7 +245,7 @@ void Daemon::settle_slot(Tick t, StationId id, DaemonActions& out) {
                          st.slot_close_end - st.slot_begin, t);
   }
   metrics_.on_slot_end(id, st.action);
-  if (cfg_.spec.energy_enabled) {
+  if (cfg_.spec.energy.enabled) {
     // Post-delivery mirror queue state — the engines' exact billing rule.
     if (is_transmit(st.action))
       meter_.add_transmit(id);

@@ -58,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/run_spec.h"
 #include "analysis/stability.h"
 #include "channel/ledger.h"
 #include "energy/meter.h"
@@ -67,7 +68,6 @@
 #include "sim/injection.h"
 #include "sim/packet.h"
 #include "sim/slot_policy.h"
-#include "snapshot/checkpoint.h"
 #include "trace/recorder.h"
 #include "util/types.h"
 
@@ -78,7 +78,7 @@ struct DaemonConfig {
   /// checkpoints and the CLI share. horizon_units bounds the run;
   /// record_trace enables the recorder; prune_interval paces channel
   /// pruning (in processed slot ends).
-  snapshot::RunSpec spec;
+  analysis::RunSpec spec;
   /// Backlog sampling for the stability verdict: queued cost is sampled
   /// at `chunks` equal boundaries of the horizon, exactly like
   /// analysis::probe_stability, and classified with the same procedure.
@@ -120,7 +120,7 @@ class Daemon : public sim::EngineView {
     return channel_.stats();
   }
   const trace::Recorder& trace() const noexcept { return trace_; }
-  /// Per-station energy slot counts (all-zero unless spec.energy_enabled).
+  /// Per-station energy slot counts (all-zero unless spec.energy.enabled).
   const energy::EnergyMeter& energy_meter() const noexcept { return meter_; }
   const std::vector<Tick>& backlog_samples() const noexcept { return samples_; }
   /// Valid once done(): the same verdict probe_stability would emit for

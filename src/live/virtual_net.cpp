@@ -146,7 +146,7 @@ bool VirtualNet::run(std::uint64_t max_events) {
   return false;
 }
 
-VirtualRunReport run_virtual(const snapshot::RunSpec& spec,
+VirtualRunReport run_virtual(const analysis::RunSpec& spec,
                              const VirtualRunOptions& opt) {
   DaemonConfig dc;
   dc.spec = spec;

@@ -29,13 +29,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/run_spec.h"
 #include "analysis/stability.h"
 #include "channel/ledger.h"
 #include "energy/meter.h"
 #include "live/daemon.h"
 #include "live/station.h"
 #include "metrics/run_stats.h"
-#include "snapshot/checkpoint.h"
 #include "trace/recorder.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -113,7 +113,7 @@ struct VirtualRunReport {
   std::string reason;
   metrics::RunStats stats;
   channel::LedgerStats channel;
-  energy::EnergyMeter energy;  ///< all-zero unless spec.energy_enabled
+  energy::EnergyMeter energy;  ///< all-zero unless spec.energy.enabled
   std::vector<trace::SlotRecord> trace;
   std::vector<Tick> samples;
   analysis::Verdict verdict = analysis::Verdict::kStable;
@@ -131,7 +131,7 @@ struct VirtualRunOptions {
 /// Run a whole scenario through daemon + n station machines over the
 /// virtual clock. Throws std::invalid_argument on bad spec names (same
 /// factories as the engine path).
-VirtualRunReport run_virtual(const snapshot::RunSpec& spec,
+VirtualRunReport run_virtual(const analysis::RunSpec& spec,
                              const VirtualRunOptions& opt = {});
 
 }  // namespace asyncmac::live

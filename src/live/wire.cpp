@@ -1,7 +1,5 @@
 #include "live/wire.h"
 
-#include <cstring>
-
 #include "snapshot/io.h"
 #include "util/check.h"
 
@@ -12,25 +10,8 @@ namespace {
 using snapshot::ErrorKind;
 using snapshot::SnapshotError;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
+constexpr snapshot::FrameFormat kFormat{kDatagramMagic, kLiveWireVersion,
+                                        kMaxDatagramPayload, known_type};
 
 void encode_injections(snapshot::Writer& w,
                        const std::vector<InjectionDelta>& v) {
@@ -42,11 +23,7 @@ void encode_injections(snapshot::Writer& w,
 }
 
 std::vector<InjectionDelta> decode_injections(snapshot::Reader& r) {
-  const std::uint64_t count = r.u64();
-  // A feedback datagram never carries more injections than fit in the
-  // payload cap; reject absurd counts before allocating.
-  if (count > kMaxDatagramPayload / 16)
-    throw SnapshotError(ErrorKind::kCorrupt, "injection count out of range");
+  const std::uint64_t count = r.count(16);
   std::vector<InjectionDelta> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -156,47 +133,23 @@ std::vector<std::uint8_t> encode(const Msg& m) {
       w.str(m.name);
       break;
   }
-  const std::vector<std::uint8_t>& payload = w.buffer();
-  AM_CHECK_MSG(payload.size() <= kMaxDatagramPayload, "live datagram too large");
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kDatagramHeaderBytes + payload.size());
-  out.insert(out.end(), kDatagramMagic, kDatagramMagic + 4);
-  put_u32(out, kLiveWireVersion);
-  out.push_back(static_cast<std::uint8_t>(m.type));
-  put_u64(out, payload.size());
-  put_u32(out, snapshot::crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  return snapshot::encode_frame(kFormat, static_cast<std::uint8_t>(m.type),
+                                w.buffer());
 }
 
 Msg decode(const std::uint8_t* data, std::size_t size) {
   if (size < kDatagramHeaderBytes)
     throw SnapshotError(ErrorKind::kTruncated, "datagram shorter than header");
-  if (std::memcmp(data, kDatagramMagic, 4) != 0)
-    throw SnapshotError(ErrorKind::kBadMagic, "not a live-channel datagram");
-  const std::uint32_t version = get_u32(data + 4);
-  if (version != kLiveWireVersion)
-    throw SnapshotError(ErrorKind::kBadVersion,
-                        "live wire version " + std::to_string(version));
-  const std::uint8_t raw_type = data[8];
-  if (!known_type(raw_type))
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "unknown message type " + std::to_string(raw_type));
-  const std::uint64_t len = get_u64(data + 9);
-  if (len > kMaxDatagramPayload)
-    throw SnapshotError(ErrorKind::kCorrupt, "payload length out of range");
-  if (size != kDatagramHeaderBytes + len)
+  const snapshot::FrameHeader h = snapshot::decode_frame_header(kFormat, data);
+  if (size != kDatagramHeaderBytes + h.length)
     throw SnapshotError(ErrorKind::kTruncated,
                         "datagram size does not match payload length");
   const std::uint8_t* payload = data + kDatagramHeaderBytes;
-  const std::uint32_t crc = get_u32(data + 17);
-  if (snapshot::crc32(payload, static_cast<std::size_t>(len)) != crc)
-    throw SnapshotError(ErrorKind::kBadCrc, "payload checksum mismatch");
+  snapshot::check_frame_crc(h, payload);
 
-  snapshot::Reader r(payload, static_cast<std::size_t>(len));
+  snapshot::Reader r(payload, static_cast<std::size_t>(h.length));
   Msg m;
-  m.type = static_cast<MsgType>(raw_type);
+  m.type = static_cast<MsgType>(h.type);
   switch (m.type) {
     case MsgType::kJoin:
       m.station = r.u32();

@@ -3,15 +3,10 @@
 // Datagram codec of the live-channel protocol (docs/LIVE.md). Unlike the
 // sweep wire (a stream protocol with incremental reassembly), live mode
 // speaks UDP: one datagram carries exactly one message, so the codec is a
-// single-shot encode/decode pair with no streaming state:
-//
-//   offset  size  field
-//   0       4     magic "AMLD"
-//   4       4     wire version (u32 LE, kLiveWireVersion)
-//   8       1     message type (MsgType)
-//   9       8     payload length (u64 LE, <= kMaxDatagramPayload)
-//   17      4     CRC-32 of the payload (u32 LE)
-//   21      ...   payload (snapshot::Writer encoding)
+// single-shot encode/decode pair with no streaming state. A datagram is
+// the 21-byte header the sweep wire uses (snapshot/frame.h) with magic
+// "AMLD", version kLiveWireVersion and at most kMaxDatagramPayload
+// payload bytes.
 //
 // The decoder is strict: short datagrams, bad magic/version/type, length
 // mismatches, CRC failures and trailing payload bytes all raise a typed
@@ -30,13 +25,15 @@
 #include <string>
 #include <vector>
 
+#include "snapshot/frame.h"
 #include "util/types.h"
 
 namespace asyncmac::live {
 
 inline constexpr std::uint32_t kLiveWireVersion = 1;
 inline constexpr std::uint8_t kDatagramMagic[4] = {'A', 'M', 'L', 'D'};
-inline constexpr std::size_t kDatagramHeaderBytes = 21;
+inline constexpr std::size_t kDatagramHeaderBytes =
+    snapshot::kFrameHeaderBytes;
 /// A feedback datagram carries at most one poll's worth of injections;
 /// 60 KiB keeps every message within a single unfragmented-ish UDP
 /// payload and bounds allocation from a corrupted length field.

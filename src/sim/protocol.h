@@ -8,6 +8,7 @@
 // operations span exactly one slot.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,5 +71,11 @@ class Protocol {
     (void)ctx;
   }
 };
+
+/// Creates a fresh protocol instance — the registry's entries
+/// (analysis/registry.h) and the lower-bound drivers' input
+/// (adversary/mirror.h, adversary/collision_forcer.h), which instantiate
+/// protocols repeatedly and in virtual copies.
+using ProtocolMaker = std::function<std::unique_ptr<Protocol>()>;
 
 }  // namespace asyncmac::sim

@@ -4,113 +4,9 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "adversary/slot_policies.h"
-#include "analysis/registry.h"
 #include "util/check.h"
 
 namespace asyncmac::snapshot {
-
-void save_injector_spec(Writer& w, const adversary::InjectorSpec& spec) {
-  w.str(spec.kind);
-  w.i64(spec.rho.num);
-  w.i64(spec.rho.den);
-  w.i64(spec.burst_ticks);
-  w.str(spec.pattern);
-  w.u32(spec.single_target);
-  w.i64(spec.period_ticks);
-  w.u32(spec.drain_a);
-  w.u32(spec.drain_b);
-  w.u64(spec.seed);
-}
-
-adversary::InjectorSpec load_injector_spec(Reader& r) {
-  adversary::InjectorSpec spec;
-  spec.kind = r.str();
-  const std::int64_t num = r.i64();
-  const std::int64_t den = r.i64();
-  if (num < 0 || den <= 0)
-    throw SnapshotError(ErrorKind::kCorrupt, "invalid injection rate ratio");
-  spec.rho = util::Ratio(num, den);
-  spec.burst_ticks = r.i64();
-  spec.pattern = r.str();
-  spec.single_target = r.u32();
-  spec.period_ticks = r.i64();
-  spec.drain_a = r.u32();
-  spec.drain_b = r.u32();
-  spec.seed = r.u64();
-  return spec;
-}
-
-void save_run_spec(Writer& w, const RunSpec& spec) {
-  w.str(spec.protocol);
-  w.u32(spec.n);
-  w.u32(spec.bound_r);
-  w.str(spec.slot_policy);
-  w.boolean(spec.has_injector);
-  save_injector_spec(w, spec.injector);
-  w.u64(spec.seed);
-  w.i64(spec.horizon_units);
-  w.boolean(spec.keep_channel_history);
-  w.boolean(spec.record_trace);
-  w.boolean(spec.record_deliveries);
-  w.boolean(spec.allow_control);
-  w.u64(spec.prune_interval);
-  w.u64(spec.checkpoint_interval);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
-}
-
-RunSpec load_run_spec(Reader& r) {
-  RunSpec spec;
-  spec.protocol = r.str();
-  spec.n = r.u32();
-  spec.bound_r = r.u32();
-  spec.slot_policy = r.str();
-  spec.has_injector = r.boolean();
-  spec.injector = load_injector_spec(r);
-  spec.seed = r.u64();
-  spec.horizon_units = r.i64();
-  spec.keep_channel_history = r.boolean();
-  spec.record_trace = r.boolean();
-  spec.record_deliveries = r.boolean();
-  spec.allow_control = r.boolean();
-  spec.prune_interval = r.u64();
-  spec.checkpoint_interval = r.u64();
-  spec.restrained_k = r.u32();
-  spec.restrained_jam = r.boolean();
-  spec.energy_enabled = r.boolean();
-  spec.energy_cost_transmit = r.u64();
-  spec.energy_cost_listen = r.u64();
-  spec.energy_cost_sleep = r.u64();
-  if (spec.n < 1 || spec.bound_r < 1 || spec.prune_interval < 1)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "run spec violates engine invariants");
-  return spec;
-}
-
-std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec) {
-  sim::EngineConfig cfg;
-  cfg.n = spec.n;
-  cfg.bound_r = spec.bound_r;
-  cfg.seed = spec.seed;
-  cfg.keep_channel_history = spec.keep_channel_history;
-  cfg.record_trace = spec.record_trace;
-  cfg.record_deliveries = spec.record_deliveries;
-  cfg.allow_control = spec.allow_control;
-  cfg.prune_interval = spec.prune_interval;
-  cfg.checkpoint_interval = spec.checkpoint_interval;
-  cfg.restrained = spec.restrained();
-  cfg.energy = spec.energy();
-  return std::make_unique<sim::Engine>(
-      cfg, analysis::make_protocols(spec.protocol, spec.n),
-      adversary::make_slot_policy(spec.slot_policy, spec.n, spec.bound_r,
-                                  spec.seed),
-      spec.has_injector ? adversary::make_injector(spec.injector) : nullptr);
-}
 
 std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec,
                                             const sim::Engine& engine) {

@@ -6,10 +6,11 @@
 //   1. a RunSpec — the declarative configuration of the run (protocol
 //      registry name, topology, adversaries, seed, recording flags), and
 //   2. the Engine's serialized mutable state (sim::Engine::save_state).
-// Resume rebuilds the engine from the RunSpec via the same factories the
-// CLI and experiment grids use, then overwrites its mutable state; from
-// that point the run continues bit-for-bit as the saved run would have
-// (the determinism contract pinned by tests/test_checkpoint_engine.cpp).
+// Resume rebuilds the engine from the RunSpec through analysis::materials
+// (the construction path of every other run), then overwrites its mutable
+// state; from that point the run continues bit-for-bit as the saved run
+// would have (the determinism contract pinned by
+// tests/test_checkpoint_engine.cpp).
 //
 // The AutoSaver is the standard EngineConfig::checkpoint_sink: it writes
 // rotating, atomically-renamed snapshot files into a directory with
@@ -21,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "adversary/injectors.h"
+#include "analysis/run_spec.h"
 #include "sim/engine.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
@@ -29,58 +30,12 @@
 
 namespace asyncmac::snapshot {
 
-/// Declarative description of an engine run — everything needed to
-/// reconstruct an identical Engine before loading a snapshot into it.
-struct RunSpec {
-  std::string protocol = "ao-arrow";  ///< analysis registry name
-  std::uint32_t n = 4;
-  std::uint32_t bound_r = 2;
-  std::string slot_policy = "perstation";  ///< adversary policy name
-  bool has_injector = true;
-  adversary::InjectorSpec injector;
-  std::uint64_t seed = 1;            ///< engine + slot-policy seed
-  Tick horizon_units = 100000;       ///< intended run length (time units)
-  bool keep_channel_history = false;
-  bool record_trace = false;
-  bool record_deliveries = false;
-  bool allow_control = true;
-  std::uint64_t prune_interval = 4096;
-  std::uint64_t checkpoint_interval = 0;
-  /// k-restrained channel admission cap (0 = unrestrained) and overflow
-  /// mode — see channel::RestrainedSpec.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  /// Per-station energy accounting model (energy/model.h).
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
-
-  channel::RestrainedSpec restrained() const {
-    return {restrained_k, restrained_jam};
-  }
-  energy::EnergyModel energy() const {
-    return {energy_enabled, energy_cost_transmit, energy_cost_listen,
-            energy_cost_sleep};
-  }
-
-  bool operator==(const RunSpec&) const = default;
-};
-
-/// InjectorSpec payload serialization (shared with verify's campaign
-/// cursor, which embeds scenarios the same way).
-void save_injector_spec(Writer& w, const adversary::InjectorSpec& spec);
-adversary::InjectorSpec load_injector_spec(Reader& r);
-
-void save_run_spec(Writer& w, const RunSpec& spec);
-RunSpec load_run_spec(Reader& r);
-
-/// Build a fresh engine from the spec through the shared factories
-/// (analysis::make_protocols, adversary::make_slot_policy/make_injector).
-/// The checkpoint_sink is left unset — install one after construction if
-/// the resumed run should keep autosaving. Throws std::invalid_argument
-/// on unknown protocol / policy / injector names.
-std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec);
+/// The run description a checkpoint embeds: analysis::RunSpec, with its
+/// codec and engine factory (analysis/run_spec.h).
+using RunSpec = analysis::RunSpec;
+using analysis::build_engine;
+using analysis::load_run_spec;
+using analysis::save_run_spec;
 
 /// Serialize spec + engine state into a kEngineRun payload (unframed).
 std::vector<std::uint8_t> encode_checkpoint(const RunSpec& spec,

@@ -124,6 +124,15 @@ std::string Reader::str() {
   return s;
 }
 
+std::uint64_t Reader::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_element_bytes)
+    throw SnapshotError(ErrorKind::kCorrupt,
+                        "declared element count " + std::to_string(n) +
+                            " cannot fit in the payload");
+  return n;
+}
+
 void Reader::bytes(void* out, std::size_t n) {
   if (n == 0) return;  // out may be null for an empty span (vector::data())
   need(n);
@@ -136,6 +145,17 @@ void Reader::expect_end() const {
     throw SnapshotError(ErrorKind::kCorrupt,
                         std::to_string(remaining()) +
                             " trailing bytes after payload");
+}
+
+void save_strings(Writer& w, const std::vector<std::string>& v) {
+  w.u64(v.size());
+  for (const auto& s : v) w.str(s);
+}
+
+std::vector<std::string> load_strings(Reader& r) {
+  std::vector<std::string> v(r.count(8));  // a string's u64 length
+  for (auto& s : v) s = r.str();
+  return v;
 }
 
 }  // namespace asyncmac::snapshot

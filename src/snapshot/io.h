@@ -93,6 +93,10 @@ class Reader {
   bool boolean();
   std::string str();
   void bytes(void* out, std::size_t n);
+  /// A u64 element count, refused as kCorrupt when that many elements of
+  /// at least `min_element_bytes` each cannot fit in the bytes left — a
+  /// corrupt count never drives an allocation.
+  std::uint64_t count(std::size_t min_element_bytes);
 
   std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - p_);
@@ -108,5 +112,9 @@ class Reader {
   const std::uint8_t* p_;
   const std::uint8_t* end_;
 };
+
+/// A length-prefixed string list (the count read through Reader::count).
+void save_strings(Writer& w, const std::vector<std::string>& v);
+std::vector<std::string> load_strings(Reader& r);
 
 }  // namespace asyncmac::snapshot

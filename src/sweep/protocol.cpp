@@ -21,94 +21,15 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Guard for list lengths inside payloads: a frame already caps the
-/// total payload at kMaxFramePayload, so any declared element count that
-/// could not possibly fit is corruption, not a big message.
-void check_count(std::uint64_t count, std::uint64_t min_element_bytes) {
-  if (min_element_bytes != 0 &&
-      count > kMaxFramePayload / min_element_bytes)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "declared element count cannot fit in a frame");
-}
-
-void save_string_list(Writer& w, const std::vector<std::string>& v) {
-  w.u64(v.size());
-  for (const auto& s : v) w.str(s);
-}
-
-std::vector<std::string> load_string_list(Reader& r) {
-  const std::uint64_t count = r.u64();
-  check_count(count, 8);  // each string carries at least its u64 length
-  std::vector<std::string> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(r.str());
-  return v;
-}
-
-/// The sweep-defining dimensions of an ExperimentSpec — exactly the
-/// fields grid_fingerprint covers. Execution knobs (jobs, cohort,
-/// checkpoint_dir) never cross the wire: they are per-process choices.
-void save_grid_spec(Writer& w, const analysis::ExperimentSpec& spec) {
-  save_string_list(w, spec.protocols);
-  w.u64(spec.station_counts.size());
-  for (std::uint32_t n : spec.station_counts) w.u32(n);
-  w.u64(spec.bounds_r.size());
-  for (std::uint32_t r : spec.bounds_r) w.u32(r);
-  w.u64(spec.rho_percents.size());
-  for (int rho : spec.rho_percents) w.i64(rho);
-  save_string_list(w, spec.slot_policies);
-  w.i64(spec.burst_units);
-  w.i64(spec.horizon_units);
-  w.u64(spec.seed);
-  w.i64(spec.seeds);
-  w.u32(spec.restrained_k);
-  w.boolean(spec.restrained_jam);
-  w.boolean(spec.energy_enabled);
-  w.u64(spec.energy_cost_transmit);
-  w.u64(spec.energy_cost_listen);
-  w.u64(spec.energy_cost_sleep);
-}
-
-analysis::ExperimentSpec load_grid_spec(Reader& r) {
-  analysis::ExperimentSpec spec;
-  spec.protocols = load_string_list(r);
-  std::uint64_t count = r.u64();
-  check_count(count, 4);
-  spec.station_counts.clear();
-  for (std::uint64_t i = 0; i < count; ++i)
-    spec.station_counts.push_back(r.u32());
-  count = r.u64();
-  check_count(count, 4);
-  spec.bounds_r.clear();
-  for (std::uint64_t i = 0; i < count; ++i) spec.bounds_r.push_back(r.u32());
-  count = r.u64();
-  check_count(count, 8);
-  spec.rho_percents.clear();
-  for (std::uint64_t i = 0; i < count; ++i)
-    spec.rho_percents.push_back(static_cast<int>(r.i64()));
-  spec.slot_policies = load_string_list(r);
-  spec.burst_units = r.i64();
-  spec.horizon_units = r.i64();
-  spec.seed = r.u64();
-  spec.seeds = static_cast<int>(r.i64());
-  spec.restrained_k = r.u32();
-  spec.restrained_jam = r.boolean();
-  spec.energy_enabled = r.boolean();
-  spec.energy_cost_transmit = r.u64();
-  spec.energy_cost_listen = r.u64();
-  spec.energy_cost_sleep = r.u64();
-  return spec;
-}
-
 void save_job(Writer& w, const SweepJob& job) {
   w.u8(static_cast<std::uint8_t>(job.kind));
   if (job.kind == JobKind::kGrid) {
-    save_grid_spec(w, job.grid);
+    analysis::save_grid_spec(w, job.grid);
   } else {
     w.u64(job.fuzz.seed);
     w.u64(job.fuzz.cases);
     w.u64(job.fuzz.chunk);
-    save_string_list(w, job.fuzz.protocols);
+    snapshot::save_strings(w, job.fuzz.protocols);
   }
 }
 
@@ -120,14 +41,14 @@ SweepJob load_job(Reader& r) {
     throw SnapshotError(ErrorKind::kCorrupt, "unknown sweep job kind");
   job.kind = static_cast<JobKind>(kind);
   if (job.kind == JobKind::kGrid) {
-    job.grid = load_grid_spec(r);
+    job.grid = analysis::load_grid_spec(r);
   } else {
     job.fuzz.seed = r.u64();
     job.fuzz.cases = r.u64();
     job.fuzz.chunk = r.u64();
     if (job.fuzz.chunk == 0)
       throw SnapshotError(ErrorKind::kCorrupt, "fuzz chunk must be nonzero");
-    job.fuzz.protocols = load_string_list(r);
+    job.fuzz.protocols = snapshot::load_strings(r);
   }
   return job;
 }
@@ -313,8 +234,7 @@ std::vector<std::uint8_t> encode_grid_result(
 std::vector<analysis::ExperimentRecord> decode_grid_result(
     const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
-  const std::uint64_t count = r.u64();
-  check_count(count, 32);  // a record is far larger than 32 bytes
+  const std::uint64_t count = r.count(32);  // a record is far larger
   std::vector<analysis::ExperimentRecord> records;
   records.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i)
@@ -339,8 +259,7 @@ std::vector<std::uint8_t> encode_fuzz_result(
 std::vector<verify::CaseVerdict> decode_fuzz_result(
     const std::vector<std::uint8_t>& payload) {
   Reader r(payload);
-  const std::uint64_t count = r.u64();
-  check_count(count, 18);
+  const std::uint64_t count = r.count(18);
   std::vector<verify::CaseVerdict> verdicts;
   verdicts.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

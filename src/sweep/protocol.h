@@ -15,10 +15,12 @@
 //   RequestWork{id}        ->      ...
 //   Heartbeat{id}          ->      (any time; refreshes lease deadlines)
 //
-// A job is either an experiment grid (analysis::ExperimentSpec — the
-// sweep dimensions only, never execution knobs) or a fuzz campaign
-// (seed / cases / chunk / protocol pool). Work units are identified by a
-// splittable 64-bit id derived from the job fingerprint and the unit
+// A job is either an experiment grid (analysis::ExperimentSpec in the
+// analysis::save_grid_spec encoding — the sweep-defining fields only,
+// never execution knobs; grid_fingerprint is the CRC of the same bytes)
+// or a fuzz campaign (seed / cases / chunk / protocol pool). Work units
+// are identified by a splittable 64-bit id derived from the job
+// fingerprint and the unit
 // index (the verify::ScenarioGen idiom), so coordinator and worker agree
 // on unit identity without shared state and duplicate or late results
 // deduplicate idempotently.

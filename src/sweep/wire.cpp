@@ -1,7 +1,5 @@
 #include "sweep/wire.h"
 
-#include <cstring>
-
 namespace asyncmac::sweep {
 
 namespace {
@@ -9,18 +7,8 @@ namespace {
 using snapshot::ErrorKind;
 using snapshot::SnapshotError;
 
-std::uint32_t read_u32le(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t read_u64le(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+constexpr snapshot::FrameFormat kFormat{kFrameMagic, kWireVersion,
+                                        kMaxFramePayload, known_type};
 
 }  // namespace
 
@@ -46,29 +34,14 @@ bool known_type(std::uint8_t t) noexcept {
 
 std::vector<std::uint8_t> encode_frame(
     MsgType type, const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxFramePayload)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "frame payload exceeds kMaxFramePayload");
-  snapshot::Writer w;
-  w.bytes(kFrameMagic, sizeof(kFrameMagic));
-  w.u32(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(payload.size());
-  w.u32(snapshot::crc32(payload.data(), payload.size()));
-  w.bytes(payload.data(), payload.size());
-  return w.take();
+  return snapshot::encode_frame(kFormat, static_cast<std::uint8_t>(type),
+                                payload);
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
   if (poisoned_)
     throw SnapshotError(poison_kind_, "wire decoder poisoned: stream lost sync");
   buf_.insert(buf_.end(), data, data + n);
-}
-
-[[noreturn]] void FrameDecoder::poison(ErrorKind kind, const char* what) {
-  poisoned_ = true;
-  poison_kind_ = kind;
-  throw SnapshotError(kind, what);
 }
 
 void FrameDecoder::compact() {
@@ -86,35 +59,26 @@ std::optional<Frame> FrameDecoder::next() {
     throw SnapshotError(poison_kind_, "wire decoder poisoned: stream lost sync");
   if (buffered() < kFrameHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buf_.data() + pos_;
+  try {
+    // Header fields are validated the moment the header is complete — a
+    // garbage stream fails fast instead of waiting for a phantom payload
+    // length to "arrive".
+    const snapshot::FrameHeader header = snapshot::decode_frame_header(kFormat, h);
+    if (buffered() < kFrameHeaderBytes + header.length) return std::nullopt;
+    const std::uint8_t* payload = h + kFrameHeaderBytes;
+    snapshot::check_frame_crc(header, payload);
 
-  // Validate header fields in offset order the moment the header is
-  // complete — a garbage stream fails fast instead of waiting for a
-  // phantom payload length to "arrive".
-  if (std::memcmp(h, kFrameMagic, sizeof(kFrameMagic)) != 0)
-    poison(ErrorKind::kBadMagic, "frame does not start with AMWP");
-  const std::uint32_t version = read_u32le(h + 4);
-  if (version != kWireVersion)
-    poison(ErrorKind::kBadVersion,
-           "frame written by a different wire-protocol version");
-  const std::uint8_t type = h[8];
-  if (!known_type(type))
-    poison(ErrorKind::kCorrupt, "unknown message type in frame header");
-  const std::uint64_t len = read_u64le(h + 9);
-  if (len > kMaxFramePayload)
-    poison(ErrorKind::kCorrupt, "declared frame payload length is oversized");
-  const std::uint32_t crc = read_u32le(h + 17);
-
-  if (buffered() < kFrameHeaderBytes + len) return std::nullopt;
-  const std::uint8_t* payload = h + kFrameHeaderBytes;
-  if (snapshot::crc32(payload, static_cast<std::size_t>(len)) != crc)
-    poison(ErrorKind::kBadCrc, "frame payload checksum mismatch");
-
-  Frame f;
-  f.type = static_cast<MsgType>(type);
-  f.payload.assign(payload, payload + len);
-  pos_ += kFrameHeaderBytes + static_cast<std::size_t>(len);
-  compact();
-  return f;
+    Frame f;
+    f.type = static_cast<MsgType>(header.type);
+    f.payload.assign(payload, payload + header.length);
+    pos_ += kFrameHeaderBytes + static_cast<std::size_t>(header.length);
+    compact();
+    return f;
+  } catch (const SnapshotError& e) {
+    poisoned_ = true;
+    poison_kind_ = e.kind();
+    throw;
+  }
 }
 
 void FrameDecoder::at_eof() const {

@@ -3,15 +3,9 @@
 // Framing layer of the distributed-sweep wire protocol
 // (docs/DISTRIBUTED.md). Every message travels as one length-prefixed,
 // CRC-guarded frame over an ordered byte stream (TCP or the in-process
-// loopback transport):
-//
-//   offset  size  field
-//   0       4     magic "AMWP"
-//   4       4     wire version (u32 LE, kWireVersion)
-//   8       1     message type (MsgType)
-//   9       8     payload length (u64 LE, <= kMaxFramePayload)
-//   17      4     CRC-32 of the payload (u32 LE)
-//   21      ...   payload (snapshot::Writer encoding, see sweep/protocol.h)
+// loopback transport): the 21-byte header live datagrams share
+// (snapshot/frame.h) with magic "AMWP", version kWireVersion and at most
+// kMaxFramePayload payload bytes (sweep/protocol.h encodes them).
 //
 // The decoder is incremental (bytes arrive in arbitrary chunks) and
 // strict: every violation raises a typed snapshot::SnapshotError —
@@ -31,13 +25,14 @@
 #include <optional>
 #include <vector>
 
+#include "snapshot/frame.h"
 #include "snapshot/io.h"
 
 namespace asyncmac::sweep {
 
 inline constexpr std::uint32_t kWireVersion = 1;
 inline constexpr std::uint8_t kFrameMagic[4] = {'A', 'M', 'W', 'P'};
-inline constexpr std::size_t kFrameHeaderBytes = 21;
+inline constexpr std::size_t kFrameHeaderBytes = snapshot::kFrameHeaderBytes;
 /// Frames carry at most one work unit's records; 16 MiB is orders of
 /// magnitude above any real payload and small enough that a corrupted
 /// length field cannot drive allocation to OOM.
@@ -95,7 +90,6 @@ class FrameDecoder {
   std::size_t buffered() const noexcept { return buf_.size() - pos_; }
 
  private:
-  [[noreturn]] void poison(snapshot::ErrorKind kind, const char* what);
   void compact();
 
   std::vector<std::uint8_t> buf_;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "sim/cohort_engine.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
 #include "telemetry/jsonl.h"
@@ -128,11 +129,11 @@ trace::CheckResult check_cohort_equivalence(const Scenario& s,
   run_scenario(varied)->save_state(varied_bytes);
 
   std::vector<sim::LaneBuilder> builders;
-  builders.push_back([s] { return scenario_materials(s); });
+  builders.push_back([s] { return analysis::materials(s); });
   builders.push_back(
-      [s, seed = s.seed + 1] { return scenario_materials(s, seed); });
-  builders.push_back([s] { return scenario_materials(s); });
-  builders.push_back([varied] { return scenario_materials(varied); });
+      [s, seed = s.seed + 1] { return analysis::materials(s, seed); });
+  builders.push_back([s] { return analysis::materials(s); });
+  builders.push_back([varied] { return analysis::materials(varied); });
   sim::CohortEngine cohort(std::move(builders));
 
   const Tick horizon = s.horizon_units * kTicksPerUnit;
@@ -304,17 +305,17 @@ Scenario shrink_counterexample(Scenario s, const CaseCheck& extra,
     // Simpler channel: an unrestrained medium beats a k-restrained one,
     // and energy metering is observation-only so dropping it should
     // never mask a violation — if it does, that is itself the bug.
-    if (s.restrained_k != 0) {
+    if (s.restrained.enabled()) {
       Scenario candidate = s;
-      candidate.restrained_k = 0;
+      candidate.restrained.k = 0;
       if (fails(candidate)) {
         s = candidate;
         improved = true;
       }
     }
-    if (s.energy_enabled) {
+    if (s.energy.enabled) {
       Scenario candidate = s;
-      candidate.energy_enabled = false;
+      candidate.energy.enabled = false;
       if (fails(candidate)) {
         s = candidate;
         improved = true;

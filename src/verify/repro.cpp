@@ -281,12 +281,12 @@ std::string to_json(const Repro& repro) {
   // Channel-variant fields (0/1 for flags — the strict parser speaks
   // only objects, strings and integers). Written unconditionally so a
   // repro is explicit about running on the unrestrained channel too.
-  os << "    \"restrained_k\": " << s.restrained_k << ",\n";
-  os << "    \"restrained_jam\": " << (s.restrained_jam ? 1 : 0) << ",\n";
-  os << "    \"energy_enabled\": " << (s.energy_enabled ? 1 : 0) << ",\n";
-  os << "    \"energy_cost_transmit\": " << s.energy_cost_transmit << ",\n";
-  os << "    \"energy_cost_listen\": " << s.energy_cost_listen << ",\n";
-  os << "    \"energy_cost_sleep\": " << s.energy_cost_sleep << ",\n";
+  os << "    \"restrained_k\": " << s.restrained.k << ",\n";
+  os << "    \"restrained_jam\": " << (s.restrained.jam ? 1 : 0) << ",\n";
+  os << "    \"energy_enabled\": " << (s.energy.enabled ? 1 : 0) << ",\n";
+  os << "    \"energy_cost_transmit\": " << s.energy.cost_transmit << ",\n";
+  os << "    \"energy_cost_listen\": " << s.energy.cost_listen << ",\n";
+  os << "    \"energy_cost_sleep\": " << s.energy.cost_sleep << ",\n";
   os << "    \"injector\": {\n";
   os << "      \"kind\": ";
   write_escaped(os, inj.kind);
@@ -307,6 +307,12 @@ std::string to_json(const Repro& repro) {
   os << "  \"trace\": ";
   write_escaped(os, repro.trace_text);
   os << "\n}\n";
+  // The schema carries the run's identity, not RunSpec's recording and
+  // pacing fields: a scenario that changes one of those would replay as a
+  // different run, so it has no repro.
+  AM_REQUIRE(parse_repro_json(os.str()) == repro,
+             "repro JSON cannot represent this scenario: it changes a "
+             "RunSpec field the schema does not carry");
   return os.str();
 }
 
@@ -331,12 +337,12 @@ Repro parse_repro_json(const std::string& text) {
   s.case_seed = get_u64(sc, "case_seed");
   const std::uint64_t rk = get_u64_or(sc, "restrained_k", 0);
   AM_REQUIRE(rk <= UINT32_MAX, "repro field out of range: restrained_k");
-  s.restrained_k = static_cast<std::uint32_t>(rk);
-  s.restrained_jam = get_u64_or(sc, "restrained_jam", 1) != 0;
-  s.energy_enabled = get_u64_or(sc, "energy_enabled", 0) != 0;
-  s.energy_cost_transmit = get_u64_or(sc, "energy_cost_transmit", 1);
-  s.energy_cost_listen = get_u64_or(sc, "energy_cost_listen", 1);
-  s.energy_cost_sleep = get_u64_or(sc, "energy_cost_sleep", 0);
+  s.restrained.k = static_cast<std::uint32_t>(rk);
+  s.restrained.jam = get_u64_or(sc, "restrained_jam", 1) != 0;
+  s.energy.enabled = get_u64_or(sc, "energy_enabled", 0) != 0;
+  s.energy.cost_transmit = get_u64_or(sc, "energy_cost_transmit", 1);
+  s.energy.cost_listen = get_u64_or(sc, "energy_cost_listen", 1);
+  s.energy.cost_sleep = get_u64_or(sc, "energy_cost_sleep", 0);
   AM_REQUIRE(s.n >= 1 && s.bound_r >= 1 && s.horizon_units >= 1,
              "repro scenario out of range");
 

@@ -30,7 +30,10 @@ struct Repro {
 };
 
 /// Serialize with deterministic key order and formatting (repro output
-/// is part of the campaign's jobs-determinism contract).
+/// is part of the campaign's jobs-determinism contract). Throws
+/// std::invalid_argument when the text would not parse back to `repro`:
+/// the schema does not carry RunSpec's recording and pacing fields, so a
+/// scenario that changes one of them has no repro.
 std::string to_json(const Repro& repro);
 
 /// Parse a repro file; throws std::invalid_argument on malformed JSON,

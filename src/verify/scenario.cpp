@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "adversary/slot_policies.h"
-#include "analysis/registry.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -47,49 +46,21 @@ std::string Scenario::describe() const {
   if (injector.kind == "drain-chasing")
     os << " chase=" << injector.drain_a << "<->" << injector.drain_b;
   os << ")";
-  if (restrained_k != 0)
-    os << " restrained=" << restrained_k
-       << (restrained_jam ? ":jam" : ":reject");
-  if (energy_enabled)
-    os << " energy=" << energy_cost_transmit << ":" << energy_cost_listen
-       << ":" << energy_cost_sleep;
+  if (restrained.enabled())
+    os << " restrained=" << restrained.k
+       << (restrained.jam ? ":jam" : ":reject");
+  if (energy.enabled)
+    os << " energy=" << energy.cost_transmit << ":" << energy.cost_listen
+       << ":" << energy.cost_sleep;
   if (case_seed != 0) os << " case-seed=" << case_seed;
   return os.str();
 }
 
-sim::LaneMaterials scenario_materials(const Scenario& s,
-                                      std::uint64_t seed_override) {
-  AM_REQUIRE(s.n >= 1, "scenario needs at least one station");
-  AM_REQUIRE(s.bound_r >= 1, "scenario needs R >= 1");
-  AM_REQUIRE(s.horizon_units > 0, "scenario horizon must be positive");
-  sim::LaneMaterials m;
-  m.cfg.n = s.n;
-  m.cfg.bound_r = s.bound_r;
-  m.cfg.seed = seed_override != 0 ? seed_override : s.seed;
-  m.cfg.record_trace = true;
-  // Keep the full transmission history: the differential oracle
-  // cross-checks the engine's own pruned-and-archived ledger against a
-  // naive reference (this is what exercises prune-with-history).
-  m.cfg.keep_channel_history = true;
-  m.cfg.restrained = {s.restrained_k, s.restrained_jam};
-  m.cfg.energy = {s.energy_enabled, s.energy_cost_transmit,
-                  s.energy_cost_listen, s.energy_cost_sleep};
-  m.protocols = analysis::make_protocols(s.protocol, s.n);
-  m.slot_policy =
-      adversary::make_slot_policy(s.slot_policy, s.n, s.bound_r, s.seed);
-  m.injection = adversary::make_injector(s.injector);
-  return m;
-}
-
-std::unique_ptr<sim::Engine> build_engine(const Scenario& s) {
-  sim::LaneMaterials m = scenario_materials(s);
-  return std::make_unique<sim::Engine>(std::move(m.cfg), std::move(m.protocols),
-                                       std::move(m.slot_policy),
-                                       std::move(m.injection));
-}
-
 std::unique_ptr<sim::Engine> run_scenario(const Scenario& s) {
-  auto engine = build_engine(s);
+  AM_REQUIRE(s.horizon_units > 0, "scenario horizon must be positive");
+  AM_REQUIRE(s.record_trace && s.keep_channel_history,
+             "verify runs record the trace and keep the channel history");
+  auto engine = analysis::build_engine(s);
   engine->run(sim::until(s.horizon_units * kTicksPerUnit));
   return engine;
 }
@@ -180,15 +151,15 @@ Scenario scenario_from_seed(std::uint64_t case_seed,
   // Energy is observation-only, so enabling it must never change a
   // verdict — the fuzzer doubles as a regression guard for that.
   if (channel_rng.below(100) < 30) {
-    s.restrained_k = static_cast<std::uint32_t>(channel_rng.range(1, s.n));
-    s.restrained_jam = channel_rng.below(2) == 0;
+    s.restrained.k = static_cast<std::uint32_t>(channel_rng.range(1, s.n));
+    s.restrained.jam = channel_rng.below(2) == 0;
   }
   if (channel_rng.below(100) < 30) {
-    s.energy_enabled = true;
-    s.energy_cost_transmit =
+    s.energy.enabled = true;
+    s.energy.cost_transmit =
         static_cast<std::uint64_t>(channel_rng.range(1, 8));
-    s.energy_cost_listen = static_cast<std::uint64_t>(channel_rng.range(0, 4));
-    s.energy_cost_sleep = static_cast<std::uint64_t>(channel_rng.range(0, 2));
+    s.energy.cost_listen = static_cast<std::uint64_t>(channel_rng.range(0, 4));
+    s.energy.cost_sleep = static_cast<std::uint64_t>(channel_rng.range(0, 2));
   }
   return s;
 }

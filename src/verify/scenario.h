@@ -18,32 +18,26 @@
 #include <string>
 #include <vector>
 
-#include "adversary/injectors.h"
-#include "sim/cohort_engine.h"
+#include "analysis/run_spec.h"
 #include "sim/engine.h"
-#include "util/types.h"
 
 namespace asyncmac::verify {
 
-struct Scenario {
-  std::string protocol = "ao-arrow";  ///< analysis registry name
-  std::uint32_t n = 2;                ///< stations
-  std::uint32_t bound_r = 2;          ///< asynchrony bound R
-  std::string slot_policy = "perstation";  ///< adversary policy name
-  Tick horizon_units = 100;           ///< simulated time units
-  std::uint64_t seed = 1;             ///< engine + slot-policy seed
-  adversary::InjectorSpec injector;
-  /// k-restrained channel: at most `restrained_k` overlapping
-  /// transmissions admitted (0 = unrestrained). Excess arrivals jam the
-  /// slot when `restrained_jam`, else they are silently rejected.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  /// Per-slot energy accounting (observation-only: billing never feeds
-  /// back into protocol decisions, so traces are unchanged).
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
+/// A RunSpec plus the generator seed it came from. Every case records its
+/// trace and keeps the full channel history: the oracles replay the
+/// trace, and the differential oracle cross-checks the engine's pruned
+/// and archived ledger against a naive reference (which is what exercises
+/// prune-with-history). The other recording and pacing fields keep
+/// RunSpec's defaults. The repro JSON carries none of these fields, so
+/// verify::to_json refuses a Scenario that changes one of them.
+struct Scenario : analysis::RunSpec {
+  Scenario() {
+    n = 2;
+    horizon_units = 100;
+    record_trace = true;
+    keep_channel_history = true;
+  }
+
   /// Generator seed this scenario was derived from (0 = handwritten).
   std::uint64_t case_seed = 0;
 
@@ -54,22 +48,9 @@ struct Scenario {
   std::string describe() const;
 };
 
-/// The scenario's engine construction materials (configuration, protocol
-/// instances, slot policy, injector) with trace recording and full channel
-/// history enabled — verification needs both. The single source of truth
-/// for how a Scenario maps onto an engine: build_engine consumes one
-/// build, and the campaign's cohort-equivalence oracle uses it as a
-/// sim::LaneBuilder. Throws std::invalid_argument on unknown
-/// protocol/policy/injector names. `seed_override` (0 = none) replaces
-/// s.seed in the engine configuration only — the slot policy still draws
-/// from s.seed, keeping cohort lanes schedule-compatible.
-sim::LaneMaterials scenario_materials(const Scenario& s,
-                                      std::uint64_t seed_override = 0);
-
-/// Build the engine a scenario describes (see scenario_materials).
-std::unique_ptr<sim::Engine> build_engine(const Scenario& s);
-
-/// Run the scenario to its horizon and return the engine.
+/// Build the scenario's engine (analysis::materials) and run it to its
+/// horizon. Throws std::invalid_argument when the scenario turns trace
+/// recording or the channel history off.
 std::unique_ptr<sim::Engine> run_scenario(const Scenario& s);
 
 /// The protocols the generator samples from: the paper's core algorithms

@@ -59,12 +59,8 @@ RunSpec spec_from_scenario(const verify::Scenario& s) {
   spec.horizon_units = s.horizon_units;
   spec.record_trace = true;
   spec.keep_channel_history = true;
-  spec.restrained_k = s.restrained_k;
-  spec.restrained_jam = s.restrained_jam;
-  spec.energy_enabled = s.energy_enabled;
-  spec.energy_cost_transmit = s.energy_cost_transmit;
-  spec.energy_cost_listen = s.energy_cost_listen;
-  spec.energy_cost_sleep = s.energy_cost_sleep;
+  spec.restrained = s.restrained;
+  spec.energy = s.energy;
   return spec;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "analysis/grid.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
 
@@ -134,6 +135,34 @@ TEST(CheckpointGrid, ManifestFromDifferentSweepIsMismatch) {
   wider.rho_percents = {40, 60, 80};
   try {
     analysis::run_grid(wider);
+    FAIL() << "expected SnapshotError(kMismatch)";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMismatch) << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointGrid, ListBoundariesSeparateFingerprints) {
+  // n={4} x R={2,3} and n={4,2} x R={3} concatenate to the same values
+  // and have the same cell count; only the list lengths tell them apart.
+  ExperimentSpec a = small_spec();
+  a.protocols = {"ao-arrow"};
+  a.station_counts = {4};
+  a.bounds_r = {2, 3};
+  a.rho_percents = {50};
+  a.seeds = 1;
+  ExperimentSpec b = a;
+  b.station_counts = {4, 2};
+  b.bounds_r = {3};
+  EXPECT_NE(analysis::grid_fingerprint(a), analysis::grid_fingerprint(b));
+
+  const std::string dir = "grid_ckpt_boundaries";
+  std::filesystem::remove_all(dir);
+  a.checkpoint_dir = dir;
+  b.checkpoint_dir = dir;
+  analysis::run_grid(a);
+  try {
+    analysis::run_grid(b);
     FAIL() << "expected SnapshotError(kMismatch)";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kMismatch) << e.what();

@@ -98,6 +98,15 @@ TEST(CliUsage, GridModeRejectsMalformedListValues) {
   expect_usage_exit("--grid --seeds=0");
 }
 
+TEST(CliUsage, GridModesRejectPattern) {
+  // Grid cells always inject round-robin saturating traffic, so a
+  // --pattern would silently describe a different workload.
+  expect_usage_exit("--grid --pattern=maxqueue");
+  expect_usage_exit("--grid --pattern=roundrobin --n=2,4");
+  expect_usage_exit("serve --pattern=single");
+  expect_usage_exit("serve --fuzz --pattern=maxqueue");
+}
+
 TEST(CliUsage, MsrModeRejectsMalformedNumerics) {
   expect_usage_exit("--msr --horizon=abc");
   expect_usage_exit("--msr --seed=1x");

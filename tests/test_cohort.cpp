@@ -164,13 +164,13 @@ TEST(CohortScenario, GeneratedScenariosByteIdentity) {
     for (std::size_t k = 0; k < kLanes; ++k) {
       const std::uint64_t lane_seed = s.seed + k;  // lane 0 = the scenario
       builders.push_back(
-          [s, lane_seed] { return verify::scenario_materials(s, lane_seed); });
+          [s, lane_seed] { return analysis::materials(s, lane_seed); });
     }
     sim::CohortEngine cohort(std::move(builders));
     const sim::StopCondition stop = sim::until(s.horizon_units * kTicksPerUnit);
     cohort.run(stop);
     for (std::size_t k = 0; k < kLanes; ++k) {
-      auto ref = engine_from(verify::scenario_materials(s, s.seed + k));
+      auto ref = engine_from(analysis::materials(s, s.seed + k));
       ref->run(stop);
       EXPECT_EQ(lane_bytes(cohort, k), engine_bytes(*ref))
           << s.describe() << " lane " << k;

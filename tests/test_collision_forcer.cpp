@@ -13,14 +13,14 @@ namespace {
 using adversary::CollisionForceOutcome;
 using adversary::force_collision_or_overflow;
 
-adversary::ProtocolFactory tdma_factory() {
-  return [](StationId) {
+sim::ProtocolMaker tdma_factory() {
+  return [] {
     return std::make_unique<baselines::SilenceCountTdmaProtocol>();
   };
 }
 
-adversary::ProtocolFactory rrw_factory() {
-  return [](StationId) { return std::make_unique<baselines::RrwProtocol>(); };
+sim::ProtocolMaker rrw_factory() {
+  return [] { return std::make_unique<baselines::RrwProtocol>(); };
 }
 
 TEST(CollisionForcer, RejectsSynchronousBound) {
@@ -81,7 +81,7 @@ TEST(CollisionForcer, AoArrowToleratesTheConstruction) {
   // AO-ARRoW is *allowed* collisions (Table I row 2), so the forced
   // collision is not a contradiction for it — this documents that the
   // construction targets the collision-free model class specifically.
-  adversary::ProtocolFactory f = [](StationId) {
+  sim::ProtocolMaker f = [] {
     return std::make_unique<core::AoArrowProtocol>();
   };
   const auto out = force_collision_or_overflow(f, util::Ratio(1, 2), 40, 2);

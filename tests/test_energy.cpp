@@ -121,10 +121,10 @@ TEST(EnergyDeterminism, MeteringChangesNoRunStatsOrTraceByte) {
   for (const char* protocol : {"ao-arrow", "beb", "csma-lbt"}) {
     verify::Scenario off = contended_scenario(protocol);
     verify::Scenario on = off;
-    on.energy_enabled = true;
-    on.energy_cost_transmit = 3;
-    on.energy_cost_listen = 2;
-    on.energy_cost_sleep = 1;
+    on.energy.enabled = true;
+    on.energy.cost_transmit = 3;
+    on.energy.cost_listen = 2;
+    on.energy.cost_sleep = 1;
 
     auto engine_off = verify::run_scenario(off);
     auto engine_on = verify::run_scenario(on);
@@ -165,9 +165,9 @@ TEST(EnergyDeterminism, FuzzVerdictsAreUnchangedByMetering) {
     verify::Scenario s = gen.generate(i);
     if (s.horizon_units > 150) continue;
     verify::Scenario off = s, on = s;
-    off.energy_enabled = false;
-    on.energy_enabled = true;
-    on.energy_cost_transmit = 5;
+    off.energy.enabled = false;
+    on.energy.enabled = true;
+    on.energy.cost_transmit = 5;
     const auto r_off = verify::run_case(off);
     const auto r_on = verify::run_case(on);
     EXPECT_EQ(r_off.ok, r_on.ok) << s.describe();
@@ -194,10 +194,10 @@ snapshot::RunSpec energy_spec(std::uint64_t seed) {
   spec.seed = seed;
   spec.horizon_units = 250;
   spec.record_trace = true;
-  spec.energy_enabled = true;
-  spec.energy_cost_transmit = 7;
-  spec.energy_cost_listen = 2;
-  spec.energy_cost_sleep = 1;
+  spec.energy.enabled = true;
+  spec.energy.cost_transmit = 7;
+  spec.energy.cost_listen = 2;
+  spec.energy.cost_sleep = 1;
   return spec;
 }
 
@@ -244,29 +244,29 @@ TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
     verify::Scenario s = contended_scenario("ca-arrow");
     s.slot_policy = "sync";
     s.bound_r = 1;
-    s.energy_enabled = true;
-    s.energy_cost_transmit = 4;
-    s.energy_cost_listen = 2;
-    s.energy_cost_sleep = 1;
+    s.energy.enabled = true;
+    s.energy.cost_transmit = 4;
+    s.energy.cost_listen = 2;
+    s.energy.cost_sleep = 1;
     lanes.push_back(s);
   }
   {
     verify::Scenario s = contended_scenario("rrw");
     s.seed = 123;
-    s.energy_enabled = true;
-    s.energy_cost_transmit = 2;
+    s.energy.enabled = true;
+    s.energy.cost_transmit = 2;
     lanes.push_back(s);
   }
 
   std::vector<sim::LaneBuilder> builders;
   for (const auto& s : lanes)
-    builders.push_back([s] { return verify::scenario_materials(s); });
+    builders.push_back([s] { return analysis::materials(s); });
   sim::CohortEngine cohort(std::move(builders));
   const Tick horizon = lanes[0].horizon_units * kTicksPerUnit;
   cohort.run(sim::until(horizon));
 
   for (std::size_t k = 0; k < lanes.size(); ++k) {
-    auto scalar = verify::build_engine(lanes[k]);
+    auto scalar = analysis::build_engine(lanes[k]);
     scalar->run(sim::until(horizon));
     EXPECT_EQ(cohort.energy_meter(k), scalar->energy_meter())
         << "lane " << k;

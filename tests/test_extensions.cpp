@@ -151,7 +151,7 @@ TEST(AdaptiveAbs, DoublesUnderMirroredFeedback) {
 TEST(AdaptiveAbs, MirrorAdversaryStallsItLikeAnyDeterministicAlgorithm) {
   // Theorem 2 applies to adaptive-ABS too: the mirror adversary builds a
   // verified execution in which nobody wins for many phases.
-  adversary::ProtocolFactory f = [](StationId) {
+  sim::ProtocolMaker f = [] {
     return std::make_unique<AdaptiveAbsProtocol>();
   };
   adversary::MirrorRun run(f, 16, 2, 2);

@@ -17,12 +17,12 @@ namespace {
 using adversary::MirrorResult;
 using adversary::MirrorRun;
 
-adversary::ProtocolFactory abs_factory() {
-  return [](StationId) { return std::make_unique<core::AbsProtocol>(); };
+sim::ProtocolMaker abs_factory() {
+  return [] { return std::make_unique<core::AbsProtocol>(); };
 }
 
-adversary::ProtocolFactory sync_le_factory() {
-  return [](StationId) {
+sim::ProtocolMaker sync_le_factory() {
+  return [] {
     return std::make_unique<baselines::SyncBinaryLeProtocol>();
   };
 }

@@ -170,8 +170,8 @@ TEST(RestrainedDifferential, EngineMatrixPassesTheChannelOracle) {
         s.injector.burst_ticks = 8 * kTicksPerUnit;
         s.injector.pattern = "roundrobin";
         s.injector.seed = s.seed + 1;
-        s.restrained_k = k;
-        s.restrained_jam = jam;
+        s.restrained.k = k;
+        s.restrained.jam = jam;
 
         const auto r = verify::run_case(s);
         EXPECT_TRUE(r.ok) << s.describe() << "\n" << r.what;
@@ -203,12 +203,12 @@ TEST(RestrainedRepro, JsonRoundTripsChannelAndEnergyFields) {
   s.injector.pattern = "single";
   s.injector.single_target = 2;
   s.injector.seed = 6;
-  s.restrained_k = 2;
-  s.restrained_jam = false;
-  s.energy_enabled = true;
-  s.energy_cost_transmit = 9;
-  s.energy_cost_listen = 3;
-  s.energy_cost_sleep = 1;
+  s.restrained.k = 2;
+  s.restrained.jam = false;
+  s.energy.enabled = true;
+  s.energy.cost_transmit = 9;
+  s.energy.cost_listen = 3;
+  s.energy.cost_sleep = 1;
 
   const verify::Repro repro = verify::make_repro(s, "synthetic violation");
   ASSERT_FALSE(repro.trace_text.empty());
@@ -254,12 +254,12 @@ TEST(RestrainedRepro, OldFormatFilesWithoutChannelFieldsStillParse) {
   "trace": ""
 })";
   const verify::Repro parsed = verify::parse_repro_json(old_json);
-  EXPECT_EQ(parsed.scenario.restrained_k, 0u);
-  EXPECT_TRUE(parsed.scenario.restrained_jam);
-  EXPECT_FALSE(parsed.scenario.energy_enabled);
-  EXPECT_EQ(parsed.scenario.energy_cost_transmit, 1u);
-  EXPECT_EQ(parsed.scenario.energy_cost_listen, 1u);
-  EXPECT_EQ(parsed.scenario.energy_cost_sleep, 0u);
+  EXPECT_EQ(parsed.scenario.restrained.k, 0u);
+  EXPECT_TRUE(parsed.scenario.restrained.jam);
+  EXPECT_FALSE(parsed.scenario.energy.enabled);
+  EXPECT_EQ(parsed.scenario.energy.cost_transmit, 1u);
+  EXPECT_EQ(parsed.scenario.energy.cost_listen, 1u);
+  EXPECT_EQ(parsed.scenario.energy.cost_sleep, 0u);
 }
 
 // ----------------------------------------------------- generator coverage
@@ -270,16 +270,16 @@ TEST(RestrainedScenarioGen, SamplesTheChannelVariantSpace) {
   const std::uint64_t kCases = 300;
   for (std::uint64_t i = 0; i < kCases; ++i) {
     const verify::Scenario s = gen.generate(i);
-    if (s.restrained_k != 0) {
+    if (s.restrained.k != 0) {
       ++restrained;
-      ++(s.restrained_jam ? jam : reject);
-      EXPECT_GE(s.restrained_k, 1u);
-      EXPECT_LE(s.restrained_k, s.n);
+      ++(s.restrained.jam ? jam : reject);
+      EXPECT_GE(s.restrained.k, 1u);
+      EXPECT_LE(s.restrained.k, s.n);
     }
-    if (s.energy_enabled) {
+    if (s.energy.enabled) {
       ++energy;
-      EXPECT_GE(s.energy_cost_transmit, 1u);
-      EXPECT_LE(s.energy_cost_transmit, 8u);
+      EXPECT_GE(s.energy.cost_transmit, 1u);
+      EXPECT_LE(s.energy.cost_transmit, 8u);
     }
     if (s.protocol == "csma-lbt") ++csma;
     // Regeneration from the case seed is exact, channel fields included.
@@ -310,8 +310,8 @@ snapshot::RunSpec restrained_spec(bool jam) {
   spec.seed = 90;
   spec.horizon_units = 200;
   spec.record_trace = true;
-  spec.restrained_k = 1;
-  spec.restrained_jam = jam;
+  spec.restrained.k = 1;
+  spec.restrained.jam = jam;
   return spec;
 }
 
@@ -354,8 +354,8 @@ TEST(RestrainedCheckpoint, ResumeIsByteIdenticalInBothModes) {
 TEST(RestrainedLive, VirtualStackMatchesTheSimulator) {
   snapshot::RunSpec spec = restrained_spec(/*jam=*/true);
   spec.horizon_units = 120;
-  spec.energy_enabled = true;
-  spec.energy_cost_transmit = 3;
+  spec.energy.enabled = true;
+  spec.energy.cost_transmit = 3;
 
   const live::VirtualRunReport rep = live::run_virtual(spec);
 

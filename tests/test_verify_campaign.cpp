@@ -213,6 +213,24 @@ TEST(VerifyCampaign, ReproRoundTripsAndReplaysClean) {
   EXPECT_FALSE(fixed.reproduced);
 }
 
+TEST(VerifyCampaign, ScenarioFieldsOutsideTheReproSchemaAreRefused) {
+  // A Scenario is a RunSpec, but the repro JSON carries only the run's
+  // identity: a scenario changing a recording or pacing field has no
+  // repro, and verify never runs a case without its trace and history.
+  const verify::Repro repro = verify::make_repro(small_clean_scenario(), "");
+  for (int field = 0; field < 3; ++field) {
+    verify::Repro changed = repro;
+    if (field == 0) changed.scenario.record_deliveries = true;
+    if (field == 1) changed.scenario.prune_interval = 7;
+    if (field == 2) changed.scenario.has_injector = false;
+    EXPECT_THROW(verify::to_json(changed), std::invalid_argument) << field;
+  }
+  Scenario untraced = small_clean_scenario();
+  untraced.record_trace = false;
+  EXPECT_THROW(verify::run_scenario(untraced), std::invalid_argument);
+  EXPECT_FALSE(verify::run_case(untraced).ok);
+}
+
 TEST(VerifyCampaign, ReproParserRejectsMalformedInput) {
   const std::string good = verify::to_json(verify::make_repro(
       small_clean_scenario(), ""));

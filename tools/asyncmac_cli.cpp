@@ -37,15 +37,14 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
 #include "analysis/experiment.h"
 #include "analysis/msr.h"
-#include "analysis/registry.h"
+#include "analysis/run_spec.h"
 #include "energy/meter.h"
 #include "live/daemon.h"
 #include "live/station.h"
@@ -69,15 +68,27 @@ using namespace asyncmac;
 constexpr Tick U = kTicksPerUnit;
 
 struct Options {
+  // Run flags (parse_run_flag), shared by single runs, --grid, --msr,
+  // serve and live-serve. The dimensions stay text until a mode reads
+  // them: comma lists for --grid and serve (make_grid_spec), one value
+  // elsewhere (check_scalar_dims).
   std::string protocol = "ao-arrow";
+  std::string n_list = "4";
+  std::string r_list = "2";
+  std::string rho_list = "0.5";
+  std::string policy = "perstation";
+  std::optional<std::string> pattern;  ///< unset = roundrobin
+  Tick burst_units = 16;
+  Tick horizon_units = 100000;
+  std::uint64_t seed = 1;
+  channel::RestrainedSpec restrained;
+  energy::EnergyModel energy;
+  std::string telemetry_path;
+  // The scalar dimensions, set by check_scalar_dims.
   std::uint32_t n = 4;
   std::uint32_t r = 2;
   double rho = 0.5;
-  Tick burst_units = 16;
-  std::string policy = "perstation";
-  std::string pattern = "roundrobin";
-  Tick horizon_units = 100000;
-  std::uint64_t seed = 1;
+  // Mode flags.
   bool json = false;
   Tick trace_units = 0;
   bool msr = false;
@@ -86,20 +97,8 @@ struct Options {
   unsigned jobs = 0;
   unsigned cohort = 0;
   std::string csv_path;
-  // Raw comma-list forms of the sweepable dimensions (grid mode).
-  std::string n_list = "4";
-  std::string r_list = "2";
-  std::string rho_list = "0.5";
-  std::string telemetry_path;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // k-restrained channel (0 = unrestrained) and per-slot energy model.
-  std::uint32_t restrained_k = 0;
-  bool restrained_jam = true;
-  bool energy_enabled = false;
-  std::uint64_t energy_cost_transmit = 1;
-  std::uint64_t energy_cost_listen = 1;
-  std::uint64_t energy_cost_sleep = 0;
 };
 
 std::vector<std::string> split_list(const std::string& s) {
@@ -143,7 +142,7 @@ std::vector<std::string> split_list(const std::string& s) {
       "  asyncmac_cli live-station [...]       live station client\n"
       "  asyncmac_cli --help                   this reference\n"
       "\n"
-      "run flags (single run, --msr, and --grid):\n"
+      "run flags (single run, --msr, --grid, serve and live-serve):\n"
       "  --protocol=P   ao-arrow | ca-arrow | adaptive-abs | abs | rrw |\n"
       "                 mbtf | aloha | beb | csma-lbt | silence-tdma |\n"
       "                 sync-binary-le | listen | tree-resolution\n"
@@ -154,12 +153,8 @@ std::vector<std::string> split_list(const std::string& s) {
       "  --burst=B      burstiness in time units (default 16)\n"
       "  --policy=S     sync | max | perstation | cyclic | random |\n"
       "                 stretch-tx (default perstation)\n"
-      "  --pattern=S    roundrobin | single | random | maxqueue (default\n"
-      "                 roundrobin)\n"
       "  --horizon=T    simulated time units (default 100000)\n"
       "  --seed=S       master seed (default 1)\n"
-      "  --json         print stats as JSON instead of text\n"
-      "  --trace=T      also render the first T time units of the schedule\n"
       "  --telemetry=P  stream run telemetry as JSONL to P (never changes\n"
       "                 simulation results; see docs/OBSERVABILITY.md)\n"
       "  --restrained-k=K[:jam|reject]  k-restrained channel: at most K\n"
@@ -170,6 +165,15 @@ std::vector<std::string> split_list(const std::string& s) {
       "                 the three integer costs (transmit / listen with a\n"
       "                 non-empty queue / idle-sleep); observation-only,\n"
       "                 never changes simulation results (docs/ENERGY.md)\n"
+      "\n"
+      "single-run flags (single run, --msr and live-serve; not --grid or\n"
+      "serve, whose cells always inject round-robin saturating traffic):\n"
+      "  --pattern=S    roundrobin | single | random | maxqueue (default\n"
+      "                 roundrobin)\n"
+      "  --json         print stats as JSON instead of text\n"
+      "  --trace=T      also render the first T time units of the schedule\n"
+      "\n"
+      "checkpoint flags (single run and --grid; serve takes --checkpoint-dir):\n"
       "  --checkpoint-every=K  single run: autosave a snapshot every K\n"
       "                 slot events (requires --checkpoint-dir)\n"
       "  --checkpoint-dir=D    single run: rotating snapshot directory;\n"
@@ -319,38 +323,100 @@ double arg_finite(const std::string& s, const char* what) {
 }
 
 /// --restrained-k=K[:jam|reject] — at most K concurrent transmissions;
-/// over-capacity ones jam (default) or are rejected. Shared by run, grid,
-/// serve and live-serve parsing so every mode spells the channel the same
-/// way.
-void parse_restrained_arg(const std::string& v, Options& opt) {
+/// over-capacity ones jam (default) or are rejected.
+channel::RestrainedSpec parse_restrained_arg(const std::string& v) {
   const std::size_t colon = v.find(':');
-  opt.restrained_k = arg_u32(
-      colon == std::string::npos ? v : v.substr(0, colon), "--restrained-k");
+  channel::RestrainedSpec spec;
+  spec.k = arg_u32(colon == std::string::npos ? v : v.substr(0, colon),
+                   "--restrained-k");
   if (colon != std::string::npos) {
     const std::string mode = v.substr(colon + 1);
     if (mode == "jam")
-      opt.restrained_jam = true;
+      spec.jam = true;
     else if (mode == "reject")
-      opt.restrained_jam = false;
+      spec.jam = false;
     else
       usage("--restrained-k mode must be jam or reject, got: " + mode);
   }
+  return spec;
 }
 
 /// --energy-model=TX:LISTEN:SLEEP — enable per-slot energy accounting
 /// with the three integer costs (energy/model.h; docs/ENERGY.md).
-void parse_energy_arg(const std::string& v, Options& opt) {
+energy::EnergyModel parse_energy_arg(const std::string& v) {
   const std::size_t c1 = v.find(':');
   const std::size_t c2 = c1 == std::string::npos ? c1 : v.find(':', c1 + 1);
   if (c1 == std::string::npos || c2 == std::string::npos)
     usage("--energy-model takes TX:LISTEN:SLEEP integer costs");
-  opt.energy_enabled = true;
-  opt.energy_cost_transmit =
+  energy::EnergyModel model;
+  model.enabled = true;
+  model.cost_transmit =
       arg_u64(v.substr(0, c1), "--energy-model transmit cost");
-  opt.energy_cost_listen =
+  model.cost_listen =
       arg_u64(v.substr(c1 + 1, c2 - c1 - 1), "--energy-model listen cost");
-  opt.energy_cost_sleep =
-      arg_u64(v.substr(c2 + 1), "--energy-model sleep cost");
+  model.cost_sleep = arg_u64(v.substr(c2 + 1), "--energy-model sleep cost");
+  return model;
+}
+
+/// The run flags single runs, --grid, --msr, serve and live-serve share,
+/// so every mode spells a run the same way. Returns false when `arg` is
+/// not one of them.
+bool parse_run_flag(const std::string& arg, Options& opt) {
+  const std::size_t eq = arg.find('=');
+  if (eq == std::string::npos) return false;
+  const std::string flag = arg.substr(0, eq);
+  const std::string v = arg.substr(eq + 1);
+  if (flag == "--protocol")
+    opt.protocol = v;
+  else if (flag == "--n")
+    opt.n_list = v;
+  else if (flag == "--r")
+    opt.r_list = v;
+  else if (flag == "--rho")
+    opt.rho_list = v;
+  else if (flag == "--burst")
+    opt.burst_units = arg_units(v, "--burst");
+  else if (flag == "--policy")
+    opt.policy = v;
+  else if (flag == "--pattern")
+    opt.pattern = v;
+  else if (flag == "--horizon")
+    opt.horizon_units = arg_units(v, "--horizon");
+  else if (flag == "--seed")
+    opt.seed = arg_u64(v, "--seed");
+  else if (flag == "--telemetry")
+    opt.telemetry_path = v;
+  else if (flag == "--restrained-k")
+    opt.restrained = parse_restrained_arg(v);
+  else if (flag == "--energy-model")
+    opt.energy = parse_energy_arg(v);
+  else
+    return false;
+  return true;
+}
+
+/// Single runs, --msr and live-serve describe exactly one run: scalar
+/// dimensions, validated the same way in every mode.
+void check_scalar_dims(Options& opt) {
+  for (const std::string* list :
+       {&opt.n_list, &opt.r_list, &opt.rho_list, &opt.protocol, &opt.policy})
+    if (list->find(',') != std::string::npos)
+      usage("comma lists need --grid or serve");
+  opt.n = arg_u32(opt.n_list, "--n");
+  opt.r = arg_u32(opt.r_list, "--r");
+  // arg_finite already rejects nan/inf (which would pass the range
+  // check below: comparisons against NaN are all false).
+  opt.rho = arg_finite(opt.rho_list, "--rho");
+  if (opt.n < 1) usage("--n must be >= 1");
+  if (opt.r < 1) usage("--r must be >= 1");
+  if (opt.rho < 0 || opt.rho > 1) usage("--rho must lie in [0, 1]");
+}
+
+/// Grids (--grid and serve) always inject round-robin saturating traffic.
+void reject_grid_pattern(const Options& opt) {
+  if (opt.pattern)
+    usage("--pattern does not apply to grids: every grid cell injects "
+          "round-robin saturating traffic");
 }
 
 Options parse_args(int argc, char** argv) {
@@ -360,25 +426,8 @@ Options parse_args(int argc, char** argv) {
     auto value = [&](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.policy = value("--policy=");
-    else if (arg.rfind("--pattern=", 0) == 0)
-      opt.pattern = value("--pattern=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg == "--json")
+    if (parse_run_flag(arg, opt)) continue;
+    if (arg == "--json")
       opt.json = true;
     else if (arg.rfind("--trace=", 0) == 0)
       opt.trace_units = arg_units(value("--trace="), "--trace");
@@ -395,17 +444,11 @@ Options parse_args(int argc, char** argv) {
       opt.cohort = arg_u32(value("--cohort="), "--cohort");
     else if (arg.rfind("--csv=", 0) == 0)
       opt.csv_path = value("--csv=");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.telemetry_path = value("--telemetry=");
     else if (arg.rfind("--checkpoint-every=", 0) == 0)
       opt.checkpoint_every =
           arg_u64(value("--checkpoint-every="), "--checkpoint-every");
     else if (arg.rfind("--checkpoint-dir=", 0) == 0)
       opt.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt);
     else if (arg == "--help" || arg == "-h")
       print_help();
     else
@@ -421,23 +464,10 @@ Options parse_args(int argc, char** argv) {
     usage("--checkpoint-dir is not supported in --msr mode");
   if (!opt.checkpoint_dir.empty() && !opt.grid && opt.checkpoint_every == 0)
     usage("single-run --checkpoint-dir needs --checkpoint-every");
-  if (!opt.grid) {
-    // Single-run (and MSR) modes take scalar dimensions.
-    if (opt.n_list.find(',') != std::string::npos ||
-        opt.r_list.find(',') != std::string::npos ||
-        opt.rho_list.find(',') != std::string::npos ||
-        opt.protocol.find(',') != std::string::npos ||
-        opt.policy.find(',') != std::string::npos)
-      usage("comma lists need --grid");
-    opt.n = arg_u32(opt.n_list, "--n");
-    opt.r = arg_u32(opt.r_list, "--r");
-    // arg_finite already rejects nan/inf (which would pass the range
-    // check below: comparisons against NaN are all false).
-    opt.rho = arg_finite(opt.rho_list, "--rho");
-    if (opt.n < 1) usage("--n must be >= 1");
-    if (opt.r < 1) usage("--r must be >= 1");
-    if (opt.rho < 0 || opt.rho > 1) usage("--rho must lie in [0, 1]");
-  }
+  if (opt.grid)
+    reject_grid_pattern(opt);
+  else
+    check_scalar_dims(opt);
   return opt;
 }
 
@@ -468,12 +498,8 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
   spec.seeds = opt.seeds;
   spec.jobs = opt.jobs;
   spec.cohort = opt.cohort;
-  spec.restrained_k = opt.restrained_k;
-  spec.restrained_jam = opt.restrained_jam;
-  spec.energy_enabled = opt.energy_enabled;
-  spec.energy_cost_transmit = opt.energy_cost_transmit;
-  spec.energy_cost_listen = opt.energy_cost_listen;
-  spec.energy_cost_sleep = opt.energy_cost_sleep;
+  spec.restrained = opt.restrained;
+  spec.energy = opt.energy;
   spec.checkpoint_dir = opt.checkpoint_dir;
   return spec;
 }
@@ -504,66 +530,31 @@ int run_experiment_grid(const Options& opt) {
               << ": " << e.what() << "\n";
     return 1;
   }
-  return print_grid_results(records, opt.csv_path, spec.energy_enabled);
+  return print_grid_results(records, opt.csv_path, spec.energy.enabled);
 }
 
-std::unique_ptr<sim::SlotPolicy> make_policy(const Options& opt) {
-  try {
-    return adversary::make_slot_policy(opt.policy, opt.n, opt.r, opt.seed);
-  } catch (const std::invalid_argument&) {
-    usage("unknown policy: " + opt.policy);
-  }
-}
-
-std::unique_ptr<sim::InjectionPolicy> make_injector(const Options& opt,
-                                                    util::Ratio rho) {
-  adversary::InjectorSpec spec;
-  spec.rho = rho;
-  spec.burst_ticks = opt.burst_units * U;
-  spec.seed = opt.seed + 1;
-  if (opt.pattern == "maxqueue") {
-    spec.kind = "maxqueue";
-  } else {
-    spec.kind = "saturating";
-    spec.pattern = opt.pattern;
-  }
-  try {
-    return adversary::make_injector(spec);
-  } catch (const std::invalid_argument&) {
-    usage("unknown pattern: " + opt.pattern);
-  }
-}
-
-/// The single-run configuration as a snapshot::RunSpec, so a checkpointed
-/// run embeds exactly what `resume` needs to rebuild the engine. Mirrors
-/// make_policy/make_injector/build_engine below (which --msr keeps using
-/// with a swept rho/seed).
-snapshot::RunSpec make_run_spec(const Options& opt, util::Ratio rho) {
-  snapshot::RunSpec spec;
+/// The one run that single-run mode, --msr and live-serve describe (the
+/// scalar dimensions must be checked). A checkpointed run embeds it, so
+/// `resume` rebuilds exactly this engine.
+analysis::RunSpec make_run_spec(const Options& opt) {
+  analysis::RunSpec spec;
   spec.protocol = opt.protocol;
   spec.n = opt.n;
   spec.bound_r = opt.r;
   spec.slot_policy = opt.policy;
-  spec.has_injector = true;
-  spec.injector.rho = rho;
+  spec.injector.rho = util::Ratio::from_double(opt.rho);
   spec.injector.burst_ticks = opt.burst_units * U;
   spec.injector.seed = opt.seed + 1;
-  if (opt.pattern == "maxqueue") {
+  if (opt.pattern == "maxqueue")
     spec.injector.kind = "maxqueue";
-  } else {
-    spec.injector.kind = "saturating";
-    spec.injector.pattern = opt.pattern;
-  }
+  else if (opt.pattern)
+    spec.injector.pattern = *opt.pattern;
   spec.seed = opt.seed;
   spec.horizon_units = opt.horizon_units;
   spec.record_trace = opt.trace_units > 0;
   spec.checkpoint_interval = opt.checkpoint_every;
-  spec.restrained_k = opt.restrained_k;
-  spec.restrained_jam = opt.restrained_jam;
-  spec.energy_enabled = opt.energy_enabled;
-  spec.energy_cost_transmit = opt.energy_cost_transmit;
-  spec.energy_cost_listen = opt.energy_cost_listen;
-  spec.energy_cost_sleep = opt.energy_cost_sleep;
+  spec.restrained = opt.restrained;
+  spec.energy = opt.energy;
   return spec;
 }
 
@@ -573,7 +564,7 @@ snapshot::RunSpec make_run_spec(const Options& opt, util::Ratio rho) {
 /// and the live-smoke differential both diff it byte-for-byte, which is
 /// why this takes the result components rather than an engine: the live
 /// daemon produces the same stats/ledger/trace without one).
-void report_run(const snapshot::RunSpec& spec, double rho,
+void report_run(const analysis::RunSpec& spec, double rho,
                 const metrics::RunStats& s, const channel::LedgerStats& ch,
                 const std::vector<trace::SlotRecord>& slots, bool json,
                 Tick trace_units,
@@ -581,7 +572,7 @@ void report_run(const snapshot::RunSpec& spec, double rho,
   // The energy block (text and JSON) is emitted only for enabled runs, so
   // a run without --energy-model prints byte-identical output to builds
   // that predate the energy subsystem.
-  const energy::EnergyModel model = spec.energy();
+  const energy::EnergyModel& model = spec.energy;
   const bool energy_on = meter != nullptr && model.enabled;
   if (json) {
     std::cout << metrics::to_json(s, &ch, true, energy_on ? meter : nullptr,
@@ -624,31 +615,20 @@ void report_run(const snapshot::RunSpec& spec, double rho,
   }
 }
 
-std::unique_ptr<sim::Engine> build_engine(const Options& opt,
-                                          util::Ratio rho,
-                                          std::uint64_t seed) {
-  sim::EngineConfig cfg;
-  cfg.n = opt.n;
-  cfg.bound_r = opt.r;
-  cfg.seed = seed;
-  cfg.record_trace = opt.trace_units > 0;
-  std::vector<std::unique_ptr<sim::Protocol>> ps;
+int run_msr(const Options& opt, const analysis::RunSpec& spec) {
   try {
-    ps = analysis::make_protocols(opt.protocol, opt.n);
-  } catch (const std::invalid_argument&) {
-    usage("unknown protocol: " + opt.protocol);
+    (void)analysis::materials(spec);  // unknown names are usage errors
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
-  return std::make_unique<sim::Engine>(cfg, std::move(ps), make_policy(opt),
-                                       make_injector(opt, rho));
-}
-
-int run_msr(const Options& opt) {
   analysis::MsrConfig cfg;
   cfg.probe.horizon = opt.horizon_units * U;
   cfg.base_seed = opt.seed;
   const auto res = analysis::estimate_msr(
-      [&](util::Ratio rho, std::uint64_t seed) {
-        return build_engine(opt, rho, seed);
+      [&spec](util::Ratio rho, std::uint64_t seed) {
+        analysis::RunSpec probe = spec;
+        probe.injector.rho = rho;
+        return analysis::build_engine(probe, seed);
       },
       cfg);
   std::cout << "protocol=" << opt.protocol << " n=" << opt.n
@@ -941,7 +921,7 @@ int run_resume(int argc, char** argv) {
     std::cerr << "asyncmac_cli resume: " << path << ": " << e.what() << "\n";
     return 1;
   }
-  snapshot::RunSpec spec = run.spec;
+  analysis::RunSpec spec = run.spec;
   if (horizon_units >= 0) spec.horizon_units = horizon_units;
 
   // Keep autosaving when asked to (the cadence is baked into the
@@ -997,35 +977,14 @@ ServeOptions parse_serve_args(int argc, char** argv) {
     auto value = [&](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.grid.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.grid.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.grid.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.grid.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.grid.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.grid.policy = value("--policy=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.grid.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.grid.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg.rfind("--seeds=", 0) == 0)
+    if (parse_run_flag(arg, opt.grid)) continue;
+    if (arg.rfind("--seeds=", 0) == 0)
       opt.grid.seeds = static_cast<int>(
           arg_u32(value("--seeds="), "--seeds", INT32_MAX));
     else if (arg.rfind("--csv=", 0) == 0)
       opt.grid.csv_path = value("--csv=");
     else if (arg.rfind("--checkpoint-dir=", 0) == 0)
       opt.grid.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.grid.telemetry_path = value("--telemetry=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt.grid);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt.grid);
     else if (arg == "--fuzz")
       opt.fuzz = true;
     else if (arg.rfind("--cases=", 0) == 0)
@@ -1048,6 +1007,7 @@ ServeOptions parse_serve_args(int argc, char** argv) {
   if (opt.grid.seeds < 1) usage("--seeds must be >= 1");
   if (opt.lease_timeout_ms == 0) usage("--lease-timeout-ms must be > 0");
   if (opt.cases < 1) usage("--cases must be >= 1");
+  reject_grid_pattern(opt.grid);
   return opt;
 }
 
@@ -1115,7 +1075,7 @@ int run_serve(int argc, char** argv) {
     return result.failures.empty() ? 0 : 1;
   }
   return print_grid_results(outcome.records, opt.grid.csv_path,
-                            opt.grid.energy_enabled);
+                            opt.grid.energy.enabled);
 }
 
 int run_worker(int argc, char** argv) {
@@ -1165,34 +1125,11 @@ LiveServeOptions parse_live_serve_args(int argc, char** argv) {
     auto value = [&](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
-    if (arg.rfind("--protocol=", 0) == 0)
-      opt.run.protocol = value("--protocol=");
-    else if (arg.rfind("--n=", 0) == 0)
-      opt.run.n_list = value("--n=");
-    else if (arg.rfind("--r=", 0) == 0)
-      opt.run.r_list = value("--r=");
-    else if (arg.rfind("--rho=", 0) == 0)
-      opt.run.rho_list = value("--rho=");
-    else if (arg.rfind("--burst=", 0) == 0)
-      opt.run.burst_units = arg_units(value("--burst="), "--burst");
-    else if (arg.rfind("--policy=", 0) == 0)
-      opt.run.policy = value("--policy=");
-    else if (arg.rfind("--pattern=", 0) == 0)
-      opt.run.pattern = value("--pattern=");
-    else if (arg.rfind("--horizon=", 0) == 0)
-      opt.run.horizon_units = arg_units(value("--horizon="), "--horizon");
-    else if (arg.rfind("--seed=", 0) == 0)
-      opt.run.seed = arg_u64(value("--seed="), "--seed");
-    else if (arg == "--json")
+    if (parse_run_flag(arg, opt.run)) continue;
+    if (arg == "--json")
       opt.run.json = true;
     else if (arg.rfind("--trace=", 0) == 0)
       opt.run.trace_units = arg_units(value("--trace="), "--trace");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      opt.run.telemetry_path = value("--telemetry=");
-    else if (arg.rfind("--restrained-k=", 0) == 0)
-      parse_restrained_arg(value("--restrained-k="), opt.run);
-    else if (arg.rfind("--energy-model=", 0) == 0)
-      parse_energy_arg(value("--energy-model="), opt.run);
     else if (arg == "--virtual")
       opt.virtual_mode = true;
     else if (arg.rfind("--port=", 0) == 0)
@@ -1218,22 +1155,8 @@ LiveServeOptions parse_live_serve_args(int argc, char** argv) {
     else
       usage("unknown live-serve argument: " + arg);
   }
-  // Scalar scenario dimensions with the same validation as run mode (a
-  // live daemon emulates exactly one run).
-  if (opt.run.n_list.find(',') != std::string::npos ||
-      opt.run.r_list.find(',') != std::string::npos ||
-      opt.run.rho_list.find(',') != std::string::npos ||
-      opt.run.protocol.find(',') != std::string::npos ||
-      opt.run.policy.find(',') != std::string::npos)
-    usage("live-serve takes scalar dimensions, not comma lists");
-  opt.run.n = arg_u32(opt.run.n_list, "--n");
-  opt.run.r = arg_u32(opt.run.r_list, "--r");
-  // arg_finite already rejects nan/inf (comparisons against NaN are all
-  // false, so they would sail through the range check).
-  opt.run.rho = arg_finite(opt.run.rho_list, "--rho");
-  if (opt.run.n < 1) usage("--n must be >= 1");
-  if (opt.run.r < 1) usage("--r must be >= 1");
-  if (opt.run.rho < 0 || opt.run.rho > 1) usage("--rho must lie in [0, 1]");
+  // A live daemon emulates exactly one run.
+  check_scalar_dims(opt.run);
   if (opt.emu_loss < 0 || opt.emu_loss >= 1)
     usage("--emu-loss must lie in [0, 1)");
   if (opt.unit_us < 1) usage("--unit-us must be >= 1");
@@ -1251,10 +1174,8 @@ int run_live_serve(int argc, char** argv) {
   if (!opt.run.telemetry_path.empty())
     enable_telemetry_or_die(opt.run.telemetry_path);
 
-  const auto rho = util::Ratio::from_double(opt.run.rho);
   live::DaemonConfig dc;
-  dc.spec = make_run_spec(opt.run, rho);
-  dc.spec.checkpoint_interval = 0;  // live runs do not autosave
+  dc.spec = make_run_spec(opt.run);
 
   if (opt.virtual_mode) {
     // Whole stack in-process on the virtual clock: deterministic, and
@@ -1398,13 +1319,12 @@ int main(int argc, char** argv) {
   if (!opt.telemetry_path.empty())
     enable_telemetry_or_die(opt.telemetry_path);
   if (opt.grid) return run_experiment_grid(opt);
-  if (opt.msr) return run_msr(opt);
+  const analysis::RunSpec spec = make_run_spec(opt);
+  if (opt.msr) return run_msr(opt, spec);
 
-  const auto rho = util::Ratio::from_double(opt.rho);
-  const snapshot::RunSpec spec = make_run_spec(opt, rho);
   std::unique_ptr<sim::Engine> engine;
   try {
-    engine = snapshot::build_engine(spec);
+    engine = analysis::build_engine(spec);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
