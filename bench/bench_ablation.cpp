@@ -9,11 +9,10 @@
 //  3. Overestimate R: correctness is kept (the thresholds are upper
 //     bounds) but the slot complexity grows quadratically — quantifying
 //     the cost of a pessimistic R.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "baselines/sync_binary_le.h"
+#include "core/ao_arrow.h"
 #include "harness.h"
 
 namespace {
@@ -21,44 +20,13 @@ namespace {
 using namespace asyncmac;
 using namespace asyncmac::bench;
 
-struct ElectionOutcome {
-  bool solved = false;
-  std::uint32_t winners = 0;
-  std::uint32_t dangling = 0;  // still active after a success
-  std::uint64_t worst_slots = 0;
-};
-
-ElectionOutcome run_election(std::uint32_t n, std::uint32_t true_r,
-                             std::uint64_t t0, std::uint64_t t1) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = true_r;
-  std::vector<std::unique_ptr<sim::Protocol>> ps;
-  for (std::uint32_t i = 0; i < n; ++i)
-    ps.push_back(std::make_unique<core::AbsProtocol>(t0, t1));
-  sim::Engine e(cfg, std::move(ps), per_station_policy(n, true_r),
-                messages(n));
-  sim::StopCondition stop;
-  stop.max_time = static_cast<Tick>(40 * core::abs_slot_bound(n, true_r)) *
-                  static_cast<Tick>(true_r) * U;
-  stop.predicate = [](const sim::Engine& eng) {
-    return eng.channel_stats().successful >= 1;
-  };
-  e.run(stop);
-  e.run(sim::until(e.now()));
-
-  ElectionOutcome out;
-  out.solved = e.channel_stats().successful >= 1;
-  for (StationId id = 1; id <= n; ++id) {
-    const auto* abs =
-        dynamic_cast<const core::AbsProtocol&>(e.protocol(id)).automaton();
-    if (!abs) continue;
-    out.worst_slots = std::max(out.worst_slots, abs->slots());
-    if (abs->outcome() == core::AbsAutomaton::Outcome::kWon) ++out.winners;
-    if (abs->outcome() == core::AbsAutomaton::Outcome::kActive)
-      ++out.dangling;
-  }
-  return out;
+/// ABS with listening thresholds (t0, t1) on n stations whose true
+/// asynchrony bound is `true_r`.
+sim::LaneMaterials ablated_abs(std::uint32_t n, std::uint32_t true_r,
+                               std::uint64_t t0, std::uint64_t t1) {
+  auto m = analysis::materials(sst_spec("abs", n, true_r));
+  for (auto& p : m.protocols) p = std::make_unique<core::AbsProtocol>(t0, t1);
+  return m;
 }
 
 void print_threshold_ablation() {
@@ -68,10 +36,9 @@ void print_threshold_ablation() {
   const std::uint64_t t0 = core::abs_threshold0(R);
   const std::uint64_t full = core::abs_threshold1(R);
   for (std::uint64_t t1 : {full, full / 2, full / 4, t0 + 2, t0}) {
-    const auto out = run_election(n, R, t0, t1);
+    const auto out = run_sst(ablated_abs(n, R, t0, t1), 40);
     const bool healthy = out.solved && out.winners == 1 && out.dangling == 0;
-    t.row(t1, out.solved, out.winners, out.dangling, out.worst_slots,
-          healthy);
+    t.row(t1, out.solved, out.winners, out.dangling, out.max_slots, healthy);
   }
   std::cout << "== Ablation 1: shrinking ABS's 1-bit listening threshold "
                "(paper value "
@@ -88,10 +55,12 @@ void print_r_estimate_ablation() {
   util::Table t({"R_est", "solved", "winners", "dangling", "worst slots",
                  "healthy"});
   for (std::uint32_t r_est : {1u, 2u, 4u, 8u, 16u}) {
-    const auto out = run_election(n, true_r, core::abs_threshold0(r_est),
-                                  core::abs_threshold1(r_est));
+    const auto out =
+        run_sst(ablated_abs(n, true_r, core::abs_threshold0(r_est),
+                            core::abs_threshold1(r_est)),
+                40);
     const bool healthy = out.solved && out.winners == 1 && out.dangling == 0;
-    t.row(r_est, out.solved, out.winners, out.dangling, out.worst_slots,
+    t.row(r_est, out.solved, out.winners, out.dangling, out.max_slots,
           healthy);
   }
   std::cout << "== Ablation 2/3: protocol built for R_est while the true "
@@ -107,6 +76,7 @@ void print_long_silence_ablation() {
   // and re-synchronizes into it: extra collisions and duplicate
   // elections. Sweep the threshold downward at fixed sync countdown.
   const std::uint64_t paper = core::long_silence_threshold(2);
+  const Tick horizon = 200000 * U;
   util::Table t({"long-silence threshold (slots)", "max queue (units)",
                  "collisions", "delivered frac"});
   for (std::uint64_t thr : {paper, paper / 2, paper / 4, paper / 8,
@@ -114,22 +84,15 @@ void print_long_silence_ablation() {
     core::AoArrowProtocol::Tuning tuning;
     tuning.long_silence_slots = thr;
     tuning.sync_countdown_slots = 2 * thr;
-    sim::EngineConfig cfg;
-    cfg.n = 4;
-    cfg.bound_r = 2;
-    std::vector<std::unique_ptr<sim::Protocol>> ps;
-    for (int i = 0; i < 4; ++i)
-      ps.push_back(std::make_unique<core::AoArrowProtocol>(tuning));
-    sim::Engine e(cfg, std::move(ps), per_station_policy(4, 2),
-                  saturating(util::Ratio(1, 2), 16 * U));
-    e.run(sim::until(200000 * U));
-    const auto& st = e.stats();
-    t.row(thr, to_units(st.max_queued_cost),
-          e.channel_stats().collided,
-          st.injected_packets
-              ? static_cast<double>(st.delivered_packets) /
-                    static_cast<double>(st.injected_packets)
-              : 1.0);
+    auto m = analysis::materials(
+        pt_spec("ao-arrow", 4, 2, util::Ratio(1, 2), 16 * U, horizon));
+    for (auto& p : m.protocols)
+      p = std::make_unique<core::AoArrowProtocol>(tuning);
+    const auto e = engine(std::move(m));
+    e->run(sim::until(horizon));
+    const auto res = pt_result(*e);
+    t.row(thr, res.max_queue_cost_units, res.collisions,
+          res.delivered_fraction);
   }
   std::cout << "== Ablation 3b: AO-ARRoW's long-silence threshold (paper "
                "value "
@@ -146,39 +109,22 @@ void print_subroutine_ablation() {
   // drifting schedules — visible as an order of magnitude more
   // collisions on the identical workload (the AO wrapper's recovery
   // paths keep deliveries going, which is itself a measured finding).
-  auto run_with = [](core::LeaderElectionFactory le, const char* which) {
-    sim::EngineConfig cfg;
-    cfg.n = 4;
-    cfg.bound_r = 2;
-    std::vector<std::unique_ptr<sim::Protocol>> ps;
-    for (int i = 0; i < 4; ++i)
-      ps.push_back(std::make_unique<core::AoArrowProtocol>(le));
-    std::vector<Tick> pattern{U, 2 * U};
-    auto e = std::make_unique<sim::Engine>(
-        cfg, std::move(ps),
-        std::make_unique<adversary::CyclicSlotPolicy>(pattern),
-        saturating(util::Ratio(1, 2), 8 * U));
-    e->run(sim::until(200000 * U));
-    (void)which;
-    return e;
-  };
-  auto with_abs = run_with(core::AbsAutomaton::factory(), "ABS");
-  auto with_sync =
-      run_with(baselines::SyncBinaryLeAutomaton::factory(), "sync-LE");
-
   util::Table t({"Leader_Election(R)", "collisions", "delivered frac",
                  "final queue (units)"});
-  auto add = [&](const char* name, const sim::Engine& e) {
-    const auto& s = e.stats();
-    t.row(name, e.channel_stats().collided,
-          s.injected_packets
-              ? static_cast<double>(s.delivered_packets) /
-                    static_cast<double>(s.injected_packets)
-              : 1.0,
-          to_units(s.queued_cost));
+  auto add = [&](const char* name, core::LeaderElectionFactory le) {
+    const Tick horizon = 200000 * U;
+    auto spec = pt_spec("ao-arrow", 4, 2, util::Ratio(1, 2), 8 * U, horizon);
+    spec.slot_policy = "cyclic";  // slot lengths cycle 1, 2 units
+    auto m = analysis::materials(spec);
+    for (auto& p : m.protocols) p = std::make_unique<core::AoArrowProtocol>(le);
+    const auto e = engine(std::move(m));
+    e->run(sim::until(horizon));
+    const auto res = pt_result(*e);
+    t.row(name, res.collisions, res.delivered_fraction,
+          res.final_queue_cost_units);
   };
-  add("ABS (paper)", *with_abs);
-  add("sync binary search", *with_sync);
+  add("ABS (paper)", core::AbsAutomaton::factory());
+  add("sync binary search", baselines::SyncBinaryLeAutomaton::factory());
   std::cout << "== Ablation 4: the Leader_Election(R) subroutine "
                "(drifting cyclic schedule, R = 2, rho = 0.5) ==\n"
             << t.to_string()
@@ -186,26 +132,14 @@ void print_subroutine_ablation() {
                "search misfires into collisions)\n\n";
 }
 
-void BM_AblatedElection(benchmark::State& state) {
-  const auto r_est = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const auto out = run_election(8, 4, core::abs_threshold0(r_est),
-                                  core::abs_threshold1(r_est));
-    benchmark::DoNotOptimize(out.winners);
-  }
-}
-BENCHMARK(BM_AblatedElection)->Arg(4)->Arg(16);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_ablation — design-choice ablations for ABS "
                "(experiment X2 of DESIGN.md)\n\n";
   print_threshold_ablation();
   print_r_estimate_ablation();
   print_long_silence_ablation();
   print_subroutine_ablation();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

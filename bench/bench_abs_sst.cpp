@@ -3,12 +3,9 @@
 // harshest fixed slot policy and reports measured worst-case slots next
 // to the closed-form bound, plus the slots/(R^2 log2 n) ratio, which
 // should stay O(1) across the sweep if the theorem's shape holds.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
-#include "baselines/listen.h"
 #include "harness.h"
 
 namespace {
@@ -16,45 +13,8 @@ namespace {
 using namespace asyncmac;
 using namespace asyncmac::bench;
 
-struct Measured {
-  bool solved = false;
-  std::uint64_t max_slots = 0;
-  double time_units = 0;
-};
-
-Measured run_abs(std::uint32_t n, std::uint32_t R,
-                 const std::string& flavor) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  std::unique_ptr<sim::SlotPolicy> policy;
-  if (flavor == "sync")
-    policy = std::make_unique<adversary::UniformSlotPolicy>(U);
-  else if (flavor == "max")
-    policy = std::make_unique<adversary::UniformSlotPolicy>(R * U);
-  else
-    policy = per_station_policy(n, R);
-  sim::Engine e(cfg, protocols<core::AbsProtocol>(n), std::move(policy),
-                messages(n));
-  sim::StopCondition stop;
-  stop.max_time = static_cast<Tick>(20 * core::abs_slot_bound(n, R)) *
-                  static_cast<Tick>(R) * U;
-  stop.predicate = [](const sim::Engine& eng) {
-    return eng.channel_stats().successful >= 1;
-  };
-  e.run(stop);
-  e.run(sim::until(e.now()));
-
-  Measured out;
-  out.solved = e.channel_stats().successful >= 1;
-  out.time_units = to_units(e.now());
-  for (StationId id = 1; id <= n; ++id) {
-    const auto* abs =
-        dynamic_cast<const core::AbsProtocol&>(e.protocol(id)).automaton();
-    if (abs) out.max_slots = std::max(out.max_slots, abs->slots());
-  }
-  return out;
-}
+/// ABS's stop budget: 20x the Theorem-1 bound.
+constexpr std::uint64_t kBudget = 20;
 
 void print_series() {
   util::Table t({"n", "R", "policy", "slots (worst station)",
@@ -64,15 +24,19 @@ void print_series() {
   for (std::uint32_t R : {1u, 2u, 4u, 8u}) {
     for (std::uint32_t n : {2u, 4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
                             1024u}) {
-      const auto m = run_abs(n, R, "perstation");
+      const auto m =
+          run_sst(analysis::materials(sst_spec("abs", n, R)), kBudget);
       const double norm =
           static_cast<double>(m.max_slots) /
           (static_cast<double>(R) * R * std::max(1.0, std::log2(n)));
       t.row(n, R, "perstation", m.max_slots, core::abs_slot_bound(n, R),
-            norm, m.time_units);
+            norm, m.solved_at_units);
       csv.row(n, R, "perstation", m.max_slots, core::abs_slot_bound(n, R),
-              m.time_units);
-      if (!m.solved) std::cout << "!! SST unsolved at n=" << n << "\n";
+              m.solved_at_units);
+      if (!m.solved) {
+        ++failures;
+        std::cout << "!! SST unsolved at n=" << n << "\n";
+      }
     }
   }
   std::cout << "== Theorem 1: ABS slot complexity, O(R^2 log n) ==\n"
@@ -81,35 +45,19 @@ void print_series() {
 
   // Policy robustness at fixed (n, R).
   util::Table t2({"policy", "slots (worst station)", "time (units)"});
-  for (const char* flavor : {"sync", "max", "perstation"}) {
-    const auto m = run_abs(64, 4, flavor);
-    t2.row(flavor, m.max_slots, m.time_units);
+  for (const char* policy : {"sync", "max", "perstation"}) {
+    const auto m =
+        run_sst(analysis::materials(sst_spec("abs", 64, 4, policy)), kBudget);
+    t2.row(policy, m.max_slots, m.solved_at_units);
   }
   std::cout << "== ABS at n=64, R=4 across slot policies ==\n"
             << t2.to_string() << "\n";
 }
 
-void BM_AbsElection(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto R = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const auto m = run_abs(n, R, "perstation");
-    benchmark::DoNotOptimize(m.max_slots);
-  }
-  state.counters["slots"] = static_cast<double>(run_abs(n, R, "perstation").max_slots);
-}
-BENCHMARK(BM_AbsElection)
-    ->Args({16, 1})
-    ->Args({16, 4})
-    ->Args({256, 2})
-    ->Args({1024, 8});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_abs_sst — reproduces the Theorem 1 evaluation\n\n";
   print_series();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return exit_status();
 }

@@ -2,8 +2,6 @@
 // measured worst-case total queue cost versus the closed-form bound L
 // across the injection-rate axis (the stability "hockey stick" as
 // rho -> 1), and across n and R.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -29,8 +27,9 @@ void print_rho_series() {
     // parallel — every replica is an independent Engine) and report the
     // replica with the largest max queue.
     const auto reps = replicate_seeds(3, 1, /*jobs=*/0, [&](std::uint64_t s) {
-      return run_pt<core::AoArrowProtocol>(4, 2, rho, burst, kHorizon,
-                                           /*synchronous=*/false, nullptr, s);
+      auto spec = pt_spec("ao-arrow", 4, 2, rho, burst, kHorizon);
+      spec.seed = s;
+      return run_pt(spec);
     });
     const auto res = *std::max_element(
         reps.begin(), reps.end(), [](const PtResult& a, const PtResult& b2) {
@@ -57,8 +56,7 @@ void print_nr_matrix() {
     for (std::uint32_t R : {1u, 2u, 4u}) {
       const util::Ratio rho(7, 10);
       const Tick burst = 8 * static_cast<Tick>(R) * U;
-      const auto res = run_pt<core::AoArrowProtocol>(n, R, rho, burst,
-                                                     kHorizon);
+      const auto res = run_pt(pt_spec("ao-arrow", n, R, rho, burst, kHorizon));
       const auto b = core::arrow_bounds(n, R, R, rho, to_units(burst));
       t.row(n, R, res.max_queue_cost_units, b.L,
             res.max_queue_cost_units < b.L);
@@ -72,8 +70,8 @@ void print_burstiness_series() {
   util::Table t({"burst b (units)", "max queue (units)", "bound L"});
   for (Tick b_units : {4, 16, 64, 256}) {
     const util::Ratio rho(8, 10);
-    const auto res = run_pt<core::AoArrowProtocol>(4, 2, rho, b_units * U,
-                                                   kHorizon);
+    const auto res =
+        run_pt(pt_spec("ao-arrow", 4, 2, rho, b_units * U, kHorizon));
     const auto b = core::arrow_bounds(4, 2, 2, rho,
                                       static_cast<double>(b_units));
     t.row(b_units, res.max_queue_cost_units, b.L);
@@ -82,27 +80,12 @@ void print_burstiness_series() {
             << t.to_string() << "\n";
 }
 
-void BM_AoArrowThroughput(benchmark::State& state) {
-  const int pct = static_cast<int>(state.range(0));
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    const auto res = run_pt<core::AoArrowProtocol>(
-        4, 2, util::Ratio(pct, 100), 16 * U, 50000 * U);
-    delivered = res.delivered;
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.counters["delivered"] = static_cast<double>(delivered);
-}
-BENCHMARK(BM_AoArrowThroughput)->Arg(50)->Arg(90);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_ao_arrow — reproduces the Theorem 3 evaluation\n\n";
   print_rho_series();
   print_nr_matrix();
   print_burstiness_series();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

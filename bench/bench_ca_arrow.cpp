@@ -3,8 +3,6 @@
 // bound, with the collision counter required to stay at zero in every
 // cell, plus the AO-vs-CA contrast (collisions traded for control
 // messages).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "harness.h"
@@ -25,8 +23,7 @@ void print_rho_series() {
   for (int pct : {10, 30, 50, 70, 80, 90, 95}) {
     const util::Ratio rho(pct, 100);
     const Tick burst = 16 * U;
-    const auto res =
-        run_pt<core::CaArrowProtocol>(4, 2, rho, burst, kHorizon);
+    const auto res = run_pt(pt_spec("ca-arrow", 4, 2, rho, burst, kHorizon));
     const double bound = core::ca_arrow_bound(4, 2, rho, to_units(burst));
     t.row(pct / 100.0, res.max_queue_cost_units, bound, res.collisions,
           res.control_msgs, res.delivered_fraction);
@@ -45,8 +42,7 @@ void print_nr_matrix() {
     for (std::uint32_t R : {1u, 2u, 4u}) {
       const util::Ratio rho(7, 10);
       const Tick burst = 8 * static_cast<Tick>(R) * U;
-      const auto res = run_pt<core::CaArrowProtocol>(n, R, rho, burst,
-                                                     kHorizon);
+      const auto res = run_pt(pt_spec("ca-arrow", n, R, rho, burst, kHorizon));
       t.row(n, R, res.max_queue_cost_units,
             core::ca_arrow_bound(n, R, rho, to_units(burst)),
             res.collisions);
@@ -61,10 +57,8 @@ void print_ao_vs_ca() {
                  "control msgs", "wasted frac"});
   for (int pct : {50, 90}) {
     const util::Ratio rho(pct, 100);
-    const auto ao = run_pt<core::AoArrowProtocol>(4, 2, rho, 16 * U,
-                                                  kHorizon);
-    const auto ca = run_pt<core::CaArrowProtocol>(4, 2, rho, 16 * U,
-                                                  kHorizon);
+    const auto ao = run_pt(pt_spec("ao-arrow", 4, 2, rho, 16 * U, kHorizon));
+    const auto ca = run_pt(pt_spec("ca-arrow", 4, 2, rho, 16 * U, kHorizon));
     t.row("AO-ARRoW", pct / 100.0, ao.max_queue_cost_units, ao.collisions,
           ao.control_msgs, ao.wasted_fraction);
     t.row("CA-ARRoW", pct / 100.0, ca.max_queue_cost_units, ca.collisions,
@@ -75,24 +69,12 @@ void print_ao_vs_ca() {
             << t.to_string() << "\n";
 }
 
-void BM_CaArrowThroughput(benchmark::State& state) {
-  const int pct = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const auto res = run_pt<core::CaArrowProtocol>(
-        4, 2, util::Ratio(pct, 100), 16 * U, 50000 * U);
-    benchmark::DoNotOptimize(res.delivered);
-  }
-}
-BENCHMARK(BM_CaArrowThroughput)->Arg(50)->Arg(90);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_ca_arrow — reproduces the Theorem 6 evaluation\n\n";
   print_rho_series();
   print_nr_matrix();
   print_ao_vs_ca();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,30 +11,11 @@
 //      collision (transmit) energy and pay in deferral latency.
 //   3. k-restrained admission sweep (bench_energy_restrained.csv):
 //      capacity-limited channels under both overflow semantics.
-//
-// Also writes BENCH_energy.json: the metering overhead trajectory
-// (slots/sec with the meter off vs on), so future PRs can diff the cost
-// of the observation-only billing path the way BENCH_engine.json tracks
-// the hot loop.
-//
-// Modes:
-//   bench_energy                 full budget (committed trajectory runs)
-//   bench_energy --quick         short budget (CI perf-smoke)
-//   ASYNCMAC_BENCH_BASELINE=f    merge baseline slots/sec from a previous
-//                                BENCH_energy.json and report speedups
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/registry.h"
 #include "baselines/csma_lbt.h"
 #include "harness.h"
 
@@ -57,13 +38,13 @@ struct EnergyRow {
   std::uint64_t collisions = 0;
 };
 
-EnergyRow run_energy(std::unique_ptr<sim::Engine> engine) {
-  engine->run(sim::until(kHorizon));
+EnergyRow run_energy(std::unique_ptr<sim::Engine> e) {
+  e->run(sim::until(kHorizon));
   EnergyRow out;
-  const auto& s = engine->stats();
-  const auto& meter = engine->energy_meter();
+  const auto& s = e->stats();
+  const auto& meter = e->energy_meter();
   out.delivered = s.delivered_packets;
-  out.collisions = engine->channel_stats().collided;
+  out.collisions = e->channel_stats().collided;
   if (out.delivered > 0)
     out.per_delivery =
         static_cast<double>(meter.total_charge(kModel)) /
@@ -76,25 +57,13 @@ EnergyRow run_energy(std::unique_ptr<sim::Engine> engine) {
   return out;
 }
 
-sim::EngineConfig energy_cfg(std::uint32_t n, std::uint32_t R,
-                             channel::RestrainedSpec restrained = {}) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  cfg.seed = 1;
-  cfg.energy = kModel;
-  cfg.restrained = restrained;
-  return cfg;
-}
-
-EnergyRow run_protocol(const std::string& protocol, std::uint32_t n,
-                       std::uint32_t R, util::Ratio rho,
-                       channel::RestrainedSpec restrained = {}) {
-  auto engine = std::make_unique<sim::Engine>(
-      energy_cfg(n, R, restrained), analysis::make_protocols(protocol, n),
-      per_station_policy(n, R),
-      saturating(rho, 8 * static_cast<Tick>(R) * U));
-  return run_energy(std::move(engine));
+/// The PT workload (burst 8R) on the metered channel.
+analysis::RunSpec energy_spec(const std::string& protocol, std::uint32_t n,
+                              std::uint32_t R, util::Ratio rho) {
+  auto spec = pt_spec(protocol, n, R, rho, 8 * static_cast<Tick>(R) * U,
+                      kHorizon);
+  spec.energy = kModel;
+  return spec;
 }
 
 void print_energy_vs_rho() {
@@ -108,7 +77,8 @@ void print_energy_vs_rho() {
   for (int pct : {30, 60, 90}) {
     const util::Ratio rho(pct, 100);
     for (const auto& p : kProtocols) {
-      const EnergyRow row = run_protocol(p, 4, 2, rho);
+      const EnergyRow row =
+          run_energy(analysis::build_engine(energy_spec(p, 4, 2, rho)));
       t.row(p, pct / 100.0, row.per_delivery, row.peak_station, row.p50,
             row.p99, row.delivered);
       csv.row(p, pct / 100.0, row.per_delivery, row.peak_station, row.p50,
@@ -131,11 +101,12 @@ void print_lbt_gap_sweep() {
                       {"gap_slots", "energy_per_delivery", "p50", "p99",
                        "delivered", "collisions"});
   for (std::uint32_t gap : {0u, 1u, 2u, 4u, 8u}) {
-    auto engine = std::make_unique<sim::Engine>(
-        energy_cfg(4, 2),
-        protocols<baselines::CsmaLbtProtocol>(4, gap, 4u, 1024u),
-        per_station_policy(4, 2), saturating(util::Ratio(3, 5), 16 * U));
-    const EnergyRow row = run_energy(std::move(engine));
+    auto spec = energy_spec("csma-lbt", 4, 2, util::Ratio(3, 5));
+    spec.injector.burst_ticks = 16 * U;
+    auto m = analysis::materials(spec);
+    for (auto& p : m.protocols)
+      p = std::make_unique<baselines::CsmaLbtProtocol>(gap, 4u, 1024u);
+    const EnergyRow row = run_energy(engine(std::move(m)));
     t.row(gap, row.per_delivery, row.p99, row.delivered, row.collisions);
     csv.row(gap, row.per_delivery, row.p50, row.p99, row.delivered,
             row.collisions);
@@ -155,8 +126,9 @@ void print_restrained_sweep() {
                        "delivered", "collisions"});
   const auto point = [&](const std::string& label,
                          channel::RestrainedSpec spec) {
-    const EnergyRow row =
-        run_protocol("aloha", 4, 2, util::Ratio(7, 10), spec);
+    auto run = energy_spec("aloha", 4, 2, util::Ratio(7, 10));
+    run.restrained = spec;
+    const EnergyRow row = run_energy(analysis::build_engine(run));
     t.row(label, row.per_delivery, row.p99, row.delivered, row.collisions);
     csv.row(spec.k, spec.enabled() ? (spec.jam ? "jam" : "reject") : "off",
             row.per_delivery, row.p99, row.delivered, row.collisions);
@@ -176,153 +148,12 @@ void print_restrained_sweep() {
                "bench_energy_restrained.csv)\n\n";
 }
 
-// ------------------------------------------------------------ trajectory
-
-struct OverheadConfig {
-  std::string name;
-  std::uint32_t n = 4;
-  bool metered = false;
-};
-
-std::string overhead_name(std::uint32_t n, bool metered) {
-  std::ostringstream os;
-  os << "n" << n << (metered ? "_metered" : "_unmetered");
-  return os.str();
-}
-
-std::vector<OverheadConfig> overhead_configs() {
-  std::vector<OverheadConfig> out;
-  for (std::uint32_t n : {4u, 64u}) {
-    for (bool metered : {false, true}) {
-      out.push_back({overhead_name(n, metered), n, metered});
-    }
-  }
-  return out;
-}
-
-double slots_per_sec(const OverheadConfig& c, std::uint64_t slot_budget) {
-  const auto timed_run = [&](std::uint64_t slots) {
-    sim::EngineConfig cfg;
-    cfg.n = c.n;
-    cfg.bound_r = 4;
-    cfg.seed = 1;
-    if (c.metered) cfg.energy = kModel;
-    auto engine = std::make_unique<sim::Engine>(
-        cfg, analysis::make_protocols("ca-arrow", c.n),
-        per_station_policy(c.n, 4), saturating(util::Ratio(1, 2), 8 * U));
-    sim::StopCondition stop;
-    stop.max_total_slots = slots;
-    const auto t0 = std::chrono::steady_clock::now();
-    engine->run(stop);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double sec =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    return static_cast<double>(engine->stats().total_slots) / sec;
-  };
-  timed_run(slot_budget / 8);  // warmup
-  return min_of_n_rate([&] { return timed_run(slot_budget); });
-}
-
-void write_trajectory(bool quick) {
-  const std::uint64_t budget = quick ? 200000 : 2000000;
-  const auto cfgs = overhead_configs();
-  std::map<std::string, double> baseline;
-  if (const char* path = std::getenv("ASYNCMAC_BENCH_BASELINE");
-      path && *path) {
-    std::vector<std::string> expected;
-    for (const auto& c : cfgs) expected.push_back(c.name);
-    baseline = merge_baseline(path, "slots_per_sec", expected);
-  }
-
-  std::ofstream out("BENCH_energy.json");
-  out << "{\n  \"bench\": \"energy_metering_overhead\",\n"
-      << "  \"unit\": \"slots_per_sec\",\n"
-      << "  \"protocol\": \"ca-arrow\",\n"
-      << "  \"costs\": [" << kModel.cost_transmit << ", "
-      << kModel.cost_listen << ", " << kModel.cost_sleep << "],\n"
-      << "  \"slot_budget\": " << budget << ",\n  \"results\": [\n";
-  std::map<std::string, double> rates;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    const auto& c = cfgs[i];
-    const double sps = slots_per_sec(c, budget);
-    rates[c.name] = sps;
-    out << "    {\"name\": \"" << c.name << "\",\n"
-        << "     \"n\": " << c.n
-        << ", \"metered\": " << (c.metered ? "true" : "false")
-        << ", \"slots_per_sec\": " << sps;
-    std::cout << "  " << c.name << ": " << static_cast<std::uint64_t>(sps)
-              << " slots/sec";
-    if (const auto it = baseline.find(c.name); it != baseline.end()) {
-      out << ",\n     \"baseline_slots_per_sec\": " << it->second
-          << ", \"speedup\": " << sps / it->second;
-      std::cout << "  (baseline " << static_cast<std::uint64_t>(it->second)
-                << ", speedup " << sps / it->second << "x)";
-    }
-    out << "}" << (i + 1 < cfgs.size() ? "," : "") << "\n";
-    std::cout << "\n";
-  }
-  out << "  ],\n  \"metering_overhead_pct\": [\n";
-  // The headline number: billing every completed slot must stay in the
-  // single-digit percent range (it is one branch and one array bump on
-  // the slot-end path).
-  bool first = true;
-  for (std::uint32_t n : {4u, 64u}) {
-    const double off = rates[overhead_name(n, false)];
-    const double on = rates[overhead_name(n, true)];
-    const double pct = off > 0 ? 100.0 * (1.0 - on / off) : 0.0;
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"n\": " << n << ", \"overhead_pct\": " << pct << "}";
-    std::cout << "  metering overhead n=" << n << ": " << pct << "%\n";
-  }
-  out << "\n  ]\n}\n";
-  std::cout << "(trajectory written to BENCH_energy.json)\n\n";
-}
-
-// ------------------------------------------- google-benchmark registrations
-
-void BM_MeteredRun(benchmark::State& state) {
-  const bool metered = state.range(0) != 0;
-  std::uint64_t slots = 0;
-  for (auto _ : state) {
-    sim::EngineConfig cfg;
-    cfg.n = 4;
-    cfg.bound_r = 2;
-    cfg.seed = 1;
-    if (metered) cfg.energy = kModel;
-    auto engine = std::make_unique<sim::Engine>(
-        cfg, analysis::make_protocols("ca-arrow", 4),
-        per_station_policy(4, 2), saturating(util::Ratio(1, 2), 8 * U));
-    sim::StopCondition stop;
-    stop.max_total_slots = 100000;
-    engine->run(stop);
-    slots += engine->stats().total_slots;
-  }
-  state.counters["slots_per_sec"] = benchmark::Counter(
-      static_cast<double>(slots), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MeteredRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool quick = false;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0)
-      quick = true;
-    else
-      argv[out_argc++] = argv[i];
-  }
-  argc = out_argc;
-  std::cout << "bench_energy — energy-vs-latency trade-offs"
-            << (quick ? " (quick)" : "") << "\n\n";
+int main() {
+  std::cout << "bench_energy — energy-vs-latency trade-offs\n\n";
   print_energy_vs_rho();
   print_lbt_gap_sweep();
   print_restrained_sweep();
-  write_trajectory(quick);
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,11 +3,8 @@
 // binary-search election succeeds within a few slots) next to an
 // asynchronous execution of the same stations (where slot stretching
 // delays the single successful transmission), rendered to scale.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
-#include "baselines/sync_binary_le.h"
 #include "harness.h"
 #include "trace/renderer.h"
 
@@ -16,80 +13,45 @@ namespace {
 using namespace asyncmac;
 using namespace asyncmac::bench;
 
-template <typename P>
-sim::Engine make_sst_engine(std::uint32_t n, std::uint32_t R,
-                            std::unique_ptr<sim::SlotPolicy> policy) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  cfg.record_trace = true;
-  return sim::Engine(cfg, protocols<P>(n), std::move(policy), messages(n));
-}
-
-void run_and_render(const char* title, sim::Engine& e, Tick window) {
-  sim::StopCondition stop;
-  stop.max_time = 100000 * U;
-  stop.predicate = [](const sim::Engine& eng) {
-    return eng.channel_stats().successful >= 1;
-  };
-  e.run(stop);
-  e.run(sim::until(e.now()));  // drain ties so the winner sees its ack
+void run_and_render(const char* title, analysis::RunSpec spec, Tick window) {
+  spec.record_trace = true;
+  auto m = analysis::materials(spec);
+  m.injection = messages(spec.n);
+  const auto e = engine(std::move(m));
+  // A zero drain still runs the ties at the success instant, so the
+  // winner sees its ack.
+  run_to_first_success(*e, 100000 * U, 0);
   std::cout << "---- " << title << " ----\n";
-  std::cout << "SST solved at t = " << to_units(e.now())
+  std::cout << "SST solved at t = " << to_units(e->now())
             << " units; slots used (per station): ";
-  for (StationId id = 1; id <= e.n(); ++id)
-    std::cout << e.stats().station[id - 1].slots << " ";
+  for (StationId id = 1; id <= e->n(); ++id)
+    std::cout << e->stats().station[id - 1].slots << " ";
   std::cout << "\n";
   trace::RenderOptions opt;
-  opt.to = std::min(e.now(), window);
+  opt.to = std::min(e->now(), window);
   opt.columns_per_unit = 6;
-  std::cout << trace::render_schedule(e.trace().slots(), opt) << "\n";
+  std::cout << trace::render_schedule(e->trace().slots(), opt) << "\n";
 }
-
-void BM_SyncSstTrace(benchmark::State& state) {
-  for (auto _ : state) {
-    auto e = make_sst_engine<baselines::SyncBinaryLeProtocol>(3, 1,
-                                                              sync_policy());
-    sim::StopCondition stop;
-    stop.predicate = [](const sim::Engine& eng) {
-      return eng.channel_stats().successful >= 1;
-    };
-    e.run(stop);
-    benchmark::DoNotOptimize(e.now());
-  }
-}
-BENCHMARK(BM_SyncSstTrace);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_fig2_schedule — reproduces Fig. 2 (synchronous vs\n"
                "asynchronous schedules of three stations solving SST)\n\n";
 
-  {
-    // Left half of Fig. 2: synchronous execution, station 3 (binary 11:
-    // the figure's i3) — here the classic one-slot-per-bit search solves
-    // SST within three slots.
-    auto e = make_sst_engine<baselines::SyncBinaryLeProtocol>(3, 1,
-                                                              sync_policy());
-    run_and_render("synchronous (R = 1), sync binary-search LE", e, 12 * U);
-  }
-  {
-    // Right half: the same stations under bounded asynchrony; the naive
-    // search is no longer safe, ABS (with its asymmetric thresholds)
-    // needs more slots but still produces the single success.
-    auto e = make_sst_engine<core::AbsProtocol>(3, 2,
-                                                per_station_policy(3, 2));
-    run_and_render("bounded asynchrony (R = 2), ABS", e, 60 * U);
-  }
-  {
-    // ABS also runs (and is optimal up to constants) on the synchronous
-    // channel — for direct comparison with the first panel.
-    auto e = make_sst_engine<core::AbsProtocol>(3, 1, sync_policy());
-    run_and_render("synchronous (R = 1), ABS", e, 30 * U);
-  }
-
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+  // Left half of Fig. 2: synchronous execution, station 3 (binary 11:
+  // the figure's i3) — here the classic one-slot-per-bit search solves
+  // SST within three slots.
+  run_and_render("synchronous (R = 1), sync binary-search LE",
+                 sst_spec("sync-binary-le", 3, 1, "sync"), 12 * U);
+  // Right half: the same stations under bounded asynchrony; the naive
+  // search is no longer safe, ABS (with its asymmetric thresholds)
+  // needs more slots but still produces the single success.
+  run_and_render("bounded asynchrony (R = 2), ABS", sst_spec("abs", 3, 2),
+                 60 * U);
+  // ABS also runs (and is optimal up to constants) on the synchronous
+  // channel — for direct comparison with the first panel.
+  run_and_render("synchronous (R = 1), ABS", sst_spec("abs", 3, 1, "sync"),
+                 30 * U);
   return 0;
 }

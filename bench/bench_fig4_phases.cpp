@@ -12,11 +12,10 @@
 //   * a channel-level timeline: for each burst period, the number of
 //     elections (successful election transmissions), packets drained and
 //     the longest silent gap — the subphase / long-silence structure.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
+#include "core/ao_arrow.h"
 #include "harness.h"
 
 namespace {
@@ -27,25 +26,18 @@ using namespace asyncmac::bench;
 constexpr std::uint32_t kN = 4;
 constexpr std::uint32_t kR = 2;
 
-std::unique_ptr<sim::Engine> make_run(Tick burst_period, Tick /*horizon*/) {
-  sim::EngineConfig cfg;
-  cfg.n = kN;
-  cfg.bound_r = kR;
-  cfg.keep_channel_history = true;
-  return std::make_unique<sim::Engine>(
-      cfg, protocols<core::AoArrowProtocol>(kN), per_station_policy(kN, kR),
-      std::make_unique<adversary::BurstyInjector>(
-          util::Ratio(15, 100), /*burst=*/30 * U, burst_period,
-          adversary::TargetPattern::kRoundRobin));
-}
-
 void print_phase_structure() {
   // The long-silence threshold at R = 2 is 52 observer slots (~104 time
   // units at worst); a burst period of 2000 units guarantees an idle gap
   // long enough that every burst opens a fresh phase.
   const Tick period = 2000 * U;
   const Tick horizon = 20000 * U;
-  auto e = make_run(period, horizon);
+  auto spec = pt_spec("ao-arrow", kN, kR, util::Ratio(15, 100),
+                      /*burst=*/30 * U, horizon);
+  spec.injector.kind = "bursty";  // dumps the bucket once per period
+  spec.injector.period_ticks = period;
+  spec.keep_channel_history = true;
+  const auto e = analysis::build_engine(spec);
   e->run(sim::until(horizon));
 
   std::cout << "long-silence threshold = "
@@ -99,22 +91,11 @@ void print_phase_structure() {
                "structure)\n";
 }
 
-void BM_PhaseStructureRun(benchmark::State& state) {
-  for (auto _ : state) {
-    auto e = make_run(2000 * U, 0);
-    e->run(sim::until(10000 * U));
-    benchmark::DoNotOptimize(e->stats().delivered_packets);
-  }
-}
-BENCHMARK(BM_PhaseStructureRun);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_fig4_phases — reproduces the phase/subphase "
                "structure of Fig. 4 (AO-ARRoW under intermittent load)\n\n";
   print_phase_structure();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

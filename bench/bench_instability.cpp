@@ -6,13 +6,10 @@
 //  * Theorem 5: at rho = 1 no protocol is stable — shown as queue-growth
 //    time series for AO-ARRoW and CA-ARRoW under the drain-chasing
 //    adversary, with the contrast line at rho = 0.95 staying flat.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "adversary/collision_forcer.h"
-#include "baselines/rrw.h"
-#include "baselines/silence_tdma.h"
+#include "analysis/registry.h"
 #include "harness.h"
 
 namespace {
@@ -36,12 +33,8 @@ void print_theorem4() {
           to_units(out.y_ticks), to_units(out.collision_time));
   };
 
-  sim::ProtocolMaker tdma = [] {
-    return std::make_unique<baselines::SilenceCountTdmaProtocol>();
-  };
-  sim::ProtocolMaker rrw = [] {
-    return std::make_unique<baselines::RrwProtocol>();
-  };
+  const sim::ProtocolMaker tdma = analysis::protocol_maker("silence-tdma");
+  const sim::ProtocolMaker rrw = analysis::protocol_maker("rrw");
   for (std::uint64_t L : {10u, 50u, 200u}) run_case("silence-TDMA", tdma, L, 2);
   run_case("silence-TDMA", tdma, 50, 4);
   run_case("silence-TDMA", tdma, 50, 8);
@@ -59,11 +52,12 @@ void print_theorem5() {
   util::CsvWriter csv("bench_instability.csv",
                       {"protocol", "rho", "t_units", "queue_units"});
 
-  auto series = [&](const char* name, auto runner, util::Ratio rho) {
-    sim::EngineConfig cfg;
-    cfg.n = 2;
-    cfg.bound_r = 2;
-    auto e = runner(cfg, rho);
+  // The Theorem-5 drain-chasing adversary against n = 2, R = 2.
+  auto series = [&](const char* name, const char* protocol,
+                    util::Ratio rho) {
+    auto spec = pt_spec(protocol, 2, 2, rho, 16 * U, 500000 * U);
+    spec.injector.kind = "drain-chasing";
+    const auto e = analysis::build_engine(spec);
     for (int chunk = 1; chunk <= 5; ++chunk) {
       e->run(sim::until(chunk * 100000 * U));
       t.row(name, rho.to_double(), to_units(e->now()),
@@ -73,24 +67,9 @@ void print_theorem5() {
     }
   };
 
-  auto make_ao = [](sim::EngineConfig cfg, util::Ratio rho) {
-    return std::make_unique<sim::Engine>(
-        cfg, protocols<core::AoArrowProtocol>(cfg.n),
-        per_station_policy(cfg.n, cfg.bound_r),
-        std::make_unique<adversary::DrainChasingInjector>(rho, 16 * U, 1,
-                                                          2));
-  };
-  auto make_ca = [](sim::EngineConfig cfg, util::Ratio rho) {
-    return std::make_unique<sim::Engine>(
-        cfg, protocols<core::CaArrowProtocol>(cfg.n),
-        per_station_policy(cfg.n, cfg.bound_r),
-        std::make_unique<adversary::DrainChasingInjector>(rho, 16 * U, 1,
-                                                          2));
-  };
-
-  series("AO-ARRoW", make_ao, util::Ratio::one());
-  series("CA-ARRoW", make_ca, util::Ratio::one());
-  series("CA-ARRoW", make_ca, util::Ratio(95, 100));
+  series("AO-ARRoW", "ao-arrow", util::Ratio::one());
+  series("CA-ARRoW", "ca-arrow", util::Ratio::one());
+  series("CA-ARRoW", "ca-arrow", util::Ratio(95, 100));
 
   std::cout << "== Theorem 5: rho = 1 is unstable for every protocol ==\n"
             << t.to_string()
@@ -98,27 +77,12 @@ void print_theorem5() {
                "stays flat; series in bench_instability.csv)\n\n";
 }
 
-void BM_CollisionForcer(benchmark::State& state) {
-  sim::ProtocolMaker tdma = [] {
-    return std::make_unique<baselines::SilenceCountTdmaProtocol>();
-  };
-  for (auto _ : state) {
-    const auto out = adversary::force_collision_or_overflow(
-        tdma, util::Ratio(1, 2), static_cast<std::uint64_t>(state.range(0)),
-        2);
-    benchmark::DoNotOptimize(out.collisions);
-  }
-}
-BENCHMARK(BM_CollisionForcer)->Arg(10)->Arg(100);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_instability — reproduces the Section V "
                "impossibility results (Theorems 4 and 5)\n\n";
   print_theorem4();
   print_theorem5();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

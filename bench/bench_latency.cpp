@@ -3,12 +3,8 @@
 // ARRoW protocols versus injection rate and versus R. Not a figure of
 // the reproduced paper; included because latency is the first question a
 // downstream user asks after stability.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <memory>
 
-#include "baselines/rrw.h"
 #include "harness.h"
 
 namespace {
@@ -23,16 +19,13 @@ struct LatencyRow {
   std::uint64_t n = 0;
 };
 
-template <typename P>
-LatencyRow run_latency(std::uint32_t n, std::uint32_t R, util::Ratio rho,
-                       bool synchronous) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  auto e = std::make_unique<sim::Engine>(
-      cfg, protocols<P>(n),
-      synchronous ? sync_policy() : per_station_policy(n, R),
-      saturating(rho, 8 * static_cast<Tick>(R) * U));
+/// Delivery latency of `protocol` on n = 4 stations under the PT workload
+/// with burst 8R.
+LatencyRow run_latency(const char* protocol, std::uint32_t R,
+                       util::Ratio rho, bool synchronous) {
+  const auto e = analysis::build_engine(pt_spec(
+      protocol, 4, R, rho, 8 * static_cast<Tick>(R) * U, kHorizon,
+      synchronous));
   e->run(sim::until(kHorizon));
   LatencyRow out;
   const auto& lat = e->stats().latency;
@@ -52,15 +45,14 @@ void print_latency_vs_rho() {
                       {"protocol", "rho", "p50", "p99", "max"});
   for (int pct : {30, 60, 90}) {
     const util::Ratio rho(pct, 100);
-    const auto ao = run_latency<core::AoArrowProtocol>(4, 2, rho, false);
-    const auto ca = run_latency<core::CaArrowProtocol>(4, 2, rho, false);
+    const auto ao = run_latency("ao-arrow", 2, rho, false);
+    const auto ca = run_latency("ca-arrow", 2, rho, false);
     t.row("AO-ARRoW", pct / 100.0, ao.p50, ao.p99, ao.max, ao.n);
     t.row("CA-ARRoW", pct / 100.0, ca.p50, ca.p99, ca.max, ca.n);
     csv.row("AO-ARRoW", pct / 100.0, ao.p50, ao.p99, ao.max);
     csv.row("CA-ARRoW", pct / 100.0, ca.p50, ca.p99, ca.max);
   }
-  const auto rrw = run_latency<baselines::RrwProtocol>(
-      4, 1, util::Ratio(6, 10), true);
+  const auto rrw = run_latency("rrw", 1, util::Ratio(6, 10), true);
   t.row("RRW (R=1)", 0.6, rrw.p50, rrw.p99, rrw.max, rrw.n);
   std::cout << "== Delivery latency vs rho (n=4, R=2) ==\n" << t.to_string()
             << "(CA-ARRoW's turn cycle gives tight tails; AO-ARRoW's "
@@ -72,8 +64,8 @@ void print_latency_vs_r() {
   util::Table t({"R", "AO p99 (units)", "CA p99 (units)"});
   for (std::uint32_t R : {1u, 2u, 4u, 8u}) {
     const util::Ratio rho(1, 2);
-    const auto ao = run_latency<core::AoArrowProtocol>(4, R, rho, R == 1);
-    const auto ca = run_latency<core::CaArrowProtocol>(4, R, rho, R == 1);
+    const auto ao = run_latency("ao-arrow", R, rho, R == 1);
+    const auto ca = run_latency("ca-arrow", R, rho, R == 1);
     t.row(R, ao.p99, ca.p99);
   }
   std::cout << "== Tail latency vs R (rho = 0.5) ==\n" << t.to_string()
@@ -82,23 +74,12 @@ void print_latency_vs_r() {
                "constants)\n";
 }
 
-void BM_LatencyRun(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto row =
-        run_latency<core::CaArrowProtocol>(4, 2, util::Ratio(1, 2), false);
-    benchmark::DoNotOptimize(row.p99);
-  }
-}
-BENCHMARK(BM_LatencyRun);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_latency — delivery-latency distributions "
                "(extension series)\n\n";
   print_latency_vs_rho();
   print_latency_vs_r();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,16 +8,9 @@
 //   * RRW / MBTF: near 100 at R = 1, collapsing under asynchrony;
 //   * slotted ALOHA: far below (the randomized baseline the intro cites);
 //   * BEB: in between — fine at light load, degrading under pressure.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/msr.h"
-#include "baselines/aloha.h"
-#include "baselines/beb.h"
-#include "baselines/mbtf.h"
-#include "baselines/rrw.h"
-#include "baselines/silence_tdma.h"
 #include "harness.h"
 
 namespace {
@@ -25,23 +18,6 @@ namespace {
 using namespace asyncmac;
 using namespace asyncmac::bench;
 using analysis::MsrConfig;
-
-template <typename P>
-analysis::RateEngineFactory rate_factory(std::uint32_t n, std::uint32_t R,
-                                         bool synchronous) {
-  return [=](util::Ratio rho, std::uint64_t seed) {
-    sim::EngineConfig cfg;
-    cfg.n = n;
-    cfg.bound_r = R;
-    cfg.seed = seed;
-    return std::make_unique<sim::Engine>(
-        cfg, protocols<P>(n),
-        synchronous ? sync_policy() : per_station_policy(n, R),
-        std::make_unique<adversary::SaturatingInjector>(
-            rho, 8 * static_cast<Tick>(R) * U,
-            adversary::TargetPattern::kRoundRobin, 1, seed + 1));
-  };
-}
 
 MsrConfig msr_config(int seeds) {
   MsrConfig cfg;
@@ -58,42 +34,32 @@ void print_msr_table() {
       {"protocol", "R", "measured MSR (%)", "paper / expectation"});
   util::CsvWriter csv("bench_msr.csv", {"protocol", "R", "msr_pct"});
 
-  auto row = [&](const char* name, std::uint32_t R,
-                 analysis::RateEngineFactory f, int seeds,
-                 const char* expectation) {
-    const auto res = analysis::estimate_msr(f, msr_config(seeds));
+  const std::uint32_t n = 4;
+  // Every probe runs the PT workload with burst 8R; the search sets rho.
+  auto row = [&](const char* name, const char* protocol, std::uint32_t R,
+                 int seeds, const char* expectation) {
+    const auto spec = pt_spec(protocol, n, R, util::Ratio(1, 2),
+                              8 * static_cast<Tick>(R) * U, 150000 * U,
+                              /*synchronous=*/R == 1);
+    const auto res = analysis::estimate_msr(analysis::rate_factory(spec),
+                                            msr_config(seeds));
     t.row(name, R, res.msr_pct, expectation);
     csv.row(name, R, res.msr_pct);
   };
 
-  const std::uint32_t n = 4;
-  row("AO-ARRoW", 1, rate_factory<core::AoArrowProtocol>(n, 1, true), 1,
-      "any rho < 1 (Thm 3)");
-  row("AO-ARRoW", 2, rate_factory<core::AoArrowProtocol>(n, 2, false), 1,
-      "any rho < 1 (Thm 3)");
-  row("AO-ARRoW", 4, rate_factory<core::AoArrowProtocol>(n, 4, false), 1,
-      "any rho < 1 (Thm 3)");
-  row("CA-ARRoW", 1, rate_factory<core::CaArrowProtocol>(n, 1, true), 1,
-      "any rho < 1 (Thm 6)");
-  row("CA-ARRoW", 2, rate_factory<core::CaArrowProtocol>(n, 2, false), 1,
-      "any rho < 1 (Thm 6)");
-  row("CA-ARRoW", 4, rate_factory<core::CaArrowProtocol>(n, 4, false), 1,
-      "any rho < 1 (Thm 6)");
-  row("RRW", 1, rate_factory<baselines::RrwProtocol>(n, 1, true), 1,
-      "any rho < 1 at R=1 [11]");
-  row("RRW", 2, rate_factory<baselines::RrwProtocol>(n, 2, false), 1,
-      "collapses for R > 1 (Thm 4)");
-  row("MBTF", 1, rate_factory<baselines::MbtfProtocol>(n, 1, true), 1,
-      "any rho < 1 at R=1 [6]");
-  row("MBTF", 2, rate_factory<baselines::MbtfProtocol>(n, 2, false), 1,
-      "collapses for R > 1");
-  row("slotted ALOHA", 1,
-      rate_factory<baselines::SlottedAlohaProtocol>(n, 1, true), 3,
-      "low (randomized, ~1/e)");
-  row("BEB", 1, rate_factory<baselines::BebProtocol>(n, 1, true), 3,
-      "moderate (no worst-case bound)");
-  row("silence-TDMA", 1,
-      rate_factory<baselines::SilenceCountTdmaProtocol>(n, 1, true), 1,
+  row("AO-ARRoW", "ao-arrow", 1, 1, "any rho < 1 (Thm 3)");
+  row("AO-ARRoW", "ao-arrow", 2, 1, "any rho < 1 (Thm 3)");
+  row("AO-ARRoW", "ao-arrow", 4, 1, "any rho < 1 (Thm 3)");
+  row("CA-ARRoW", "ca-arrow", 1, 1, "any rho < 1 (Thm 6)");
+  row("CA-ARRoW", "ca-arrow", 2, 1, "any rho < 1 (Thm 6)");
+  row("CA-ARRoW", "ca-arrow", 4, 1, "any rho < 1 (Thm 6)");
+  row("RRW", "rrw", 1, 1, "any rho < 1 at R=1 [11]");
+  row("RRW", "rrw", 2, 1, "collapses for R > 1 (Thm 4)");
+  row("MBTF", "mbtf", 1, 1, "any rho < 1 at R=1 [6]");
+  row("MBTF", "mbtf", 2, 1, "collapses for R > 1");
+  row("slotted ALOHA", "aloha", 1, 3, "low (randomized, ~1/e)");
+  row("BEB", "beb", 1, 3, "moderate (no worst-case bound)");
+  row("silence-TDMA", "silence-tdma", 1, 1,
       "positive but far below 1 (TDMA round ~ n)");
 
   std::cout << "== Measured Max Stable Rate (n = " << n
@@ -104,22 +70,11 @@ void print_msr_table() {
                "series in bench_msr.csv)\n\n";
 }
 
-void BM_MsrProbe(benchmark::State& state) {
-  auto f = rate_factory<core::CaArrowProtocol>(4, 2, false);
-  for (auto _ : state) {
-    const bool ok = analysis::stable_at(f, util::Ratio(1, 2), msr_config(1));
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_MsrProbe);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_msr — empirical Max Stable Rate for every protocol "
                "(Table I's stable-rho column)\n\n";
   print_msr_table();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,28 +4,16 @@
 // runs the construction against ABS (and the synchronous binary search),
 // verifies the produced execution really is a mirror execution on the
 // exact channel model, and reports forced slots next to the formula.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "adversary/mirror.h"
-#include "baselines/sync_binary_le.h"
+#include "analysis/registry.h"
 #include "harness.h"
 
 namespace {
 
 using namespace asyncmac;
 using namespace asyncmac::bench;
-
-sim::ProtocolMaker abs_factory() {
-  return [] { return std::make_unique<core::AbsProtocol>(); };
-}
-
-sim::ProtocolMaker sync_le_factory() {
-  return [] {
-    return std::make_unique<baselines::SyncBinaryLeProtocol>();
-  };
-}
 
 void print_series() {
   util::Table t({"algorithm", "n", "r", "forced slots/station",
@@ -36,7 +24,7 @@ void print_series() {
 
   for (std::uint32_t r : {2u, 4u, 8u}) {
     for (std::uint32_t n : {16u, 64u, 256u, 1024u}) {
-      adversary::MirrorRun run(abs_factory(), n, r, r);
+      adversary::MirrorRun run(analysis::protocol_maker("abs"), n, r, r);
       const auto res = run.run();
       const double formula = core::sst_lower_bound_slots(n, r);
       t.row("ABS", n, r, res.slots_per_station, formula, res.phases,
@@ -45,7 +33,8 @@ void print_series() {
     }
   }
   for (std::uint32_t n : {64u, 1024u}) {
-    adversary::MirrorRun run(sync_le_factory(), n, 2, 2);
+    adversary::MirrorRun run(analysis::protocol_maker("sync-binary-le"), n,
+                             2, 2);
     const auto res = run.run();
     t.row("sync-binary-LE", n, 2, res.slots_per_station,
           core::sst_lower_bound_slots(n, 2), res.phases,
@@ -65,7 +54,7 @@ void print_series() {
   util::Table t2({"r", "forced slots (n=1024)", "formula",
                   "vs synchronous log2 n = 10"});
   for (std::uint32_t r : {2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
-    adversary::MirrorRun run(abs_factory(), 1024, r, r);
+    adversary::MirrorRun run(analysis::protocol_maker("abs"), 1024, r, r);
     const auto res = run.run();
     t2.row(r, res.slots_per_station, core::sst_lower_bound_slots(1024, r),
            static_cast<double>(res.slots_per_station) / 10.0);
@@ -74,24 +63,11 @@ void print_series() {
             << "\n";
 }
 
-void BM_MirrorConstruction(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto r = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    adversary::MirrorRun run(abs_factory(), n, r, r);
-    const auto res = run.run();
-    benchmark::DoNotOptimize(res.phases);
-  }
-}
-BENCHMARK(BM_MirrorConstruction)->Args({64, 2})->Args({256, 4});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_sst_lower_bound — reproduces the Theorem 2 "
                "evaluation\n\n";
   print_series();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

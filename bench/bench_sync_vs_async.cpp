@@ -5,13 +5,8 @@
 // (RRW, MBTF, the synchronous binary search) break outright when R > 1,
 // while ABS/AO/CA-ARRoW keep working and only pay a polynomial-in-R
 // constant.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
-#include "baselines/mbtf.h"
-#include "baselines/rrw.h"
-#include "baselines/sync_binary_le.h"
 #include "harness.h"
 
 namespace {
@@ -23,35 +18,15 @@ constexpr Tick kHorizon = 300000 * U;
 
 // ---- leader election: slots vs R, normalized to the R = 1 line.
 
-std::uint64_t abs_slots(std::uint32_t n, std::uint32_t R) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  sim::Engine e(cfg, protocols<core::AbsProtocol>(n),
-                per_station_policy(n, R), messages(n));
-  sim::StopCondition stop;
-  stop.max_time = static_cast<Tick>(20 * core::abs_slot_bound(n, R)) *
-                  static_cast<Tick>(R) * U;
-  stop.predicate = [](const sim::Engine& eng) {
-    return eng.channel_stats().successful >= 1;
-  };
-  e.run(stop);
-  e.run(sim::until(e.now()));
-  std::uint64_t worst = 0;
-  for (StationId id = 1; id <= n; ++id) {
-    const auto* abs =
-        dynamic_cast<const core::AbsProtocol&>(e.protocol(id)).automaton();
-    if (abs) worst = std::max(worst, abs->slots());
-  }
-  return worst;
-}
-
 void print_le_comparison() {
   const std::uint32_t n = 64;
-  const std::uint64_t base = abs_slots(n, 1);
+  const auto worst_slots = [n](std::uint32_t R) {
+    return run_sst(analysis::materials(sst_spec("abs", n, R)), 20).max_slots;
+  };
+  const std::uint64_t base = worst_slots(1);
   util::Table t({"R", "ABS slots (n=64)", "vs R=1", "R^2 reference"});
   for (std::uint32_t R : {1u, 2u, 4u, 8u}) {
-    const std::uint64_t s = abs_slots(n, R);
+    const std::uint64_t s = worst_slots(R);
     t.row(R, s, static_cast<double>(s) / static_cast<double>(base),
           static_cast<double>(R) * R);
   }
@@ -69,9 +44,9 @@ void print_pt_comparison() {
   const util::Ratio rho(6, 10);
   const Tick burst = 12 * U;
 
-  auto add = [&](const char* name, auto tag, std::uint32_t R) {
-    using P = decltype(tag);
-    const auto res = run_pt<P>(4, R, rho, burst, kHorizon, R == 1);
+  auto add = [&](const char* name, const char* protocol, std::uint32_t R) {
+    const auto res =
+        run_pt(pt_spec(protocol, 4, R, rho, burst, kHorizon, R == 1));
     const bool ok =
         res.collisions == 0 ? res.max_queue_cost_units < 2000
                             : false;
@@ -81,14 +56,14 @@ void print_pt_comparison() {
           res.delivered_fraction, stable ? "stable" : "BROKEN");
   };
 
-  add("RRW", baselines::RrwProtocol{}, 1);
-  add("RRW", baselines::RrwProtocol{}, 2);
-  add("MBTF", baselines::MbtfProtocol{}, 1);
-  add("MBTF", baselines::MbtfProtocol{}, 2);
-  add("AO-ARRoW", core::AoArrowProtocol{}, 1);
-  add("AO-ARRoW", core::AoArrowProtocol{}, 2);
-  add("CA-ARRoW", core::CaArrowProtocol{}, 1);
-  add("CA-ARRoW", core::CaArrowProtocol{}, 2);
+  add("RRW", "rrw", 1);
+  add("RRW", "rrw", 2);
+  add("MBTF", "mbtf", 1);
+  add("MBTF", "mbtf", 2);
+  add("AO-ARRoW", "ao-arrow", 1);
+  add("AO-ARRoW", "ao-arrow", 2);
+  add("CA-ARRoW", "ca-arrow", 1);
+  add("CA-ARRoW", "ca-arrow", 2);
 
   std::cout << "== Packet transmission at rho = 0.6: synchronous "
                "protocols vs ARRoW when R grows ==\n"
@@ -108,8 +83,8 @@ void print_overhead_series() {
   for (std::uint32_t R : {1u, 2u, 3u, 4u, 6u, 8u}) {
     const util::Ratio rho(1, 2);
     const Tick burst = 8 * static_cast<Tick>(R) * U;
-    const auto ao = run_pt<core::AoArrowProtocol>(4, R, rho, burst, kHorizon);
-    const auto ca = run_pt<core::CaArrowProtocol>(4, R, rho, burst, kHorizon);
+    const auto ao = run_pt(pt_spec("ao-arrow", 4, R, rho, burst, kHorizon));
+    const auto ca = run_pt(pt_spec("ca-arrow", 4, R, rho, burst, kHorizon));
     t.row(R, ao.max_queue_cost_units, ca.max_queue_cost_units,
           ao.wasted_fraction, ca.wasted_fraction);
     csv.row(R, ao.max_queue_cost_units, ca.max_queue_cost_units,
@@ -119,24 +94,13 @@ void print_overhead_series() {
             << t.to_string() << "(series in bench_sync_vs_async.csv)\n\n";
 }
 
-void BM_RrwSync(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto res = run_pt<baselines::RrwProtocol>(
-        4, 1, util::Ratio(1, 2), 8 * U, 50000 * U, true);
-    benchmark::DoNotOptimize(res.delivered);
-  }
-}
-BENCHMARK(BM_RrwSync);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_sync_vs_async — the synchronous/asynchronous "
                "comparison of Section I-A\n\n";
   print_le_comparison();
   print_pt_comparison();
   print_overhead_series();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

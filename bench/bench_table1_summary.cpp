@@ -10,14 +10,10 @@
 //   row 3 (ctrl ok, no collisions): CA-ARRoW stable, zero collisions.
 //   row 4 (ctrl + collisions):      still NO stability at rho = 1
 //         (Theorem 5) — the only gap versus the synchronous channel.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "adversary/collision_forcer.h"
-#include "baselines/mbtf.h"
-#include "baselines/rrw.h"
-#include "baselines/silence_tdma.h"
+#include "analysis/registry.h"
 #include "harness.h"
 
 namespace {
@@ -36,11 +32,8 @@ void print_async_rows() {
 
   // ---- Row 1: no control, collision-free => instability (Theorem 4).
   {
-    sim::ProtocolMaker f = [] {
-      return std::make_unique<baselines::SilenceCountTdmaProtocol>();
-    };
     const auto forced = adversary::force_collision_or_overflow(
-        f, util::Ratio(1, 2), 50, kR);
+        analysis::protocol_maker("silence-tdma"), util::Ratio(1, 2), 50, kR);
     const char* what =
         forced.kind ==
                 adversary::CollisionForceOutcome::Kind::kCollisionForced
@@ -49,46 +42,50 @@ void print_async_rows() {
     t.row("no", "no", "silence-TDMA", 0.5, "n/a", "n/a",
           forced.collisions, what);
 
-    const auto rrw = run_pt<baselines::RrwProtocol>(kN, kR, util::Ratio(1, 2),
-                                                    kBurst, kHorizon);
+    // Either failure mode shows the row's instability; a run with neither
+    // would contradict it. The ceiling is the R = 1 rows' 1000 units.
+    const auto rrw = run_pt(
+        pt_spec("rrw", kN, kR, util::Ratio(1, 2), kBurst, kHorizon));
+    const char* rrw_verdict = "collides: UNSTABLE";
+    if (rrw.collisions == 0)
+      rrw_verdict = verdict(rrw.max_queue_cost_units >= 1000,
+                            "queue grows: UNSTABLE", "not shown!");
     t.row("no", "no", "RRW (async)", 0.5, rrw.max_queue_cost_units, "n/a",
-          rrw.collisions,
-          rrw.collisions > 0 ? "collides: UNSTABLE" : "UNSTABLE");
+          rrw.collisions, rrw_verdict);
   }
 
   // ---- Row 2: no control, collisions allowed => AO-ARRoW stable rho < 1.
   for (int pct : {50, 90}) {
     const util::Ratio rho(pct, 100);
-    const auto res = run_pt<core::AoArrowProtocol>(kN, kR, rho, kBurst,
-                                                   kHorizon);
+    const auto res =
+        run_pt(pt_spec("ao-arrow", kN, kR, rho, kBurst, kHorizon));
     const auto bounds =
         core::arrow_bounds(kN, kR, kR, rho, to_units(kBurst));
     t.row("no", "yes", "AO-ARRoW", pct / 100.0, res.max_queue_cost_units,
           bounds.L, res.collisions,
-          res.max_queue_cost_units < bounds.L ? "STABLE (Thm 3)"
-                                              : "exceeded bound!");
+          verdict(res.max_queue_cost_units < bounds.L, "STABLE (Thm 3)",
+                  "exceeded bound!"));
   }
 
   // ---- Row 3: control allowed, collision-free => CA-ARRoW stable.
   for (int pct : {50, 90}) {
     const util::Ratio rho(pct, 100);
-    const auto res = run_pt<core::CaArrowProtocol>(kN, kR, rho, kBurst,
-                                                   kHorizon);
+    const auto res =
+        run_pt(pt_spec("ca-arrow", kN, kR, rho, kBurst, kHorizon));
     const double bound = core::ca_arrow_bound(kN, kR, rho, to_units(kBurst));
     t.row("yes", "no", "CA-ARRoW", pct / 100.0, res.max_queue_cost_units,
           bound, res.collisions,
-          res.collisions == 0 && res.max_queue_cost_units < bound
-              ? "STABLE (Thm 6)"
-              : "violated!");
+          verdict(res.collisions == 0 && res.max_queue_cost_units < bound,
+                  "STABLE (Thm 6)", "violated!"));
   }
 
   // ---- Row 4: everything allowed, rho = 1 => instability (Theorem 5).
   {
     auto chasing_result = [&](Tick horizon) {
-      return run_pt<core::CaArrowProtocol>(
-          2, kR, util::Ratio::one(), kBurst, horizon, false,
-          std::make_unique<adversary::DrainChasingInjector>(
-              util::Ratio::one(), kBurst, 1, 2));
+      auto spec = pt_spec("ca-arrow", 2, kR, util::Ratio::one(), kBurst,
+                          horizon);
+      spec.injector.kind = "drain-chasing";  // the Theorem-5 adversary
+      return run_pt(spec);
     };
     const auto half = chasing_result(kHorizon / 2);
     const auto full = chasing_result(kHorizon);
@@ -100,7 +97,8 @@ void print_async_rows() {
         full.final_queue_cost_units > 500;
     t.row("yes", "yes", "CA-ARRoW @ rho=1", 1.0, full.max_queue_cost_units,
           "n/a (Thm 5)", full.collisions,
-          grows ? "queues grow: UNSTABLE (Thm 5)" : "unexpectedly flat");
+          verdict(grows, "queues grow: UNSTABLE (Thm 5)",
+                  "unexpectedly flat"));
   }
 
   std::cout << "== Table I (async rows, R = " << kR << ", n = " << kN
@@ -112,57 +110,30 @@ void print_sync_rows() {
   util::Table t({"protocol", "rho", "max queue (units)", "collided",
                  "control msgs", "verdict"});
   for (int pct : {50, 90}) {
-    const auto rrw = run_pt<baselines::RrwProtocol>(
-        kN, 1, util::Ratio(pct, 100), kBurst, kHorizon, /*synchronous=*/true);
+    const auto rrw = run_pt(pt_spec("rrw", kN, 1, util::Ratio(pct, 100), kBurst,
+                                    kHorizon, /*synchronous=*/true));
     t.row("RRW (R=1)", pct / 100.0, rrw.max_queue_cost_units, rrw.collisions,
           rrw.control_msgs,
-          rrw.collisions == 0 && rrw.max_queue_cost_units < 1000
-              ? "STABLE"
-              : "violated!");
+          verdict(rrw.collisions == 0 && rrw.max_queue_cost_units < 1000,
+                  "STABLE", "violated!"));
   }
   for (int pct : {50, 90}) {
-    const auto mbtf = run_pt<baselines::MbtfProtocol>(
-        kN, 1, util::Ratio(pct, 100), kBurst, kHorizon, /*synchronous=*/true);
+    const auto mbtf = run_pt(pt_spec("mbtf", kN, 1, util::Ratio(pct, 100),
+                                     kBurst, kHorizon, /*synchronous=*/true));
     t.row("MBTF (R=1)", pct / 100.0, mbtf.max_queue_cost_units,
           mbtf.collisions, mbtf.control_msgs,
-          mbtf.max_queue_cost_units < 1000 ? "STABLE" : "violated!");
+          verdict(mbtf.max_queue_cost_units < 1000, "STABLE", "violated!"));
   }
   std::cout << "== Table I (synchronous comparison column, R = 1) ==\n"
             << t.to_string() << "\n";
 }
 
-// ------------------------------------------------- timing benchmarks
-
-void BM_AoArrowSimulation(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto R = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const auto res = run_pt<core::AoArrowProtocol>(
-        n, R, util::Ratio(1, 2), kBurst, 20000 * U);
-    benchmark::DoNotOptimize(res.delivered);
-  }
-}
-BENCHMARK(BM_AoArrowSimulation)->Args({2, 2})->Args({4, 2})->Args({8, 4});
-
-void BM_CaArrowSimulation(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto R = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    const auto res = run_pt<core::CaArrowProtocol>(
-        n, R, util::Ratio(1, 2), kBurst, 20000 * U);
-    benchmark::DoNotOptimize(res.delivered);
-  }
-}
-BENCHMARK(BM_CaArrowSimulation)->Args({2, 2})->Args({4, 2})->Args({8, 4});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_table1_summary — reproduces Fig. 1 / Table I of\n"
                "\"The Impact of Asynchrony on Stability of MAC\" (ICDCS'24)\n\n";
   print_async_rows();
   print_sync_rows();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return exit_status();
 }

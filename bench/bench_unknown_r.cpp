@@ -4,12 +4,10 @@
 // failure evidence and pays for it in slots; this bench compares it to
 // ABS parameterized with the true bound across n and r, and reports the
 // doubling penalty.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "adversary/mirror.h"
-#include "core/adaptive_abs.h"
+#include "analysis/registry.h"
 #include "harness.h"
 
 namespace {
@@ -17,51 +15,11 @@ namespace {
 using namespace asyncmac;
 using namespace asyncmac::bench;
 
-struct Outcome {
-  bool solved = false;
-  std::uint32_t winners = 0;
-  std::uint64_t worst_slots = 0;
-  std::uint32_t max_epochs = 0;
-  std::uint32_t winner_estimate = 0;
-};
-
-template <typename P>
-Outcome run_sst(std::uint32_t n, std::uint32_t r) {
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = r;
-  sim::Engine e(cfg, protocols<P>(n), per_station_policy(n, r), messages(n));
-  sim::StopCondition stop;
-  stop.max_time = static_cast<Tick>(400 * core::abs_slot_bound(n, r)) *
-                  static_cast<Tick>(r) * U;
-  stop.predicate = [](const sim::Engine& eng) {
-    return eng.channel_stats().successful >= 1;
-  };
-  e.run(stop);
-  e.run(sim::until(e.now() + static_cast<Tick>(r) * U));
-
-  Outcome out;
-  out.solved = e.channel_stats().successful >= 1;
-  for (StationId id = 1; id <= n; ++id) {
-    if constexpr (std::is_same_v<P, core::AdaptiveAbsProtocol>) {
-      const auto& p =
-          dynamic_cast<const core::AdaptiveAbsProtocol&>(e.protocol(id));
-      out.worst_slots = std::max(out.worst_slots, p.total_slots());
-      out.max_epochs = std::max(out.max_epochs, p.epochs());
-      if (p.status() == core::AdaptiveAbsProtocol::Status::kWon) {
-        ++out.winners;
-        out.winner_estimate = p.r_estimate();
-      }
-    } else {
-      const auto* abs =
-          dynamic_cast<const core::AbsProtocol&>(e.protocol(id)).automaton();
-      if (!abs) continue;
-      out.worst_slots = std::max(out.worst_slots, abs->slots());
-      if (abs->outcome() == core::AbsAutomaton::Outcome::kWon)
-        ++out.winners;
-    }
-  }
-  return out;
+/// SST with `protocol` on n stations whose asynchrony bound is r, under a
+/// 400x Theorem-1 budget and an r-unit drain.
+SstResult solve(const char* protocol, std::uint32_t n, std::uint32_t r) {
+  return run_sst(analysis::materials(sst_spec(protocol, n, r)), 400,
+                 static_cast<Tick>(r) * U);
 }
 
 void print_comparison() {
@@ -71,18 +29,20 @@ void print_comparison() {
                       {"n", "r", "known_slots", "adaptive_slots", "epochs"});
   for (std::uint32_t r : {1u, 2u, 4u, 8u}) {
     for (std::uint32_t n : {4u, 16u, 64u}) {
-      const auto known = run_sst<core::AbsProtocol>(n, r);
-      const auto adaptive = run_sst<core::AdaptiveAbsProtocol>(n, r);
-      t.row(n, r, known.worst_slots, adaptive.worst_slots,
-            static_cast<double>(adaptive.worst_slots) /
+      const auto known = solve("abs", n, r);
+      const auto adaptive = solve("adaptive-abs", n, r);
+      t.row(n, r, known.max_slots, adaptive.max_slots,
+            static_cast<double>(adaptive.max_slots) /
                 static_cast<double>(std::max<std::uint64_t>(
-                    known.worst_slots, 1)),
+                    known.max_slots, 1)),
             adaptive.max_epochs, adaptive.winner_estimate,
             adaptive.winners);
-      csv.row(n, r, known.worst_slots, adaptive.worst_slots,
+      csv.row(n, r, known.max_slots, adaptive.max_slots,
               adaptive.max_epochs);
-      if (!adaptive.solved || adaptive.winners != 1)
+      if (!adaptive.solved || adaptive.winners != 1) {
+        ++failures;
         std::cout << "!! anomaly at n=" << n << " r=" << r << "\n";
+      }
     }
   }
   std::cout << "== Unknown-R leader election: AdaptiveAbs (doubling "
@@ -104,14 +64,9 @@ void print_adversarial_side() {
   util::Table t({"algorithm", "n", "r", "forced slots/station",
                  "mirror verified"});
   for (std::uint32_t r : {2u, 4u}) {
-    sim::ProtocolMaker known = [] {
-      return std::make_unique<core::AbsProtocol>();
-    };
-    sim::ProtocolMaker unknown = [] {
-      return std::make_unique<core::AdaptiveAbsProtocol>();
-    };
-    adversary::MirrorRun mk(known, 64, r, r);
-    adversary::MirrorRun mu(unknown, 64, r, r);
+    adversary::MirrorRun mk(analysis::protocol_maker("abs"), 64, r, r);
+    adversary::MirrorRun mu(analysis::protocol_maker("adaptive-abs"), 64, r,
+                            r);
     const auto rk = mk.run();
     const auto ru = mu.run();
     t.row("ABS (known R)", 64, r, rk.slots_per_station, rk.verified_mirror);
@@ -124,23 +79,12 @@ void print_adversarial_side() {
                "unchanged)\n";
 }
 
-void BM_AdaptiveElection(benchmark::State& state) {
-  const auto r = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const auto out = run_sst<core::AdaptiveAbsProtocol>(16, r);
-    benchmark::DoNotOptimize(out.worst_slots);
-  }
-}
-BENCHMARK(BM_AdaptiveElection)->Arg(2)->Arg(4);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::cout << "bench_unknown_r — the Section VII open problem, measured "
                "(experimental extension)\n\n";
   print_comparison();
   print_adversarial_side();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return exit_status();
 }

@@ -1,27 +1,28 @@
 // bench/harness.h
 //
-// Shared construction and reporting helpers for the benchmark binaries.
-// Each bench binary regenerates one of the paper's artifacts (Table I, a
-// theorem's sweep, or a figure) as an ASCII table plus a CSV file, and
-// additionally registers google-benchmark timings of the underlying
-// simulations.
+// Shared run and reporting helpers for the reproduction binaries. Each
+// bench binary regenerates one of the paper's artifacts (Table I, a
+// theorem's sweep, or a figure) as an ASCII table plus, for most, a CSV
+// file, and exits 1 when one of its printed verdicts contradicts the
+// paper.
+//
+// Every engine comes from an analysis::RunSpec through
+// analysis::build_engine() or analysis::materials(). A bench that needs
+// what a RunSpec cannot say (ablated protocol constants, the SST message
+// script) replaces m.protocols or m.injection after materials().
 #pragma once
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
+#include "analysis/run_spec.h"
 #include "core/abs.h"
-#include "core/ao_arrow.h"
+#include "core/adaptive_abs.h"
 #include "core/bounds.h"
-#include "core/ca_arrow.h"
 #include "sim/engine.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/registry.h"
@@ -35,8 +36,8 @@ inline constexpr Tick U = kTicksPerUnit;
 
 /// Opt-in telemetry for the bench binaries: exporting to the JSONL path
 /// named by ASYNCMAC_TELEMETRY (if set) the first time any harness run
-/// executes. Bench binaries have no flag plumbing of their own
-/// (google-benchmark owns argv), so the environment is the switch.
+/// executes. Bench binaries take no flags, so the environment is the
+/// switch.
 inline void maybe_init_telemetry() {
   static const bool done = [] {
     if (const char* path = std::getenv("ASYNCMAC_TELEMETRY");
@@ -49,146 +50,58 @@ inline void maybe_init_telemetry() {
   (void)done;
 }
 
-/// Minimal extraction of {"name": ..., "<unit_key>": ...} pairs from a
-/// previous BENCH_*.json trajectory (schema owned by the bench binaries,
-/// so a flat line scan is enough — no general JSON parser needed here).
-inline std::map<std::string, double> load_baseline(const std::string& path,
-                                                   const std::string& unit_key) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  if (!in) return out;
-  const std::string key = "\"" + unit_key + "\": ";
-  std::string line;
-  std::string name;
-  while (std::getline(in, line)) {
-    const auto name_pos = line.find("\"name\": \"");
-    if (name_pos != std::string::npos) {
-      const auto start = name_pos + 9;
-      name = line.substr(start, line.find('"', start) - start);
-    }
-    const auto val_pos = line.find(key);
-    if (val_pos != std::string::npos && !name.empty()) {
-      out[name] = std::strtod(line.c_str() + val_pos + key.size(), nullptr);
-      name.clear();
-    }
-  }
-  return out;
+/// Printed verdicts that contradict the paper. A bench counts each one
+/// (directly or through verdict()) and main() returns exit_status(), so
+/// a broken claim fails the binary.
+inline int failures = 0;
+
+inline int exit_status() { return failures == 0 ? 0 : 1; }
+
+/// `pass` when ok; otherwise counts a failure and returns `fail`.
+inline const char* verdict(bool ok, const char* pass, const char* fail) {
+  if (!ok) ++failures;
+  return ok ? pass : fail;
 }
 
-/// Result of reconciling a loaded baseline against the config names the
-/// current suite is about to run (see reconcile_baseline).
-struct BaselineReconciliation {
-  /// Baseline entries whose names the current suite also runs — the only
-  /// ones a speedup column may use.
-  std::map<std::string, double> usable;
-  /// Expected configs the baseline lacks (suite gained configs since the
-  /// baseline was written); they get no speedup, in expected order.
-  std::vector<std::string> missing;
-  /// Baseline names the suite no longer runs (suite dropped or renamed
-  /// configs); their values are discarded, in baseline (sorted) order.
-  std::vector<std::string> stray;
-};
-
-/// Pure per-config reconciliation of a baseline against the expected
-/// config set: keep exactly the overlapping names, report adds/removes.
-/// Config-set mismatches (a baseline from an older or newer suite) must
-/// never fail the whole bench — callers warn about missing/stray and run
-/// with the usable overlap. Unit-tested in tests/test_bench_harness.cpp.
-inline BaselineReconciliation reconcile_baseline(
-    std::map<std::string, double> raw,
-    const std::vector<std::string>& expected) {
-  BaselineReconciliation out;
-  for (const auto& name : expected) {
-    if (const auto it = raw.find(name); it != raw.end()) {
-      out.usable.emplace(name, it->second);
-      raw.erase(it);
-    } else {
-      out.missing.push_back(name);
-    }
-  }
-  for (const auto& stray : raw) out.stray.push_back(stray.first);
-  return out;
+/// The packet-transmission (PT) workload: `protocol` on n stations under
+/// bound R, each station's slots fixed at 1 + (id-1) mod R units (unit
+/// slots when `synchronous`), fed by a round-robin leaky-bucket injector
+/// at rate rho with burst b, for `horizon` ticks.
+inline analysis::RunSpec pt_spec(const std::string& protocol, std::uint32_t n,
+                                 std::uint32_t R, util::Ratio rho, Tick burst,
+                                 Tick horizon, bool synchronous = false) {
+  analysis::RunSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.bound_r = R;
+  spec.slot_policy = synchronous ? "sync" : "perstation";
+  spec.injector.rho = rho;
+  spec.injector.burst_ticks = burst;
+  spec.horizon_units = horizon / U;
+  return spec;
 }
 
-/// Load a baseline trajectory and reconcile it against the configs the
-/// current suite is about to run, warning per config on mismatches:
-/// stale names are dropped, missing names simply get no speedup column.
-/// Returns only the usable entries.
-inline std::map<std::string, double> merge_baseline(
-    const std::string& path, const std::string& unit_key,
-    const std::vector<std::string>& expected) {
-  std::map<std::string, double> raw = load_baseline(path, unit_key);
-  if (raw.empty()) {
-    std::cerr << "warning: baseline " << path << " has no " << unit_key
-              << " entries; continuing without speedups\n";
-    return raw;
-  }
-  BaselineReconciliation rec = reconcile_baseline(std::move(raw), expected);
-  for (const auto& name : rec.missing)
-    std::cerr << "warning: baseline " << path << " lacks config \"" << name
-              << "\" (older suite?); skipping its speedup\n";
-  for (const auto& name : rec.stray)
-    std::cerr << "warning: baseline " << path << " names unknown config \""
-              << name << "\"; skipping it\n";
-  return std::move(rec.usable);
+/// The single-successful-transmission (SST) instance: `protocol` on n
+/// stations under bound R and `slot_policy`. run_sst supplies the
+/// injections (one message per station at time 0).
+inline analysis::RunSpec sst_spec(const std::string& protocol,
+                                  std::uint32_t n, std::uint32_t R,
+                                  const std::string& slot_policy =
+                                      "perstation") {
+  analysis::RunSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.bound_r = R;
+  spec.slot_policy = slot_policy;
+  spec.has_injector = false;
+  return spec;
 }
 
-/// Default timed repetitions per bench point (after the warmup rep).
-inline constexpr int kBenchReps = 3;
-
-/// Best-of-N repetition: call `fn` — one full timed repetition returning
-/// a rate such as slots/sec — `reps` times and return the fastest.
-/// Minimum-of-N wall time is maximum-of-N rate, and the minimum time is
-/// the least-noise estimate on a shared machine: interference only ever
-/// *adds* time, so the fastest rep is the one closest to the true cost.
-/// A median still wanders when two of three reps hit scheduler jitter,
-/// which is exactly the trajectory-file noise this exists to stop.
-/// Callers run their own warmup rep first (typically at a reduced
-/// budget) so construction and cold caches never count against rep one.
-/// Unit-tested in tests/test_bench_harness.cpp.
-template <typename F>
-double min_of_n_rate(F&& fn, int reps = kBenchReps) {
-  double best = 0;
-  for (int i = 0; i < reps; ++i) best = std::max(best, fn());
-  return best;
-}
-
-/// One protocol instance per station, all of type T.
-template <typename T, typename... Args>
-std::vector<std::unique_ptr<sim::Protocol>> protocols(std::uint32_t n,
-                                                      Args&&... args) {
-  std::vector<std::unique_ptr<sim::Protocol>> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    out.push_back(std::make_unique<T>(args...));
-  return out;
-}
-
-/// The canonical asynchronous slot policy for stability benches: each
-/// station's slots fixed at 1 + (id-1) mod R units (exact Def.-1 costs).
-inline std::unique_ptr<sim::SlotPolicy> per_station_policy(std::uint32_t n,
-                                                           std::uint32_t R) {
-  std::vector<Tick> lens(n);
-  for (std::uint32_t i = 0; i < n; ++i) lens[i] = (1 + (i % R)) * U;
-  return std::make_unique<adversary::PerStationSlotPolicy>(std::move(lens));
-}
-
-inline std::unique_ptr<sim::SlotPolicy> sync_policy() {
-  return std::make_unique<adversary::UniformSlotPolicy>(U);
-}
-
-/// Round-robin bucket-saturating workload at rate rho with burst b.
-inline std::unique_ptr<sim::InjectionPolicy> saturating(
-    util::Ratio rho, Tick burst, std::uint64_t seed = 1) {
-  return std::make_unique<adversary::SaturatingInjector>(
-      rho, burst, adversary::TargetPattern::kRoundRobin, 1, seed);
-}
-
-/// One SST message per participating station at time 0.
-inline std::unique_ptr<sim::InjectionPolicy> messages(std::uint32_t n) {
-  std::vector<sim::Injection> script;
-  for (StationId s = 1; s <= n; ++s) script.push_back({0, s, U});
-  return std::make_unique<adversary::ScriptedInjector>(std::move(script));
+/// The scalar Engine over (possibly edited) materials() output.
+inline std::unique_ptr<sim::Engine> engine(sim::LaneMaterials m) {
+  return std::make_unique<sim::Engine>(
+      std::move(m.cfg), std::move(m.protocols), std::move(m.slot_policy),
+      std::move(m.injection));
 }
 
 /// Outcome of a packet-transmission (PT) stability run.
@@ -203,11 +116,28 @@ struct PtResult {
   double wasted_fraction = 0;  ///< Def. 2: time with no successful packet tx
 };
 
-template <typename P>
-PtResult run_pt(std::uint32_t n, std::uint32_t R, util::Ratio rho, Tick burst,
-                Tick horizon, bool synchronous = false,
-                std::unique_ptr<sim::InjectionPolicy> injector = nullptr,
-                std::uint64_t seed = 1) {
+inline PtResult pt_result(const sim::Engine& e) {
+  PtResult out;
+  const auto& s = e.stats();
+  out.max_queue_cost_units = to_units(s.max_queued_cost);
+  out.final_queue_cost_units = to_units(s.queued_cost);
+  out.delivered = s.delivered_packets;
+  out.injected = s.injected_packets;
+  out.collisions = e.channel_stats().collided;
+  out.control_msgs = e.channel_stats().control_transmissions;
+  out.delivered_fraction =
+      s.injected_packets
+          ? static_cast<double>(s.delivered_packets) /
+                static_cast<double>(s.injected_packets)
+          : 1.0;
+  out.wasted_fraction =
+      1.0 - to_units(e.channel_stats().successful_packet_time) /
+                to_units(e.now());
+  return out;
+}
+
+/// Runs `spec` for its horizon.
+inline PtResult run_pt(const analysis::RunSpec& spec) {
   maybe_init_telemetry();
   static auto& pt_runs =
       telemetry::Registry::global().counter("bench.pt_runs");
@@ -215,33 +145,9 @@ PtResult run_pt(std::uint32_t n, std::uint32_t R, util::Ratio rho, Tick burst,
       telemetry::Registry::global().timer("bench.pt_run_ns");
   const telemetry::ScopeTimer scope(pt_timer);
   pt_runs.add();
-  sim::EngineConfig cfg;
-  cfg.n = n;
-  cfg.bound_r = R;
-  cfg.seed = seed;
-  auto engine = std::make_unique<sim::Engine>(
-      cfg, protocols<P>(n),
-      synchronous ? sync_policy() : per_station_policy(n, R),
-      injector ? std::move(injector) : saturating(rho, burst, seed));
-  engine->run(sim::until(horizon));
-
-  PtResult out;
-  const auto& s = engine->stats();
-  out.max_queue_cost_units = to_units(s.max_queued_cost);
-  out.final_queue_cost_units = to_units(s.queued_cost);
-  out.delivered = s.delivered_packets;
-  out.injected = s.injected_packets;
-  out.collisions = engine->channel_stats().collided;
-  out.control_msgs = engine->channel_stats().control_transmissions;
-  out.delivered_fraction =
-      s.injected_packets
-          ? static_cast<double>(s.delivered_packets) /
-                static_cast<double>(s.injected_packets)
-          : 1.0;
-  out.wasted_fraction =
-      1.0 - to_units(engine->channel_stats().successful_packet_time) /
-                to_units(engine->now());
-  return out;
+  const auto e = analysis::build_engine(spec);
+  e->run(sim::until(spec.horizon_units * U));
+  return pt_result(*e);
 }
 
 /// Replicate a seed-parameterized run across `seeds` derived seeds on
@@ -260,12 +166,77 @@ auto replicate_seeds(int seeds, std::uint64_t base_seed, unsigned jobs,
   return out;
 }
 
-/// Outcome of an SST run (ABS or a baseline leader election).
+/// One SST message per participating station at time 0.
+inline std::unique_ptr<sim::InjectionPolicy> messages(std::uint32_t n) {
+  std::vector<sim::Injection> script;
+  for (StationId s = 1; s <= n; ++s) script.push_back({0, s, U});
+  return std::make_unique<adversary::ScriptedInjector>(std::move(script));
+}
+
+/// Runs `e` until its first successful transmission or `max_time`, then
+/// `drain` ticks more so the winner hears its own ack. Returns the time
+/// the first run stopped at.
+inline Tick run_to_first_success(sim::Engine& e, Tick max_time, Tick drain) {
+  sim::StopCondition stop;
+  stop.max_time = max_time;
+  stop.predicate = [](const sim::Engine& eng) {
+    return eng.channel_stats().successful >= 1;
+  };
+  e.run(stop);
+  const Tick stopped = e.now();
+  e.run(sim::until(stopped + drain));
+  return stopped;
+}
+
+/// Outcome of an SST run (ABS, an ablated ABS, or AdaptiveAbs).
 struct SstResult {
   bool solved = false;
   std::uint32_t winners = 0;
+  std::uint32_t dangling = 0;   ///< ABS stations still active at the end
   std::uint64_t max_slots = 0;  ///< max slots any participant spent
+  std::uint32_t max_epochs = 0;       ///< AdaptiveAbs: most epochs run
+  std::uint32_t winner_estimate = 0;  ///< AdaptiveAbs: winner's R estimate
   double solved_at_units = 0;
 };
+
+/// SST on the stations of `m`, whose injector is replaced by one message
+/// per station at time 0. Stops at the first success or after `budget`
+/// times the Theorem-1 slot bound in R-unit slots, then drains `drain`
+/// ticks.
+inline SstResult run_sst(sim::LaneMaterials m, std::uint64_t budget,
+                         Tick drain = 0) {
+  const std::uint32_t n = m.cfg.n;
+  const std::uint32_t R = m.cfg.bound_r;
+  m.injection = messages(n);
+  const auto e = engine(std::move(m));
+  const Tick stopped = run_to_first_success(
+      *e,
+      static_cast<Tick>(budget * core::abs_slot_bound(n, R)) *
+          static_cast<Tick>(R) * U,
+      drain);
+
+  SstResult out;
+  out.solved = e->channel_stats().successful >= 1;
+  out.solved_at_units = to_units(stopped);
+  for (StationId id = 1; id <= n; ++id) {
+    const sim::Protocol& p = e->protocol(id);
+    if (const auto* a = dynamic_cast<const core::AdaptiveAbsProtocol*>(&p)) {
+      out.max_slots = std::max(out.max_slots, a->total_slots());
+      out.max_epochs = std::max(out.max_epochs, a->epochs());
+      if (a->status() == core::AdaptiveAbsProtocol::Status::kWon) {
+        ++out.winners;
+        out.winner_estimate = a->r_estimate();
+      }
+      continue;
+    }
+    const auto* abs = dynamic_cast<const core::AbsProtocol&>(p).automaton();
+    if (!abs) continue;
+    out.max_slots = std::max(out.max_slots, abs->slots());
+    if (abs->outcome() == core::AbsAutomaton::Outcome::kWon) ++out.winners;
+    if (abs->outcome() == core::AbsAutomaton::Outcome::kActive)
+      ++out.dangling;
+  }
+  return out;
+}
 
 }  // namespace asyncmac::bench

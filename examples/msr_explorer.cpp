@@ -7,13 +7,9 @@
 // at a rate between the two — the regime where the deterministic
 // protocol is stable and the randomized one has already collapsed.
 #include <iostream>
+#include <string>
 
-#include "adversary/injectors.h"
-#include "adversary/slot_policies.h"
 #include "analysis/msr.h"
-#include "baselines/aloha.h"
-#include "core/ao_arrow.h"
-#include "sim/engine.h"
 
 namespace {
 
@@ -25,26 +21,17 @@ constexpr std::uint32_t kStations = 4;
 constexpr std::uint32_t kBoundR = 2;
 // ---------------------------------------------------------------------
 
-template <typename P>
-analysis::RateEngineFactory factory() {
-  return [](util::Ratio rho, std::uint64_t seed) {
-    sim::EngineConfig cfg;
-    cfg.n = kStations;
-    cfg.bound_r = kBoundR;
-    cfg.seed = seed;
-    std::vector<Tick> lens;
-    for (std::uint32_t i = 0; i < kStations; ++i)
-      lens.push_back((1 + i % kBoundR) * U);
-    std::vector<std::unique_ptr<sim::Protocol>> protocols;
-    for (std::uint32_t i = 0; i < kStations; ++i)
-      protocols.push_back(std::make_unique<P>());
-    return std::make_unique<sim::Engine>(
-        cfg, std::move(protocols),
-        std::make_unique<adversary::PerStationSlotPolicy>(std::move(lens)),
-        std::make_unique<adversary::SaturatingInjector>(
-            rho, 10 * U, adversary::TargetPattern::kRoundRobin, 1,
-            seed + 1));
-  };
+/// `protocol` on the stations above, each with slots of 1 + (id-1) mod R
+/// units, fed by a round-robin leaky bucket with burst 10 (rho is the
+/// probe's).
+analysis::RateEngineFactory factory(const std::string& protocol) {
+  analysis::RunSpec spec;
+  spec.protocol = protocol;
+  spec.n = kStations;
+  spec.bound_r = kBoundR;
+  spec.slot_policy = "perstation";
+  spec.injector.burst_ticks = 10 * U;
+  return analysis::rate_factory(spec);
 }
 
 }  // namespace
@@ -57,15 +44,13 @@ int main() {
   std::cout << "msr_explorer: n = " << kStations << ", R = " << kBoundR
             << ", round-robin leaky-bucket workload\n\n";
 
-  const auto arrow = analysis::estimate_msr(factory<core::AoArrowProtocol>(),
-                                            cfg);
+  const auto arrow = analysis::estimate_msr(factory("ao-arrow"), cfg);
   std::cout << "AO-ARRoW      measured MSR = " << arrow.msr_pct << "% ("
             << arrow.probes << " probes)\n";
 
   analysis::MsrConfig aloha_cfg = cfg;
   aloha_cfg.seeds = 3;  // randomized protocol: majority over seeds
-  const auto aloha = analysis::estimate_msr(
-      factory<baselines::SlottedAlohaProtocol>(), aloha_cfg);
+  const auto aloha = analysis::estimate_msr(factory("aloha"), aloha_cfg);
   std::cout << "slotted ALOHA measured MSR = " << aloha.msr_pct << "% ("
             << aloha.probes << " probes)\n\n";
 
@@ -73,10 +58,8 @@ int main() {
   const int mid_pct = (arrow.msr_pct + aloha.msr_pct) / 2;
   std::cout << "Backlog at rho = " << mid_pct << "% over time:\n";
   std::cout << "  t (units) | AO-ARRoW backlog | ALOHA backlog (packets)\n";
-  auto ao_engine = factory<core::AoArrowProtocol>()(
-      util::Ratio(mid_pct, 100), 1);
-  auto al_engine = factory<baselines::SlottedAlohaProtocol>()(
-      util::Ratio(mid_pct, 100), 1);
+  auto ao_engine = factory("ao-arrow")(util::Ratio(mid_pct, 100), 1);
+  auto al_engine = factory("aloha")(util::Ratio(mid_pct, 100), 1);
   for (int chunk = 1; chunk <= 6; ++chunk) {
     const Tick t = chunk * 20000 * U;
     ao_engine->run(sim::until(t));

@@ -42,6 +42,14 @@ bool stable_probe(const RateEngineFactory& factory, util::Ratio rho,
 
 }  // namespace
 
+RateEngineFactory rate_factory(const RunSpec& spec) {
+  return [spec](util::Ratio rho, std::uint64_t seed) {
+    RunSpec probe = spec;
+    probe.injector.rho = rho;
+    return build_engine(probe, seed);
+  };
+}
+
 bool stable_at(const RateEngineFactory& factory, util::Ratio rho,
                const MsrConfig& config) {
   return stable_probe(factory, rho, config, nullptr);

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 
+#include "analysis/run_spec.h"
 #include "analysis/stability.h"
 #include "util/ratio.h"
 
@@ -26,6 +27,11 @@ namespace asyncmac::analysis {
 /// policy, burstiness, workload shape).
 using RateEngineFactory = std::function<std::unique_ptr<sim::Engine>(
     util::Ratio rho, std::uint64_t seed)>;
+
+/// The probes of `spec`: a probe at rho is the spec with injector.rho =
+/// rho, built with the vote seed as engine seed (the slot policy keeps
+/// drawing from spec.seed, so every probe shares one schedule).
+RateEngineFactory rate_factory(const RunSpec& spec);
 
 struct MsrConfig {
   StabilityConfig probe;      ///< per-probe settings

@@ -19,7 +19,7 @@
 // Like BEB this is randomized (ctx.rng()) and offers no worst-case
 // queue bound; unlike BEB it never transmits into a slot it just heard
 // traffic in, so its collision rate is lower at the price of deferral
-// latency (the bench_energy suite measures that trade-off).
+// latency (bench_energy's CSMA-LBT gap sweep measures that trade-off).
 #pragma once
 
 #include <algorithm>

@@ -68,7 +68,7 @@ struct EngineConfig {
   bool allow_control = true;
   /// Slot-end events between ledger prunes (and batched-telemetry
   /// flushes). Must be >= 1. The default balances prune work against live
-  /// window growth; bench_engine sweeps it (see docs/PERFORMANCE.md).
+  /// window growth (see docs/PERFORMANCE.md, "Choosing prune_interval").
   std::uint64_t prune_interval = 4096;
   /// Initial capacity reserved for the delivery log when
   /// record_deliveries is set. The log grows unbounded with deliveries —

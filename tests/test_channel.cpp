@@ -3,8 +3,12 @@
 // pruning and statistics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "channel/ledger.h"
 #include "channel/transmission.h"
+#include "telemetry/registry.h"
 #include "util/types.h"
 
 namespace asyncmac::channel {
@@ -252,6 +256,40 @@ TEST(Ledger, IdenticalIntervalDifferentStationsCollide) {
   ledger.finalize_until(U);
   EXPECT_EQ(ledger.stats().collided, 2u);
   EXPECT_EQ(ledger.feedback(0, U), Feedback::kBusy);
+}
+
+// ----------------------------------------------------------- scan cost
+
+// feedback() seeks its begin-sorted window with lower_bound, so the
+// entries one query visits depend on the slot's neighborhood, not on the
+// window size. Counted, not timed: a scan from the window front would
+// visit every entry and make long history-keeping runs quadratic.
+TEST(Ledger, FeedbackScanDoesNotGrowWithTheWindow) {
+  telemetry::set_enabled(true);
+  auto& scanned =
+      telemetry::Registry::global().counter("channel.feedback_scanned");
+  std::vector<std::uint64_t> counts;
+  for (const std::uint64_t size : {100u, 10000u, 1000000u}) {
+    // Four stations taking turns with back-to-back unit slots: the
+    // steady state of a saturated stability run.
+    Ledger ledger;
+    Tick now = 0;
+    for (std::uint64_t i = 0; i < size; ++i) {
+      ledger.add(tx(static_cast<StationId>(1 + i % 4), now, now + U));
+      now += U;
+    }
+    ledger.finalize_until(now);
+    ledger.flush_telemetry();
+    const std::uint64_t before = scanned.value();
+    // A slot at the live end of the window, as the engine asks.
+    EXPECT_EQ(ledger.feedback(now - U, now), Feedback::kAck);
+    ledger.flush_telemetry();
+    counts.push_back(scanned.value() - before);
+  }
+  telemetry::set_enabled(false);
+  EXPECT_GE(counts[0], 1u);
+  EXPECT_EQ(counts[1], counts[0]);
+  EXPECT_EQ(counts[2], counts[0]);
 }
 
 }  // namespace

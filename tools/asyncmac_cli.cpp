@@ -624,13 +624,7 @@ int run_msr(const Options& opt, const analysis::RunSpec& spec) {
   analysis::MsrConfig cfg;
   cfg.probe.horizon = opt.horizon_units * U;
   cfg.base_seed = opt.seed;
-  const auto res = analysis::estimate_msr(
-      [&spec](util::Ratio rho, std::uint64_t seed) {
-        analysis::RunSpec probe = spec;
-        probe.injector.rho = rho;
-        return analysis::build_engine(probe, seed);
-      },
-      cfg);
+  const auto res = analysis::estimate_msr(analysis::rate_factory(spec), cfg);
   std::cout << "protocol=" << opt.protocol << " n=" << opt.n
             << " R=" << opt.r << " policy=" << opt.policy
             << "  measured MSR = " << res.msr_pct << "% (" << res.probes
