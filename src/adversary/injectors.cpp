@@ -171,7 +171,7 @@ void SaturatingInjector::load_state(snapshot::Reader& r) {
   injected_cost_ = r.i64();
   hint_cost_ = r.i64();
   keep_log_ = r.boolean();
-  const std::uint64_t count = r.u64();
+  const std::uint64_t count = r.count(8 + 4 + 8);  // time, station, cost
   log_.clear();
   log_.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -64,7 +64,7 @@ void MbtfProtocol::save_state(snapshot::Writer& w) const {
 }
 
 void MbtfProtocol::load_state(snapshot::Reader& r, sim::StationContext&) {
-  const std::uint64_t count = r.u64();
+  const std::uint64_t count = r.count(4);
   list_.clear();
   list_.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) list_.push_back(r.u32());

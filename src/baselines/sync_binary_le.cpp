@@ -11,9 +11,9 @@ core::LeaderElectionFactory SyncBinaryLeAutomaton::factory() {
 }
 
 SlotAction SyncBinaryLeAutomaton::phase_action() {
-  const bool bit = (id_ >> phase_) & 1U;
   ++slots_;
-  return bit ? SlotAction::kListen : SlotAction::kTransmitPacket;
+  return core::id_bit(id_, phase_) ? SlotAction::kListen
+                                   : SlotAction::kTransmitPacket;
 }
 
 SlotAction SyncBinaryLeAutomaton::next(

@@ -1,37 +1,38 @@
 // asyncmac/channel/lane_ledger.h
 //
-// Lane-major SoA substrate for sim::CohortEngine's lockstep fast path: K
-// independent channel ledgers ("lanes") whose hot state — window sizes,
-// latest-end watermarks, repeat-query memos, pending telemetry deltas —
-// lives in contiguous per-lane arrays, and whose transmission windows are
-// stored field-split (begins, ends, decided flags, ... each in its own
-// flat array per lane) instead of as deques of Transmission structs.
+// Lane-major substrate for sim::CohortEngine's lockstep fast path: K
+// independent channel ledgers ("lanes"), each one channel::Window, whose
+// hot summary state — live counts, latest-end watermarks, finalize-pending
+// flags, repeat-query memos, pending telemetry deltas — lives in
+// contiguous per-lane arrays.
 //
 // Why it exists: a lockstep cohort asks the *same* feedback question
 // [s, t) of every lane at every slot-end event. With K scalar Ledger
-// objects that is K pointer chases through scattered heap allocations per
-// event; here feedback_all() classifies all K lanes in one pass over flat
-// arrays (empty window / fast silence / memo replay / slow scan), written
-// as plain auto-vectorization-friendly loops — no intrinsics, and an
-// optional -march=native CI leg exercises the wide codegen.
+// objects that is K pointer chases per event; here feedback_all()
+// classifies all K lanes in one pass over the summary arrays (empty
+// window / fast silence / memo replay / slow scan), written as plain
+// auto-vectorization-friendly loops — no intrinsics, and an optional
+// -march=native CI leg exercises the wide codegen. Only lanes classified
+// "slow" reach their Window's seek-and-scan.
 //
 // Byte-identity contract (the same one sim/cohort_engine.h carries): each
 // lane behaves observably exactly like a scalar channel::Ledger fed the
 // same calls — identical feedback, identical LedgerStats at every
 // observation point, identical telemetry deltas — and save_state(lane)
 // writes the exact byte layout of Ledger::save_state, so a retiring or
-// detaching lane materializes a scalar Ledger bit-for-bit. KEEP IN SYNC
-// with channel/ledger.{h,cpp}: any change to the scalar feedback rules,
-// memo invalidation, telemetry counters or serialization layout must land
-// here too (and vice versa); tests/test_cohort.cpp pins the equivalence
-// across the golden corpus.
+// detaching lane materializes a scalar Ledger bit-for-bit. The channel
+// rules and the window's snapshot layout are shared code (Window). KEEP
+// IN SYNC with channel/ledger.{h,cpp} what is still written twice: the
+// O(1) silence fast paths, the memo and its invalidation rule, and the
+// telemetry counters with their flush; tests/test_cohort.cpp pins the
+// equivalence across the golden corpus.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "channel/ledger.h"
 #include "channel/transmission.h"
+#include "channel/window.h"
 #include "snapshot/fwd.h"
 #include "util/types.h"
 
@@ -129,17 +130,26 @@ class LaneLedger {
 
   /// Cumulative per-lane stats, exactly the scalar Ledger's at the same
   /// point in the call sequence.
-  const LedgerStats& stats(std::uint32_t lane) const { return stats_[lane]; }
+  const LedgerStats& stats(std::uint32_t lane) const {
+    return win_[lane].stats();
+  }
 
   /// The restrained-channel spec shared by every lane.
-  const RestrainedSpec& restrained() const noexcept { return restrained_; }
+  const RestrainedSpec& restrained() const noexcept {
+    return win_[0].restrained();
+  }
+
+  /// One lane's flat window (dead-prefix and layout inspection).
+  const Window& flat_window(std::uint32_t lane) const { return win_[lane]; }
 
   /// Ledger::transmission_successful for one lane: was lane `lane`'s most
   /// recent transmission of `station` ending exactly at `end` successful?
   /// The cohort engine consults this on restrained channels before
   /// delivering — an ack can be another station's under reject mode.
   bool transmission_successful(std::uint32_t lane, StationId station,
-                               Tick end) const;
+                               Tick end) const {
+    return win_[lane].transmission_successful(station, end);
+  }
 
   /// Push one lane's batched telemetry deltas into the global atomic
   /// instruments (the same channel.* names the scalar Ledger uses).
@@ -149,50 +159,19 @@ class LaneLedger {
   void save_state(std::uint32_t lane, snapshot::Writer& w) const;
 
  private:
-  /// One lane's transmission window, field-split. Live entries occupy
-  /// [head, size) of every array; prune pops by advancing head and
-  /// compacts the arrays once the dead prefix dominates.
-  struct Window {
-    std::vector<Tick> begin;
-    std::vector<Tick> end;
-    std::vector<StationId> station;
-    std::vector<PacketSeq> packet;
-    std::vector<std::uint8_t> is_control;
-    std::vector<std::uint8_t> successful;
-    std::vector<std::uint8_t> decided;
-    std::vector<std::uint8_t> admission;
-    std::size_t head = 0;
-    std::size_t finalized = 0;  ///< absolute: [head, finalized) decided
-
-    std::size_t size() const noexcept { return begin.size(); }
-    std::size_t live() const noexcept { return begin.size() - head; }
-    void push(const Transmission& t);
-    void compact();
-  };
-
   Feedback feedback_slow(std::uint32_t lane, Tick s, Tick t);
-  void finalize_until(std::uint32_t lane, Tick now);
-  bool overlaps_other(const Window& w, Tick max_dur, std::size_t i) const;
-  /// The scalar Ledger::admit, per lane: lazy pops, on-air count, verdict.
-  Admission admit(std::uint32_t lane, Tick begin, Tick end);
+  /// Refresh lane k's summary-array mirrors of its Window after an add,
+  /// a finalize or a prune.
+  void sync_summary(std::uint32_t lane);
 
   std::uint32_t K_;
-  bool keep_history_;
-  RestrainedSpec restrained_;
-  /// Per-lane min-heaps of non-rejected transmission ends (restrained
-  /// mode only; empty vectors otherwise). Mirrors Ledger::live_ends_.
-  std::vector<std::vector<Tick>> live_ends_;
   std::vector<Window> win_;
-  std::vector<std::vector<Transmission>> history_;
-  std::vector<LedgerStats> stats_;
 
   // ---- cross-lane summary arrays, indexed by lane (the hot state the
   // feedback_all classification pass reads/writes contiguously) ----
   std::vector<std::uint32_t> live_count_;  ///< mirror of win_[k].live()
-  std::vector<std::uint8_t> fin_pending_;  ///< 1 iff finalized < size
-  std::vector<Tick> latest_end_;
-  std::vector<Tick> last_begin_;
-  std::vector<Tick> max_duration_;
+  std::vector<std::uint8_t> fin_pending_;  ///< 1 iff !all_finalized()
+  std::vector<Tick> latest_end_;           ///< mirror of latest_end()
   std::vector<std::uint8_t> memo_valid_;
   std::vector<Tick> memo_s_;
   std::vector<Tick> memo_t_;

@@ -23,36 +23,24 @@
 // transmission with begin < t has already been added. The simulation
 // engine meets this by processing slot boundaries in time order
 // (a transmission is registered at its slot's start event).
+//
+// The window and the channel rules over it (admission, success, the
+// feedback seek-and-scan, pruning, the snapshot layout) live in
+// channel::Window (window.h), shared with channel::LaneLedger. This class
+// adds what the per-slot hot path needs in front of it: the inline O(1)
+// silence fast paths, the repeat-query memo and batched telemetry.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "channel/transmission.h"
+#include "channel/window.h"
 #include "snapshot/fwd.h"
 #include "util/check.h"
 #include "util/types.h"
 
 namespace asyncmac::channel {
-
-/// Cumulative channel statistics (survive pruning).
-struct LedgerStats {
-  std::uint64_t transmissions = 0;        ///< total transmissions registered
-  std::uint64_t successful = 0;           ///< finalized successful
-  std::uint64_t collided = 0;             ///< finalized unsuccessful
-  std::uint64_t control_transmissions = 0;///< control ("empty signal") slots
-  std::uint64_t successful_packets = 0;   ///< successful non-control
-  Tick successful_packet_time = 0;  ///< total duration of successful
-                                    ///< packet transmissions; the complement
-                                    ///< is the paper's "wasted time" (Def. 2)
-  Tick successful_control_time = 0;
-  // Restrained channel (always 0 when k == 0). Rejected transmissions are
-  // counted in `collided` too — they are decided-unsuccessful at add() —
-  // so successful + collided still equals the decided count.
-  std::uint64_t rejected = 0;  ///< suppressed over-capacity transmissions
-  std::uint64_t jammed = 0;    ///< over-capacity transmissions sent anyway
-};
 
 class Ledger {
  public:
@@ -61,7 +49,7 @@ class Ledger {
   /// are pruned once out of range. `restrained` selects the k-restrained
   /// channel (channel/transmission.h); the default is unrestrained.
   explicit Ledger(bool keep_history = false, RestrainedSpec restrained = {})
-      : restrained_(restrained), keep_history_(keep_history) {}
+      : window_(keep_history, restrained) {}
   ~Ledger() { flush_telemetry(); }
 
   Ledger(const Ledger&) = delete;
@@ -77,7 +65,7 @@ class Ledger {
   /// decides kOk vs kJammed/kRejected. Rejected transmissions are decided
   /// unsuccessful immediately and never touch the medium — overlap scans
   /// and feedback classification skip them.
-  void add(Transmission t);
+  void add(const Transmission& t);
 
   /// Exact feedback for a slot [s, t). Uniform for transmitters and
   /// listeners: a transmitter's own (whole-slot) transmission makes the
@@ -85,10 +73,10 @@ class Ledger {
   /// when it collided. Requires t <= the latest safe query time (all
   /// transmissions beginning before t already added). Cost is
   /// O(log W + neighborhood), not O(W): the begin-sorted window is seeked
-  /// with lower_bound to the first entry that can reach the slot. Two O(1)
-  /// silence fast paths skip the seek entirely: an empty window, and a
-  /// slot starting at or after latest_end() (every registered interval is
-  /// already over, so nothing can overlap [s, t) or ack-end inside it).
+  /// to the first entry that can reach the slot (Window::feedback). Two
+  /// O(1) silence fast paths skip the seek entirely: an empty window, and
+  /// a slot starting at or after latest_end() (every registered interval
+  /// is already over, so nothing can overlap [s, t) or ack-end inside it).
   /// Defined inline so the engines' per-event loops (scalar Engine and the
   /// CohortEngine lane loop, which calls it once per lane per event)
   /// resolve the fast paths without a cross-TU call; only the
@@ -97,7 +85,7 @@ class Ledger {
     AM_CHECK(s < t);
     ++pending_queries_;
     // O(1) silence fast paths. An empty window trivially yields silence.
-    // When s >= latest_end_ every registered interval has end <= s, so
+    // When s >= latest_end() every registered interval has end <= s, so
     // none overlaps [s, t) or ends inside (s, t] — but undecided entries
     // must still be finalized so LedgerStats stay current for adaptive
     // adversaries reading channel_stats() mid-run.
@@ -105,9 +93,9 @@ class Ledger {
       ++pending_fast_silence_;
       return Feedback::kSilence;
     }
-    if (s >= latest_end_) {
+    if (s >= window_.latest_end()) {
       ++pending_fast_silence_;
-      if (finalized_ < window_.size()) finalize_until(t);
+      if (!window_.all_finalized()) window_.finalize_until(t);
       return Feedback::kSilence;
     }
     // Repeat-query memo: stations whose slots share boundaries (all of
@@ -135,7 +123,7 @@ class Ledger {
   void flush_telemetry();
 
   /// Finalize the success flag of all transmissions with end <= now.
-  void finalize_until(Tick now);
+  void finalize_until(Tick now) { window_.finalize_until(now); }
 
   /// Drop finalized transmissions with end <= horizon; the engine passes
   /// the minimum current-slot start over all stations, so no future
@@ -145,28 +133,36 @@ class Ledger {
   /// Was the most recently finalized transmission of `station` ending
   /// exactly at time `end` successful? Used by the engine to decide packet
   /// delivery for a transmit slot that just ended.
-  bool transmission_successful(StationId station, Tick end) const;
+  bool transmission_successful(StationId station, Tick end) const {
+    return window_.transmission_successful(station, end);
+  }
 
-  const LedgerStats& stats() const noexcept { return stats_; }
+  const LedgerStats& stats() const noexcept { return window_.stats(); }
 
   /// The restrained-channel configuration this ledger was built with.
-  const RestrainedSpec& restrained() const noexcept { return restrained_; }
+  const RestrainedSpec& restrained() const noexcept {
+    return window_.restrained();
+  }
 
-  /// Live window (unpruned), ordered by begin.
-  const std::deque<Transmission>& window() const noexcept { return window_; }
+  /// Live window (unpruned), ordered by begin. A copy: for inspection,
+  /// not for per-slot use.
+  std::vector<Transmission> window() const { return window_.entries(); }
+
+  /// The flat window itself (dead-prefix and layout inspection).
+  const Window& flat_window() const noexcept { return window_; }
 
   /// All finalized transmissions ever (empty unless keep_history).
   const std::vector<Transmission>& full_history() const noexcept {
-    return history_;
+    return window_.history();
   }
 
   /// Largest end time among registered transmissions (0 when none yet).
-  Tick latest_end() const noexcept { return latest_end_; }
+  Tick latest_end() const noexcept { return window_.latest_end(); }
 
   /// Largest duration among registered transmissions (0 when none yet).
   /// Feedback queries only scan entries with begin > s - max_duration();
   /// differential tests target slots straddling exactly that boundary.
-  Tick max_duration() const noexcept { return max_duration_; }
+  Tick max_duration() const noexcept { return window_.max_duration(); }
 
   /// Checkpoint/resume (docs/CHECKPOINT.md): serialize/restore the full
   /// mutable state — live window, finalized cursor, archived history,
@@ -180,21 +176,8 @@ class Ledger {
   /// The seek-and-scan tail of feedback(): neighborhood classification for
   /// slots the inline fast paths cannot decide.
   Feedback feedback_slow(Tick s, Tick t);
-  bool overlaps_other(const Transmission& t) const;
-  /// Restrained admission at add() time: pops stale ends lazily, counts
-  /// the on-air transmissions at `begin` and records `end` when the new
-  /// transmission reaches the medium. Returns the admission verdict.
-  Admission admit(Tick begin, Tick end);
 
-  std::deque<Transmission> window_;
-  std::size_t finalized_ = 0;  ///< window_[0..finalized_) have final flags
-  RestrainedSpec restrained_;
-  /// Min-heap of non-rejected transmission ends (restrained mode only).
-  /// Ends <= the current add's begin are popped lazily; the remainder is
-  /// the on-air count. Not serialized: load_state rebuilds it from the
-  /// non-rejected window entries, which is observably equivalent (pruned
-  /// ends lie at or below the horizon, below every future begin).
-  std::vector<Tick> live_ends_;
+  Window window_;
 
   // Repeat-query memo (see feedback()). Valid only while the window is
   // untouched: add() and prune_before() invalidate, load_state() starts
@@ -204,12 +187,6 @@ class Ledger {
   Tick memo_t_ = 0;
   Feedback memo_fb_ = Feedback::kSilence;
   std::uint64_t memo_scanned_ = 0;
-  std::vector<Transmission> history_;
-  LedgerStats stats_;
-  Tick last_begin_ = 0;
-  Tick latest_end_ = 0;
-  Tick max_duration_ = 0;
-  bool keep_history_;
 
   // Batched telemetry deltas (plain integers on the hot path; see
   // flush_telemetry).

@@ -28,8 +28,7 @@ AbsAutomaton::AbsAutomaton(const Config& config) : cfg_(config) {
 }
 
 SlotAction AbsAutomaton::begin_listen_loop() {
-  const bool bit = (cfg_.id >> phase_) & 1U;
-  target_ = bit ? cfg_.threshold1 : cfg_.threshold0;
+  target_ = id_bit(cfg_.id, phase_) ? cfg_.threshold1 : cfg_.threshold0;
   counter_ = 0;
   state_ = State::kListenLoop;
   return SlotAction::kListen;

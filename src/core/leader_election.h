@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -49,6 +50,15 @@ class LeaderElection {
   virtual void save_state(snapshot::Writer& w) const = 0;
   virtual void load_state(snapshot::Reader& r) = 0;
 };
+
+/// Bit `phase` of a station ID: the per-phase input of the bit-by-bit
+/// elections (ABS, the synchronous binary search). Bits above the ID's
+/// width read as 0, so an election that runs more phases than an ID has
+/// bits sees leading zeros instead of shifting out of range.
+inline bool id_bit(StationId id, std::uint32_t phase) noexcept {
+  return phase < std::numeric_limits<StationId>::digits &&
+         ((id >> phase) & 1U) != 0;
+}
 
 /// Creates a fresh election instance for a station about to compete.
 using LeaderElectionFactory = std::function<std::unique_ptr<LeaderElection>(

@@ -100,7 +100,7 @@ void Collector::load_state(snapshot::Reader& r) {
   stats_.transmit_slots = r.u64();
   stats_.control_slots = r.u64();
   util::Histogram::State h;
-  const std::uint64_t buckets = r.u64();
+  const std::uint64_t buckets = r.count(8);
   h.buckets.reserve(static_cast<std::size_t>(buckets));
   for (std::uint64_t i = 0; i < buckets; ++i) h.buckets.push_back(r.u64());
   h.count = r.u64();

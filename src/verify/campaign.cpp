@@ -69,7 +69,8 @@ std::vector<CaseVerdict> load_cursor(const std::string& path,
         snapshot::ErrorKind::kMismatch,
         "campaign cursor " + path +
             " was written for a different campaign (seed/cases/pool)");
-  const std::uint64_t count = r.u64();
+  // index, case_seed, ok, and the violation string's length prefix.
+  const std::uint64_t count = r.count(8 + 8 + 1 + 8);
   verdicts.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     CaseVerdict v;

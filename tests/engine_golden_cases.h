@@ -1,9 +1,10 @@
 // tests/engine_golden_cases.h
 //
 // The pinned engine-golden corpus: a fixed list of end-to-end engine
-// configurations whose serialized trace + RunStats JSON are committed
-// under tests/golden/engine/ and must be reproduced byte-for-byte by
-// every future build. The corpus was generated with the pre-PR-4 event
+// configurations whose serialized trace + RunStats JSON (<name>.trace)
+// and pruned-run snapshot bytes (<name>.state) are committed under
+// tests/golden/engine/ and must be reproduced byte-for-byte by every
+// future build. The corpus was generated with the pre-PR-4 event
 // loop (std::priority_queue scheduler, per-event injection polling), so
 // matching it proves the indexed n-event scheduler, the injection
 // skip-ahead and the ledger fast paths are semantics-preserving — the
@@ -23,6 +24,7 @@
 #include "analysis/registry.h"
 #include "metrics/json.h"
 #include "sim/engine.h"
+#include "snapshot/io.h"
 #include "trace/serialize.h"
 
 namespace asyncmac::testing {
@@ -177,6 +179,31 @@ inline std::string run_engine_golden_case(const EngineGoldenCase& c) {
   out += metrics::to_json(engine.stats(), &engine.channel_stats());
   out += "\n";
   return out;
+}
+
+/// Run a corpus case with a ledger prune every 16 slot-end events and the
+/// full channel history kept, and return Engine::save_state's bytes at
+/// the horizon (the golden <name>.state file). The short prune interval
+/// makes the ledger window prune and archive dozens of times per case
+/// (compacting its dead prefix in most cases), so the file pins the
+/// snapshot layout of the window, its archive and the channel stats; the
+/// trace and delivery log are pinned by the .trace files and left out.
+inline std::string run_engine_golden_state(const EngineGoldenCase& c) {
+  sim::EngineConfig cfg;
+  cfg.n = c.n;
+  cfg.bound_r = c.bound_r;
+  cfg.seed = c.seed;
+  cfg.keep_channel_history = true;
+  cfg.prune_interval = 16;
+  sim::Engine engine(
+      cfg, analysis::make_protocols(c.protocol, c.n),
+      adversary::make_slot_policy(c.slot_policy, c.n, c.bound_r, c.seed),
+      c.no_injector ? nullptr : adversary::make_injector(c.injector));
+  engine.run(sim::until(c.horizon_units * kTicksPerUnit));
+  snapshot::Writer w;
+  engine.save_state(w);
+  const std::vector<std::uint8_t>& bytes = w.buffer();
+  return std::string(bytes.begin(), bytes.end());
 }
 
 }  // namespace asyncmac::testing

@@ -118,6 +118,16 @@ TEST(Abs, TwoStationsSyncZeroBitWins) {
   EXPECT_EQ(out.solved_at, 5 * U);
 }
 
+TEST(Abs, IdBitsAboveTheIdWidthReadAsZero) {
+  // Elections that outrun 32 phases (equal thresholds never eliminate
+  // anyone) keep reading ID bits; past bit 31 they are leading zeros.
+  EXPECT_TRUE(core::id_bit(0x80000001u, 0));
+  EXPECT_FALSE(core::id_bit(0x80000001u, 1));
+  EXPECT_TRUE(core::id_bit(0x80000001u, 31));
+  for (const std::uint32_t phase : {32u, 33u, 63u, 64u, 1000u})
+    EXPECT_FALSE(core::id_bit(0xffffffffu, phase)) << phase;
+}
+
 TEST(Abs, NonParticipantsStayOut) {
   const auto out = run_sst(8, 2, {3, 5}, "perstation");
   EXPECT_TRUE(out.solved);

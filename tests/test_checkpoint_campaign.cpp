@@ -2,8 +2,9 @@
 // checkpoint_path): a campaign stopped mid-way (stop_after_cases, the
 // deterministic stand-in for a kill) and resumed from its cursor file
 // produces verdicts and summary text byte-identical to an uninterrupted
-// campaign, and a cursor written under a different campaign raises the
-// typed kMismatch error.
+// campaign, a cursor written under a different campaign raises the
+// typed kMismatch error, and a CRC-valid cursor declaring more verdicts
+// than it holds raises kCorrupt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "snapshot/format.h"
 #include "snapshot/io.h"
 #include "verify/campaign.h"
 
@@ -105,6 +107,37 @@ TEST(CheckpointCampaign, CursorFromDifferentCampaignIsMismatch) {
     FAIL() << "expected SnapshotError(kMismatch)";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kMismatch) << e.what();
+  }
+  std::remove(cursor.c_str());
+}
+
+TEST(CheckpointCampaign, CursorWithCraftedVerdictCountIsCorrupt) {
+  const std::string cursor = "campaign_cursor_crafted.snap";
+  std::remove(cursor.c_str());
+  CampaignConfig cfg = base_config();
+  cfg.cases = 64;
+  cfg.checkpoint_path = cursor;
+  verify::run_campaign(cfg);
+  const std::vector<std::uint8_t> saved =
+      snapshot::read_file(cursor, snapshot::FileKind::kCampaignCursor);
+
+  // The verdict count follows the u32 campaign fingerprint. Rewritten
+  // through write_file, the frame and its CRC stay valid.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint8_t> payload = saved;
+    ASSERT_GE(payload.size(), 12u);
+    for (std::size_t i = 0; i < 8; ++i)
+      payload[4 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    snapshot::write_file(cursor, snapshot::FileKind::kCampaignCursor,
+                         payload);
+    try {
+      verify::run_campaign(cfg);
+      ADD_FAILURE() << "expected SnapshotError(kCorrupt)";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+    }
   }
   std::remove(cursor.c_str());
 }

@@ -14,10 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "adversary/injectors.h"
+#include "baselines/mbtf.h"
+#include "channel/ledger.h"
 #include "engine_golden_cases.h"
+#include "metrics/collector.h"
 #include "metrics/json.h"
 #include "sim/engine.h"
 #include "snapshot/checkpoint.h"
+#include "snapshot/io.h"
 #include "trace/serialize.h"
 #include "verify/scenario.h"
 
@@ -259,6 +264,103 @@ TEST(CheckpointEngine, DecodeRejectsUnknownProtocolAndTrailingBytes) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
   }
+}
+
+// ---- crafted element counts --------------------------------------------
+//
+// A payload can pass every framing check (magic, version, CRC) and still
+// declare more elements than it holds. Each decoder that sizes a
+// container from a count must refuse such a count as kCorrupt before it
+// allocates — not die in reserve() with bad_alloc (2^40 elements) or
+// length_error (2^62).
+
+constexpr std::uint64_t kHugeCounts[] = {std::uint64_t{1} << 40,
+                                         std::uint64_t{1} << 62};
+
+/// Overwrite the little-endian u64 at byte `at`.
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  ASSERT_LE(at + 8, bytes.size());
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Save `saved`, replace the count at byte `at` with each huge count and
+/// expect `load` of the result to throw SnapshotError(kCorrupt).
+template <typename Saved, typename Load>
+void expect_huge_count_corrupt(const Saved& saved, std::size_t at,
+                               Load&& load) {
+  snapshot::Writer w;
+  saved.save_state(w);
+  for (const std::uint64_t count : kHugeCounts) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint8_t> bytes = w.buffer();
+    put_u64(bytes, at, count);
+    snapshot::Reader r(bytes);
+    try {
+      load(r);
+      ADD_FAILURE() << "expected SnapshotError(kCorrupt)";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+    }
+  }
+}
+
+// Ledger layout: keep_history u8, restrained k u32, jam u8, live-entry
+// count u64, entries, finalized cursor u64, history count u64, ...
+constexpr std::size_t kLedgerWindowCountAt = 1 + 4 + 1;
+constexpr std::size_t kLedgerHistoryCountAt = kLedgerWindowCountAt + 8 + 8;
+
+TEST(CraftedCount, LedgerWindowCountIsCorrupt) {
+  const channel::Ledger empty;
+  expect_huge_count_corrupt(empty, kLedgerWindowCountAt,
+                            [](snapshot::Reader& r) {
+                              channel::Ledger fresh;
+                              fresh.load_state(r);
+                            });
+}
+
+TEST(CraftedCount, LedgerHistoryCountIsCorrupt) {
+  const channel::Ledger empty(/*keep_history=*/true);
+  expect_huge_count_corrupt(empty, kLedgerHistoryCountAt,
+                            [](snapshot::Reader& r) {
+                              channel::Ledger fresh(/*keep_history=*/true);
+                              fresh.load_state(r);
+                            });
+}
+
+TEST(CraftedCount, CollectorHistogramBucketCountIsCorrupt) {
+  // Thirteen u64 run counters precede the latency histogram's buckets.
+  const metrics::Collector collector(2);
+  expect_huge_count_corrupt(collector, 13 * 8, [](snapshot::Reader& r) {
+    metrics::Collector fresh(2);
+    fresh.load_state(r);
+  });
+}
+
+TEST(CraftedCount, SaturatingInjectorLogCountIsCorrupt) {
+  // With no log kept the log count is the state's last field.
+  const adversary::SaturatingInjector injector(
+      util::Ratio(1, 2), kTicksPerUnit, adversary::TargetPattern::kRoundRobin);
+  snapshot::Writer w;
+  injector.save_state(w);
+  expect_huge_count_corrupt(injector, w.buffer().size() - 8,
+                            [](snapshot::Reader& r) {
+                              adversary::SaturatingInjector fresh(
+                                  util::Ratio(1, 2), kTicksPerUnit,
+                                  adversary::TargetPattern::kRoundRobin);
+                              fresh.load_state(r);
+                            });
+}
+
+TEST(CraftedCount, MbtfListCountIsCorrupt) {
+  // The move-to-front list count leads MBTF's protocol state.
+  const baselines::MbtfProtocol mbtf;
+  expect_huge_count_corrupt(mbtf, 0, [](snapshot::Reader& r) {
+    baselines::MbtfProtocol fresh;
+    sim::StationContext ctx(1, 4, 1, 1);
+    fresh.load_state(r, ctx);
+  });
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 //    (std::priority_queue scheduler, poll-every-event injections), so a
 //    byte match proves the indexed heap, the injection skip-ahead and
 //    the ledger fast paths preserve semantics exactly;
+//  * each case, rerun with a ledger prune every 16 events, must save the
+//    committed tests/golden/engine/<name>.state bytes (the snapshot
+//    layout of the ledger window, its archive and stats, as data);
 //  * an always-poll wrapper (hint = now) forces the pre-hint polling
 //    cadence on the same injectors and must also match byte-for-byte,
 //    isolating the skip-ahead as a pure no-op;
@@ -54,6 +57,21 @@ TEST(EngineGolden, CorpusIsByteIdenticalToPreOverhaulEngine) {
                   ".trace");
     ASSERT_FALSE(golden.empty()) << "missing golden file for " << c.name;
     EXPECT_EQ(run_engine_golden_case(c), golden);
+  }
+}
+
+// The snapshot layout as data: every corpus case, pruned every 16 events
+// with the channel history kept, must save the committed bytes at its
+// horizon — the ledger window's live entries, finalized cursor, archive
+// and stats after dozens of prunes (and most cases' compactions).
+TEST(EngineGolden, PrunedRunSnapshotBytesMatchTheCorpus) {
+  for (const auto& c : engine_golden_cases()) {
+    SCOPED_TRACE(c.name);
+    const std::string golden =
+        read_file(std::string(ASYNCMAC_ENGINE_GOLDEN_DIR) + "/" + c.name +
+                  ".state");
+    ASSERT_FALSE(golden.empty()) << "missing golden state for " << c.name;
+    EXPECT_TRUE(asyncmac::testing::run_engine_golden_state(c) == golden);
   }
 }
 

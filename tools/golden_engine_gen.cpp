@@ -1,15 +1,31 @@
 // golden_engine_gen — (re)generate the pinned engine-golden corpus under
 // tests/golden/engine/. The corpus pins the engine's observable behaviour
-// (serialized trace + RunStats JSON) byte-for-byte, so regenerating it is
-// only ever a conscious decision after an intentional semantics change —
-// record the why in DESIGN.md when you do. Usage:
+// (serialized trace + RunStats JSON) and its snapshot layout (save_state
+// bytes of a frequently pruned run) byte-for-byte, so regenerating it is
+// only ever a conscious decision after an intentional semantics or
+// format change — record the why in DESIGN.md when you do. Usage:
 //
 //   golden_engine_gen <output-dir>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "engine_golden_cases.h"
+
+namespace {
+
+bool write_file(const std::filesystem::path& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out || !(out << data)) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << "\n";
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 2) {
@@ -19,14 +35,11 @@ int main(int argc, char** argv) {
   const std::filesystem::path dir(argv[1]);
   std::filesystem::create_directories(dir);
   for (const auto& c : asyncmac::testing::engine_golden_cases()) {
-    const std::filesystem::path path = dir / (c.name + ".trace");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
+    if (!write_file(dir / (c.name + ".trace"),
+                    asyncmac::testing::run_engine_golden_case(c)) ||
+        !write_file(dir / (c.name + ".state"),
+                    asyncmac::testing::run_engine_golden_state(c)))
       return 1;
-    }
-    out << asyncmac::testing::run_engine_golden_case(c);
-    std::cout << "wrote " << path << "\n";
   }
   return 0;
 }
