@@ -206,7 +206,7 @@ bool Engine::step() {
     if (cfg_.checkpoint_sink) cfg_.checkpoint_sink(*this);
   }
 #if defined(__GNUC__) || defined(__clang__)
-  // The re-keyed heap already names the next event's station; pull its
+  // The re-keyed scheduler already names the next event's station; pull its
   // runtime and protocol toward L1 while the loop overhead runs. With
   // many stations the next runtime is usually cold — this hides most of
   // that latency and is a pure hint (no semantic effect).
@@ -435,9 +435,17 @@ void Engine::load_state(snapshot::Reader& r) {
     s.slot_index = r.u64();
     s.slot_begin = r.i64();
     s.slot_end = r.i64();
+    // begin_slot commits only slots of [1, R] units from a time >= 0; any
+    // other end would wrap the packed scheduler key or stall the station.
+    // Ordered so the subtraction cannot overflow.
+    if (s.slot_begin < 0 || s.slot_end <= s.slot_begin ||
+        s.slot_end - s.slot_begin < kTicksPerUnit ||
+        s.slot_end - s.slot_begin > max_slot_ticks_)
+      throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
+                                    "committed slot outside [1, R] units");
     s.action = read_action(r);
     s.protocol->load_state(r, s.ctx);
-    // The heap's top order depends only on the (end, station) key set, so
+    // The scheduler's top depends only on the (end, station) key set, so
     // re-keying every station reproduces the saved scheduler exactly.
     events_.update(s.ctx.id(), s.slot_end);
   }

@@ -11,11 +11,12 @@
 // Hot-loop structure (see docs/PERFORMANCE.md for measurements):
 //  * Exactly n slot-end events are ever pending — one per station, since
 //    a station always has exactly one committed slot. The scheduler is
-//    therefore an indexed array-backed min-heap (sim/event_heap.h) whose
-//    entries are re-keyed in place: begin_slot sifts the station's single
-//    entry instead of push/pop churn on a priority queue. The (end,
-//    station) order is identical to the previous std::priority_queue
-//    scheduler, so traces are byte-for-byte unchanged.
+//    therefore a winner tree over one leaf per station (sim/event_heap.h):
+//    begin_slot re-keys the station's leaf and replays its log2 n matches
+//    to the root, the same fixed path for every event, instead of
+//    push/pop churn on a priority queue. The (end, station) order is
+//    identical to the previous std::priority_queue scheduler, so traces
+//    are byte-for-byte unchanged.
 //  * Injection polling skips ahead: after each poll the InjectionPolicy
 //    returns a next_arrival_hint, and polls strictly before the hint are
 //    skipped entirely (the hint contract in sim/injection.h makes this

@@ -1,14 +1,14 @@
 // asyncmac/sim/event_heap.h
 //
-// Indexed, array-backed min-heap of slot-end events, keyed by station.
+// Slot-end event scheduler: a winner (tournament) tree keyed by station.
 //
 // The engine's event set has a structural invariant the generic
 // std::priority_queue cannot exploit: exactly one slot-end event is ever
 // pending per station — a station always has exactly one committed slot,
 // whose end is replaced (never removed) when the slot is processed. The
-// heap therefore holds a fixed n entries for the whole run: update()
-// re-keys a station's single entry and sifts it in place, so the hot loop
-// does no push/pop churn and no container growth.
+// scheduler therefore holds a fixed n entries for the whole run: update()
+// re-keys a station's single entry in place, so the hot loop does no
+// push/pop churn and no container growth.
 //
 // Ordering is (end tick, station id) lexicographic — identical to the
 // previous std::priority_queue<std::pair<Tick, StationId>, ...,
@@ -17,20 +17,18 @@
 // are processed in ascending station order; no two entries compare equal
 // because station ids are unique.
 //
-// Layout choices, each measured on the slots/sec bench
-// (docs/PERFORMANCE.md):
+// Layout (measured in docs/PERFORMANCE.md §1):
 //  * A node is ONE unsigned __int128: (end << 32) | station. End ticks
 //    are non-negative and station ids fit 32 bits, so lexicographic
 //    (end, station) order coincides with plain integer order — one
-//    branch-predictable comparison instead of a two-level tie-break whose
-//    station branch mispredicts on the all-ties synchronous schedules.
-//  * The heap is 4-ary: half the dependent levels of a binary heap, and
-//    the four children of a node sit in 64 contiguous bytes.
-//  * update() sinks bottom-up (Wegener's heapsort trick): walk the
-//    min-child path to a leaf without testing the moving node — in the
-//    hot case (the minimum re-keyed to a later end) it belongs near the
-//    bottom anyway — then climb to the true position, usually one
-//    comparison.
+//    branch-free comparison instead of a two-level tie-break.
+//  * Station i's leaf sits at tree_[P + i - 1], P the next power of two
+//    >= n; the padding leaves hold all-ones, above every real key. Each
+//    internal node holds the smaller key of its two children, so tree_[1]
+//    is the next event.
+//  * update() writes the leaf and recomputes each ancestor from its
+//    sibling: log2(P) steps, the same for every station and every key, so
+//    the loop has no data-dependent exit and keeps no position index.
 #pragma once
 
 #include <cstdint>
@@ -42,49 +40,36 @@ namespace asyncmac::sim {
 
 class SlotEventHeap {
  public:
-  /// All stations start with key kTickInfinity ("no slot committed yet");
-  /// the identity layout is a valid heap for equal keys under the
-  /// station-id tie-break.
-  explicit SlotEventHeap(std::uint32_t n) : heap_(n), pos_(n) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      heap_[i] = make(kTickInfinity, static_cast<StationId>(i + 1));
-      pos_[i] = i;
-    }
+  /// All stations start with key kTickInfinity ("no slot committed yet").
+  explicit SlotEventHeap(std::uint32_t n) : n_(n) {
+    while (leaves_ < n) leaves_ *= 2;
+    tree_.assign(2 * leaves_, ~Node{0});
+    for (StationId s = 1; s <= n; ++s) update(s, kTickInfinity);
   }
 
-  std::size_t size() const noexcept { return heap_.size(); }
-  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return n_; }
+  bool empty() const noexcept { return n_ == 0; }
 
   /// Earliest pending (end, station) under the lexicographic order.
-  Tick top_time() const noexcept { return time_part(heap_[0]); }
-  StationId top_station() const noexcept { return station_part(heap_[0]); }
+  Tick top_time() const noexcept { return time_part(tree_[1]); }
+  StationId top_station() const noexcept { return station_part(tree_[1]); }
 
   /// Current key of a station's single entry.
   Tick time_of(StationId station) const noexcept {
-    return time_part(heap_[pos_[station - 1]]);
+    return time_part(tree_[leaves_ + station - 1]);
   }
 
-  /// Re-key `station`'s entry to `end` and restore the heap invariant by
-  /// sifting the one displaced entry. O(log n), no allocation.
+  /// Re-key `station`'s entry to `end` and replay its matches up to the
+  /// root. O(log n), no allocation.
   void update(StationId station, Tick end) noexcept {
-    std::size_t i = pos_[station - 1];
-    const Node moving = make(end, station);
-    if (i > 0 && moving < heap_[(i - 1) >> 2]) {
-      climb(i, moving);
-      return;
+    std::size_t i = leaves_ + station - 1;
+    Node winner = make(end, station);
+    tree_[i] = winner;
+    for (; i > 1; i >>= 1) {
+      const Node rival = tree_[i ^ 1];
+      winner = rival < winner ? rival : winner;
+      tree_[i >> 1] = winner;
     }
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 4 * i + 1;
-      if (child >= n) break;
-      const std::size_t lim = child + 4 < n ? child + 4 : n;
-      std::size_t m = child;
-      for (std::size_t j = child + 1; j < lim; ++j)
-        if (heap_[j] < heap_[m]) m = j;
-      place(i, heap_[m]);
-      i = m;
-    }
-    climb(i, moving);
   }
 
  private:
@@ -104,24 +89,9 @@ class SlotEventHeap {
     return static_cast<StationId>(n);
   }
 
-  void place(std::size_t i, Node n) noexcept {
-    heap_[i] = n;
-    pos_[station_part(n) - 1] = static_cast<std::uint32_t>(i);
-  }
-
-  /// Sift `moving` up from position i to its true position.
-  void climb(std::size_t i, Node moving) noexcept {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!(moving < heap_[parent])) break;
-      place(i, heap_[parent]);
-      i = parent;
-    }
-    place(i, moving);
-  }
-
-  std::vector<Node> heap_;        ///< heap order -> packed (end, station)
-  std::vector<std::uint32_t> pos_;  ///< station id - 1 -> index in heap_
+  std::uint32_t n_;
+  std::size_t leaves_ = 1;  ///< P: first leaf index, a power of two >= n
+  std::vector<Node> tree_;  ///< [1, P) winners, [P, P + n) station leaves
 };
 
 }  // namespace asyncmac::sim

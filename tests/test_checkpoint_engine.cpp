@@ -363,5 +363,70 @@ TEST(CraftedCount, MbtfListCountIsCorrupt) {
   });
 }
 
+// ---- crafted committed slots -------------------------------------------
+//
+// Every slot an engine commits starts at a time >= 0 and lasts [1, R]
+// units (begin_slot checks the policy's length). A payload whose slot
+// breaks that would wrap the packed scheduler key, stall the station for
+// good, or trip an internal check on the next run(); load_state must
+// refuse it as kCorrupt.
+
+// Engine layout up to station 1's committed slot, with no injector (so an
+// empty queue): n u32, R u32, four flags, queue length u64, queue cost
+// i64, four RNG words, slot index u64, slot begin i64, slot end i64.
+constexpr std::size_t kStation1SlotBeginAt = 4 + 4 + 4 + 8 + 8 + 4 * 8 + 8;
+constexpr std::size_t kStation1SlotEndAt = kStation1SlotBeginAt + 8;
+
+std::int64_t get_i64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= std::uint64_t{bytes[at + i]} << (8 * i);
+  return static_cast<std::int64_t>(v);
+}
+
+/// Save a two-station ca-arrow engine (R = 1, no injector) at 100 units,
+/// set station 1's slot end to `end(slot_begin)` and expect kCorrupt.
+template <typename End>
+void expect_crafted_slot_end_corrupt(End&& end) {
+  RunSpec spec;
+  spec.protocol = "ca-arrow";
+  spec.n = 2;
+  spec.bound_r = 1;
+  spec.slot_policy = "sync";
+  spec.has_injector = false;
+  auto engine = snapshot::build_engine(spec);
+  engine->run(sim::until(100 * kTicksPerUnit));
+  snapshot::Writer w;
+  engine->save_state(w);
+  std::vector<std::uint8_t> bytes = w.buffer();
+  const Tick begin = get_i64(bytes, kStation1SlotBeginAt);
+  ASSERT_EQ(begin, 100 * kTicksPerUnit);
+  ASSERT_EQ(get_i64(bytes, kStation1SlotEndAt), 101 * kTicksPerUnit);
+  put_u64(bytes, kStation1SlotEndAt, static_cast<std::uint64_t>(end(begin)));
+
+  auto victim = snapshot::build_engine(spec);
+  snapshot::Reader r(bytes);
+  try {
+    victim->load_state(r);
+    FAIL() << "expected SnapshotError(kCorrupt)";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+  }
+}
+
+TEST(CraftedSlot, NegativeEndIsCorrupt) {
+  // -1 packs into a scheduler key above every real one.
+  expect_crafted_slot_end_corrupt([](Tick) { return Tick{-1}; });
+}
+
+TEST(CraftedSlot, EndBeyondRUnitsIsCorrupt) {
+  expect_crafted_slot_end_corrupt(
+      [](Tick begin) { return begin + 99900 * kTicksPerUnit; });
+}
+
+TEST(CraftedSlot, EndNotAfterBeginIsCorrupt) {
+  expect_crafted_slot_end_corrupt([](Tick) { return Tick{0}; });
+}
+
 }  // namespace
 }  // namespace asyncmac

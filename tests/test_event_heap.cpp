@@ -1,7 +1,11 @@
-// Unit tests for the indexed slot-event heap (sim/event_heap.h): the
-// degenerate n=1 heap, re-keying an entry to its current key, the
-// (end, station) tie-break on all-ties synchronous schedules, and a
-// randomized cross-check against a linear-scan reference model.
+// Unit tests for the slot-event scheduler (sim/event_heap.h), a winner
+// tree over station leaves padded to a power of two: the degenerate n=1
+// tree, re-keying an entry to its current key, the (end, station)
+// tie-break on all-ties synchronous schedules, padding leaves that never
+// surface, and cross-checks against a linear-scan reference model for
+// n in {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 100} — a randomized re-key
+// storm and the engine's hold pattern (only the top is re-keyed, to a
+// later end).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,31 +90,119 @@ TEST(EventHeap, AllTiesProcessInAscendingStationOrder) {
   EXPECT_EQ(h.top_time(), 2 * 720720);
 }
 
-TEST(EventHeap, MatchesLinearScanReference) {
-  // Randomized re-key storm, including deliberate duplicate keys, checked
-  // after every update against a linear scan over a shadow array under
-  // the packed (end, station) lexicographic order.
-  constexpr std::uint32_t n = 7;
+/// Sizes below, at and above powers of two: the padded leaf count P
+/// ranges over 1..128 and most sizes leave padding leaves.
+constexpr std::uint32_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 100};
+
+std::uint64_t lcg(std::uint64_t& state) {
+  state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+  return state;
+}
+
+/// Check the top and every station's key against a linear scan over the
+/// shadow keys under the (end, station) lexicographic order.
+void expect_matches_reference(const SlotEventHeap& h,
+                              const std::vector<Tick>& shadow, int step) {
+  const auto n = static_cast<StationId>(shadow.size());
+  StationId best = 1;
+  for (StationId c = 2; c <= n; ++c)
+    if (shadow[c - 1] < shadow[best - 1]) best = c;
+  ASSERT_EQ(h.top_time(), shadow[best - 1]) << "step " << step;
+  ASSERT_EQ(h.top_station(), best) << "step " << step;
+  for (StationId c = 1; c <= n; ++c)
+    ASSERT_EQ(h.time_of(c), shadow[c - 1]) << "step " << step;
+}
+
+/// Randomized re-key storm over n stations, including deliberate duplicate
+/// keys and re-keys back to kTickInfinity, checked after every update.
+void check_rekey_storm(std::uint32_t n) {
   SlotEventHeap h(n);
   std::vector<Tick> shadow(n, kTickInfinity);
   std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
-  for (int step = 0; step < 5000; ++step) {
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    const StationId s = static_cast<StationId>(1 + (rng >> 33) % n);
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+  for (int step = 0; step < 5000 && !::testing::Test::HasFatalFailure();
+       ++step) {
+    const StationId s = static_cast<StationId>(1 + (lcg(rng) >> 33) % n);
     // Small key range on purpose: collisions exercise the tie-break and
     // equal-key re-keys far more often than distinct keys would.
-    const Tick end = static_cast<Tick>((rng >> 40) % 16);
+    const auto draw = static_cast<Tick>((lcg(rng) >> 40) % 17);
+    const Tick end = draw == 16 ? kTickInfinity : draw;
     h.update(s, end);
     shadow[s - 1] = end;
+    expect_matches_reference(h, shadow, step);
+  }
+}
 
-    StationId best = 1;
-    for (StationId c = 2; c <= n; ++c)
-      if (shadow[c - 1] < shadow[best - 1]) best = c;
-    EXPECT_EQ(h.top_time(), shadow[best - 1]) << "step " << step;
-    EXPECT_EQ(h.top_station(), best) << "step " << step;
-    for (StationId c = 1; c <= n; ++c)
-      ASSERT_EQ(h.time_of(c), shadow[c - 1]) << "step " << step;
+TEST(EventHeap, MatchesLinearScanReference) {
+  for (const std::uint32_t n : kSizes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    check_rekey_storm(n);
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// The engine's hold pattern: every station commits a slot at time 0, then
+/// each step re-keys only the top station, to its end plus its next slot
+/// length `length(station)` (> 0), checked after every update.
+template <typename Length>
+void check_hold_pattern(std::uint32_t n, Length&& length) {
+  SlotEventHeap h(n);
+  std::vector<Tick> shadow(n);
+  for (StationId s = 1; s <= n; ++s) {
+    shadow[s - 1] = length(s);
+    h.update(s, shadow[s - 1]);
+  }
+  expect_matches_reference(h, shadow, -1);
+  for (int step = 0; step < 3000 && !::testing::Test::HasFatalFailure();
+       ++step) {
+    const StationId top = h.top_station();
+    const Tick end = h.top_time() + length(top);
+    h.update(top, end);
+    shadow[top - 1] = end;
+    expect_matches_reference(h, shadow, step);
+  }
+}
+
+TEST(EventHeap, HoldPatternWithPerstationLengths) {
+  // The perstation slot policy: station i+1 lasts (1 + i % R) units.
+  for (const std::uint32_t n : kSizes)
+    for (const std::uint32_t r : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " R=" << r);
+      check_hold_pattern(n, [r](StationId s) {
+        return static_cast<Tick>(1 + (s - 1) % r) * kTicksPerUnit;
+      });
+      if (HasFatalFailure()) return;
+    }
+}
+
+TEST(EventHeap, HoldPatternWithArbitraryTickLengths) {
+  for (const std::uint32_t n : kSizes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::uint64_t rng = 0x2545f4914f6cdd1dULL + n;
+    // Lengths of 1..3 ticks collide constantly; up to 4 units rarely do.
+    for (const Tick span : {Tick{3}, 4 * kTicksPerUnit}) {
+      check_hold_pattern(n, [&rng, span](StationId) {
+        return 1 + static_cast<Tick>((lcg(rng) >> 11) %
+                                     static_cast<std::uint64_t>(span));
+      });
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EventHeap, PaddingLeavesNeverSurface) {
+  // Sizes off a power of two leave padding leaves; with every real key
+  // at kTickInfinity the top must still be station 1, never a padding
+  // leaf — before any update and after keys return to infinity.
+  for (const std::uint32_t n : {3u, 5u, 7u, 9u, 33u, 100u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    SlotEventHeap h(n);
+    EXPECT_EQ(h.top_station(), 1u);
+    EXPECT_EQ(h.top_time(), kTickInfinity);
+    for (StationId s = 1; s <= n; ++s) h.update(s, 5);
+    for (StationId s = n; s >= 1; --s) h.update(s, kTickInfinity);
+    EXPECT_EQ(h.top_station(), 1u);
+    EXPECT_EQ(h.top_time(), kTickInfinity);
+    EXPECT_EQ(h.time_of(n), kTickInfinity);
   }
 }
 
