@@ -377,6 +377,11 @@ std::vector<std::string> injector_kinds() {
   return {"saturating", "bursty", "maxqueue", "drain-chasing"};
 }
 
+bool injector_draws_seed(const InjectorSpec& spec) {
+  return (spec.kind == "saturating" || spec.kind == "bursty") &&
+         spec.pattern == "random";
+}
+
 // ------------------------------------------------------------ ScriptedInjector
 
 ScriptedInjector::ScriptedInjector(std::vector<sim::Injection> script)

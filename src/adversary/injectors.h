@@ -214,6 +214,14 @@ std::unique_ptr<sim::InjectionPolicy> make_injector(const InjectorSpec& spec);
 /// The kinds make_injector accepts.
 std::vector<std::string> injector_kinds();
 
+/// Seed use, declared beside the factory: true when the injector draws
+/// from spec.seed — the random target pattern of the saturating and
+/// bursty kinds. The round-robin and single patterns, maxqueue and
+/// drain-chasing are fixed functions of the bucket and the engine view.
+/// Only analysis::seed_invariant combines this with the other
+/// components' declarations.
+bool injector_draws_seed(const InjectorSpec& spec);
+
 /// Parse a pattern name (roundrobin | single | random); throws
 /// std::invalid_argument on anything else.
 TargetPattern parse_target_pattern(const std::string& name);

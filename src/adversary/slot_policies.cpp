@@ -154,4 +154,8 @@ std::vector<std::string> slot_policy_names() {
   return {"sync", "max", "perstation", "cyclic", "random", "stretch-tx"};
 }
 
+bool slot_policy_draws_seed(const std::string& name) {
+  return name == "random";
+}
+
 }  // namespace asyncmac::adversary

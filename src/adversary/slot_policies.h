@@ -138,4 +138,11 @@ std::unique_ptr<sim::SlotPolicy> make_slot_policy(const std::string& name,
 /// The names make_slot_policy accepts.
 std::vector<std::string> slot_policy_names();
 
+/// Seed use, declared beside the factory: true for the families that draw
+/// slot lengths from their seed ("random"). Every other family is a fixed
+/// function of (n, R, station, slot index, action). Only
+/// analysis::seed_invariant combines this with the other components'
+/// declarations.
+bool slot_policy_draws_seed(const std::string& name);
+
 }  // namespace asyncmac::adversary

@@ -14,9 +14,10 @@ namespace asyncmac::analysis {
 
 std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec) {
   // Enumerate the cross product up front (in the documented record order),
-  // then run the cohort-width units on a pool: each unit is a batch of
-  // independent deterministic engines writing into pre-sized slots, so the
-  // result is byte-identical to the serial sweep for every jobs value.
+  // then run the units on a pool: each unit computes its distinct runs
+  // (independent deterministic engines) and writes its cells' records into
+  // pre-sized slots, so the result is byte-identical to the serial sweep
+  // for every jobs value.
   // The same plan/run/manifest pieces back the distributed sweep service
   // (analysis/grid.h, src/sweep/).
   const GridPlan plan = plan_grid(spec);
@@ -38,17 +39,16 @@ std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec) {
   const std::vector<std::uint8_t> skip = done;
   std::mutex manifest_mutex;
 
-  const unsigned cohort_width = grid_cohort_width(spec);
   telemetry::emit("grid.start",
                   {{"cells", static_cast<std::uint64_t>(plan.cells.size())},
                    {"jobs", static_cast<std::int64_t>(spec.jobs)},
-                   {"cohort", static_cast<std::int64_t>(cohort_width)},
+                   {"cohort", static_cast<std::int64_t>(plan.cohort_width)},
                    {"horizon_units", static_cast<std::int64_t>(
                                          spec.horizon_units)}});
   util::parallel_for(spec.jobs, plan.units.size(), [&](std::size_t ui) {
     // Cells already completed by a resumed manifest drop out of the unit;
-    // the rest form the cohort (each lane is independent, so a partial
-    // unit batches just as well).
+    // the rest form its runs (the remaining replicas of a partly completed
+    // seed class are one run, and a partial unit batches just as well).
     std::vector<std::size_t> todo;
     for (std::size_t i = plan.units[ui].first;
          i < plan.units[ui].first + plan.units[ui].count; ++i)

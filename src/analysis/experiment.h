@@ -32,21 +32,26 @@ struct ExperimentSpec {
   Tick horizon_units = 100000;
   std::uint64_t seed = 1;
   /// Repetitions with derived seeds; records report per-seed results.
+  /// Replicas of a cell no component of which draws from a seed
+  /// (seed_invariant, analysis/run_spec.h) are computed once: their
+  /// records differ only in the seed field.
   int seeds = 1;
   /// Worker threads for the sweep: 0 = hardware_concurrency, 1 = serial.
-  /// Every cell is an independent deterministic Engine, so the records are
+  /// Every run is an independent deterministic Engine, so the records are
   /// byte-identical for every jobs value (including their order).
   unsigned jobs = 0;
-  /// Lockstep batching width: cells differing only in seed AND injector
-  /// parameters (rho) are grouped into cohorts of up to this many lanes
-  /// and stepped together through sim::CohortEngine — with a single slot
-  /// policy a whole rho x seed grid row batches, not just the seed
-  /// replicas of one cell (configurations the fast path cannot take fall
-  /// back to scalar engines inside the cohort). 0 = auto (min(8, cells
-  /// per batchable block)); 1 = one scalar engine per cell, the
-  /// pre-cohort behavior. Records are byte-identical for every value —
-  /// the cohort engine's contract — so cohort, like jobs, is an
-  /// execution knob and not part of the spec fingerprint.
+  /// Lockstep batching width, in distinct runs per work unit (the seed
+  /// replicas of a seed-invariant cell are one run): runs differing only
+  /// in seed AND injector parameters (rho) are grouped into cohorts of up
+  /// to this many lanes and stepped together through sim::CohortEngine —
+  /// with a single slot policy a whole rho x seed grid row batches
+  /// (configurations the fast path cannot take fall back to scalar
+  /// engines inside the cohort). 0 = auto: one run per unit where the
+  /// lockstep path does not apply, elsewhere up to 8 runs but never fewer
+  /// units than jobs (grid_cohort_width in analysis/grid.h); 1 = one
+  /// scalar engine per run. Records are byte-identical for every value —
+  /// the cohort engine's contract — so cohort, like jobs, is an execution
+  /// knob and not part of the spec fingerprint.
   unsigned cohort = 0;
   /// k-restrained channel for every cell (channel/transmission.h); k = 0
   /// is the unrestrained channel.

@@ -1,5 +1,6 @@
 #include "analysis/grid.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "energy/meter.h"
@@ -7,6 +8,7 @@
 #include "sim/engine.h"
 #include "snapshot/format.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace asyncmac::analysis {
 
@@ -48,10 +50,10 @@ ExperimentRecord extract_record(const GridCell& cell,
   return rec;
 }
 
-/// Cells per contiguous chunkable block. Seed replicas of one base cell
-/// are always contiguous (seed innermost); with a single slot policy the
-/// whole rho x seed sub-block of one (protocol, n, R) row is contiguous
-/// too, and rho only parameterizes the injector — free under cohort
+/// Cells per block (GridUnit). Seed replicas of one base cell are always
+/// contiguous (seed innermost); with a single slot policy the whole
+/// rho x seed sub-block of one (protocol, n, R) row is contiguous too,
+/// and rho only parameterizes the injector — free under cohort
 /// eligibility — so the block grows to rho_percents.size() * seeds.
 std::size_t chunk_block(const ExperimentSpec& spec) {
   const std::size_t seeds = static_cast<std::size_t>(spec.seeds);
@@ -59,11 +61,40 @@ std::size_t chunk_block(const ExperimentSpec& spec) {
                                         : seeds;
 }
 
+/// One block, counted in runs: `run_cells` contiguous cells (the seed
+/// replicas of a seed-invariant cell, else one cell) make one run.
+struct Block {
+  std::size_t first = 0;
+  std::size_t runs = 0;
+  std::size_t run_cells = 1;
+  bool lockstep = false;  ///< its runs can take the cohort lockstep path
+};
+
+/// The auto width (grid_cohort_width): the widest that still leaves at
+/// least `jobs` units, then narrowed while the unit count stays the same,
+/// which evens the units out (4 runs at width 3 are units of 3 and 1, at
+/// width 2 of 2 and 2).
+unsigned auto_width(const ExperimentSpec& spec,
+                    const std::vector<Block>& blocks) {
+  std::size_t width = 1;
+  for (const Block& b : blocks)
+    if (b.lockstep) width = std::max(width, std::min<std::size_t>(8, b.runs));
+  const std::size_t jobs = util::ThreadPool::resolve_jobs(spec.jobs);
+  auto units_at = [&](std::size_t w) {
+    std::size_t units = 0;
+    for (const Block& b : blocks)
+      units += b.lockstep ? (b.runs + w - 1) / w : b.runs;
+    return units;
+  };
+  while (width > 1 && units_at(width) < jobs) --width;
+  while (width > 1 && units_at(width - 1) == units_at(width)) --width;
+  return static_cast<unsigned>(width);
+}
+
 }  // namespace
 
 unsigned grid_cohort_width(const ExperimentSpec& spec) {
-  if (spec.cohort != 0) return spec.cohort;
-  return static_cast<unsigned>(std::min<std::size_t>(8, chunk_block(spec)));
+  return plan_grid(spec).cohort_width;
 }
 
 GridPlan plan_grid(const ExperimentSpec& spec) {
@@ -85,17 +116,35 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
                   {protocol, n, r, rho, policy,
                    spec.seed + static_cast<std::uint64_t>(s) * 1000003});
 
-  // Work units: chunks of up to `cohort_width` cells within each
-  // contiguous block of cells sharing protocol, n, R and policy (see
-  // chunk_block — with one slot policy a block is a whole rho x seed grid
-  // row, so lanes of one cohort may differ in injector parameters, not
-  // just seed). A unit is [first, first + count) in cell order.
-  const unsigned cohort_width = grid_cohort_width(spec);
+  // Count each block in runs. Every cell of a block shares protocol, n,
+  // R, policy and the injector kind, so one cell answers for all: its
+  // seed use (the seed replicas of a seed-invariant cell are one run) and
+  // whether its runs can take the lockstep path.
   const std::size_t block = chunk_block(spec);
-  for (std::size_t base = 0; base < plan.cells.size(); base += block)
-    for (std::size_t s = 0; s < block; s += cohort_width)
-      plan.units.push_back(
-          {base + s, std::min<std::size_t>(cohort_width, block - s)});
+  const std::size_t seeds = static_cast<std::size_t>(spec.seeds);
+  std::vector<Block> blocks;
+  for (std::size_t base = 0; base < plan.cells.size(); base += block) {
+    const RunSpec run = cell_run_spec(spec, plan.cells[base]);
+    Block b;
+    b.first = base;
+    b.run_cells = seed_invariant(run) ? seeds : 1;
+    b.runs = block / b.run_cells;
+    b.lockstep =
+        spec.cohort == 0 && !sim::lockstep_slot_lengths(materials(run)).empty();
+    blocks.push_back(b);
+  }
+
+  // Work units: chunks of up to `cohort_width` runs within each block
+  // (one run per unit where auto width finds no lockstep path). A unit is
+  // [first, first + count) in cell order.
+  plan.cohort_width = spec.cohort != 0 ? spec.cohort : auto_width(spec, blocks);
+  for (const Block& b : blocks) {
+    const std::size_t width =
+        spec.cohort != 0 || b.lockstep ? plan.cohort_width : 1;
+    for (std::size_t r = 0; r < b.runs; r += width)
+      plan.units.push_back({b.first + r * b.run_cells,
+                            std::min(width, b.runs - r) * b.run_cells});
+  }
   return plan;
 }
 
@@ -215,27 +264,53 @@ std::vector<ExperimentRecord> run_grid_cells(
                    c.bound_r == c0.bound_r && c.slot_policy == c0.slot_policy,
                "cells of one work unit must share protocol, n, R and policy");
   }
-  std::vector<ExperimentRecord> out;
-  out.reserve(todo.size());
-  if (todo.size() == 1) {
+
+  // Distinct runs, in first-cell order. A run's key is its cell's RunSpec
+  // with the seeds cleared when nothing draws from them, so the seed
+  // replicas of a seed-invariant cell share one key; the run itself is
+  // its first cell's.
+  std::vector<RunSpec> keys;
+  std::vector<std::size_t> firsts;              // each run's first cell
+  std::vector<std::size_t> run_of(todo.size());  // todo position -> run
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    RunSpec key = cell_run_spec(spec, plan.cells[todo[k]]);
+    if (seed_invariant(key)) key.seed = key.injector.seed = 0;
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    run_of[k] = static_cast<std::size_t>(it - keys.begin());
+    if (it == keys.end()) {
+      keys.push_back(std::move(key));
+      firsts.push_back(todo[k]);
+    }
+  }
+
+  std::vector<ExperimentRecord> runs;
+  runs.reserve(firsts.size());
+  if (firsts.size() == 1) {
     auto engine = build_engine(cell_run_spec(spec, c0));
     engine->run(sim::until(spec.horizon_units * kTicksPerUnit));
-    out.push_back(extract_record(c0, spec.energy, engine->stats(),
-                                 engine->channel_stats(),
-                                 engine->energy_meter()));
+    runs.push_back(extract_record(c0, spec.energy, engine->stats(),
+                                  engine->channel_stats(),
+                                  engine->energy_meter()));
   } else {
     std::vector<sim::LaneBuilder> builders;
-    builders.reserve(todo.size());
-    for (std::size_t i : todo)
+    builders.reserve(firsts.size());
+    for (std::size_t i : firsts)
       builders.push_back([run = cell_run_spec(spec, plan.cells[i])] {
         return materials(run);
       });
     sim::CohortEngine cohort(std::move(builders));
     cohort.run(sim::until(spec.horizon_units * kTicksPerUnit));
-    for (std::size_t k = 0; k < todo.size(); ++k)
-      out.push_back(extract_record(plan.cells[todo[k]], spec.energy,
-                                   cohort.stats(k), cohort.channel_stats(k),
-                                   cohort.energy_meter(k)));
+    for (std::size_t j = 0; j < firsts.size(); ++j)
+      runs.push_back(extract_record(plan.cells[firsts[j]], spec.energy,
+                                    cohort.stats(j), cohort.channel_stats(j),
+                                    cohort.energy_meter(j)));
+  }
+
+  std::vector<ExperimentRecord> out;
+  out.reserve(todo.size());
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    out.push_back(runs[run_of[k]]);
+    out.back().seed = plan.cells[todo[k]].seed;
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // asyncmac/analysis/grid.h
 //
 // The shared internals of experiment-grid execution: cell enumeration,
-// each cell's RunSpec, cohort-width work-unit chunking, the grid-spec
+// each cell's RunSpec, work-unit planning in distinct runs, the grid-spec
 // encoding and its fingerprint, record (de)serialization and the
 // resumable grid manifest (docs/CHECKPOINT.md).
 //
@@ -10,8 +10,14 @@
 // the *same* pieces across processes — a coordinator plans units and
 // merges records/manifest, workers execute run_grid_cells. Both paths
 // therefore produce byte-identical records and manifest files by
-// construction: every cell is an independent deterministic engine and
-// the enumeration order below is the single source of truth.
+// construction: every cell is a deterministic run and the enumeration
+// order below is the single source of truth.
+//
+// A cell's record depends on its seed only when some component of its
+// run draws from one (analysis::seed_invariant). The seed replicas of
+// every other cell are one run: the planner counts them once and
+// run_grid_cells computes them once, writing each replica's record with
+// its own seed.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +43,14 @@ struct GridCell {
   std::uint64_t seed = 0;
 };
 
-/// A contiguous run [first, first + count) of cells forming one work
-/// unit. All cells of a unit share protocol, n, R and slot policy —
-/// everything cohort eligibility needs — and differ only in seed and
-/// injector parameters (rho), so a unit batches as one sim::CohortEngine
-/// cohort. With a single slot policy in the spec, a unit may span the
-/// rho values of one grid row, not just the seed replicas of one cell.
+/// A contiguous range [first, first + count) of cells forming one work
+/// unit, inside one *block*: the contiguous cells sharing protocol, n, R
+/// and slot policy — with a single slot policy in the spec a whole
+/// rho x seed grid row, otherwise the seed replicas of one cell. Cells of
+/// a unit differ only in seed and injector parameters (rho), so its runs
+/// batch as one sim::CohortEngine cohort. A unit holds up to the plan's
+/// cohort width of distinct *runs*: the seed replicas of a seed-invariant
+/// cell are one run, every other cell is a run of its own.
 struct GridUnit {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -51,17 +59,27 @@ struct GridUnit {
 struct GridPlan {
   std::vector<GridCell> cells;
   std::vector<GridUnit> units;
+  /// Runs per unit in the blocks the width applies to (grid_cohort_width).
+  unsigned cohort_width = 1;
 };
 
-/// Enumerate the cross product and chunk it into cohort-width units
-/// (grid_cohort_width). Validates the spec the same way run_grid does
-/// (throws std::invalid_argument).
+/// Enumerate the cross product and chunk each block into units of up to
+/// cohort-width runs. Validates the spec the same way run_grid does
+/// (throws std::invalid_argument). Its work beyond enumeration runs once
+/// per block: one RunSpec's seed_invariant and, for auto width, one
+/// lane's sim::lockstep_slot_lengths.
 GridPlan plan_grid(const ExperimentSpec& spec);
 
-/// The effective cohort width: spec.cohort when set, otherwise
-/// min(8, cells-per-chunkable-block) — with a single slot policy the
-/// block is a whole rho x seed grid row, else the seed replicas of one
-/// cell.
+/// The plan's cohort width, in runs per unit (plan_grid(spec).cohort_width).
+/// An explicit spec.cohort = K puts up to K runs in every unit. Auto
+/// (spec.cohort = 0) puts one run in each unit of a block whose runs
+/// cannot take the cohort's lockstep path (sim::lockstep_slot_lengths) —
+/// a cohort there is just K scalar engines on one thread. In the blocks
+/// that can, it puts up to 8 runs (never more than the largest such block
+/// holds), narrowed while the grid would have fewer units than
+/// spec.jobs (0 = hardware concurrency) and then while narrowing keeps
+/// the unit count; it returns that width, or 1 when no block takes the
+/// lockstep path.
 unsigned grid_cohort_width(const ExperimentSpec& spec);
 
 /// The run one cell denotes: the cell's protocol, n, R, slot policy and
@@ -89,9 +107,12 @@ ExperimentRecord load_record(snapshot::Reader& r);
 
 /// Run the cells at `todo` (indices into plan.cells; all must share
 /// protocol, n, R and slot policy — seed and rho may differ) and return
-/// their records in todo order. One cell runs a scalar engine, several
-/// run as one lockstep cohort — records are byte-identical either way
-/// (the cohort contract).
+/// their records in todo order. Each distinct run among them is computed
+/// once: cells whose RunSpecs are seed replicas of a seed-invariant spec
+/// share one run, whatever unit or resume state left them together. One
+/// run takes a scalar engine, several take one lockstep cohort lane each,
+/// and every cell's record is its run's with the cell's own seed —
+/// byte-identical to one engine per cell either way.
 std::vector<ExperimentRecord> run_grid_cells(
     const ExperimentSpec& spec, const GridPlan& plan,
     const std::vector<std::size_t>& todo);

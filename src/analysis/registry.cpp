@@ -21,44 +21,64 @@ namespace asyncmac::analysis {
 
 namespace {
 
-const std::map<std::string, sim::ProtocolMaker>& registry() {
-  static const std::map<std::string, sim::ProtocolMaker> kRegistry = {
+/// One registered protocol: its factory, and whether its automaton draws
+/// from the station RNG (ctx.rng()) — the protocol's seed-use
+/// declaration.
+struct Entry {
+  sim::ProtocolMaker make;
+  bool draws_rng = false;
+};
+constexpr bool kDrawsRng = true;
+
+const std::map<std::string, Entry>& registry() {
+  static const std::map<std::string, Entry> kRegistry = {
       {"ao-arrow",
-       [] { return std::make_unique<core::AoArrowProtocol>(); }},
+       {[] { return std::make_unique<core::AoArrowProtocol>(); }}},
       {"ca-arrow",
-       [] { return std::make_unique<core::CaArrowProtocol>(); }},
+       {[] { return std::make_unique<core::CaArrowProtocol>(); }}},
       {"adaptive-abs",
-       [] { return std::make_unique<core::AdaptiveAbsProtocol>(); }},
-      {"abs", [] { return std::make_unique<core::AbsProtocol>(); }},
-      {"rrw", [] { return std::make_unique<baselines::RrwProtocol>(); }},
-      {"mbtf", [] { return std::make_unique<baselines::MbtfProtocol>(); }},
+       {[] { return std::make_unique<core::AdaptiveAbsProtocol>(); }}},
+      {"abs", {[] { return std::make_unique<core::AbsProtocol>(); }}},
+      {"rrw", {[] { return std::make_unique<baselines::RrwProtocol>(); }}},
+      {"mbtf", {[] { return std::make_unique<baselines::MbtfProtocol>(); }}},
       {"aloha",
-       [] { return std::make_unique<baselines::SlottedAlohaProtocol>(); }},
-      {"beb", [] { return std::make_unique<baselines::BebProtocol>(); }},
+       {[] { return std::make_unique<baselines::SlottedAlohaProtocol>(); },
+        kDrawsRng}},
+      {"beb", {[] { return std::make_unique<baselines::BebProtocol>(); },
+               kDrawsRng}},
       {"csma-lbt",
-       [] { return std::make_unique<baselines::CsmaLbtProtocol>(); }},
+       {[] { return std::make_unique<baselines::CsmaLbtProtocol>(); },
+        kDrawsRng}},
       {"silence-tdma",
-       [] {
+       {[] {
          return std::make_unique<baselines::SilenceCountTdmaProtocol>();
-       }},
+       }}},
       {"sync-binary-le",
-       [] { return std::make_unique<baselines::SyncBinaryLeProtocol>(); }},
+       {[] { return std::make_unique<baselines::SyncBinaryLeProtocol>(); }}},
       {"tree-resolution",
-       [] {
+       {[] {
          return std::make_unique<baselines::TreeResolutionProtocol>();
-       }},
+       }}},
       {"listen",
-       [] { return std::make_unique<baselines::ListenProtocol>(); }},
+       {[] { return std::make_unique<baselines::ListenProtocol>(); }}},
   };
   return kRegistry;
+}
+
+const Entry& entry(const std::string& name) {
+  const auto it = registry().find(name);
+  AM_REQUIRE(it != registry().end(), "unknown protocol: " + name);
+  return it->second;
 }
 
 }  // namespace
 
 sim::ProtocolMaker protocol_maker(const std::string& name) {
-  const auto it = registry().find(name);
-  AM_REQUIRE(it != registry().end(), "unknown protocol: " + name);
-  return it->second;
+  return entry(name).make;
+}
+
+bool protocol_draws_rng(const std::string& name) {
+  return entry(name).draws_rng;
 }
 
 std::unique_ptr<sim::Protocol> make_protocol(const std::string& name) {
@@ -76,7 +96,7 @@ std::vector<std::unique_ptr<sim::Protocol>> make_protocols(
 
 std::vector<std::string> protocol_names() {
   std::vector<std::string> names;
-  for (const auto& [name, maker] : registry()) names.push_back(name);
+  for (const auto& [name, e] : registry()) names.push_back(name);
   return names;
 }
 

@@ -20,6 +20,15 @@ namespace asyncmac::analysis {
 ///   rrw, mbtf, aloha, beb, silence-tdma, sync-binary-le, listen
 sim::ProtocolMaker protocol_maker(const std::string& name);
 
+/// Seed use, declared in each registry entry: true when the automaton
+/// draws from its station's RNG (ctx.rng()) — aloha, beb and csma-lbt.
+/// Every other registered protocol acts on its queue and the channel
+/// feedback alone, so the engine seed never reaches it. Only
+/// seed_invariant (analysis/run_spec.h) combines this with the other
+/// components' declarations. Throws std::invalid_argument on an unknown
+/// name.
+bool protocol_draws_rng(const std::string& name);
+
 /// Convenience: one instance.
 std::unique_ptr<sim::Protocol> make_protocol(const std::string& name);
 

@@ -118,6 +118,12 @@ RunSpec load_run_spec(snapshot::Reader& r) {
   return spec;
 }
 
+bool seed_invariant(const RunSpec& spec) {
+  return !protocol_draws_rng(spec.protocol) &&
+         !adversary::slot_policy_draws_seed(spec.slot_policy) &&
+         !(spec.has_injector && adversary::injector_draws_seed(spec.injector));
+}
+
 sim::LaneMaterials materials(const RunSpec& spec,
                              std::uint64_t engine_seed) {
   AM_REQUIRE(spec.n >= 1, "a run needs at least one station");

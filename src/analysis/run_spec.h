@@ -66,6 +66,18 @@ energy::EnergyModel load_energy_model(snapshot::Reader& r);
 void save_run_spec(snapshot::Writer& w, const RunSpec& spec);
 RunSpec load_run_spec(snapshot::Reader& r);
 
+/// True when no component of the run draws from a seed: the protocol's
+/// automaton never calls ctx.rng() (protocol_draws_rng), the slot policy
+/// draws nothing from `seed` (adversary::slot_policy_draws_seed) and the
+/// injector nothing from injector.seed (adversary::injector_draws_seed).
+/// Seed replicas of such a spec — equal up to seed and injector.seed —
+/// then give identical stats, channel stats, traces and delivery logs
+/// (not identical Engine::save_state bytes: every station's RNG is saved,
+/// drawn or not). This is the only place those declarations combine;
+/// grids use it to compute each distinct run once (analysis/grid.h).
+/// Throws std::invalid_argument on an unknown protocol name.
+bool seed_invariant(const RunSpec& spec);
+
 /// The engine materials the spec denotes. `engine_seed` (0 = none)
 /// replaces spec.seed in the engine configuration only: the slot policy
 /// still draws from spec.seed, so lanes of one cohort (and the probes of

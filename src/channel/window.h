@@ -61,6 +61,8 @@ struct LedgerStats {
   // so successful + collided still equals the decided count.
   std::uint64_t rejected = 0;  ///< suppressed over-capacity transmissions
   std::uint64_t jammed = 0;    ///< over-capacity transmissions sent anyway
+
+  bool operator==(const LedgerStats&) const = default;
 };
 
 class Window {

@@ -24,6 +24,8 @@ struct StationStats {
   Tick queued_cost = 0;                ///< current queue cost
   std::uint64_t max_queued = 0;        ///< high-water mark, packets
   Tick max_queued_cost = 0;            ///< high-water mark, cost
+
+  bool operator==(const StationStats&) const = default;
 };
 
 struct RunStats {
@@ -50,6 +52,8 @@ struct RunStats {
   util::Histogram latency;
 
   std::vector<StationStats> station;  ///< indexed by StationId - 1
+
+  bool operator==(const RunStats&) const = default;
 };
 
 }  // namespace asyncmac::metrics

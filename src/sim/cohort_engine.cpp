@@ -973,6 +973,32 @@ struct CohortEngine::Impl {
   }
 };
 
+std::vector<Tick> lockstep_slot_lengths(const LaneMaterials& m) {
+  // The protocol must be the lane-ized automaton at every station; every
+  // station's slot length must be fixed within [1, R] units; no
+  // checkpointing, and the slot policy must be snapshot-stateless (its
+  // save_state writes nothing) so lane snapshots can splice an empty
+  // policy section.
+  const EngineConfig& c = m.cfg;
+  if (c.n < 1 || c.bound_r < 1 || c.prune_interval < 1 ||
+      c.checkpoint_interval != 0 || c.checkpoint_sink ||
+      m.slot_policy == nullptr || m.protocols.size() != c.n)
+    return {};
+  for (const auto& p : m.protocols)
+    if (p == nullptr || p->name() != kLaneizedProtocol) return {};
+  const Tick max_ticks = static_cast<Tick>(c.bound_r) * kTicksPerUnit;
+  std::vector<Tick> lengths(c.n);
+  for (std::uint32_t s = 1; s <= c.n; ++s) {
+    const Tick len = m.slot_policy->fixed_length(s);
+    if (len < kTicksPerUnit || len > max_ticks) return {};
+    lengths[s - 1] = len;
+  }
+  snapshot::Writer probe;
+  m.slot_policy->save_state(probe);
+  if (!probe.buffer().empty()) return {};
+  return lengths;
+}
+
 CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
     : impl_(std::make_unique<Impl>()) {
   AM_REQUIRE(!builders.empty(), "cohort needs at least one lane");
@@ -987,45 +1013,23 @@ CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
   }
 
   // ---- fast-path eligibility, decided for the whole cohort ----
-  // Shared facets must agree across lanes (seeds and injectors are free);
-  // the protocol must be the lane-ized automaton; every station's slot
-  // length must be fixed and identical across lanes (that is what makes
-  // the event schedule shareable); no checkpointing, and the slot policy
-  // must be snapshot-stateless (its save_state writes nothing) so lane
-  // snapshots can splice an empty policy section.
+  // Every lane must pass lockstep_slot_lengths on its own, and the lanes
+  // must agree on the shared facets and on every station's slot length
+  // (that is what makes the event schedule shareable); seeds and
+  // injectors are free.
   const EngineConfig& c0 = mats[0].cfg;
-  bool eligible = c0.n >= 1 && c0.bound_r >= 1 && c0.prune_interval >= 1;
-  const Tick max_ticks = static_cast<Tick>(c0.bound_r) * kTicksPerUnit;
-  std::vector<Tick> lengths;
-  for (const LaneMaterials& m : mats) {
-    const EngineConfig& c = m.cfg;
-    eligible = eligible && c.n == c0.n && c.bound_r == c0.bound_r &&
+  std::vector<Tick> lengths = lockstep_slot_lengths(mats[0]);
+  bool eligible = !lengths.empty();
+  for (std::size_t k = 1; eligible && k < mats.size(); ++k) {
+    const EngineConfig& c = mats[k].cfg;
+    eligible = c.n == c0.n && c.bound_r == c0.bound_r &&
                c.keep_channel_history == c0.keep_channel_history &&
                c.record_trace == c0.record_trace &&
                c.record_deliveries == c0.record_deliveries &&
                c.allow_control == c0.allow_control &&
                c.prune_interval == c0.prune_interval &&
                c.restrained == c0.restrained && c.energy == c0.energy &&
-               c.checkpoint_interval == 0 && !c.checkpoint_sink &&
-               m.slot_policy != nullptr && m.protocols.size() == c.n;
-    if (!eligible) break;
-    for (const auto& p : m.protocols)
-      eligible = eligible && p != nullptr && p->name() == kLaneizedProtocol;
-    if (!eligible) break;
-    std::vector<Tick> lane_lengths(c.n);
-    for (std::uint32_t s = 1; s <= c.n; ++s) {
-      const Tick len = m.slot_policy->fixed_length(s);
-      eligible = eligible && len >= kTicksPerUnit && len <= max_ticks;
-      lane_lengths[s - 1] = len;
-    }
-    snapshot::Writer probe;
-    m.slot_policy->save_state(probe);
-    eligible = eligible && probe.buffer().empty();
-    if (lengths.empty())
-      lengths = std::move(lane_lengths);
-    else
-      eligible = eligible && lane_lengths == lengths;
-    if (!eligible) break;
+               lockstep_slot_lengths(mats[k]) == lengths;
   }
 
   if (!eligible) {
@@ -1048,7 +1052,7 @@ CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
   im.lockstep = true;
   im.cfg = c0;
   im.cfg.checkpoint_sink = nullptr;
-  im.max_slot_ticks = max_ticks;
+  im.max_slot_ticks = static_cast<Tick>(c0.bound_r) * kTicksPerUnit;
   im.lengths = std::move(lengths);
   const std::uint32_t n = im.cfg.n;
   im.events = SlotEventHeap(n);

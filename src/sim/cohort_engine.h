@@ -64,6 +64,16 @@ struct LaneMaterials {
 /// Engine (the fresh engine is then overwritten via load_state).
 using LaneBuilder = std::function<LaneMaterials()>;
 
+/// The lockstep fast path's test of one lane on its own: the lane-ized
+/// protocol at every station, every slot length fixed within [1, R]
+/// units, a slot policy whose save_state writes nothing, and no
+/// checkpointing. Returns the per-station slot lengths, or an empty
+/// vector when the lane cannot run in lockstep. A cohort runs in
+/// lockstep when every lane passes and all lanes agree on their shared
+/// configuration and lengths; the grid planner (analysis/grid.h) asks it
+/// of one lane per block to size its work units.
+std::vector<Tick> lockstep_slot_lengths(const LaneMaterials& m);
+
 class CohortEngine {
  public:
   /// One builder per lane; at least one lane. Decides the lockstep fast

@@ -119,6 +119,8 @@ struct DeliveryRecord {
   Tick declared_cost = 0;
   Tick realized_cost = 0;  ///< actual duration of the delivering slot
   Tick delivered_at = 0;   ///< end time of the delivering slot
+
+  bool operator==(const DeliveryRecord&) const = default;
 };
 
 class Engine final : public EngineView {

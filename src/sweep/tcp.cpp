@@ -73,7 +73,7 @@ sockaddr_in resolve(const std::string& host, std::uint16_t port) {
 ServeOutcome serve(const ServeOptions& opt) {
   Coordinator coord(opt.coord);
 
-  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) die("socket");
   const int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -125,9 +125,12 @@ ServeOutcome serve(const ServeOptions& opt) {
   // Once the job completes the loop does NOT slam connections shut:
   // closing a socket with unread bytes in flight (a heartbeat racing the
   // final Shutdown) sends RST and can discard the queued Shutdown on the
-  // worker side. Instead the listener closes, every connection gets its
-  // Shutdown, and the loop keeps serving until each peer drains it and
-  // closes (EOF) — bounded by a grace deadline for dead peers.
+  // worker side. Instead every connection gets its Shutdown, and the loop
+  // keeps serving until each peer drains it and closes (EOF) — bounded by
+  // a grace deadline for dead peers. The listener stays open through the
+  // drain: a worker whose connect is still in the listen backlog is
+  // accepted and dismissed with its Shutdown, as a worker joining a
+  // complete sweep expects (sweep/worker.cpp), instead of being reset.
   constexpr std::uint64_t kDrainGraceMs = 3000;
   bool closing = false;
   std::uint64_t close_deadline = 0;
@@ -139,8 +142,6 @@ ServeOutcome serve(const ServeOptions& opt) {
       if (!closing) {
         closing = true;
         close_deadline = now + kDrainGraceMs;
-        ::close(listener);
-        listener = -1;
       }
       if (conns.empty() || now >= close_deadline) break;
     }
@@ -149,12 +150,8 @@ ServeOutcome serve(const ServeOptions& opt) {
       apply(coord.on_tick(now));
     }
 
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;
-    if (listener >= 0) {
-      fds.push_back({listener, POLLIN, 0});
-      ids.push_back(0);
-    }
+    std::vector<pollfd> fds{{listener, POLLIN, 0}};
+    std::vector<std::uint64_t> ids{0};
     for (auto& [id, io] : conns) {
       short events = POLLIN;
       if (!io.outbuf.empty()) events |= POLLOUT;
@@ -169,22 +166,18 @@ ServeOutcome serve(const ServeOptions& opt) {
     }
 
     const std::uint64_t now2 = steady_ms() - t0;
-    std::size_t first_conn = 0;
-    if (listener >= 0) {
-      first_conn = 1;
-      if (fds[0].revents & POLLIN) {
-        for (;;) {
-          const int fd = ::accept(listener, nullptr, nullptr);
-          if (fd < 0) break;
-          set_nonblocking(fd);
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          const std::uint64_t id = next_conn++;
-          conns[id] = ConnIo{fd, {}};
-          apply(coord.on_connect(id, now2));
-        }
+    if (fds[0].revents & POLLIN) {
+      for (;;) {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0) break;
+        set_nonblocking(fd);
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        const std::uint64_t id = next_conn++;
+        conns[id] = ConnIo{fd, {}};
+        apply(coord.on_connect(id, now2));
       }
     }
-    for (std::size_t i = first_conn; i < fds.size(); ++i) {
+    for (std::size_t i = 1; i < fds.size(); ++i) {
       const std::uint64_t id = ids[i];
       auto it = conns.find(id);
       if (it == conns.end()) continue;  // closed earlier this round
@@ -219,7 +212,7 @@ ServeOutcome serve(const ServeOptions& opt) {
   }
 
   for (auto& [id, io] : conns) ::close(io.fd);
-  if (listener >= 0) ::close(listener);
+  ::close(listener);
 
   ServeOutcome out;
   out.records = coord.grid_records();

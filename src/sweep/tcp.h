@@ -43,7 +43,10 @@ struct ServeOutcome {
   std::vector<verify::CaseVerdict> verdicts;        ///< fuzz jobs
 };
 
-/// Run a coordinator over real sockets until the job is complete.
+/// Run a coordinator over real sockets until the job is complete and
+/// every connection has drained its Shutdown (or a grace deadline for
+/// dead peers has passed). It keeps accepting through that drain, so a
+/// worker that joins the complete sweep is dismissed cleanly and exits 0.
 /// Throws std::runtime_error on socket-layer failures (bind in use, ...);
 /// worker misbehaviour never throws — the Coordinator absorbs it.
 ServeOutcome serve(const ServeOptions& opt);

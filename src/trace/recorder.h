@@ -20,6 +20,8 @@ struct SlotRecord {
   Tick end = 0;
   SlotAction action = SlotAction::kListen;
   Feedback feedback = Feedback::kSilence;
+
+  bool operator==(const SlotRecord&) const = default;
 };
 
 class Recorder {

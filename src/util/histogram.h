@@ -81,6 +81,8 @@ class Histogram {
   State state() const { return {buckets_, count_, sum_, min_, max_}; }
   void restore(State s);
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   static std::size_t bucket_of(std::int64_t v) noexcept;
   static std::int64_t bucket_upper(std::size_t b) noexcept;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "analysis/registry.h"
 #include "sim/cohort_engine.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
@@ -108,8 +109,10 @@ namespace {
 /// as a lane of a sim::CohortEngine (whatever path the cohort picks —
 /// lockstep for lane-ized protocol/policy combinations, scalar fallback
 /// otherwise) and demand the full state snapshot equal the scalar
-/// engine's, byte for byte. Lane 1 rides along with a different seed (the
-/// Monte Carlo shape cohorts exist for); lane 2 replays the scenario with
+/// engine's, byte for byte. Lane 1 rides along with a different engine
+/// seed (the Monte Carlo shape cohorts exist for); when the protocol
+/// declares it draws nothing from that seed, lane 1's stats and channel
+/// stats must equal the scalar engine's. Lane 2 replays the scenario with
 /// a mid-horizon stop and resumes, covering retirement + materialization
 /// under every generated adversary; lane 3 runs the scenario with varied
 /// injector *parameters* (halved rho, longer bursts) and must match its
@@ -142,6 +145,19 @@ trace::CheckResult check_cohort_equivalence(const Scenario& s,
   stops[2] = sim::until(horizon / 2);
   cohort.run(stops);
   cohort.run(sim::until(horizon));  // resume lane 2 to the full horizon
+
+  // The engine seed reaches only the stations' RNGs, so a protocol that
+  // never draws from them (analysis::protocol_draws_rng) runs lane 1
+  // exactly as the scalar engine — its snapshot still differs by the
+  // saved RNG states, hence the field comparison. This check rides on the
+  // cohort's lane 1, a run this oracle makes anyway; if the cohort oracle
+  // is ever deleted, the check needs a run of its own.
+  if (!analysis::protocol_draws_rng(s.protocol) &&
+      (cohort.stats(1) != scalar.stats() ||
+       cohort.channel_stats(1) != scalar.channel_stats()))
+    return {false, s.protocol +
+                       " declares no seed use, yet cohort lane 1 (engine "
+                       "seed + 1) diverged from the scalar engine's stats"};
 
   for (const std::size_t lane :
        {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {

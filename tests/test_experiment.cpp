@@ -186,13 +186,15 @@ TEST(Experiment, RejectsEmptyDimensions) {
 TEST(Experiment, CohortTimesJobsMatrixIsByteIdentical) {
   // The cohort guarantee stacked on the jobs guarantee: the records (and
   // the CSV rendered from them) are byte-identical for every (cohort,
-  // jobs) combination. ca-arrow/perstation takes the lockstep fast path,
-  // rrw falls back to scalar engines inside the cohort — both must agree
-  // with cohort=1 (the pre-cohort scalar sweep). seeds=7 with cohort=3
-  // exercises partial trailing units; staggered saturation across seeds
-  // exercises mid-cohort divergence of lane queues.
+  // jobs) combination, and equal to cohort=1 (one scalar engine per run).
+  // ca-arrow and rrw draw no seed, so each cell's 7 seed replicas are one
+  // run and a row's lanes are its 2 distinct rho values: ca-arrow/
+  // perstation takes the lockstep fast path (lanes whose queues diverge),
+  // rrw falls back to scalar engines inside the cohort. aloha draws from
+  // its seed, so its 14 runs per row leave partial trailing units at
+  // cohort=3.
   ExperimentSpec spec;
-  spec.protocols = {"ca-arrow", "rrw"};
+  spec.protocols = {"ca-arrow", "rrw", "aloha"};
   spec.station_counts = {3};
   spec.bounds_r = {2};
   spec.rho_percents = {40, 70};

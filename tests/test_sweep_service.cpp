@@ -185,11 +185,12 @@ TEST_F(SweepServiceTest, DelayedResultStillMerges) {
 }
 
 TEST_F(SweepServiceTest, WorkerKilledWhileIdleBetweenUnits) {
-  // Pin cohort=2: with param-varying cohorts the 8-cell grid would plan
-  // as 2 whole-row units and worker 1 would finish before the kill step;
-  // 4 units keep it mid-sweep (idle between its units) when killed.
+  // Pin cohort=1: the 8 cells are 4 distinct runs (ca-arrow and rrw
+  // draw no seed, so each cell's 2 seed replicas are one run), and one
+  // run per unit plans 4 units. Wider units would let worker 1 finish
+  // before the kill step; 4 keep it mid-sweep (idle between its units).
   analysis::ExperimentSpec spec = small_spec();
-  spec.cohort = 2;
+  spec.cohort = 1;
   const auto control = analysis::run_grid(spec);
   SweepJob job = grid_job();
   job.grid = spec;

@@ -4,7 +4,11 @@
 // owns the fault matrix; this file pins that the TCP transport — accept,
 // partial reads, outbuf draining, heartbeat timing off a real clock —
 // drives the same state machines to the same byte-identical results.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <future>
@@ -36,6 +40,22 @@ analysis::ExperimentSpec small_spec() {
   return spec;
 }
 
+/// A localhost connection that never sends a frame. serve() keeps
+/// draining while any connection is open, so holding one across a sweep
+/// means every worker is accepted — even one whose connect comes after
+/// the sweep completed, which is then dismissed with its Shutdown.
+int idle_connection(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
 TEST(SweepTcp, ThreeWorkersOverSocketsMatchSingleProcess) {
   const auto spec = small_spec();
   const auto control = analysis::run_grid(spec);
@@ -64,6 +84,10 @@ TEST(SweepTcp, ThreeWorkersOverSocketsMatchSingleProcess) {
   });
 
   const std::uint16_t port = port_future.get();
+  // The grid is small enough for two workers to finish it before the
+  // third connects; the idle connection keeps serve() accepting until
+  // all three have returned, whatever the thread scheduling.
+  const int idle = idle_connection(port);
   std::vector<std::thread> workers;
   std::vector<int> rc(3, -1);
   for (int i = 0; i < 3; ++i) {
@@ -73,6 +97,7 @@ TEST(SweepTcp, ThreeWorkersOverSocketsMatchSingleProcess) {
     });
   }
   for (auto& t : workers) t.join();
+  ::close(idle);
   const ServeOutcome outcome = outcome_promise.get_future().get();
   server.join();
 

@@ -183,14 +183,18 @@ std::vector<std::string> split_list(const std::string& s) {
       "grid flags (--grid; --protocol/--n/--r/--rho/--policy take comma\n"
       "lists and the cross product x --seeds replications runs on --jobs\n"
       "workers, see analysis/experiment.h):\n"
-      "  --seeds=K      seed replications per cell (default 1)\n"
+      "  --seeds=K      seed replications per cell (default 1); the\n"
+      "                 replicas of a cell that draws from no seed (not\n"
+      "                 aloha/beb/csma-lbt, not policy random) are\n"
+      "                 computed once\n"
       "  --jobs=J       worker threads, 0 = all cores (default 0);\n"
       "                 records are byte-identical for every J\n"
-      "  --cohort=K     batch up to K cells differing only in seed and\n"
-      "                 injector params (rho) through the lockstep cohort\n"
-      "                 engine; 0 = auto, 1 = scalar\n"
-      "                 (default 0); records are byte-identical for\n"
-      "                 every K\n"
+      "  --cohort=K     batch up to K distinct runs differing only in\n"
+      "                 seed and injector params (rho) through the\n"
+      "                 lockstep cohort engine; 1 = scalar, 0 = auto\n"
+      "                 (default): 1 where the lockstep path does not\n"
+      "                 apply, else up to 8 but at least J units;\n"
+      "                 records are byte-identical for every K\n"
       "  --csv=PATH     also write the records as CSV\n"
       "\n"
       "resume flags (after: asyncmac_cli resume path/to/ckpt.snap or the\n"
