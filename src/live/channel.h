@@ -22,6 +22,20 @@
 // exact, because the daemon closes every transmission whose end is <= t
 // before answering a feedback query at t (wave phase A, live/daemon.h).
 //
+// Bounded scans. No query walks the whole window. A closed entry that
+// begins at or before x - D, with D the longest closed duration so far,
+// ended by x — the rule channel::Window seeks with. So feedback(s, t)
+// visits only closed entries beginning in (s - D, t), close_tx and the
+// restrained on-air census the neighborhood of the entry's begin, and
+// transmission_successful scans back from the newest entry until begins
+// fall more than D before its end. Open entries, at most one per
+// station, are also kept in a side list: an open entry is busy iff it
+// begins before t and never acks, so the side list answers for the ones
+// older than the neighborhood. Feedback visits are counted in the
+// write-only live.channel_scanned counter. The window cannot simply be a
+// channel::Window: Window::add needs the end, which over UDP is the
+// SlotEnd arrival.
+//
 // Stats parity: LedgerStats fields are bumped at the same logical points
 // as the ledger — transmissions/control_transmissions at registration,
 // success/collision tallies when the interval's end passes — so a
@@ -30,7 +44,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "channel/ledger.h"
 #include "channel/transmission.h"
@@ -89,11 +105,27 @@ class LiveChannel {
   std::size_t window_size() const noexcept { return window_.size(); }
 
  private:
+  /// An open entry: its station and its position counted from the first
+  /// entry ever registered (window_ index + popped_).
+  struct OpenTx {
+    StationId station;
+    std::uint64_t seq;
+  };
+
+  const channel::Transmission& entry(const OpenTx& o) const;
+  /// Position of `station`'s open entry in open_ (open_.size() if none).
+  std::size_t open_index(StationId station) const;
+  /// Index of the first entry beginning after from - max_closed_: no
+  /// closed entry before it is on air at `from` or ends after it.
+  std::size_t first_reaching(Tick from) const;
+
   std::deque<channel::Transmission> window_;  ///< begin-sorted; open: end=inf
+  std::vector<OpenTx> open_;  ///< the open entries, in no particular order
+  std::uint64_t popped_ = 0;  ///< entries pruned off the window's front
+  Tick max_closed_ = 0;       ///< longest closed duration so far
   channel::RestrainedSpec restrained_;
   channel::LedgerStats stats_;
   Tick last_begin_ = 0;
-  std::size_t open_count_ = 0;
 };
 
 }  // namespace asyncmac::live

@@ -390,7 +390,10 @@ DaemonActions Daemon::on_batch(
 
   // Decode, validate addressing, split by type. Malformed or misdirected
   // datagrams are dropped (and counted); the daemon keeps serving.
-  std::vector<Msg> joins, ends, boundaries;
+  joins_.clear();
+  ends_.clear();
+  boundaries_.clear();
+  settling_.clear();
   for (const auto& bytes : datagrams) {
     Msg m;
     try {
@@ -410,37 +413,38 @@ DaemonActions Daemon::on_batch(
       continue;
     }
     switch (m.type) {
-      case MsgType::kJoin: joins.push_back(std::move(m)); break;
-      case MsgType::kSlotEnd: ends.push_back(std::move(m)); break;
-      default: boundaries.push_back(std::move(m)); break;
+      case MsgType::kJoin: joins_.push_back(std::move(m)); break;
+      case MsgType::kSlotEnd: ends_.push_back(std::move(m)); break;
+      default: boundaries_.push_back(std::move(m)); break;
     }
   }
 
   // Every phase walks its messages in ascending station order, matching
-  // the engine's (end, station) event-heap tie-break.
+  // the engine's (end, station) event-heap tie-break. Waves usually
+  // arrive in order already; the sort stays stable so a station's
+  // retransmitted duplicates keep their arrival order.
   auto by_station = [](const Msg& a, const Msg& b) {
     return a.station < b.station;
   };
-  std::stable_sort(joins.begin(), joins.end(), by_station);
-  std::stable_sort(ends.begin(), ends.end(), by_station);
-  std::stable_sort(boundaries.begin(), boundaries.end(), by_station);
+  for (std::vector<Msg>* wave : {&joins_, &ends_, &boundaries_})
+    if (!std::is_sorted(wave->begin(), wave->end(), by_station))
+      std::stable_sort(wave->begin(), wave->end(), by_station);
 
-  for (const Msg& m : joins) handle_join(now, m, out);
+  for (const Msg& m : joins_) handle_join(now, m, out);
 
   // Phase A: close every ending transmission interval before any
   // feedback query — a query at t must see all ends <= t decided.
-  std::vector<StationId> settling;
-  for (const Msg& m : ends) {
+  for (const Msg& m : ends_) {
     if (done_) break;
-    if (accept_slot_end(now, m, out)) settling.push_back(m.station);
+    if (accept_slot_end(now, m, out)) settling_.push_back(m.station);
   }
   // Phase B: settle the ended slots.
-  for (StationId id : settling) {
+  for (StationId id : settling_) {
     if (done_) break;
     settle_slot(now, id, out);
   }
   // Phase C: commit the announced next slots.
-  for (const Msg& m : boundaries) {
+  for (const Msg& m : boundaries_) {
     if (done_ || failed_) break;
     handle_boundary(now, m, out);
   }

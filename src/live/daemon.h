@@ -209,6 +209,10 @@ class Daemon : public sim::EngineView {
   Tick sample_step_ = 0;
   int next_sample_ = 1;
   std::vector<Tick> samples_;
+
+  /// Per-wave scratch, cleared (capacity kept) at each on_batch.
+  std::vector<Msg> joins_, ends_, boundaries_;
+  std::vector<StationId> settling_;
 };
 
 }  // namespace asyncmac::live

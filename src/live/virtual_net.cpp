@@ -21,6 +21,8 @@ VirtualNet::VirtualNet(Daemon& daemon, std::vector<StationMachine*> stations,
                "station machines must be ordered by id");
   }
   timers_.resize(stations_.size());
+  sent_to_station_.resize(stations_.size());
+  sent_to_daemon_.resize(stations_.size());
 }
 
 void VirtualNet::add_drop(bool to_station, StationId station,
@@ -42,15 +44,19 @@ void VirtualNet::dispatch(StationId station, bool to_station,
     telemetry::count("live.emu_dropped");
     return;
   }
-  const std::uint64_t index = sent_counts_[{to_station, station}]++;
-  auto it = drops_.find({to_station, station});
-  if (it != drops_.end()) {
-    auto& list = it->second;
-    auto pos = std::find(list.begin(), list.end(), index);
-    if (pos != list.end()) {
-      list.erase(pos);
-      telemetry::count("live.emu_dropped");
-      return;
+  auto& sent = to_station ? sent_to_station_ : sent_to_daemon_;
+  AM_CHECK(station >= 1 && station <= sent.size());
+  const std::uint64_t index = sent[station - 1]++;
+  if (!drops_.empty()) {
+    auto it = drops_.find({to_station, station});
+    if (it != drops_.end()) {
+      auto& list = it->second;
+      auto pos = std::find(list.begin(), list.end(), index);
+      if (pos != list.end()) {
+        list.erase(pos);
+        telemetry::count("live.emu_dropped");
+        return;
+      }
     }
   }
   Event ev;
@@ -127,16 +133,16 @@ bool VirtualNet::run(std::uint64_t max_events) {
       // All daemon-bound datagrams of this tick form one wave.
       if (!queue_.empty() && queue_.front().time <= now_ &&
           !queue_.front().to_station) {
-        std::vector<std::vector<std::uint8_t>> batch;
+        batch_.clear();
         while (!queue_.empty() && queue_.front().time <= now_ &&
                !queue_.front().to_station) {
           std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-          batch.push_back(std::move(queue_.back().bytes));
+          batch_.push_back(std::move(queue_.back().bytes));
           queue_.pop_back();
         }
         ++processed;
         progressed = true;
-        DaemonActions acts = daemon_.on_batch(now_, batch);
+        DaemonActions acts = daemon_.on_batch(now_, batch_);
         if (acts.done) daemon_done_ = true;
         for (auto& s : acts.sends)
           dispatch(s.to, /*to_station=*/true, std::move(s.datagram));

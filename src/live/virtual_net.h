@@ -97,8 +97,10 @@ class VirtualNet {
   util::Rng rng_;
   std::vector<Event> queue_;  ///< heap ordered by (time, seq)
   std::uint64_t next_event_seq_ = 0;
-  std::map<std::pair<bool, StationId>, std::uint64_t> sent_counts_;
+  /// Datagrams dispatched per station (index id - 1), one per direction.
+  std::vector<std::uint64_t> sent_to_station_, sent_to_daemon_;
   std::map<std::pair<bool, StationId>, std::vector<std::uint64_t>> drops_;
+  std::vector<std::vector<std::uint8_t>> batch_;  ///< the daemon's wave
   Tick now_ = 0;
   bool daemon_done_ = false;
 };

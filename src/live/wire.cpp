@@ -1,5 +1,7 @@
 #include "live/wire.h"
 
+#include <utility>
+
 #include "snapshot/io.h"
 #include "util/check.h"
 
@@ -73,6 +75,23 @@ std::uint8_t encode_feedback(Feedback f) {
   return 0;
 }
 
+/// Exact encoded payload size of `m`: the Writer is reserved to it, so
+/// a datagram costs one allocation.
+std::size_t payload_bytes(const Msg& m) {
+  const std::size_t name = 8 + m.name.size();
+  const std::size_t injections = 8 + 16 * m.injections.size();
+  switch (m.type) {
+    case MsgType::kJoin: return 4 + name;
+    case MsgType::kWelcome: return 4 + name + 4 + 4 + 8 + 8 + injections;
+    case MsgType::kBoundary: return 4 + 8 + 1;
+    case MsgType::kGrant: return 8 + 8;
+    case MsgType::kSlotEnd: return 4 + 8;
+    case MsgType::kFeedback: return 8 + 1 + 1 + injections;
+    case MsgType::kFin: return 1 + name;
+  }
+  return 0;
+}
+
 }  // namespace
 
 const char* to_string(MsgType t) noexcept {
@@ -94,7 +113,7 @@ bool known_type(std::uint8_t t) noexcept {
 }
 
 std::vector<std::uint8_t> encode(const Msg& m) {
-  snapshot::Writer w;
+  snapshot::Writer w = snapshot::frame_writer(payload_bytes(m));
   switch (m.type) {
     case MsgType::kJoin:
       w.u32(m.station);
@@ -133,8 +152,8 @@ std::vector<std::uint8_t> encode(const Msg& m) {
       w.str(m.name);
       break;
   }
-  return snapshot::encode_frame(kFormat, static_cast<std::uint8_t>(m.type),
-                                w.buffer());
+  return snapshot::seal_frame(kFormat, static_cast<std::uint8_t>(m.type),
+                             std::move(w));
 }
 
 Msg decode(const std::uint8_t* data, std::size_t size) {

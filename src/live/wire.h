@@ -8,6 +8,12 @@
 // "AMLD", version kLiveWireVersion and at most kMaxDatagramPayload
 // payload bytes.
 //
+// Live mode sends four datagrams per slot, so encode() builds each in one
+// buffer: a snapshot::frame_writer reserved to the message's exact size,
+// the payload written after the header room, the header sealed in place
+// by snapshot::seal_frame. One allocation, no payload copy. The exact
+// bytes are pinned by LiveWire.EncodedBytesArePinned.
+//
 // The decoder is strict: short datagrams, bad magic/version/type, length
 // mismatches, CRC failures and trailing payload bytes all raise a typed
 // snapshot::SnapshotError and never undefined behaviour — a live daemon

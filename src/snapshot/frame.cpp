@@ -1,8 +1,9 @@
 #include "snapshot/frame.h"
 
-#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace asyncmac::snapshot {
 
@@ -20,21 +21,37 @@ void write_le(std::uint8_t* p, std::uint64_t v, int bytes) noexcept {
 
 }  // namespace
 
+Writer frame_writer(std::size_t payload_bytes) {
+  std::vector<std::uint8_t> buf;
+  buf.reserve(kFrameHeaderBytes + payload_bytes);
+  buf.resize(kFrameHeaderBytes);
+  return Writer(std::move(buf));
+}
+
+std::vector<std::uint8_t> seal_frame(const FrameFormat& format,
+                                     std::uint8_t type, Writer&& w) {
+  std::vector<std::uint8_t> out = w.take();
+  if (out.size() < kFrameHeaderBytes)
+    throw std::logic_error("seal_frame needs a frame_writer() buffer");
+  const std::size_t length = out.size() - kFrameHeaderBytes;
+  if (length > format.max_payload)
+    throw SnapshotError(ErrorKind::kCorrupt,
+                        "frame payload exceeds the format's cap");
+  std::uint8_t* h = out.data();
+  std::memcpy(h, format.magic, 4);
+  write_le(h + 4, format.version, 4);
+  h[8] = type;
+  write_le(h + 9, length, 8);
+  write_le(h + 17, crc32(h + kFrameHeaderBytes, length), 4);
+  return out;
+}
+
 std::vector<std::uint8_t> encode_frame(
     const FrameFormat& format, std::uint8_t type,
     const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > format.max_payload)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "frame payload exceeds the format's cap");
-  // One allocation per frame: live mode encodes a datagram every slot.
-  std::vector<std::uint8_t> out(kFrameHeaderBytes + payload.size());
-  std::memcpy(out.data(), format.magic, 4);
-  write_le(out.data() + 4, format.version, 4);
-  out[8] = type;
-  write_le(out.data() + 9, payload.size(), 8);
-  write_le(out.data() + 17, crc32(payload.data(), payload.size()), 4);
-  std::copy(payload.begin(), payload.end(), out.begin() + kFrameHeaderBytes);
-  return out;
+  Writer w = frame_writer(payload.size());
+  w.bytes(payload.data(), payload.size());
+  return seal_frame(format, type, std::move(w));
 }
 
 FrameHeader decode_frame_header(const FrameFormat& format,

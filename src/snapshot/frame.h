@@ -18,6 +18,12 @@
 // kBadVersion, kCorrupt (unknown type, oversized length) or kBadCrc.
 // Framing the header onto a stream or a datagram (kTruncated) stays with
 // each format.
+//
+// A frame is built in one buffer: frame_writer() leaves kFrameHeaderBytes
+// of header room, the payload is written after it, and seal_frame()
+// fills the header in place. seal_frame is the only header writer of
+// both wires; encode_frame copies a payload some caller already holds
+// into header room and seals it.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +49,18 @@ struct FrameHeader {
   std::uint32_t crc = 0;
 };
 
-/// Header + payload. Throws SnapshotError(kCorrupt) on payloads above
-/// the format's cap.
+/// A Writer holding kFrameHeaderBytes of header room, with capacity for
+/// `payload_bytes` more: a payload of at most that size is written
+/// without reallocating.
+Writer frame_writer(std::size_t payload_bytes = 0);
+
+/// Fill the header room of a frame_writer() buffer (magic, version, type,
+/// payload length, payload CRC) and return the frame. Throws
+/// SnapshotError(kCorrupt) on payloads above the format's cap.
+std::vector<std::uint8_t> seal_frame(const FrameFormat& format,
+                                     std::uint8_t type, Writer&& w);
+
+/// Header + a copy of `payload` (frame_writer, copy, seal_frame).
 std::vector<std::uint8_t> encode_frame(const FrameFormat& format,
                                        std::uint8_t type,
                                        const std::vector<std::uint8_t>& payload);

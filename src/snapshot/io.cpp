@@ -19,24 +19,51 @@ const char* to_string(ErrorKind k) noexcept {
 }
 
 namespace {
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the bytewise table; tables[j][b] is the CRC register
+/// after byte b followed by j zero bytes, so one step folds eight bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int b = 0; b < 8; ++b)
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t j = 1; j < t.size(); ++j)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xFFu];
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian u32 from four bytes at any alignment.
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t crc) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   crc = ~crc;
-  for (std::size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len)
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace asyncmac::snapshot {
@@ -52,12 +53,23 @@ class SnapshotError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). `crc` chains
-/// incremental computations; pass 0 to start.
+/// incremental computations; pass 0 to start. Snapshot and checkpoint
+/// files, grid manifests, campaign cursors and both wires' frames all
+/// carry it. Slicing-by-8: eight bytes per step through eight 256-entry
+/// tables built at compile time (no static-init work), words assembled
+/// from bytes (no unaligned or type-punned loads), the bytewise loop for
+/// the tail. Results and chaining equal the bytewise CRC's
+/// (tests/test_snapshot_io pins that against a reference loop).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t crc = 0) noexcept;
 
 class Writer {
  public:
+  Writer() = default;
+  /// Append after `buf`'s bytes, keeping its capacity (a frame's header
+  /// room: snapshot::frame_writer).
+  explicit Writer(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);

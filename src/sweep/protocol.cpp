@@ -53,10 +53,6 @@ SweepJob load_job(Reader& r) {
   return job;
 }
 
-std::vector<std::uint8_t> frame(MsgType type, Writer&& w) {
-  return encode_frame(type, w.buffer());
-}
-
 }  // namespace
 
 std::uint32_t job_fingerprint(const SweepJob& job) {
@@ -77,70 +73,70 @@ std::uint64_t work_unit_id(std::uint32_t fingerprint, std::uint64_t index) {
 }
 
 std::vector<std::uint8_t> to_frame(const HelloMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.str(m.worker_name);
-  return frame(MsgType::kHello, std::move(w));
+  return seal_frame(MsgType::kHello, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const WelcomeMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u32(m.worker_id);
   w.u64(m.heartbeat_ms);
   w.u64(m.lease_timeout_ms);
   save_job(w, m.job);
-  return frame(MsgType::kWelcome, std::move(w));
+  return seal_frame(MsgType::kWelcome, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const RequestWorkMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u32(m.worker_id);
-  return frame(MsgType::kRequestWork, std::move(w));
+  return seal_frame(MsgType::kRequestWork, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const AssignMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u64(m.lease_id);
   w.u64(m.unit_index);
   w.u64(m.unit_id);
   w.u64(m.first);
   w.u64(m.count);
-  return frame(MsgType::kAssign, std::move(w));
+  return seal_frame(MsgType::kAssign, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const ResultMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u32(m.worker_id);
   w.u64(m.lease_id);
   w.u64(m.unit_index);
   w.u64(m.unit_id);
   w.u64(m.payload.size());
   w.bytes(m.payload.data(), m.payload.size());
-  return frame(MsgType::kResult, std::move(w));
+  return seal_frame(MsgType::kResult, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const ResultAckMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u64(m.unit_index);
   w.boolean(m.duplicate);
-  return frame(MsgType::kResultAck, std::move(w));
+  return seal_frame(MsgType::kResultAck, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const HeartbeatMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u32(m.worker_id);
-  return frame(MsgType::kHeartbeat, std::move(w));
+  return seal_frame(MsgType::kHeartbeat, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const NoWorkMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.u64(m.retry_ms);
-  return frame(MsgType::kNoWork, std::move(w));
+  return seal_frame(MsgType::kNoWork, std::move(w));
 }
 
 std::vector<std::uint8_t> to_frame(const ShutdownMsg& m) {
-  Writer w;
+  Writer w = snapshot::frame_writer();
   w.str(m.reason);
-  return frame(MsgType::kShutdown, std::move(w));
+  return seal_frame(MsgType::kShutdown, std::move(w));
 }
 
 Message decode_message(const Frame& f) {

@@ -1,5 +1,7 @@
 #include "sweep/wire.h"
 
+#include <utility>
+
 namespace asyncmac::sweep {
 
 namespace {
@@ -30,6 +32,11 @@ const char* to_string(MsgType t) noexcept {
 bool known_type(std::uint8_t t) noexcept {
   return t >= static_cast<std::uint8_t>(MsgType::kHello) &&
          t <= static_cast<std::uint8_t>(MsgType::kShutdown);
+}
+
+std::vector<std::uint8_t> seal_frame(MsgType type, snapshot::Writer&& w) {
+  return snapshot::seal_frame(kFormat, static_cast<std::uint8_t>(type),
+                              std::move(w));
 }
 
 std::vector<std::uint8_t> encode_frame(

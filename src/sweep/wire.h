@@ -60,8 +60,13 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Frame a payload for the stream (header + CRC + payload). Throws
-/// SnapshotError(kCorrupt) on payloads above kMaxFramePayload.
+/// Frame a payload written into a snapshot::frame_writer() buffer, in
+/// place (sweep/protocol.h's encoders). Throws SnapshotError(kCorrupt) on
+/// payloads above kMaxFramePayload.
+std::vector<std::uint8_t> seal_frame(MsgType type, snapshot::Writer&& w);
+
+/// Frame a copy of `payload` for the stream (header + CRC + payload).
+/// Throws SnapshotError(kCorrupt) on payloads above kMaxFramePayload.
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        const std::vector<std::uint8_t>& payload);
 

@@ -4,12 +4,14 @@
 // decode(), so every corruption class must surface as a catchable typed
 // error, never UB or an allocation bomb.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "live/wire.h"
 #include "snapshot/io.h"
+#include "sweep/protocol.h"
 
 namespace asyncmac::live {
 namespace {
@@ -123,6 +125,112 @@ TEST(LiveWire, FinRoundTrip) {
   const Msg d = decode(encode(m));
   EXPECT_FALSE(d.ok);
   EXPECT_EQ(d.name, "station 2 transmitted with an empty queue");
+}
+
+// ------------------------------------------------------------ wire bytes
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xf]);
+  }
+  return out;
+}
+
+/// Hex of `m`'s datagram. The encoder reserves the exact datagram size,
+/// so the buffer never grew past it.
+std::string encoded_hex(const Msg& m) {
+  const std::vector<std::uint8_t> bytes = encode(m);
+  EXPECT_EQ(bytes.capacity(), bytes.size()) << to_string(m.type);
+  return hex(bytes);
+}
+
+// Round trips cannot tell a changed encoder from a matching decoder
+// change; these exact bytes can. One datagram of every live message type
+// (variable-length fields filled) and one sweep frame, as the two-copy
+// encoder with the bytewise CRC wrote them. Any diff here is a wire
+// format change and must bump kLiveWireVersion / sweep::kWireVersion.
+TEST(LiveWire, EncodedBytesArePinned) {
+  const Tick U = kTicksPerUnit;
+  Msg join;
+  join.type = MsgType::kJoin;
+  join.station = 3;
+  join.name = "station-3";
+  EXPECT_EQ(encoded_hex(join),
+            "414d4c4401000000011500000000000000f3843e2d"  // header
+            "03000000090000000000000073746174696f6e2d33");
+
+  Msg welcome;
+  welcome.type = MsgType::kWelcome;
+  welcome.station = 2;
+  welcome.name = "ca-arrow";
+  welcome.n = 4;
+  welcome.bound_r = 3;
+  welcome.rng_seed = 0xdeadbeefcafe1234ULL;
+  welcome.horizon_ticks = 100 * U;
+  welcome.injections = {{7, 2 * U}, {9 * U, U}};
+  EXPECT_EQ(encoded_hex(welcome),
+            "414d4c44010000000254000000000000007c45db33"  // header
+            "02000000080000000000000063612d6172726f770400000003000000"
+            "3412fecaefbeadde40bb4b0400000000020000000000000007000000"
+            "00000000a0fe150000000000d0f962000000000050ff0a0000000000");
+
+  Msg boundary;
+  boundary.type = MsgType::kBoundary;
+  boundary.station = 1;
+  boundary.slot_index = 42;
+  boundary.action = SlotAction::kTransmitControl;
+  EXPECT_EQ(encoded_hex(boundary),
+            "414d4c4401000000030d0000000000000016f6332b"  // header
+            "010000002a0000000000000002");
+
+  Msg grant;
+  grant.type = MsgType::kGrant;
+  grant.slot_index = 7;
+  grant.length = 3 * U;
+  EXPECT_EQ(encoded_hex(grant),
+            "414d4c440100000004100000000000000045f92cec"  // header
+            "0700000000000000f0fd200000000000");
+
+  Msg slot_end;
+  slot_end.type = MsgType::kSlotEnd;
+  slot_end.station = 5;
+  slot_end.slot_index = 99;
+  EXPECT_EQ(encoded_hex(slot_end),
+            "414d4c4401000000050c00000000000000271612bd"  // header
+            "050000006300000000000000");
+
+  Msg feedback;
+  feedback.type = MsgType::kFeedback;
+  feedback.slot_index = 12;
+  feedback.feedback = Feedback::kAck;
+  feedback.delivered = true;
+  feedback.injections = {{55, U}, {56 * U, 4 * U}};
+  EXPECT_EQ(encoded_hex(feedback),
+            "414d4c4401000000063200000000000000ffd50264"  // header
+            "0c0000000000000002010200000000000000370000000000000050ff"
+            "0a000000000080d967020000000040fd2b0000000000");
+
+  Msg fin;
+  fin.type = MsgType::kFin;
+  fin.ok = true;
+  fin.name = "horizon";
+  EXPECT_EQ(encoded_hex(fin),
+            "414d4c440100000007100000000000000044b71c4c"  // header
+            "010700000000000000686f72697a6f6e");
+
+  sweep::AssignMsg assign;
+  assign.lease_id = 1;
+  assign.unit_index = 2;
+  assign.unit_id = 0x0123456789abcdefULL;
+  assign.first = 16;
+  assign.count = 8;
+  EXPECT_EQ(hex(sweep::to_frame(assign)),
+            "414d5750010000000428000000000000009f88b7ea"  // header
+            "01000000000000000200000000000000efcdab896745230110000000"
+            "000000000800000000000000");
 }
 
 // ------------------------------------------------------- malformed input

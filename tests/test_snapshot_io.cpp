@@ -51,6 +51,55 @@ void dump(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+/// Bytewise CRC-32 straight from the polynomial: no tables, so it shares
+/// nothing with the slicing-by-8 implementation under test.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t len,
+                              std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b)
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return ~crc;
+}
+
+/// Deterministic pseudo-random bytes (xorshift64).
+std::vector<std::uint8_t> noise(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    b = static_cast<std::uint8_t>(seed >> 32);
+  }
+  return v;
+}
+
+TEST(SnapshotIo, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Offsets 0..7 start the eight-byte steps at every alignment; lengths
+  // 0..257 cover empty input, tails of 0..7 bytes and many full steps.
+  const std::vector<std::uint8_t> buf = noise(257 + 7, 0x9e3779b97f4a7c15ULL);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      ASSERT_EQ(snapshot::crc32(buf.data() + offset, len),
+                reference_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(SnapshotIo, Crc32ChainsAtEverySplit) {
+  const std::vector<std::uint8_t> buf = noise(64, 42);
+  const std::uint32_t whole = reference_crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = snapshot::crc32(buf.data(), split);
+    EXPECT_EQ(snapshot::crc32(buf.data() + split, buf.size() - split, head),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST(SnapshotIo, Crc32ReferenceVectorAndChaining) {
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(snapshot::crc32(check, sizeof(check)), 0xCBF43926u);
