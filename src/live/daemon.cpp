@@ -32,16 +32,25 @@ struct LiveTelemetry {
   }
 };
 
+// The spec's station count, checked before anything is sized by it: a
+// station drops any Welcome above kMaxStations.
+std::uint32_t checked_station_count(const analysis::RunSpec& spec) {
+  AM_REQUIRE(spec.n <= kMaxStations,
+             "live mode runs at most " + std::to_string(kMaxStations) +
+                 " stations");
+  return spec.n;
+}
+
 }  // namespace
 
 Daemon::Daemon(DaemonConfig cfg)
     : cfg_(std::move(cfg)),
-      n_(cfg_.spec.n),
+      n_(checked_station_count(cfg_.spec)),
       horizon_ticks_(cfg_.spec.horizon_units * kTicksPerUnit),
       max_slot_ticks_(static_cast<Tick>(cfg_.spec.bound_r) * kTicksPerUnit),
       channel_(cfg_.spec.restrained),
-      metrics_(cfg_.spec.n),
-      meter_(cfg_.spec.n) {
+      metrics_(n_),
+      meter_(n_) {
   AM_REQUIRE(cfg_.spec.horizon_units >= 1, "horizon must be positive");
   AM_REQUIRE(cfg_.chunks >= 1, "need at least one sampling chunk");
   AM_REQUIRE(cfg_.spec.prune_interval >= 1, "prune interval must be >= 1");

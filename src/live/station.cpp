@@ -88,13 +88,14 @@ void StationMachine::announce_boundary(Tick now, SlotAction action,
 
 void StationMachine::handle_welcome(Tick now, const Msg& m, Actions& out) {
   if (phase_ != Phase::kJoining) return;  // duplicate
-  if (m.station != cfg_.id || m.n < 1 || cfg_.id > m.n || m.bound_r < 1)
+  if (m.station != cfg_.id || m.n < 1 || m.n > kMaxStations ||
+      cfg_.id > m.n || m.bound_r < 1)
     return;
-  // Same construction path as the engine: the registry builds one
-  // automaton per station; this station keeps only its own.
+  // The registry builds every station's automaton alike; this station
+  // builds only its own.
   std::unique_ptr<sim::Protocol> proto;
   try {
-    proto = std::move(analysis::make_protocols(m.name, m.n)[cfg_.id - 1]);
+    proto = analysis::make_protocol(m.name);
   } catch (const std::invalid_argument&) {
     return;  // unknown protocol name: not a Welcome from our daemon
   }

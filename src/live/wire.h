@@ -44,6 +44,10 @@ inline constexpr std::size_t kDatagramHeaderBytes =
 /// 60 KiB keeps every message within a single unfragmented-ish UDP
 /// payload and bounds allocation from a corrupted length field.
 inline constexpr std::uint64_t kMaxDatagramPayload = 60 * 1024;
+/// Largest station count a live run takes. A Daemon refuses a spec above
+/// it and a station drops a Welcome above it, so a forged Welcome cannot
+/// size a station's state by an arbitrary u32.
+inline constexpr std::uint32_t kMaxStations = 65536;
 
 /// Message types of the daemon/station protocol. Values are wire-stable.
 enum class MsgType : std::uint8_t {

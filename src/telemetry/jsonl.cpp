@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace asyncmac::telemetry {
 
 namespace {
@@ -26,7 +28,7 @@ std::string field_value_json(const FieldValue& v) {
   } else if (std::holds_alternative<bool>(v)) {
     os << (std::get<bool>(v) ? "true" : "false");
   } else {
-    os << '"' << json_escape(std::get<std::string>(v)) << '"';
+    os << '"' << util::json_escape(std::get<std::string>(v)) << '"';
   }
   return os.str();
 }
@@ -42,30 +44,6 @@ std::string timer_stats_json(const Snapshot::TimerStats& t) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 JsonlExporter::JsonlExporter(Options options)
     : out_(options.path),
@@ -112,13 +90,13 @@ void JsonlExporter::write_line(const std::string& line) {
 void JsonlExporter::event(const std::string& name, const Fields& fields) {
   if (!ok_) return;
   std::ostringstream os;
-  os << "{\"type\":\"event\",\"name\":\"" << json_escape(name)
+  os << "{\"type\":\"event\",\"name\":\"" << util::json_escape(name)
      << "\",\"t_ms\":" << elapsed_ms() << ",\"fields\":{";
   bool first = true;
   for (const auto& [key, value] : fields) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(key) << "\":" << field_value_json(value);
+    os << '"' << util::json_escape(key) << "\":" << field_value_json(value);
   }
   os << "}}";
   write_line(os.str());
@@ -135,26 +113,26 @@ void JsonlExporter::snapshot_now(const std::string& reason) {
   }
   os << "{\"type\":\"snapshot\",\"seq\":" << seq
      << ",\"t_ms\":" << elapsed_ms() << ",\"reason\":\""
-     << json_escape(reason) << "\",\"counters\":{";
+     << util::json_escape(reason) << "\",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":" << value;
+    os << '"' << util::json_escape(name) << "\":" << value;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":" << value;
+    os << '"' << util::json_escape(name) << "\":" << value;
   }
   os << "},\"timers\":{";
   first = true;
   for (const auto& [name, stats] : snap.timers) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":" << timer_stats_json(stats);
+    os << '"' << util::json_escape(name) << "\":" << timer_stats_json(stats);
   }
   os << "}}";
   write_line(os.str());

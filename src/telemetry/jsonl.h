@@ -37,9 +37,6 @@
 
 namespace asyncmac::telemetry {
 
-/// Escape a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
-
 using FieldValue =
     std::variant<std::int64_t, std::uint64_t, double, bool, std::string>;
 using Fields = std::vector<std::pair<std::string, FieldValue>>;

@@ -1,247 +1,17 @@
 #include "telemetry/summary.h"
 
 #include <algorithm>
-#include <cctype>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace asyncmac::telemetry {
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("json: " + what + " at byte " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::char_traits<char>::length(lit);
-    if (text_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return make_bool(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return make_bool(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return JsonValue{};
-      default: return parse_number();
-    }
-  }
-
-  static JsonValue make_bool(bool b) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    v.boolean = b;
-    return v;
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-              code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("bad \\u escape");
-          }
-          // Our writer only emits \u00xx control escapes; decode the
-          // BMP code point as UTF-8 for generality.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    const std::size_t digits = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    // JSON forbids leading zeros ("01") and a bare minus sign.
-    if (pos_ == digits) fail("bad number");
-    if (text_[digits] == '0' && pos_ - digits > 1) fail("bad number");
-    bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("bad number");
-    JsonValue v;
-    try {
-      if (integral) {
-        v.kind = JsonValue::Kind::kInt;
-        v.integer = std::stoll(token);
-        v.number = static_cast<double>(v.integer);
-      } else {
-        v.kind = JsonValue::Kind::kDouble;
-        v.number = std::stod(token);
-      }
-    } catch (const std::out_of_range&) {
-      // Counters are uint64; fall back to double magnitude.
-      v.kind = JsonValue::Kind::kDouble;
-      v.number = std::stod(token);
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t as_u64(const JsonValue& v) {
-  if (v.kind == JsonValue::Kind::kInt && v.integer >= 0)
-    return static_cast<std::uint64_t>(v.integer);
-  if (v.kind == JsonValue::Kind::kDouble && v.number >= 0)
-    return static_cast<std::uint64_t>(v.number);
-  return 0;
-}
+using util::JsonValue;
 
 void fold_snapshot(const JsonValue& line, JsonlSummary& summary) {
   summary.counters.clear();
@@ -249,40 +19,47 @@ void fold_snapshot(const JsonValue& line, JsonlSummary& summary) {
   summary.timers.clear();
   if (const JsonValue* counters = line.find("counters"))
     for (const auto& [name, value] : counters->object)
-      summary.counters.emplace_back(name, as_u64(value));
+      summary.counters.emplace_back(name, value.as_u64());
   if (const JsonValue* gauges = line.find("gauges"))
     for (const auto& [name, value] : gauges->object)
-      summary.gauges.emplace_back(name, as_u64(value));
+      summary.gauges.emplace_back(name, value.as_u64());
   if (const JsonValue* timers = line.find("timers"))
     for (const auto& [name, value] : timers->object) {
       Snapshot::TimerStats stats;
-      if (const JsonValue* f = value.find("count")) stats.count = as_u64(*f);
-      if (const JsonValue* f = value.find("min_ns")) stats.min_ns = f->as_int();
+      if (const JsonValue* f = value.find("count")) stats.count = f->as_u64();
+      if (const JsonValue* f = value.find("min_ns")) stats.min_ns = f->as_i64();
       if (const JsonValue* f = value.find("mean_ns")) stats.mean_ns = f->number;
-      if (const JsonValue* f = value.find("p50_ns")) stats.p50_ns = f->as_int();
-      if (const JsonValue* f = value.find("p99_ns")) stats.p99_ns = f->as_int();
-      if (const JsonValue* f = value.find("max_ns")) stats.max_ns = f->as_int();
+      if (const JsonValue* f = value.find("p50_ns")) stats.p50_ns = f->as_i64();
+      if (const JsonValue* f = value.find("p99_ns")) stats.p99_ns = f->as_i64();
+      if (const JsonValue* f = value.find("max_ns")) stats.max_ns = f->as_i64();
       summary.timers.emplace_back(name, stats);
     }
 }
 
+void fold_line(const JsonValue& v, JsonlSummary& summary) {
+  const JsonValue* type = v.find("type");
+  if (type == nullptr || type->kind != JsonValue::Kind::kString)
+    throw std::invalid_argument("not a typed telemetry object");
+  ++summary.lines;
+  if (const JsonValue* t_ms = v.find("t_ms"))
+    summary.span_ms = std::max(summary.span_ms, t_ms->as_i64());
+  if (type->string == "meta") {
+    ++summary.meta_lines;
+  } else if (type->string == "snapshot") {
+    ++summary.snapshots;
+    fold_snapshot(v, summary);
+  } else if (type->string == "event") {
+    ++summary.events;
+    const JsonValue* name = v.find("name");
+    if (name == nullptr || name->kind != JsonValue::Kind::kString)
+      throw std::invalid_argument("event without a name");
+    ++summary.event_counts[name->string];
+  } else {
+    throw std::invalid_argument("unknown type \"" + type->string + "\"");
+  }
+}
+
 }  // namespace
-
-const JsonValue* JsonValue::find(const std::string& key) const {
-  for (const auto& [k, v] : object)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-std::int64_t JsonValue::as_int() const {
-  if (kind == Kind::kInt) return integer;
-  if (kind == Kind::kDouble) return static_cast<std::int64_t>(number);
-  return 0;
-}
-
-JsonValue parse_json(const std::string& text) {
-  return Parser(text).parse_document();
-}
 
 JsonlSummary summarize_stream(std::istream& in) {
   JsonlSummary summary;
@@ -291,36 +68,11 @@ JsonlSummary summarize_stream(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    JsonValue v;
     try {
-      v = parse_json(line);
+      fold_line(util::parse_json(line), summary);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("line " + std::to_string(line_no) + ": " +
                                   e.what());
-    }
-    const JsonValue* type = v.find("type");
-    if (v.kind != JsonValue::Kind::kObject || type == nullptr ||
-        type->kind != JsonValue::Kind::kString)
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": not a typed telemetry object");
-    ++summary.lines;
-    if (const JsonValue* t_ms = v.find("t_ms"))
-      summary.span_ms = std::max(summary.span_ms, t_ms->as_int());
-    if (type->string == "meta") {
-      ++summary.meta_lines;
-    } else if (type->string == "snapshot") {
-      ++summary.snapshots;
-      fold_snapshot(v, summary);
-    } else if (type->string == "event") {
-      ++summary.events;
-      const JsonValue* name = v.find("name");
-      if (name == nullptr || name->kind != JsonValue::Kind::kString)
-        throw std::invalid_argument("line " + std::to_string(line_no) +
-                                    ": event without a name");
-      ++summary.event_counts[name->string];
-    } else {
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": unknown type \"" + type->string + "\"");
     }
   }
   return summary;

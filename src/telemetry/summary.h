@@ -1,11 +1,11 @@
 // asyncmac/telemetry/summary.h
 //
-// Reader side of the JSONL telemetry stream: a minimal strict JSON
-// parser (full value grammar, no extensions) plus a summarizer that
-// validates every line and folds the stream into a human-readable
-// digest — top counters, gauge high-water marks, timer histograms, and
-// per-name event counts. `asyncmac_cli stats` is a thin wrapper over
-// this, and CI uses it to validate the artifact a smoke run produced.
+// Reader side of the JSONL telemetry stream: a summarizer that parses
+// every line with util/json, checks it against the line schema and folds
+// the stream into a human-readable digest — top counters, gauge
+// high-water marks, timer histograms, and per-name event counts.
+// `asyncmac_cli stats` is a thin wrapper over this, and CI uses it to
+// validate the artifact a smoke run produced.
 #pragma once
 
 #include <cstdint>
@@ -18,27 +18,6 @@
 #include "telemetry/registry.h"
 
 namespace asyncmac::telemetry {
-
-/// Parsed JSON value (object keys keep insertion order).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  std::int64_t integer = 0;  ///< valid when kind == kInt
-  double number = 0;         ///< valid when kind == kDouble (and kInt)
-  std::string string;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  /// First member with this key, or nullptr (objects only).
-  const JsonValue* find(const std::string& key) const;
-  /// integer when kInt, truncated number when kDouble, else 0.
-  std::int64_t as_int() const;
-};
-
-/// Parse one JSON document; throws std::invalid_argument with a byte
-/// offset on malformed input or trailing garbage.
-JsonValue parse_json(const std::string& text);
 
 /// Digest of one telemetry JSONL stream.
 struct JsonlSummary {

@@ -1,221 +1,36 @@
 #include "verify/repro.h"
 
-#include <cctype>
-#include <cstdio>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "trace/serialize.h"
 #include "util/check.h"
+#include "util/json.h"
 #include "verify/campaign.h"
 
 namespace asyncmac::verify {
 
 namespace {
 
-// ------------------------------------------------------------- writing
+using util::JsonValue;
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+// Repro files hold only objects, strings and integers (the writer emits
+// nothing else), so any other kind is malformed, even under a key the
+// schema does not read.
+void require_repro_kinds(const JsonValue& v) {
+  if (v.kind == JsonValue::Kind::kObject) {
+    for (const auto& [key, value] : v.object) require_repro_kinds(value);
+    return;
   }
-  os << '"';
+  AM_REQUIRE(v.kind == JsonValue::Kind::kString || v.integral,
+             "repro JSON holds only objects, strings and 64-bit integers");
 }
-
-// ------------------------------------------------------------- parsing
-//
-// Minimal strict JSON for the fixed repro schema: objects, strings and
-// integers. Everything unexpected throws std::invalid_argument.
-
-struct JsonValue {
-  enum class Kind { kObject, kString, kNumber } kind = Kind::kObject;
-  std::map<std::string, JsonValue> object;
-  std::string string;
-  std::int64_t number = 0;           // valid when kind == kNumber && fits_i64
-  std::uint64_t unsigned_number = 0; // full-width value for u64 fields
-  bool negative = false;             // the literal had a '-' sign
-  bool fits_i64 = true;              // `number` is representable
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    AM_REQUIRE(pos_ == text_.size(), "trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    AM_REQUIRE(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  char take() {
-    AM_REQUIRE(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_++];
-  }
-
-  void expect(char c) {
-    AM_REQUIRE(take() == c, std::string("expected '") + c + "' in JSON");
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    throw std::invalid_argument("unexpected character in JSON");
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      JsonValue member = parse_value();
-      AM_REQUIRE(v.object.emplace(std::move(key), std::move(member)).second,
-                 "duplicate JSON key");
-      skip_ws();
-      const char next = take();
-      if (next == '}') return v;
-      AM_REQUIRE(next == ',', "expected ',' or '}' in JSON object");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = take();
-      if (c == '"') return out;
-      AM_REQUIRE(static_cast<unsigned char>(c) >= 0x20,
-                 "unescaped control character in JSON string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            value <<= 4;
-            if (h >= '0' && h <= '9')
-              value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              throw std::invalid_argument("bad \\u escape in JSON string");
-          }
-          AM_REQUIRE(value < 0x80,
-                     "non-ASCII \\u escape in repro JSON (unsupported)");
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default:
-          throw std::invalid_argument("unknown escape in JSON string");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    bool negative = false;
-    if (peek() == '-') {
-      negative = true;
-      ++pos_;
-    }
-    AM_REQUIRE(pos_ < text_.size() && std::isdigit(
-                   static_cast<unsigned char>(text_[pos_])),
-               "malformed JSON number");
-    std::uint64_t magnitude = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      const std::uint64_t digit =
-          static_cast<std::uint64_t>(text_[pos_] - '0');
-      AM_REQUIRE(magnitude <= (UINT64_MAX - digit) / 10,
-                 "JSON number out of range");
-      magnitude = magnitude * 10 + digit;
-      ++pos_;
-    }
-    v.negative = negative;
-    v.unsigned_number = negative ? 0 : magnitude;
-    if (negative) {
-      AM_REQUIRE(magnitude <= static_cast<std::uint64_t>(INT64_MAX) + 1,
-                 "JSON number out of range");
-      v.number = -static_cast<std::int64_t>(magnitude - 1) - 1;
-    } else if (magnitude <= static_cast<std::uint64_t>(INT64_MAX)) {
-      v.number = static_cast<std::int64_t>(magnitude);
-    } else {
-      // Full-u64 values (seeds) are fine; only i64 accessors must balk.
-      v.fits_i64 = false;
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 const JsonValue& member(const JsonValue& obj, const std::string& key) {
   AM_REQUIRE(obj.kind == JsonValue::Kind::kObject, "expected JSON object");
-  const auto it = obj.object.find(key);
-  AM_REQUIRE(it != obj.object.end(), "missing repro field: " + key);
-  return it->second;
+  const JsonValue* v = obj.find(key);
+  AM_REQUIRE(v != nullptr, "missing repro field: " + key);
+  return *v;
 }
 
 const std::string& get_string(const JsonValue& obj, const std::string& key) {
@@ -227,16 +42,21 @@ const std::string& get_string(const JsonValue& obj, const std::string& key) {
 
 std::int64_t get_i64(const JsonValue& obj, const std::string& key) {
   const JsonValue& v = member(obj, key);
-  AM_REQUIRE(v.kind == JsonValue::Kind::kNumber && v.fits_i64,
-             "repro field must be an int64 number: " + key);
-  return v.number;
+  try {
+    return v.as_i64();
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("repro field must be an int64 number: " + key);
+  }
 }
 
 std::uint64_t get_u64(const JsonValue& obj, const std::string& key) {
   const JsonValue& v = member(obj, key);
-  AM_REQUIRE(v.kind == JsonValue::Kind::kNumber && !v.negative,
-             "repro field must be a non-negative number: " + key);
-  return v.unsigned_number;
+  try {
+    return v.as_u64();
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument("repro field must be a non-negative number: " +
+                                key);
+  }
 }
 
 std::uint32_t get_u32(const JsonValue& obj, const std::string& key) {
@@ -250,7 +70,7 @@ std::uint32_t get_u32(const JsonValue& obj, const std::string& key) {
 // and energy metering, so the defaults reproduce their runs exactly).
 std::uint64_t get_u64_or(const JsonValue& obj, const std::string& key,
                          std::uint64_t fallback) {
-  if (obj.object.find(key) == obj.object.end()) return fallback;
+  if (obj.find(key) == nullptr) return fallback;
   return get_u64(obj, key);
 }
 
@@ -263,24 +83,19 @@ std::string to_json(const Repro& repro) {
   os << "{\n";
   os << "  \"format\": \"asyncmac-fuzz-repro\",\n";
   os << "  \"version\": 1,\n";
-  os << "  \"violation\": ";
-  write_escaped(os, repro.violation);
-  os << ",\n";
+  os << "  \"violation\": \"" << util::json_escape(repro.violation) << "\",\n";
   os << "  \"scenario\": {\n";
-  os << "    \"protocol\": ";
-  write_escaped(os, s.protocol);
-  os << ",\n";
+  os << "    \"protocol\": \"" << util::json_escape(s.protocol) << "\",\n";
   os << "    \"n\": " << s.n << ",\n";
   os << "    \"r\": " << s.bound_r << ",\n";
-  os << "    \"slot_policy\": ";
-  write_escaped(os, s.slot_policy);
-  os << ",\n";
+  os << "    \"slot_policy\": \"" << util::json_escape(s.slot_policy)
+     << "\",\n";
   os << "    \"horizon_units\": " << s.horizon_units << ",\n";
   os << "    \"seed\": " << s.seed << ",\n";
   os << "    \"case_seed\": " << s.case_seed << ",\n";
-  // Channel-variant fields (0/1 for flags — the strict parser speaks
-  // only objects, strings and integers). Written unconditionally so a
-  // repro is explicit about running on the unrestrained channel too.
+  // Channel-variant fields (0/1 for flags: repro files hold only
+  // objects, strings and integers). Written unconditionally so a repro
+  // is explicit about running on the unrestrained channel too.
   os << "    \"restrained_k\": " << s.restrained.k << ",\n";
   os << "    \"restrained_jam\": " << (s.restrained.jam ? 1 : 0) << ",\n";
   os << "    \"energy_enabled\": " << (s.energy.enabled ? 1 : 0) << ",\n";
@@ -288,15 +103,11 @@ std::string to_json(const Repro& repro) {
   os << "    \"energy_cost_listen\": " << s.energy.cost_listen << ",\n";
   os << "    \"energy_cost_sleep\": " << s.energy.cost_sleep << ",\n";
   os << "    \"injector\": {\n";
-  os << "      \"kind\": ";
-  write_escaped(os, inj.kind);
-  os << ",\n";
+  os << "      \"kind\": \"" << util::json_escape(inj.kind) << "\",\n";
   os << "      \"rho_num\": " << inj.rho.num << ",\n";
   os << "      \"rho_den\": " << inj.rho.den << ",\n";
   os << "      \"burst_ticks\": " << inj.burst_ticks << ",\n";
-  os << "      \"pattern\": ";
-  write_escaped(os, inj.pattern);
-  os << ",\n";
+  os << "      \"pattern\": \"" << util::json_escape(inj.pattern) << "\",\n";
   os << "      \"single_target\": " << inj.single_target << ",\n";
   os << "      \"period_ticks\": " << inj.period_ticks << ",\n";
   os << "      \"drain_a\": " << inj.drain_a << ",\n";
@@ -304,9 +115,8 @@ std::string to_json(const Repro& repro) {
   os << "      \"seed\": " << inj.seed << "\n";
   os << "    }\n";
   os << "  },\n";
-  os << "  \"trace\": ";
-  write_escaped(os, repro.trace_text);
-  os << "\n}\n";
+  os << "  \"trace\": \"" << util::json_escape(repro.trace_text)
+     << "\"\n}\n";
   // The schema carries the run's identity, not RunSpec's recording and
   // pacing fields: a scenario that changes one of those would replay as a
   // different run, so it has no repro.
@@ -317,7 +127,8 @@ std::string to_json(const Repro& repro) {
 }
 
 Repro parse_repro_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
+  const JsonValue root = util::parse_json(text);
+  require_repro_kinds(root);
   AM_REQUIRE(get_string(root, "format") == "asyncmac-fuzz-repro",
              "not an asyncmac fuzz repro file");
   AM_REQUIRE(get_i64(root, "version") == 1, "unsupported repro version");

@@ -8,10 +8,10 @@
 // every invariant and — when a trace is embedded — requires the current
 // build to regenerate it byte-for-byte.
 //
-// The JSON layer is hand-rolled and dependency-free like metrics/json,
-// but bidirectional: repro files come back in from disk, so the parser
-// must reject malformed input cleanly (std::invalid_argument, never a
-// crash).
+// Repro files come back in from disk, so malformed input must fail
+// cleanly (std::invalid_argument, never a crash). util/json holds the
+// grammar and the string escaper; this module keeps only the schema:
+// which keys, kinds and ranges a repro may carry.
 #pragma once
 
 #include <string>

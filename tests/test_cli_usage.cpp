@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -132,6 +133,19 @@ TEST(CliUsage, StatsRejectsMalformedNumerics) {
   expect_usage_exit("stats");  // missing file
 }
 
+TEST(CliUsage, StatsRejectsOutOfRangeNumbers) {
+  // A number no double holds is a malformed line (exit 1), not an abort.
+  const std::string path = ::testing::TempDir() + "stats_out_of_range.jsonl";
+  std::ofstream(path)
+      << R"({"type":"event","name":"x","t_ms":1e999,"fields":{}})" << "\n";
+  const RunResult r = run_cli("stats " + path);
+  EXPECT_TRUE(r.exited) << "killed by a signal: " << r.output;
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("asyncmac_cli stats:"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
 TEST(CliUsage, ResumeRejectsMalformedNumerics) {
   expect_usage_exit("resume ckpt.snap --horizon=abc");
   expect_usage_exit("resume ckpt.snap --trace=4x");
@@ -173,6 +187,7 @@ TEST(CliUsage, LiveServeRejectsMalformedNumerics) {
   expect_usage_exit("live-serve --emu-delay-us=x");
   expect_usage_exit("live-serve --emu-seed=");
   expect_usage_exit("live-serve --n=2,4");  // comma lists need --grid
+  expect_usage_exit("live-serve --n=65537");  // above live::kMaxStations
   expect_usage_exit("live-serve --bogus");
 }
 

@@ -5,7 +5,9 @@
 // reply must be re-served from the daemon's idempotent cache, and the
 // run must still complete with a clean verdict; a dead daemon must not
 // hang a station forever.
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -195,6 +197,48 @@ TEST(LiveService, MalformedDatagramsAreDroppedNotFatal) {
   auto sacts = m.on_datagram(1, garbage);
   EXPECT_FALSE(m.finished());
   EXPECT_TRUE(sacts.sends.empty());
+}
+
+// A Welcome with a valid CRC, the station's own id and a registered
+// protocol could still be forged: its n must not size the station.
+// Above kMaxStations the Welcome is dropped like any malformed one.
+TEST(LiveService, ForgedWelcomeCannotSizeAStation) {
+  for (const std::uint32_t n :
+       {kMaxStations + 1, kMaxStations, std::uint32_t{0xFFFFFFFF}}) {
+    StationConfig sc;
+    sc.id = 1;
+    StationMachine m(sc);
+    (void)m.on_start(0);
+    Msg w;
+    w.type = MsgType::kWelcome;
+    w.station = 1;
+    w.name = "mbtf";  // sizes its state by n
+    w.n = n;
+    w.bound_r = 2;
+    StationMachine::Actions acts;
+    ASSERT_NO_THROW(acts = m.on_datagram(1, encode(w))) << n;
+    if (n <= kMaxStations) {
+      // Joined: the protocol announces its first slot.
+      ASSERT_EQ(acts.sends.size(), 1u) << n;
+      EXPECT_EQ(decode(acts.sends[0]).type, MsgType::kBoundary);
+      continue;
+    }
+    // Still joining: nothing sent, and the retry timer resends the Join.
+    EXPECT_TRUE(acts.sends.empty()) << n;
+    ASSERT_TRUE(acts.timer.has_value());
+    acts = m.on_timer(*acts.timer);
+    ASSERT_EQ(acts.sends.size(), 1u) << n;
+    EXPECT_EQ(decode(acts.sends[0]).type, MsgType::kJoin) << n;
+  }
+}
+
+TEST(LiveService, DaemonRefusesMoreThanMaxStations) {
+  snapshot::RunSpec spec = small_spec();
+  spec.n = kMaxStations + 1;
+  DaemonConfig dc;
+  dc.spec = spec;
+  EXPECT_THROW(Daemon{dc}, std::invalid_argument);
+  EXPECT_THROW(run_virtual(spec, VirtualRunOptions{}), std::invalid_argument);
 }
 
 TEST(LiveService, ViolationPoisonsTheRun) {

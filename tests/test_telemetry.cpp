@@ -22,6 +22,7 @@
 #include "telemetry/registry.h"
 #include "telemetry/summary.h"
 #include "trace/renderer.h"
+#include "util/json.h"
 #include "verify/campaign.h"
 
 namespace asyncmac {
@@ -138,48 +139,6 @@ TEST(TelemetryRegistry, ResetValuesKeepsInstrumentAddresses) {
   EXPECT_EQ(&c, &telemetry::Registry::global().counter("test.reset_counter"));
 }
 
-// ------------------------------------------------------------ JSON parser
-
-TEST(TelemetryJson, ParsesScalarsAndNesting) {
-  const auto v = telemetry::parse_json(
-      R"({"a": 1, "b": -2.5, "c": "x\"y", "d": [true, false, null], "e": {"k": 9}})");
-  ASSERT_EQ(v.kind, telemetry::JsonValue::Kind::kObject);
-  EXPECT_EQ(v.find("a")->as_int(), 1);
-  EXPECT_DOUBLE_EQ(v.find("b")->number, -2.5);
-  EXPECT_EQ(v.find("c")->string, "x\"y");
-  ASSERT_EQ(v.find("d")->array.size(), 3u);
-  EXPECT_TRUE(v.find("d")->array[0].boolean);
-  EXPECT_EQ(v.find("d")->array[2].kind, telemetry::JsonValue::Kind::kNull);
-  EXPECT_EQ(v.find("e")->find("k")->as_int(), 9);
-  EXPECT_EQ(v.find("nope"), nullptr);
-}
-
-TEST(TelemetryJson, DecodesUnicodeEscapes) {
-  const auto v = telemetry::parse_json(R"({"s": "aé✓"})");
-  EXPECT_EQ(v.find("s")->string, "a\xc3\xa9\xe2\x9c\x93");
-}
-
-TEST(TelemetryJson, RejectsMalformedInput) {
-  EXPECT_THROW(telemetry::parse_json(""), std::invalid_argument);
-  EXPECT_THROW(telemetry::parse_json("{"), std::invalid_argument);
-  EXPECT_THROW(telemetry::parse_json("{} extra"), std::invalid_argument);
-  EXPECT_THROW(telemetry::parse_json(R"({"a": 01})"), std::invalid_argument);
-  EXPECT_THROW(telemetry::parse_json(R"({"a": "\x"})"),
-               std::invalid_argument);
-  EXPECT_THROW(telemetry::parse_json("[1, 2,]"), std::invalid_argument);
-}
-
-TEST(TelemetryJson, HugeIntegersFallBackToDouble) {
-  const auto v = telemetry::parse_json(R"({"big": 99999999999999999999999})");
-  EXPECT_EQ(v.find("big")->kind, telemetry::JsonValue::Kind::kDouble);
-  EXPECT_GT(v.find("big")->number, 1e22);
-}
-
-TEST(TelemetryJson, EscapesControlCharactersAndQuotes) {
-  EXPECT_EQ(telemetry::json_escape("a\"b\\c\n\t\x01"),
-            "a\\\"b\\\\c\\n\\t\\u0001");
-}
-
 // ----------------------------------------------------------- JSONL export
 
 TEST(TelemetryJsonl, RoundTripsThroughSummarizer) {
@@ -245,8 +204,8 @@ TEST(TelemetryJsonl, EveryLineIsValidJsonWithKnownType) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     ++lines;
-    const auto v = telemetry::parse_json(line);
-    ASSERT_EQ(v.kind, telemetry::JsonValue::Kind::kObject);
+    const auto v = util::parse_json(line);
+    ASSERT_EQ(v.kind, util::JsonValue::Kind::kObject);
     const auto* type = v.find("type");
     ASSERT_NE(type, nullptr);
     EXPECT_TRUE(type->string == "meta" || type->string == "event" ||
@@ -264,6 +223,13 @@ TEST(TelemetryJsonl, SummarizerRejectsCorruptStreams) {
   EXPECT_THROW(telemetry::summarize_stream(bad_type), std::invalid_argument);
   std::istringstream no_type("{\"hello\": 1}\n");
   EXPECT_THROW(telemetry::summarize_stream(no_type), std::invalid_argument);
+  // Numbers a double cannot hold fail as typed errors, never abort.
+  for (const std::string t_ms : {"1e999", "-1e999", "1.5e-999"}) {
+    std::istringstream huge(R"({"type":"event","name":"x","t_ms":)" + t_ms +
+                            R"(,"fields":{}})");
+    EXPECT_THROW(telemetry::summarize_stream(huge), std::invalid_argument)
+        << t_ms;
+  }
 }
 
 TEST(TelemetryJsonl, EmitWithoutExporterIsHarmless) {

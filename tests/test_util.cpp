@@ -1,5 +1,5 @@
 // Unit tests for the util module: RNG, Ratio, Histogram, Table, CSV,
-// check macros.
+// JSON codec, check macros.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +9,14 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "escaped_bytes.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/ratio.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -497,6 +501,83 @@ TEST(Csv, EscapesQuotes) {
   std::getline(in, line);
   EXPECT_EQ(line, "\"he said \"\"hi\"\"\"");
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------------- json
+
+TEST(Json, ParsesScalarsAndNesting) {
+  const auto v = util::parse_json(
+      R"({"a": 1, "b": -2.5, "c": "x\"y", "d": [true, false, null], "e": {"k": 9}})");
+  ASSERT_EQ(v.kind, util::JsonValue::Kind::kObject);
+  EXPECT_EQ(v.find("a")->as_i64(), 1);
+  EXPECT_DOUBLE_EQ(v.find("b")->number, -2.5);
+  EXPECT_EQ(v.find("c")->string, "x\"y");
+  ASSERT_EQ(v.find("d")->array.size(), 3u);
+  EXPECT_TRUE(v.find("d")->array[0].boolean);
+  EXPECT_EQ(v.find("d")->array[2].kind, util::JsonValue::Kind::kNull);
+  EXPECT_EQ(v.find("e")->find("k")->as_i64(), 9);
+  EXPECT_EQ(v.find("nope"), nullptr);
+}
+
+TEST(Json, DecodesUnicodeEscapes) {
+  for (const char* text : {R"({"s": "aé✓"})", R"({"s": "a\u00e9\u2713"})"}) {
+    const auto v = util::parse_json(text);
+    EXPECT_EQ(v.find("s")->string, "a\xc3\xa9\xe2\x9c\x93") << text;
+  }
+}
+
+TEST(Json, RejectsMalformedInput) {
+  for (const std::string text : {
+           "", "{", "{} extra", R"({"a": 01})", R"({"a": "\x"})", "[1, 2,]",
+           // Numbers a double cannot hold are typed errors too.
+           "1e999", "-1e999", "1.5e-999", R"({"t_ms": 1e999})",
+           // The rest of the grammar's edges.
+           "-", "1.", "1e", "[-]", R"("\u12")", R"("\u12G4")",
+           "\"a\x01" "b\"", R"({"a": 1, "a": 2})", "tru", "nul"}) {
+    EXPECT_THROW(util::parse_json(text), std::invalid_argument)
+        << "accepted: " << text;
+  }
+}
+
+TEST(Json, HugeIntegersFallBackToDouble) {
+  const auto v = util::parse_json(R"({"big": 99999999999999999999999})");
+  const util::JsonValue* big = v.find("big");
+  EXPECT_EQ(big->kind, util::JsonValue::Kind::kNumber);
+  EXPECT_FALSE(big->integral);
+  EXPECT_THROW(big->as_u64(), std::invalid_argument);
+  EXPECT_GT(big->number, 1e22);
+}
+
+TEST(Json, IntegersKeepTheirExactValue) {
+  const auto v = util::parse_json(
+      R"([18446744073709551615, -9223372036854775808, 9223372036854775808,
+          -9223372036854775809, -1, -0, 1.5, 1e2, "7"])");
+  const auto& a = v.array;
+  EXPECT_EQ(a[0].as_u64(), UINT64_MAX);
+  EXPECT_THROW(a[0].as_i64(), std::invalid_argument);
+  EXPECT_EQ(a[1].as_i64(), INT64_MIN);
+  EXPECT_THROW(a[1].as_u64(), std::invalid_argument);
+  EXPECT_EQ(a[2].as_u64(), 9223372036854775808ULL);
+  EXPECT_THROW(a[2].as_i64(), std::invalid_argument);
+  EXPECT_FALSE(a[3].integral);  // below INT64_MIN: the double alone
+  EXPECT_EQ(a[4].as_i64(), -1);
+  EXPECT_THROW(a[4].as_u64(), std::invalid_argument);
+  EXPECT_EQ(a[5].as_i64(), 0);
+  for (std::size_t i = 6; i < a.size(); ++i) {
+    EXPECT_THROW(a[i].as_u64(), std::invalid_argument) << i;
+    EXPECT_THROW(a[i].as_i64(), std::invalid_argument) << i;
+  }
+  EXPECT_DOUBLE_EQ(a[7].number, 100.0);
+}
+
+TEST(Json, EscapesControlCharactersAndQuotes) {
+  EXPECT_EQ(util::json_escape("a\"b\\c\n\t\x01"),
+            "a\\\"b\\\\c\\n\\t\\u0001");
+  EXPECT_EQ(kEveryByteValueEscaped.size(), 406u);
+  EXPECT_EQ(util::json_escape(every_byte_value()), kEveryByteValueEscaped);
+  // The parser reads every escaped byte back.
+  EXPECT_EQ(util::parse_json('"' + kEveryByteValueEscaped + '"').string,
+            every_byte_value());
 }
 
 // ------------------------------------------------------------------ check

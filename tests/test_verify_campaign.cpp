@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "escaped_bytes.h"
 #include "sim/engine.h"
 #include "verify/campaign.h"
 #include "verify/repro.h"
@@ -253,6 +254,15 @@ TEST(VerifyCampaign, ReproParserRejectsMalformedInput) {
     EXPECT_THROW(verify::parse_repro_json(text), std::invalid_argument)
         << "accepted: " << text.substr(0, 80);
   }
+}
+
+TEST(VerifyCampaign, ReproEscapesEveryByteValue) {
+  const verify::Repro repro =
+      verify::make_repro(small_clean_scenario(), every_byte_value());
+  const std::string json = verify::to_json(repro);
+  EXPECT_NE(json.find("\"violation\": \"" + kEveryByteValueEscaped + "\","),
+            std::string::npos);
+  EXPECT_EQ(verify::parse_repro_json(json), repro);
 }
 
 }  // namespace
