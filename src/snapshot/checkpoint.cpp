@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "telemetry/registry.h"
 #include "util/check.h"
 
 namespace asyncmac::snapshot {
@@ -55,11 +56,17 @@ AutoSaver::AutoSaver(std::string dir, RunSpec spec, std::size_t retention)
 }
 
 void AutoSaver::save(const sim::Engine& engine) {
+  static auto& save_timer =
+      telemetry::Registry::global().timer("checkpoint.save_ns");
   char name[32];
   std::snprintf(name, sizeof(name), "ckpt-%06llu.snap",
                 static_cast<unsigned long long>(counter_++));
   const std::string path = dir_ + "/" + name;
-  write_checkpoint(path, spec_, engine);
+  {
+    // Serialize, frame, CRC, write and rename.
+    const telemetry::ScopeTimer scope(save_timer);
+    write_checkpoint(path, spec_, engine);
+  }
   files_.push_back(path);
   while (files_.size() > retention_) {
     std::remove(files_.front().c_str());

@@ -7,20 +7,6 @@
 
 namespace asyncmac::snapshot {
 
-namespace {
-
-std::uint64_t read_le(const std::uint8_t* p, int bytes) noexcept {
-  std::uint64_t v = 0;
-  for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void write_le(std::uint8_t* p, std::uint64_t v, int bytes) noexcept {
-  for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-}  // namespace
-
 Writer frame_writer(std::size_t payload_bytes) {
   std::vector<std::uint8_t> buf;
   buf.reserve(kFrameHeaderBytes + payload_bytes);
@@ -39,10 +25,10 @@ std::vector<std::uint8_t> seal_frame(const FrameFormat& format,
                         "frame payload exceeds the format's cap");
   std::uint8_t* h = out.data();
   std::memcpy(h, format.magic, 4);
-  write_le(h + 4, format.version, 4);
+  store_le32(h + 4, format.version);
   h[8] = type;
-  write_le(h + 9, length, 8);
-  write_le(h + 17, crc32(h + kFrameHeaderBytes, length), 4);
+  store_le64(h + 9, length);
+  store_le32(h + 17, crc32(h + kFrameHeaderBytes, length));
   return out;
 }
 
@@ -58,7 +44,7 @@ FrameHeader decode_frame_header(const FrameFormat& format,
                                 const std::uint8_t* header) {
   if (std::memcmp(header, format.magic, 4) != 0)
     throw SnapshotError(ErrorKind::kBadMagic, "frame has the wrong magic");
-  const auto version = static_cast<std::uint32_t>(read_le(header + 4, 4));
+  const std::uint32_t version = load_le32(header + 4);
   if (version != format.version)
     throw SnapshotError(ErrorKind::kBadVersion,
                         "frame written by wire version " +
@@ -68,11 +54,11 @@ FrameHeader decode_frame_header(const FrameFormat& format,
   if (!format.known_type(h.type))
     throw SnapshotError(ErrorKind::kCorrupt,
                         "unknown message type " + std::to_string(h.type));
-  h.length = read_le(header + 9, 8);
+  h.length = load_le64(header + 9);
   if (h.length > format.max_payload)
     throw SnapshotError(ErrorKind::kCorrupt,
                         "declared frame payload length is oversized");
-  h.crc = static_cast<std::uint32_t>(read_le(header + 17, 4));
+  h.crc = load_le32(header + 17);
   return h;
 }
 

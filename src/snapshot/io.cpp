@@ -1,5 +1,6 @@
 #include "snapshot/io.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -40,13 +41,12 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-/// Little-endian u32 from four bytes at any alignment.
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
+/// A default Writer's first allocation.
+constexpr std::size_t kMinCapacity = 64;
+/// How far past the output Writer::grow opens the buffer at most:
+/// resize() zero-fills what it opens, so opening the whole capacity
+/// would make reserved pages resident before anything is written there.
+constexpr std::size_t kMaxOpen = 4096;
 
 }  // namespace
 
@@ -67,16 +67,14 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
   return ~crc;
 }
 
-void Writer::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void Writer::grow(std::size_t n) {
+  // Spare capacity (the exact payload room frame_writer reserves) is used
+  // before reallocating, and reallocating doubles. The trim keeps the
+  // reallocation from copying bytes past the output.
+  buf_.resize(len_);
+  if (buf_.capacity() - len_ < n)
+    buf_.reserve(std::max({len_ + n, 2 * buf_.capacity(), kMinCapacity}));
+  buf_.resize(std::min(buf_.capacity(), len_ + std::max(n, kMaxOpen)));
 }
 
 void Writer::f64(double v) {
@@ -93,8 +91,7 @@ void Writer::str(const std::string& s) {
 
 void Writer::bytes(const void* p, std::size_t n) {
   if (n == 0) return;  // p may be null for an empty span (vector::data())
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), b, b + n);
+  std::memcpy(claim(n), p, n);
 }
 
 void Reader::need(std::size_t n) const {
@@ -111,17 +108,15 @@ std::uint8_t Reader::u8() {
 
 std::uint32_t Reader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(*p_++) << (8 * i);
+  const std::uint32_t v = load_le32(p_);
+  p_ += 4;
   return v;
 }
 
 std::uint64_t Reader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(*p_++) << (8 * i);
+  const std::uint64_t v = load_le64(p_);
+  p_ += 8;
   return v;
 }
 

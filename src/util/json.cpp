@@ -62,15 +62,27 @@ class Parser {
     return pos_ - start;
   }
 
+  /// One more array/object level, refused past kMaxJsonDepth.
+  void enter() {
+    if (depth_ == kMaxJsonDepth)
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+           " levels");
+    ++depth_;
+  }
+
   JsonValue parse_value() {
     skip_ws();
     JsonValue v;
     switch (peek()) {
       case '{':
+        enter();
         parse_object(v);
+        --depth_;
         return v;
       case '[':
+        enter();
         parse_array(v);
+        --depth_;
         return v;
       case '"':
         v.kind = JsonValue::Kind::kString;
@@ -247,6 +259,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

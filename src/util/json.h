@@ -40,9 +40,15 @@ struct JsonValue {
   std::int64_t as_i64() const;
 };
 
+/// The deepest array/object nesting parse_json accepts. The parser
+/// recurses once per level, so a cap keeps a hostile document from
+/// exhausting the stack; no writer nests deeper than 3.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parse one JSON document; throws std::invalid_argument with a byte
 /// offset on anything outside the grammar, including trailing bytes,
-/// duplicate object keys and numbers a double cannot hold.
+/// duplicate object keys, numbers a double cannot hold and nesting
+/// deeper than kMaxJsonDepth.
 JsonValue parse_json(const std::string& text);
 
 /// `s` escaped for the inside of a JSON string literal: '"', '\\', '\n',

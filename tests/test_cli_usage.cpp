@@ -146,6 +146,20 @@ TEST(CliUsage, StatsRejectsOutOfRangeNumbers) {
   std::remove(path.c_str());
 }
 
+TEST(CliUsage, StatsRejectsDeepNestingWithoutCrashing) {
+  // A line of 10^5 '[' is a malformed line (exit 1): the parser's depth
+  // cap (util::kMaxJsonDepth) stops it before the recursion exhausts the
+  // stack.
+  const std::string path = ::testing::TempDir() + "stats_deep.jsonl";
+  std::ofstream(path) << std::string(100000, '[') << "\n";
+  const RunResult r = run_cli("stats " + path);
+  EXPECT_TRUE(r.exited) << "killed by a signal: " << r.output;
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("nesting deeper than"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
 TEST(CliUsage, ResumeRejectsMalformedNumerics) {
   expect_usage_exit("resume ckpt.snap --horizon=abc");
   expect_usage_exit("resume ckpt.snap --trace=4x");

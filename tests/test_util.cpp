@@ -539,6 +539,37 @@ TEST(Json, RejectsMalformedInput) {
   }
 }
 
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  // Arrays and objects count alike; the error names the byte offset of
+  // the first bracket past the cap.
+  auto nested = [](int depth) {
+    std::string open, close;
+    for (int i = 0; i < depth; ++i) {
+      open += i % 2 ? "{\"k\":" : "[";
+      close.insert(0, i % 2 ? "}" : "]");
+    }
+    return open + "0" + close;
+  };
+  util::JsonValue v = util::parse_json(nested(util::kMaxJsonDepth));
+  for (int i = 1; i < util::kMaxJsonDepth; ++i)
+    v = i % 2 ? util::JsonValue(v.array.at(0)) : util::JsonValue(*v.find("k"));
+  EXPECT_EQ(v.kind, util::JsonValue::Kind::kObject);
+  EXPECT_EQ(v.find("k")->as_i64(), 0);
+
+  const std::string deeper = nested(util::kMaxJsonDepth + 1);
+  try {
+    util::parse_json(deeper);
+    FAIL() << "accepted " << util::kMaxJsonDepth + 1 << " levels";
+  } catch (const std::invalid_argument& e) {
+    const std::size_t offset = deeper.find('0') - 1;  // the innermost '['
+    EXPECT_NE(std::string(e.what()).find("at byte " + std::to_string(offset)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(util::parse_json(std::string(100000, '[')),
+               std::invalid_argument);
+}
+
 TEST(Json, HugeIntegersFallBackToDouble) {
   const auto v = util::parse_json(R"({"big": 99999999999999999999999})");
   const util::JsonValue* big = v.find("big");
