@@ -44,12 +44,12 @@ struct ExperimentSpec {
   /// replicas of a seed-invariant cell are one run): runs differing only
   /// in seed AND injector parameters (rho) are grouped into cohorts of up
   /// to this many lanes and stepped together through sim::CohortEngine —
-  /// with a single slot policy a whole rho x seed grid row batches
-  /// (configurations the fast path cannot take fall back to scalar
-  /// engines inside the cohort). 0 = auto: one run per unit where the
-  /// lockstep path does not apply, elsewhere up to 8 runs but never fewer
-  /// units than jobs (grid_cohort_width in analysis/grid.h); 1 = one
-  /// scalar engine per run. Records are byte-identical for every value —
+  /// with a single slot policy a whole rho x seed grid row batches. Runs
+  /// the lockstep path cannot take (sim::lockstep_eligible) run on one
+  /// scalar engine each, whatever the width. 0 = auto: one run per unit
+  /// where the lockstep path does not apply, elsewhere up to 8 runs but
+  /// never fewer units than jobs (grid_cohort_width in analysis/grid.h);
+  /// 1 = one scalar engine per run. Records are byte-identical for every value —
   /// the cohort engine's contract — so cohort, like jobs, is an execution
   /// knob and not part of the spec fingerprint.
   unsigned cohort = 0;

@@ -283,27 +283,30 @@ std::vector<ExperimentRecord> run_grid_cells(
     }
   }
 
+  const Tick horizon = spec.horizon_units * kTicksPerUnit;
+  std::vector<sim::LaneMaterials> lanes;
+  lanes.reserve(firsts.size());
+  for (std::size_t i : firsts)
+    lanes.push_back(materials(cell_run_spec(spec, plan.cells[i])));
   std::vector<ExperimentRecord> runs;
   runs.reserve(firsts.size());
-  if (firsts.size() == 1) {
-    auto engine = build_engine(cell_run_spec(spec, c0));
-    engine->run(sim::until(spec.horizon_units * kTicksPerUnit));
-    runs.push_back(extract_record(c0, spec.energy, engine->stats(),
-                                  engine->channel_stats(),
-                                  engine->energy_meter()));
-  } else {
-    std::vector<sim::LaneBuilder> builders;
-    builders.reserve(firsts.size());
-    for (std::size_t i : firsts)
-      builders.push_back([run = cell_run_spec(spec, plan.cells[i])] {
-        return materials(run);
-      });
-    sim::CohortEngine cohort(std::move(builders));
-    cohort.run(sim::until(spec.horizon_units * kTicksPerUnit));
+  if (lanes.size() >= 2 && sim::lockstep_eligible(lanes)) {
+    sim::CohortEngine cohort(std::move(lanes));
+    cohort.run(sim::until(horizon));
     for (std::size_t j = 0; j < firsts.size(); ++j)
       runs.push_back(extract_record(plan.cells[firsts[j]], spec.energy,
                                     cohort.stats(j), cohort.channel_stats(j),
                                     cohort.energy_meter(j)));
+  } else {
+    for (std::size_t j = 0; j < firsts.size(); ++j) {
+      sim::LaneMaterials& m = lanes[j];
+      sim::Engine engine(std::move(m.cfg), std::move(m.protocols),
+                         std::move(m.slot_policy), std::move(m.injection));
+      engine.run(sim::until(horizon));
+      runs.push_back(extract_record(plan.cells[firsts[j]], spec.energy,
+                                    engine.stats(), engine.channel_stats(),
+                                    engine.energy_meter()));
+    }
   }
 
   std::vector<ExperimentRecord> out;

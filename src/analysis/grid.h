@@ -47,10 +47,11 @@ struct GridCell {
 /// unit, inside one *block*: the contiguous cells sharing protocol, n, R
 /// and slot policy — with a single slot policy in the spec a whole
 /// rho x seed grid row, otherwise the seed replicas of one cell. Cells of
-/// a unit differ only in seed and injector parameters (rho), so its runs
-/// batch as one sim::CohortEngine cohort. A unit holds up to the plan's
-/// cohort width of distinct *runs*: the seed replicas of a seed-invariant
-/// cell are one run, every other cell is a run of its own.
+/// a unit differ only in seed and injector parameters (rho), so where the
+/// lockstep path applies its runs batch as one sim::CohortEngine cohort.
+/// A unit holds up to the plan's cohort width of distinct *runs*: the
+/// seed replicas of a seed-invariant cell are one run, every other cell
+/// is a run of its own.
 struct GridUnit {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -74,9 +75,9 @@ GridPlan plan_grid(const ExperimentSpec& spec);
 /// An explicit spec.cohort = K puts up to K runs in every unit. Auto
 /// (spec.cohort = 0) puts one run in each unit of a block whose runs
 /// cannot take the cohort's lockstep path (sim::lockstep_slot_lengths) —
-/// a cohort there is just K scalar engines on one thread. In the blocks
-/// that can, it puts up to 8 runs (never more than the largest such block
-/// holds), narrowed while the grid would have fewer units than
+/// a wider unit there just runs its scalar engines on one thread. In the
+/// blocks that can, it puts up to 8 runs (never more than the largest
+/// such block holds), narrowed while the grid would have fewer units than
 /// spec.jobs (0 = hardware concurrency) and then while narrowing keeps
 /// the unit count; it returns that width, or 1 when no block takes the
 /// lockstep path.
@@ -109,10 +110,11 @@ ExperimentRecord load_record(snapshot::Reader& r);
 /// protocol, n, R and slot policy — seed and rho may differ) and return
 /// their records in todo order. Each distinct run among them is computed
 /// once: cells whose RunSpecs are seed replicas of a seed-invariant spec
-/// share one run, whatever unit or resume state left them together. One
-/// run takes a scalar engine, several take one lockstep cohort lane each,
-/// and every cell's record is its run's with the cell's own seed —
-/// byte-identical to one engine per cell either way.
+/// share one run, whatever unit or resume state left them together. Two
+/// or more runs that pass sim::lockstep_eligible run as one cohort, one
+/// lane each; otherwise each run takes a scalar engine. Every cell's
+/// record is its run's with the cell's own seed — byte-identical to one
+/// engine per cell either way.
 std::vector<ExperimentRecord> run_grid_cells(
     const ExperimentSpec& spec, const GridPlan& plan,
     const std::vector<std::size_t>& todo);

@@ -19,8 +19,8 @@
 // lane behaves observably exactly like a scalar channel::Ledger fed the
 // same calls — identical feedback, identical LedgerStats at every
 // observation point, identical telemetry deltas — and save_state(lane)
-// writes the exact byte layout of Ledger::save_state, so a retiring or
-// detaching lane materializes a scalar Ledger bit-for-bit. The channel
+// writes the exact byte layout of Ledger::save_state, so a lane's
+// snapshot is a scalar Ledger's, bit for bit. The channel
 // rules and the window's snapshot layout are shared code (Window). KEEP
 // IN SYNC with channel/ledger.{h,cpp} what is still written twice: the
 // O(1) silence fast paths, the memo and its invalidation rule, and the

@@ -20,8 +20,6 @@ namespace {
 struct CohortTelemetry {
   telemetry::Counter& batches =
       telemetry::Registry::global().counter("cohort.batches");
-  telemetry::Counter& detaches =
-      telemetry::Registry::global().counter("cohort.detaches");
   telemetry::Counter& lanes_retired =
       telemetry::Registry::global().counter("cohort.lanes_retired");
   telemetry::Counter& engine_slots =
@@ -59,8 +57,7 @@ constexpr std::uint8_t kCaAwaitSequenceEnd = 4;
 }  // namespace
 
 struct CohortEngine::Impl {
-  // ---- shared across the cohort (meaningful when lockstep) ----
-  bool lockstep = false;
+  // ---- shared across the cohort ----
   EngineConfig cfg;  ///< shared configuration facets (lane 0's; seeds vary)
   std::uint32_t K = 0;
   Tick max_slot_ticks = 0;
@@ -114,7 +111,6 @@ struct CohortEngine::Impl {
   struct Lane {
     explicit Lane(std::uint32_t n) : metrics(n), meter(n) {}
 
-    LaneBuilder builder;
     // Live per-lane objects with the scalar engine's exact semantics.
     // The channel ledger lives lane-major in Impl::lane_ledger, not here.
     std::vector<StationContext> stations;
@@ -138,24 +134,22 @@ struct CohortEngine::Impl {
     std::uint64_t pending_injections = 0;
     std::uint64_t pending_polls_skipped = 0;
 
-    bool retired = false;
     std::unique_ptr<Frozen> frozen;  ///< set when retired
-    std::unique_ptr<Engine> engine;  ///< set when detached / fallback
   };
   std::vector<std::unique_ptr<Lane>> lanes;
   /// Raw mirror of `lanes` for the per-event loops: one indirection
   /// instead of two (the unique_ptrs are stable after construction).
   std::vector<Lane*> lane_ptr;
-  std::vector<std::uint32_t> active;  ///< lockstep lanes still advancing
+  std::vector<std::uint32_t> active;  ///< lanes still advancing
+  bool ran = false;  ///< run() was called (a cohort runs once)
 
-  /// Lane-major SoA channel substrate (lockstep only; fallback lanes own
-  /// scalar Engines with scalar Ledgers). One feedback_all call per event
+  /// Lane-major SoA channel substrate. One feedback_all call per event
   /// classifies all K lanes over contiguous arrays.
   std::unique_ptr<channel::LaneLedger> lane_ledger;
   std::vector<Feedback> fb_buffer;  ///< feedback_all output, indexed by lane
   bool any_injection = false;  ///< hoisted: phase 1 skips injector-free runs
 
-  // ---- SoA batched RunStats slot counters (lockstep only) ----
+  // ---- SoA batched RunStats slot counters ----
   // Every active lane processes every event, so the per-lane total_slots
   // delta is one shared scalar; the action split and per-station transmit
   // counts stay per lane. flush_metrics() folds these into each lane's
@@ -183,7 +177,6 @@ struct CohortEngine::Impl {
 
   // Cohort-level batched telemetry.
   std::uint64_t pending_batches = 0;
-  std::uint64_t pending_detaches = 0;
   std::uint64_t pending_lanes_retired = 0;
   std::uint64_t pending_turns = 0;  ///< core.ca_arrow.turns deltas
 
@@ -390,16 +383,12 @@ struct CohortEngine::Impl {
   }
 
   void flush_cohort_telemetry() {
-    if ((pending_batches | pending_detaches | pending_lanes_retired |
-         pending_turns) == 0)
-      return;
+    if ((pending_batches | pending_lanes_retired | pending_turns) == 0) return;
     CohortTelemetry& t = CohortTelemetry::get();
     t.batches.add(pending_batches);
-    t.detaches.add(pending_detaches);
     t.lanes_retired.add(pending_lanes_retired);
     t.ca_arrow_turns.add(pending_turns);
-    pending_batches = pending_detaches = pending_lanes_retired =
-        pending_turns = 0;
+    pending_batches = pending_lanes_retired = pending_turns = 0;
   }
 
   /// A lane's stop triggered (mirrors the scalar run() loop exiting):
@@ -415,7 +404,6 @@ struct CohortEngine::Impl {
     fz->slot_begin = slot_begin;
     fz->slot_end = slot_end;
     L.frozen = std::move(fz);
-    L.retired = true;
     // Take this lane's share of the shared slot delta without zeroing it —
     // the remaining active lanes processed the same events and still own it.
     L.pending_slots += pend_slots_shared;
@@ -773,18 +761,14 @@ struct CohortEngine::Impl {
     return m;
   }
 
-  // ---- snapshot / detachment ----
+  // ---- snapshot ----
 
   /// Engine::save_state's exact byte layout, written from lane state.
   /// KEEP IN SYNC with sim/engine.cpp (the note there points back here).
   void save_lane_state(std::size_t k, snapshot::Writer& w) {
     const Lane& L = *lanes[k];
-    if (L.engine) {
-      L.engine->save_state(w);
-      return;
-    }
     // Fold the SoA slot counters in first: Collector bytes must match the
-    // scalar engine's exactly (this is a no-op outside the lockstep loop).
+    // scalar engine's exactly.
     flush_metrics();
     const Frozen* fz = L.frozen.get();
     const std::vector<SlotIndex>& sidx = fz ? fz->slot_index : slot_index;
@@ -877,46 +861,7 @@ struct CohortEngine::Impl {
     }
   }
 
-  /// Detach lane k: rebuild fresh materials via the lane's builder and
-  /// overwrite the fresh Engine with the lane snapshot — byte-identical
-  /// continuation by construction.
-  void materialize(std::size_t k) {
-    Lane& L = *lanes[k];
-    AM_CHECK(!L.engine);
-    snapshot::Writer w;
-    save_lane_state(k, w);
-    LaneMaterials m = L.builder();
-    auto e = std::make_unique<Engine>(std::move(m.cfg), std::move(m.protocols),
-                                      std::move(m.slot_policy),
-                                      std::move(m.injection));
-    snapshot::Reader r(w.buffer());
-    e->load_state(r);
-    L.engine = std::move(e);
-    L.frozen.reset();
-    L.retired = false;
-    const auto it =
-        std::find(active.begin(), active.end(), static_cast<std::uint32_t>(k));
-    if (it != active.end()) active.erase(it);
-    ++pending_detaches;
-  }
-
   void run(const std::vector<StopCondition>& stops) {
-    // Lanes outside the lockstep loop first: detached/fallback engines
-    // advance directly; previously retired lanes must detach to advance
-    // (the shared schedule moved on without them).
-    for (std::uint32_t k = 0; k < K; ++k) {
-      Lane& L = *lanes[k];
-      const bool in_lockstep =
-          std::find(active.begin(), active.end(), k) != active.end();
-      if (in_lockstep && stops[k].predicate) materialize(k);
-      if (L.engine) {
-        L.engine->run(stops[k]);
-      } else if (L.frozen) {
-        materialize(k);
-        L.engine->run(stops[k]);
-      }
-    }
-
     // The lockstep loop, with an O(1) stop gate. Every active lane
     // processes every event, so each lane's total_slots advances by
     // exactly one per event — a lane's slot-count stop therefore triggers
@@ -999,57 +944,47 @@ std::vector<Tick> lockstep_slot_lengths(const LaneMaterials& m) {
   return lengths;
 }
 
-CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
+namespace {
+
+/// lockstep_eligible's test, returning the shared slot lengths (empty
+/// when the lanes cannot run as one cohort).
+std::vector<Tick> cohort_lengths(const std::vector<LaneMaterials>& lanes) {
+  if (lanes.empty()) return {};
+  const EngineConfig& c0 = lanes[0].cfg;
+  std::vector<Tick> lengths = lockstep_slot_lengths(lanes[0]);
+  for (std::size_t k = 1; !lengths.empty() && k < lanes.size(); ++k) {
+    const EngineConfig& c = lanes[k].cfg;
+    if (c.n != c0.n || c.bound_r != c0.bound_r ||
+        c.keep_channel_history != c0.keep_channel_history ||
+        c.record_trace != c0.record_trace ||
+        c.record_deliveries != c0.record_deliveries ||
+        c.allow_control != c0.allow_control ||
+        c.prune_interval != c0.prune_interval ||
+        c.restrained != c0.restrained || c.energy != c0.energy ||
+        lockstep_slot_lengths(lanes[k]) != lengths)
+      return {};
+  }
+  return lengths;
+}
+
+}  // namespace
+
+bool lockstep_eligible(const std::vector<LaneMaterials>& lanes) {
+  return !cohort_lengths(lanes).empty();
+}
+
+CohortEngine::CohortEngine(std::vector<LaneMaterials> mats)
     : impl_(std::make_unique<Impl>()) {
-  AM_REQUIRE(!builders.empty(), "cohort needs at least one lane");
+  AM_REQUIRE(!mats.empty(), "cohort needs at least one lane");
+  std::vector<Tick> lengths = cohort_lengths(mats);
+  AM_REQUIRE(!lengths.empty(),
+             "cohort lanes must pass sim::lockstep_eligible (run other "
+             "lanes on scalar engines)");
   Impl& im = *impl_;
-  im.K = static_cast<std::uint32_t>(builders.size());
-
-  std::vector<LaneMaterials> mats;
-  mats.reserve(builders.size());
-  for (auto& b : builders) {
-    AM_REQUIRE(b != nullptr, "lane builder must be callable");
-    mats.push_back(b());
-  }
-
-  // ---- fast-path eligibility, decided for the whole cohort ----
-  // Every lane must pass lockstep_slot_lengths on its own, and the lanes
-  // must agree on the shared facets and on every station's slot length
-  // (that is what makes the event schedule shareable); seeds and
-  // injectors are free.
+  im.K = static_cast<std::uint32_t>(mats.size());
   const EngineConfig& c0 = mats[0].cfg;
-  std::vector<Tick> lengths = lockstep_slot_lengths(mats[0]);
-  bool eligible = !lengths.empty();
-  for (std::size_t k = 1; eligible && k < mats.size(); ++k) {
-    const EngineConfig& c = mats[k].cfg;
-    eligible = c.n == c0.n && c.bound_r == c0.bound_r &&
-               c.keep_channel_history == c0.keep_channel_history &&
-               c.record_trace == c0.record_trace &&
-               c.record_deliveries == c0.record_deliveries &&
-               c.allow_control == c0.allow_control &&
-               c.prune_interval == c0.prune_interval &&
-               c.restrained == c0.restrained && c.energy == c0.energy &&
-               lockstep_slot_lengths(mats[k]) == lengths;
-  }
 
-  if (!eligible) {
-    // Scalar fallback: one real Engine per lane from birth. Construction
-    // order inside each Engine is exactly the scalar order, so results
-    // are trivially identical to independent scalar runs.
-    for (std::uint32_t k = 0; k < im.K; ++k) {
-      auto lane = std::make_unique<Impl::Lane>(1);
-      lane->builder = std::move(builders[k]);
-      lane->engine = std::make_unique<Engine>(
-          std::move(mats[k].cfg), std::move(mats[k].protocols),
-          std::move(mats[k].slot_policy), std::move(mats[k].injection));
-      im.lanes.push_back(std::move(lane));
-      im.lane_ptr.push_back(im.lanes.back().get());
-    }
-    return;
-  }
-
-  // ---- lockstep construction, mirroring the Engine constructor ----
-  im.lockstep = true;
+  // ---- construction, mirroring the Engine constructor ----
   im.cfg = c0;
   im.cfg.checkpoint_sink = nullptr;
   im.max_slot_ticks = static_cast<Tick>(c0.bound_r) * kTicksPerUnit;
@@ -1080,7 +1015,6 @@ CohortEngine::CohortEngine(std::vector<LaneBuilder> builders)
 
   for (std::uint32_t k = 0; k < im.K; ++k) {
     auto lane = std::make_unique<Impl::Lane>(n);
-    lane->builder = std::move(builders[k]);
     lane->injection = std::move(mats[k].injection);
     if (im.cfg.record_deliveries)
       lane->deliveries.reserve(mats[k].cfg.delivery_reserve_hint);
@@ -1123,19 +1057,16 @@ CohortEngine::~CohortEngine() {
   for (const std::uint32_t k : im.active)
     im.lane_ptr[k]->pending_slots += im.pend_slots_shared;
   im.pend_slots_shared = 0;
-  for (auto& lane : im.lanes)
-    if (!lane->engine) im.flush_lane(*lane);
+  for (auto& lane : im.lanes) im.flush_lane(*lane);
   im.flush_cohort_telemetry();
   // im.lane_ledger's destructor flushes each lane's channel telemetry.
 }
 
 std::size_t CohortEngine::lanes() const noexcept { return impl_->lanes.size(); }
 
-bool CohortEngine::lockstep() const noexcept { return impl_->lockstep; }
-
 bool CohortEngine::retired(std::size_t lane) const {
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
-  return impl_->lanes[lane]->retired;
+  return impl_->lanes[lane]->frozen != nullptr;
 }
 
 void CohortEngine::run(const StopCondition& stop) {
@@ -1144,29 +1075,29 @@ void CohortEngine::run(const StopCondition& stop) {
 
 void CohortEngine::run(const std::vector<StopCondition>& stops) {
   AM_REQUIRE(stops.size() == lanes(), "one stop condition per lane");
+  AM_REQUIRE(!impl_->ran, "a cohort runs once: its retired lanes are frozen");
+  for (const StopCondition& stop : stops)
+    AM_REQUIRE(!stop.predicate,
+               "cohort stops take no predicate (run predicate stops on a "
+               "scalar engine)");
+  impl_->ran = true;
   impl_->run(stops);
 }
 
 const metrics::RunStats& CohortEngine::stats(std::size_t lane) const {
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
-  const Impl::Lane& L = *impl_->lanes[lane];
-  if (L.engine) return L.engine->stats();
   impl_->flush_metrics();  // fold the SoA slot counters before observing
-  return L.metrics.stats();
+  return impl_->lanes[lane]->metrics.stats();
 }
 
 const energy::EnergyMeter& CohortEngine::energy_meter(std::size_t lane) const {
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
-  const Impl::Lane& L = *impl_->lanes[lane];
-  if (L.engine) return L.engine->energy_meter();
-  return L.meter;  // charged eagerly — no fold needed
+  return impl_->lanes[lane]->meter;  // charged eagerly — no fold needed
 }
 
 const channel::LedgerStats& CohortEngine::channel_stats(
     std::size_t lane) const {
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
-  const Impl::Lane& L = *impl_->lanes[lane];
-  if (L.engine) return L.engine->channel_stats();
   // LedgerStats update eagerly in the LaneLedger — no fold needed.
   return impl_->lane_ledger->stats(static_cast<std::uint32_t>(lane));
 }
@@ -1175,13 +1106,6 @@ void CohortEngine::save_lane_state(std::size_t lane,
                                    snapshot::Writer& w) const {
   AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
   impl_->save_lane_state(lane, w);
-}
-
-Engine& CohortEngine::engine(std::size_t lane) {
-  AM_REQUIRE(lane < impl_->lanes.size(), "lane index out of range");
-  Impl::Lane& L = *impl_->lanes[lane];
-  if (!L.engine) impl_->materialize(lane);
-  return *L.engine;
 }
 
 }  // namespace asyncmac::sim

@@ -29,18 +29,18 @@
 // Determinism contract — byte-identity by construction: a lane's state is
 // at all times exactly the state the scalar Engine would have after the
 // same events, and save_lane_state() writes Engine::save_state's byte
-// layout. Cohorts that cannot take the fast path (other protocols,
-// variable-length slot policies, checkpoint sinks, mismatched lane
-// configurations) fall back transparently to one scalar Engine per lane;
-// lanes that hit a runtime slow path (a StopCondition predicate, or the
-// caller asking for engine(k)) detach to a scalar Engine via the snapshot
-// path and continue bit-for-bit. Tests pin byte-identity of lane
-// snapshots against scalar runs across the golden corpus, generated
-// scenarios and randomized K/seed sweeps.
+// layout. A cohort is lockstep or nothing: the constructor refuses lanes
+// the lockstep path cannot run (lockstep_eligible — other protocols,
+// variable-length slot policies, checkpointing, mismatched lane
+// configurations), and callers run those on scalar Engines
+// (analysis::run_grid_cells runs one per distinct run). A cohort runs
+// once, to one stop per lane, and a lane whose stop fires stays retired
+// (frozen). Tests pin byte-identity of lane snapshots against scalar runs
+// across the golden corpus, generated scenarios and randomized K/seed
+// sweeps.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -57,30 +57,28 @@ struct LaneMaterials {
   std::unique_ptr<InjectionPolicy> injection;  ///< may be null
 };
 
-/// Pure factory for one lane's materials. MUST be callable repeatedly and
-/// return independent, identically configured instances each time: the
-/// cohort consumes one build at construction (to decide eligibility and
-/// seed the lane) and builds again whenever the lane detaches to a scalar
-/// Engine (the fresh engine is then overwritten via load_state).
-using LaneBuilder = std::function<LaneMaterials()>;
-
 /// The lockstep fast path's test of one lane on its own: the lane-ized
 /// protocol at every station, every slot length fixed within [1, R]
 /// units, a slot policy whose save_state writes nothing, and no
 /// checkpointing. Returns the per-station slot lengths, or an empty
-/// vector when the lane cannot run in lockstep. A cohort runs in
-/// lockstep when every lane passes and all lanes agree on their shared
-/// configuration and lengths; the grid planner (analysis/grid.h) asks it
-/// of one lane per block to size its work units.
+/// vector when the lane cannot run in lockstep. The grid planner
+/// (analysis/grid.h) asks it of one lane per block to size its work
+/// units.
 std::vector<Tick> lockstep_slot_lengths(const LaneMaterials& m);
+
+/// The cohort test: at least one lane, every lane passes
+/// lockstep_slot_lengths, and all lanes agree on the shared configuration
+/// (n, R, recording flags, control messages, prune interval, channel
+/// variant, energy model) and on every station's slot length — that is
+/// what makes the event schedule shareable. Seeds and injectors are free.
+/// CohortEngine accepts exactly the lanes this accepts.
+bool lockstep_eligible(const std::vector<LaneMaterials>& lanes);
 
 class CohortEngine {
  public:
-  /// One builder per lane; at least one lane. Decides the lockstep fast
-  /// path for the whole cohort at construction (see lockstep()); cohorts
-  /// that do not qualify hold one scalar Engine per lane instead and
-  /// behave identically, just without the batching win.
-  explicit CohortEngine(std::vector<LaneBuilder> builders);
+  /// One lane per materials entry. Throws std::invalid_argument unless
+  /// lockstep_eligible(lanes).
+  explicit CohortEngine(std::vector<LaneMaterials> lanes);
   ~CohortEngine();
 
   CohortEngine(const CohortEngine&) = delete;
@@ -88,23 +86,17 @@ class CohortEngine {
 
   std::size_t lanes() const noexcept;
 
-  /// True when the cohort runs the batched SoA lockstep loop; false for
-  /// the one-scalar-Engine-per-lane fallback.
-  bool lockstep() const noexcept;
-
-  /// True when a lockstep lane has left the shared schedule because its
-  /// stop condition triggered (its state is frozen at that point; reading
-  /// results needs no materialization). Always false for detached or
-  /// fallback lanes — those are live scalar engines.
+  /// True once the lane's stop condition has triggered: it has left the
+  /// shared schedule, and its state is frozen at that point.
   bool retired(std::size_t lane) const;
 
   /// Advance every lane until its stop condition triggers (the broadcast
   /// overload applies one condition to all lanes). Mirrors Engine::run
   /// per lane: a lane's stop is evaluated before every one of its slot-end
-  /// events, and its telemetry is flushed when it stops. Lanes with a
-  /// StopCondition::predicate detach to scalar engines first (the
-  /// predicate observes an Engine), as do previously retired lanes that
-  /// are run again — the shared schedule has moved on without them.
+  /// events, and its telemetry is flushed when it stops. Throws
+  /// std::invalid_argument on a second call (retired lanes cannot rejoin
+  /// a schedule that moved on without them) and on a stop with a
+  /// StopCondition::predicate (a predicate observes a scalar Engine).
   void run(const StopCondition& stop);
   void run(const std::vector<StopCondition>& stops);
 
@@ -116,15 +108,8 @@ class CohortEngine {
 
   /// Serialize lane `lane` exactly as the equivalent scalar
   /// Engine::save_state would — THE byte-identity oracle (tests and
-  /// verify::Campaign diff this against real scalar runs), and the
-  /// transport detachment rides on.
+  /// verify::Campaign diff this against real scalar runs).
   void save_lane_state(std::size_t lane, snapshot::Writer& w) const;
-
-  /// Detach lane `lane` to a scalar Engine (built via the lane's builder,
-  /// then overwritten with the lane snapshot) and return it. Idempotent —
-  /// the engine is cached and subsequent run() calls advance it. The
-  /// returned reference lives as long as the cohort.
-  Engine& engine(std::size_t lane);
 
  private:
   struct Impl;

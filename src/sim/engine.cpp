@@ -327,10 +327,10 @@ void Engine::save_state(snapshot::Writer& w) const {
   // Defensive echo of the configuration facets the mutable state depends
   // on; load_state refuses a payload saved under a different shape.
   //
-  // KEEP IN SYNC: CohortEngine materializes lockstep lanes by writing this
-  // exact byte layout from its own lane state (sim/cohort_engine.cpp,
-  // save_lane_state) — any field added, removed or reordered here must be
-  // mirrored there, or lane detachment silently corrupts.
+  // KEEP IN SYNC: CohortEngine writes this exact byte layout from its own
+  // lane state (sim/cohort_engine.cpp, save_lane_state) — any field added,
+  // removed or reordered here must be mirrored there, or the cohort
+  // byte-identity oracles compare different layouts.
   w.u32(cfg_.n);
   w.u32(cfg_.bound_r);
   w.boolean(cfg_.keep_channel_history);

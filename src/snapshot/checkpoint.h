@@ -60,11 +60,18 @@ ResumedRun decode_checkpoint(const std::vector<std::uint8_t>& payload);
 /// mode; never undefined behaviour on corrupt input.
 ResumedRun resume_checkpoint(const std::string& path);
 
+/// The newest autosave in `dir`: the AutoSaver file (ckpt-<counter>.snap)
+/// with the highest counter, in numeric order — the names stop sorting
+/// as text past 999999 saves. Empty when `dir` holds none.
+std::string newest_checkpoint(const std::string& dir);
+
 /// Rotating checkpoint writer for EngineConfig::checkpoint_sink. Writes
-/// ckpt-NNNNNN.snap files into `dir` (created if missing) and removes the
-/// oldest once more than `retention` exist. Write errors propagate as
-/// SnapshotError(kIo) — a checkpointed run should fail loudly, not
-/// silently stop snapshotting.
+/// ckpt-NNNNNN.snap files into `dir` (created if missing), numbering on
+/// from the highest counter already there so newest_checkpoint finds its
+/// latest save, and removes the oldest file it wrote once it has written
+/// more than `retention`. Write errors propagate as SnapshotError(kIo) —
+/// a checkpointed run should fail loudly, not silently stop
+/// snapshotting.
 class AutoSaver {
  public:
   AutoSaver(std::string dir, RunSpec spec, std::size_t retention = 3);

@@ -105,73 +105,86 @@ void clamp_to_stations(Scenario& s) {
 
 namespace {
 
-/// Differential oracle for the batched cohort engine: replay the scenario
-/// as a lane of a sim::CohortEngine (whatever path the cohort picks —
-/// lockstep for lane-ized protocol/policy combinations, scalar fallback
-/// otherwise) and demand the full state snapshot equal the scalar
-/// engine's, byte for byte. Lane 1 rides along with a different engine
-/// seed (the Monte Carlo shape cohorts exist for); when the protocol
-/// declares it draws nothing from that seed, lane 1's stats and channel
-/// stats must equal the scalar engine's. Lane 2 replays the scenario with
-/// a mid-horizon stop and resumes, covering retirement + materialization
-/// under every generated adversary; lane 3 runs the scenario with varied
-/// injector *parameters* (halved rho, longer bursts) and must match its
-/// own scalar twin — the lane-varying-parameter shape analysis::run_grid
-/// batches whole grid rows with.
+/// Differential oracle for the batched cohort engine, and the seed-use
+/// check, on untraced runs of the scenario (a traced cohort never takes
+/// its dense paths: the idle tier and the batched quiet run).
+///
+/// Seed use: the engine seed reaches only the stations' RNGs, so a
+/// protocol that declares it never draws from them
+/// (analysis::protocol_draws_rng) must give the scalar engine's stats and
+/// channel stats at engine seed + 1 — its snapshot still differs by the
+/// saved RNG states. A lockstep scenario's cohort lane 1 carries this
+/// check; any other scenario gets a run of its own.
+///
+/// Cohort, lockstep scenarios only (sim::lockstep_eligible): lane 0 is
+/// the scenario, lane 1 runs at engine seed + 1, lane 2 stops at half
+/// the horizon, lane 3 varies the injector *parameters* (halved rho,
+/// longer bursts — the shape analysis::run_grid batches grid rows with).
+/// Lanes 0 and 3 must write their scalar twins' bytes, and lane 2, once
+/// retired, the lane-0 twin's bytes at its stop.
 trace::CheckResult check_cohort_equivalence(const Scenario& s,
                                             const sim::Engine& scalar) {
-  snapshot::Writer scalar_bytes;
-  scalar.save_state(scalar_bytes);
-
+  Scenario plain = s;
+  plain.record_trace = false;
   // Same protocol/policy/seed, different injector parameters: legal for
   // every injector kind (rho only shrinks, bursts only lengthen).
-  Scenario varied = s;
+  Scenario varied = plain;
   varied.injector.rho =
       util::Ratio(varied.injector.rho.num, varied.injector.rho.den * 2);
   varied.injector.burst_ticks += 4 * kTicksPerUnit;
-  snapshot::Writer varied_bytes;
-  run_scenario(varied)->save_state(varied_bytes);
-
-  std::vector<sim::LaneBuilder> builders;
-  builders.push_back([s] { return analysis::materials(s); });
-  builders.push_back(
-      [s, seed = s.seed + 1] { return analysis::materials(s, seed); });
-  builders.push_back([s] { return analysis::materials(s); });
-  builders.push_back([varied] { return analysis::materials(varied); });
-  sim::CohortEngine cohort(std::move(builders));
-
   const Tick horizon = s.horizon_units * kTicksPerUnit;
+
+  auto check_seed_use = [&](const metrics::RunStats& stats,
+                            const channel::LedgerStats& channel) {
+    if (analysis::protocol_draws_rng(s.protocol) ||
+        (stats == scalar.stats() && channel == scalar.channel_stats()))
+      return trace::CheckResult{};
+    return trace::CheckResult{
+        false, s.protocol + " declares no seed use, yet its run at engine "
+                            "seed + 1 diverged from the scalar engine's stats"};
+  };
+
+  std::vector<sim::LaneMaterials> lanes;
+  lanes.push_back(analysis::materials(plain));
+  lanes.push_back(analysis::materials(plain, plain.seed + 1));
+  lanes.push_back(analysis::materials(plain));
+  lanes.push_back(analysis::materials(varied));
+  if (!sim::lockstep_eligible(lanes)) {
+    if (analysis::protocol_draws_rng(s.protocol)) return {};
+    auto reseeded = analysis::build_engine(plain, plain.seed + 1);
+    reseeded->run(sim::until(horizon));
+    return check_seed_use(reseeded->stats(), reseeded->channel_stats());
+  }
+
+  sim::CohortEngine cohort(std::move(lanes));
   std::vector<sim::StopCondition> stops(4, sim::until(horizon));
   stops[2] = sim::until(horizon / 2);
   cohort.run(stops);
-  cohort.run(sim::until(horizon));  // resume lane 2 to the full horizon
+  if (auto r = check_seed_use(cohort.stats(1), cohort.channel_stats(1)); !r)
+    return r;
 
-  // The engine seed reaches only the stations' RNGs, so a protocol that
-  // never draws from them (analysis::protocol_draws_rng) runs lane 1
-  // exactly as the scalar engine — its snapshot still differs by the
-  // saved RNG states, hence the field comparison. This check rides on the
-  // cohort's lane 1, a run this oracle makes anyway; if the cohort oracle
-  // is ever deleted, the check needs a run of its own.
-  if (!analysis::protocol_draws_rng(s.protocol) &&
-      (cohort.stats(1) != scalar.stats() ||
-       cohort.channel_stats(1) != scalar.channel_stats()))
-    return {false, s.protocol +
-                       " declares no seed use, yet cohort lane 1 (engine "
-                       "seed + 1) diverged from the scalar engine's stats"};
+  // One scalar twin serves lane 2 (saved at its stop) and then lane 0.
+  snapshot::Writer want[4];
+  auto twin = analysis::build_engine(plain);
+  twin->run(stops[2]);
+  twin->save_state(want[2]);
+  twin->run(stops[0]);
+  twin->save_state(want[0]);
+  auto varied_twin = analysis::build_engine(varied);
+  varied_twin->run(stops[3]);
+  varied_twin->save_state(want[3]);
 
   for (const std::size_t lane :
        {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    const auto& want = lane == 3 ? varied_bytes : scalar_bytes;
     snapshot::Writer lane_bytes;
     cohort.save_lane_state(lane, lane_bytes);
-    if (lane_bytes.buffer() != want.buffer()) {
+    if (lane_bytes.buffer() != want[lane].buffer()) {
       std::ostringstream os;
-      os << "cohort lane " << lane << " ("
-         << (cohort.lockstep() ? "lockstep" : "scalar-fallback")
-         << (lane == 2 ? ", retired mid-run and resumed" : "")
-         << (lane == 3 ? ", param-varied injector" : "")
-         << ") diverged from the scalar engine: state snapshots differ ("
-         << lane_bytes.buffer().size() << " vs " << want.buffer().size()
+      os << "cohort lane " << lane
+         << (lane == 2 ? " (retired at half the horizon)" : "")
+         << (lane == 3 ? " (param-varied injector)" : "")
+         << " diverged from its scalar twin: state snapshots differ ("
+         << lane_bytes.buffer().size() << " vs " << want[lane].buffer().size()
          << " bytes)";
       return {false, os.str()};
     }

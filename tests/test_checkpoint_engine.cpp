@@ -4,12 +4,14 @@
 // trace and RunStats of the resumed run must be byte-identical to the
 // uninterrupted one. Pinned across the full engine-golden corpus (every
 // hot-loop path), generated fuzz scenarios, and a chained double-resume;
-// plus RunSpec round-trip, AutoSaver retention and the typed mismatch /
-// corruption errors of the decode path.
+// plus RunSpec round-trip, AutoSaver retention and numbering, the
+// newest-checkpoint rule, and the typed mismatch / corruption errors of
+// the decode path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -215,6 +217,56 @@ TEST(CheckpointEngine, AutoSaverRotatesWithBoundedRetention) {
   // The newest survivor must resume cleanly.
   snapshot::ResumedRun run = snapshot::resume_checkpoint(saver->latest());
   EXPECT_EQ(run.spec, spec);
+  std::filesystem::remove_all(dir);
+}
+
+/// Create empty files named `names` in a fresh directory `dir`.
+void make_files(const std::string& dir,
+                const std::vector<std::string>& names) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& name : names) std::ofstream(dir + "/" + name).put('x');
+}
+
+TEST(CheckpointEngine, NewestCheckpointIsTheHighestCounter) {
+  const std::string dir = "ckpt_newest_dir";
+  // Counters compare as numbers, whatever their width or the directory
+  // order, and names that are not AutoSaver files do not count.
+  make_files(dir, {"ckpt-000002.snap", "ckpt-000010.snap", "ckpt-000009.snap",
+                   "ckpt-7.snap", "ckpt-000011.snap.tmp", "ckpt-x12.snap",
+                   "ckpt-.snap", "ckpt-+13.snap", "other-000014.snap",
+                   "ckpt-99999999999999999999999.snap"});
+  EXPECT_EQ(snapshot::newest_checkpoint(dir), dir + "/ckpt-000010.snap");
+  // Past 999999 saves the names stop sorting as text.
+  make_files(dir, {"ckpt-999999.snap", "ckpt-1000000.snap"});
+  EXPECT_EQ(snapshot::newest_checkpoint(dir), dir + "/ckpt-1000000.snap");
+  make_files(dir, {"notes.txt"});
+  EXPECT_EQ(snapshot::newest_checkpoint(dir), "");
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(snapshot::newest_checkpoint(dir), "");  // no such directory
+}
+
+TEST(CheckpointEngine, AutoSaverNumbersOnInAUsedDirectory) {
+  RunSpec spec = spec_from_golden(testing::engine_golden_cases()[0]);
+  spec.checkpoint_interval = 50;
+  const std::string dir = "ckpt_numbering_dir";
+  make_files(dir, {"ckpt-999999.snap"});
+  auto engine = snapshot::build_engine(spec);
+  engine->run(sim::until(spec.horizon_units * kTicksPerUnit / 2));
+
+  snapshot::AutoSaver first(dir, spec, 5);
+  first.save(*engine);
+  EXPECT_EQ(first.latest(), dir + "/ckpt-1000000.snap");
+  first.save(*engine);
+  // A second saver in the same directory — a resumed run autosaving where
+  // it was resumed from — numbers on past every file already there, so
+  // the newest-checkpoint rule finds its save.
+  snapshot::AutoSaver second(dir, spec, 5);
+  second.save(*engine);
+  EXPECT_EQ(second.latest(), dir + "/ckpt-1000002.snap");
+  EXPECT_EQ(snapshot::newest_checkpoint(dir), second.latest());
+  EXPECT_EQ(snapshot::resume_checkpoint(second.latest()).spec, spec);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointEngine, LoadIntoDifferentConfigurationIsMismatch) {

@@ -6,11 +6,14 @@
 //
 // The tests spawn the real binary (path injected via ASYNCMAC_CLI_BIN)
 // because ctest's WILL_FAIL cannot distinguish a clean exit 2 from an
-// abort: WIFEXITED must hold AND the status must be exactly 2.
+// abort: WIFEXITED must hold AND the status must be exactly 2. The same
+// spawner drives `resume <dir>` end to end, whose newest-checkpoint rule
+// only the CLI applies to a directory.
 #include <sys/wait.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -24,10 +27,11 @@ struct RunResult {
   std::string output;   ///< combined stdout+stderr
 };
 
-RunResult run_cli(const std::string& args) {
-  // Stderr is folded into the pipe so the usage message is observable.
-  const std::string cmd =
-      std::string(ASYNCMAC_CLI_BIN) + " " + args + " 2>&1";
+/// Runs the CLI; stderr is folded into the output (so the usage message
+/// is observable) unless `stdout_only`.
+RunResult run_cli(const std::string& args, bool stdout_only = false) {
+  const std::string cmd = std::string(ASYNCMAC_CLI_BIN) + " " + args +
+                          (stdout_only ? " 2>/dev/null" : " 2>&1");
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
@@ -178,6 +182,24 @@ TEST(CliUsage, ServeRejectsMalformedNumerics) {
   expect_usage_exit("serve --cases=x --fuzz");
 }
 
+// serve runs a grid or, with --fuzz, a fuzz campaign; a flag the chosen
+// mode would ignore is refused rather than silently dropped.
+TEST(CliUsage, ServeRejectsFlagsItsModeIgnores) {
+  expect_usage_exit("serve --fuzz --protocol=ca-arrow");  // not the pool
+  expect_usage_exit("serve --protocol=ca-arrow --fuzz");
+  expect_usage_exit("serve --fuzz --n=4");
+  expect_usage_exit("serve --fuzz --rho=0.5");
+  expect_usage_exit("serve --fuzz --horizon=100");
+  expect_usage_exit("serve --fuzz --restrained-k=1");
+  expect_usage_exit("serve --fuzz --energy-model=1:1:1");
+  expect_usage_exit("serve --fuzz --seeds=3");
+  expect_usage_exit("serve --fuzz --csv=serve_fuzz.csv");
+  expect_usage_exit("serve --fuzz --checkpoint-dir=serve_fuzz_ckpt");
+  EXPECT_FALSE(std::filesystem::exists("serve_fuzz_ckpt"));
+  expect_usage_exit("serve --cases=10");  // a grid serve
+  expect_usage_exit("serve --protocol=ca-arrow --cases=10");
+}
+
 TEST(CliUsage, WorkerRejectsMalformedNumerics) {
   expect_usage_exit("worker --port=abc");
   expect_usage_exit("worker --port=99999");
@@ -218,6 +240,34 @@ TEST(CliUsage, LiveStationRejectsMalformedNumerics) {
 
 // A sanity anchor: a well-formed invocation must NOT exit 2 (guards
 // against the matrix passing because the binary always exits 2).
+// ------------------------------------------------------------- resume
+
+// `resume <dir>` takes the newest autosave, and a resumed leg autosaving
+// into the same directory numbers on past the files already there. The
+// first leg leaves its last saves (counters in the teens, recorded
+// horizon 3000); the second leg's fewer saves must still be the newest,
+// and its last one (recorded horizon 4000) must resume to the same stdout
+// as an uninterrupted run.
+TEST(CliResume, DirectoryResumesItsNewestCheckpoint) {
+  const std::string dir = "cli_resume_newest_ckpt";
+  std::filesystem::remove_all(dir);
+  const std::string run = "--protocol=ca-arrow --rho=0.7 --trace=20 ";
+  const RunResult control = run_cli(run + "--horizon=4000", true);
+  ASSERT_EQ(control.status, 0);
+  ASSERT_EQ(run_cli(run + "--horizon=3000 --checkpoint-every=500 "
+                          "--checkpoint-dir=" + dir, true)
+                .status,
+            0);
+  ASSERT_EQ(run_cli("resume " + dir + " --horizon=4000 --checkpoint-dir=" +
+                        dir, true)
+                .status,
+            0);
+  const RunResult resumed = run_cli("resume " + dir + " --trace=20", true);
+  EXPECT_EQ(resumed.status, 0);
+  EXPECT_EQ(resumed.output, control.output);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CliUsage, WellFormedRunExitsZero) {
   const RunResult r =
       run_cli("--protocol=ca-arrow --n=2 --rho=0.5 --horizon=200");

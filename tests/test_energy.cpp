@@ -237,31 +237,29 @@ TEST(EnergyCheckpoint, MeterSurvivesKillAnywhereResume) {
 // ------------------------------------------------------------- cohort lanes
 
 TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
-  // Two lane shapes: a lockstep-eligible scenario (ca-arrow + sync) and
-  // a scalar-fallback one (rrw + perstation); both with metering on.
+  // The metered lockstep cohort grids run: ca-arrow, sync, R=1, no trace
+  // (so the idle tier and the batched quiet runs are on), lanes varying
+  // the engine seed and rho. Each lane's meter, and its whole state
+  // snapshot, must equal its scalar twin's.
   std::vector<verify::Scenario> lanes;
-  {
+  for (const int rho_pct : {30, 50, 70, 90}) {
     verify::Scenario s = contended_scenario("ca-arrow");
     s.slot_policy = "sync";
     s.bound_r = 1;
+    s.record_trace = false;
+    s.horizon_units = 2000;
+    s.seed = 77 + static_cast<std::uint64_t>(rho_pct);
+    s.injector.rho = util::Ratio(rho_pct, 100);
     s.energy.enabled = true;
     s.energy.cost_transmit = 4;
     s.energy.cost_listen = 2;
     s.energy.cost_sleep = 1;
     lanes.push_back(s);
   }
-  {
-    verify::Scenario s = contended_scenario("rrw");
-    s.seed = 123;
-    s.energy.enabled = true;
-    s.energy.cost_transmit = 2;
-    lanes.push_back(s);
-  }
 
-  std::vector<sim::LaneBuilder> builders;
-  for (const auto& s : lanes)
-    builders.push_back([s] { return analysis::materials(s); });
-  sim::CohortEngine cohort(std::move(builders));
+  std::vector<sim::LaneMaterials> mats;
+  for (const auto& s : lanes) mats.push_back(analysis::materials(s));
+  sim::CohortEngine cohort(std::move(mats));
   const Tick horizon = lanes[0].horizon_units * kTicksPerUnit;
   cohort.run(sim::until(horizon));
 
@@ -273,6 +271,10 @@ TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
     EXPECT_GT(cohort.energy_meter(k).total_charge(scalar->energy_model()),
               0u)
         << "lane " << k;
+    snapshot::Writer lane_bytes, scalar_bytes;
+    cohort.save_lane_state(k, lane_bytes);
+    scalar->save_state(scalar_bytes);
+    EXPECT_EQ(lane_bytes.buffer(), scalar_bytes.buffer()) << "lane " << k;
   }
 }
 

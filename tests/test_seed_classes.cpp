@@ -331,8 +331,9 @@ TEST(GridPlanTest, UnitsHoldRunsNotCells) {
 }
 
 TEST(GridPlanTest, LockstepTestIsTheCohorts) {
-  // The planner asks sim::lockstep_slot_lengths what CohortEngine's
-  // constructor decides with it.
+  // The planner asks sim::lockstep_slot_lengths of one lane what
+  // sim::lockstep_eligible, the test CohortEngine's constructor applies,
+  // decides for a block's lanes.
   for (const char* protocol : {"ca-arrow", "ao-arrow"})
     for (const char* policy : {"sync", "perstation", "random"}) {
       RunSpec run;
@@ -340,9 +341,13 @@ TEST(GridPlanTest, LockstepTestIsTheCohorts) {
       run.slot_policy = policy;
       const bool planned =
           !sim::lockstep_slot_lengths(materials(run)).empty();
-      std::vector<sim::LaneBuilder> lanes(2, [run] { return materials(run); });
-      const sim::CohortEngine cohort(std::move(lanes));
-      EXPECT_EQ(planned, cohort.lockstep()) << protocol << " / " << policy;
+      std::vector<sim::LaneMaterials> lanes;
+      for (const int rho_pct : {50, 70}) {
+        run.injector.rho = util::Ratio(rho_pct, 100);
+        lanes.push_back(materials(run));
+      }
+      EXPECT_EQ(planned, sim::lockstep_eligible(lanes))
+          << protocol << " / " << policy;
       EXPECT_EQ(planned, std::string(protocol) == "ca-arrow" &&
                              std::string(policy) != "random")
           << protocol << " / " << policy;

@@ -451,44 +451,40 @@ TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
 
 /// One lockstep-eligible lane (ca-arrow + fixed-length slots) for the
 /// cohort counter test.
-sim::LaneBuilder cohort_lane(std::uint64_t seed) {
-  return [seed] {
-    sim::LaneMaterials m;
-    m.cfg.n = 4;
-    m.cfg.bound_r = 1;
-    m.cfg.seed = seed;
-    m.protocols = analysis::make_protocols("ca-arrow", m.cfg.n);
-    m.slot_policy = adversary::make_slot_policy("sync", m.cfg.n, 1, 1);
-    return m;
-  };
+sim::LaneMaterials cohort_lane(std::uint64_t seed) {
+  sim::LaneMaterials m;
+  m.cfg.n = 4;
+  m.cfg.bound_r = 1;
+  m.cfg.seed = seed;
+  m.protocols = analysis::make_protocols("ca-arrow", m.cfg.n);
+  m.slot_policy = adversary::make_slot_policy("sync", m.cfg.n, 1, 1);
+  return m;
 }
 
-TEST(TelemetryCohort, CountsBatchesRetirementsAndDetaches) {
+TEST(TelemetryCohort, CountsBatchesAndRetirements) {
   ScopedTelemetry on;
   const auto& batches = telemetry::Registry::global().counter("cohort.batches");
-  const auto& detaches =
-      telemetry::Registry::global().counter("cohort.detaches");
   const auto& retired =
       telemetry::Registry::global().counter("cohort.lanes_retired");
 
   const std::size_t kLanes = 3;
   {
-    std::vector<sim::LaneBuilder> builders;
+    std::vector<sim::LaneMaterials> lanes;
     for (std::size_t k = 0; k < kLanes; ++k)
-      builders.push_back(cohort_lane(11 + 37 * k));
-    sim::CohortEngine cohort(std::move(builders));
-    ASSERT_TRUE(cohort.lockstep());
-
-    // First run: all lanes advance in lockstep to the horizon and retire.
-    cohort.run(sim::until(500 * kTicksPerUnit));
-    // Second run with a later horizon: each retired lane must detach to a
-    // scalar engine to advance past the frozen shared schedule.
-    cohort.run(sim::until(1000 * kTicksPerUnit));
+      lanes.push_back(cohort_lane(11 + 37 * k));
+    sim::CohortEngine cohort(std::move(lanes));
+    // Staggered stops: every lane retires once, at its own horizon.
+    std::vector<sim::StopCondition> stops;
+    for (std::size_t k = 0; k < kLanes; ++k)
+      stops.push_back(sim::until(static_cast<Tick>(500 * (k + 1)) *
+                                 kTicksPerUnit));
+    cohort.run(stops);
   }  // destructor flushes the batched deltas
 
-  EXPECT_GT(batches.value(), 0u);           // shared events were processed
-  EXPECT_EQ(retired.value(), kLanes);       // every lane hit the first stop
-  EXPECT_EQ(detaches.value(), kLanes);      // every lane detached on rerun
+  // One batch per shared slot-end event: the longest lane's 4 stations x
+  // 1500 unit slots (sync, R = 1).
+  EXPECT_EQ(batches.value(), 4u * 1500u);
+  EXPECT_EQ(retired.value(), kLanes);  // every lane hit its stop once
 }
 
 }  // namespace

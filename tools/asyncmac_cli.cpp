@@ -29,6 +29,7 @@
 //
 // Exit code 0 on success; 1 on fuzz violations / failed replay / bad
 // checkpoint; 2 on bad usage.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -191,10 +192,13 @@ std::vector<std::string> split_list(const std::string& s) {
       "                 records are byte-identical for every J\n"
       "  --cohort=K     batch up to K distinct runs differing only in\n"
       "                 seed and injector params (rho) through the\n"
-      "                 lockstep cohort engine; 1 = scalar, 0 = auto\n"
-      "                 (default): 1 where the lockstep path does not\n"
-      "                 apply, else up to 8 but at least J units;\n"
-      "                 records are byte-identical for every K\n"
+      "                 lockstep cohort engine; runs the lockstep path\n"
+      "                 cannot take (not ca-arrow, or a variable-length\n"
+      "                 policy) run on one scalar engine each;\n"
+      "                 1 = scalar, 0 = auto (default): 1 where the\n"
+      "                 lockstep path does not apply, else up to 8 but\n"
+      "                 at least J units; records are byte-identical\n"
+      "                 for every K\n"
       "  --csv=PATH     also write the records as CSV\n"
       "\n"
       "resume flags (after: asyncmac_cli resume path/to/ckpt.snap or the\n"
@@ -239,7 +243,10 @@ std::vector<std::string> split_list(const std::string& s) {
       "  --seeds=K / --csv=PATH / --checkpoint-dir=D / --telemetry=P\n"
       "                       as in --grid mode\n"
       "  --fuzz --cases=K     distribute a fuzz campaign (chunked cases)\n"
-      "                       instead of a grid; --seed seeds it\n"
+      "                       instead of a grid; --seed seeds it; it\n"
+      "                       takes no grid flag (--protocol, --n,\n"
+      "                       --seeds, --csv, --checkpoint-dir, ...), and\n"
+      "                       a grid serve takes no --cases\n"
       "\n"
       "worker flags (joins a coordinator, computes leased units until the\n"
       "sweep completes; safe to kill — its leases are reassigned):\n"
@@ -891,19 +898,11 @@ int run_resume(int argc, char** argv) {
   if (path.empty()) usage("resume needs a checkpoint file or directory");
   if (!telemetry_path.empty()) enable_telemetry_or_die(telemetry_path);
 
-  // A directory means "the newest autosave in it": AutoSaver names files
-  // ckpt-NNNNNN.snap with a monotone counter, so the lexicographically
-  // greatest one is the latest snapshot.
+  // A directory means "the newest autosave in it" (the highest AutoSaver
+  // counter, snapshot::newest_checkpoint).
   std::error_code ec;
   if (std::filesystem::is_directory(path, ec)) {
-    std::string best;
-    for (const auto& entry : std::filesystem::directory_iterator(path, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("ckpt-", 0) == 0 && name.size() > 5 &&
-          name.compare(name.size() - 5, 5, ".snap") == 0 &&
-          (best.empty() || name > best))
-        best = (std::filesystem::path(path) / name).string();
-    }
+    const std::string best = snapshot::newest_checkpoint(path);
     if (best.empty()) {
       std::cerr << "asyncmac_cli resume: " << path
                 << ": no ckpt-*.snap files\n";
@@ -970,11 +969,25 @@ struct ServeOptions {
 
 ServeOptions parse_serve_args(int argc, char** argv) {
   ServeOptions opt;
+  // The flags a distributed fuzz campaign reads. Every other flag is a
+  // grid's, and --cases is the campaign's only: a flag the chosen mode
+  // would ignore is a usage error, not a silent no-op.
+  static const std::vector<std::string> kFuzzFlags = {
+      "--fuzz", "--seed", "--cases", "--telemetry", "--port",
+      "--port-file", "--lease-timeout-ms", "--heartbeat-ms"};
+  std::string grid_flag;  // the first flag only a grid reads
+  bool cases_set = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
+    const std::string flag = arg.substr(0, arg.find('='));
+    if (grid_flag.empty() &&
+        std::find(kFuzzFlags.begin(), kFuzzFlags.end(), flag) ==
+            kFuzzFlags.end())
+      grid_flag = flag;
+    cases_set = cases_set || flag == "--cases";
     if (parse_run_flag(arg, opt.grid)) continue;
     if (arg.rfind("--seeds=", 0) == 0)
       opt.grid.seeds = static_cast<int>(
@@ -1005,6 +1018,11 @@ ServeOptions parse_serve_args(int argc, char** argv) {
   if (opt.grid.seeds < 1) usage("--seeds must be >= 1");
   if (opt.lease_timeout_ms == 0) usage("--lease-timeout-ms must be > 0");
   if (opt.cases < 1) usage("--cases must be >= 1");
+  if (opt.fuzz && !grid_flag.empty())
+    usage(grid_flag + " does not apply to serve --fuzz: a distributed fuzz "
+          "campaign takes --seed, --cases and --telemetry");
+  if (!opt.fuzz && cases_set)
+    usage("--cases applies to serve --fuzz only");
   reject_grid_pattern(opt.grid);
   return opt;
 }
