@@ -22,7 +22,7 @@ using namespace asyncmac::bench;
 
 /// ABS with listening thresholds (t0, t1) on n stations whose true
 /// asynchrony bound is `true_r`.
-sim::LaneMaterials ablated_abs(std::uint32_t n, std::uint32_t true_r,
+sim::EngineMaterials ablated_abs(std::uint32_t n, std::uint32_t true_r,
                                std::uint64_t t0, std::uint64_t t1) {
   auto m = analysis::materials(sst_spec("abs", n, true_r));
   for (auto& p : m.protocols) p = std::make_unique<core::AbsProtocol>(t0, t1);

@@ -98,7 +98,7 @@ inline analysis::RunSpec sst_spec(const std::string& protocol,
 }
 
 /// The scalar Engine over (possibly edited) materials() output.
-inline std::unique_ptr<sim::Engine> engine(sim::LaneMaterials m) {
+inline std::unique_ptr<sim::Engine> engine(sim::EngineMaterials m) {
   return std::make_unique<sim::Engine>(
       std::move(m.cfg), std::move(m.protocols), std::move(m.slot_policy),
       std::move(m.injection));
@@ -203,7 +203,7 @@ struct SstResult {
 /// per station at time 0. Stops at the first success or after `budget`
 /// times the Theorem-1 slot bound in R-unit slots, then drains `drain`
 /// ticks.
-inline SstResult run_sst(sim::LaneMaterials m, std::uint64_t budget,
+inline SstResult run_sst(sim::EngineMaterials m, std::uint64_t budget,
                          Tick drain = 0) {
   const std::uint32_t n = m.cfg.n;
   const std::uint32_t R = m.cfg.bound_r;

@@ -40,18 +40,8 @@ struct ExperimentSpec {
   /// Every run is an independent deterministic Engine, so the records are
   /// byte-identical for every jobs value (including their order).
   unsigned jobs = 0;
-  /// Lockstep batching width, in distinct runs per work unit (the seed
-  /// replicas of a seed-invariant cell are one run): runs differing only
-  /// in seed AND injector parameters (rho) are grouped into cohorts of up
-  /// to this many lanes and stepped together through sim::CohortEngine —
-  /// with a single slot policy a whole rho x seed grid row batches. Runs
-  /// the lockstep path cannot take (sim::lockstep_eligible) run on one
-  /// scalar engine each, whatever the width. 0 = auto: one run per unit
-  /// where the lockstep path does not apply, elsewhere up to 8 runs but
-  /// never fewer units than jobs (grid_cohort_width in analysis/grid.h);
-  /// 1 = one scalar engine per run. Records are byte-identical for every value —
-  /// the cohort engine's contract — so cohort, like jobs, is an execution
-  /// knob and not part of the spec fingerprint.
+  /// Read by nothing. It stays only because perfbench/measure.cpp still
+  /// sets it; not part of the spec fingerprint.
   unsigned cohort = 0;
   /// k-restrained channel for every cell (channel/transmission.h); k = 0
   /// is the unrestrained channel.

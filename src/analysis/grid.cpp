@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "energy/meter.h"
-#include "sim/cohort_engine.h"
 #include "sim/engine.h"
 #include "snapshot/format.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace asyncmac::analysis {
 
@@ -16,9 +13,10 @@ namespace {
 
 ExperimentRecord extract_record(const GridCell& cell,
                                 const energy::EnergyModel& energy,
-                                const metrics::RunStats& s,
-                                const channel::LedgerStats& ch,
-                                const energy::EnergyMeter& meter) {
+                                const sim::Engine& engine) {
+  const metrics::RunStats& s = engine.stats();
+  const channel::LedgerStats& ch = engine.channel_stats();
+  const energy::EnergyMeter& meter = engine.energy_meter();
   ExperimentRecord rec;
   rec.protocol = cell.protocol;
   rec.n = cell.n;
@@ -50,52 +48,9 @@ ExperimentRecord extract_record(const GridCell& cell,
   return rec;
 }
 
-/// Cells per block (GridUnit). Seed replicas of one base cell are always
-/// contiguous (seed innermost); with a single slot policy the whole
-/// rho x seed sub-block of one (protocol, n, R) row is contiguous too,
-/// and rho only parameterizes the injector — free under cohort
-/// eligibility — so the block grows to rho_percents.size() * seeds.
-std::size_t chunk_block(const ExperimentSpec& spec) {
-  const std::size_t seeds = static_cast<std::size_t>(spec.seeds);
-  return spec.slot_policies.size() == 1 ? seeds * spec.rho_percents.size()
-                                        : seeds;
-}
-
-/// One block, counted in runs: `run_cells` contiguous cells (the seed
-/// replicas of a seed-invariant cell, else one cell) make one run.
-struct Block {
-  std::size_t first = 0;
-  std::size_t runs = 0;
-  std::size_t run_cells = 1;
-  bool lockstep = false;  ///< its runs can take the cohort lockstep path
-};
-
-/// The auto width (grid_cohort_width): the widest that still leaves at
-/// least `jobs` units, then narrowed while the unit count stays the same,
-/// which evens the units out (4 runs at width 3 are units of 3 and 1, at
-/// width 2 of 2 and 2).
-unsigned auto_width(const ExperimentSpec& spec,
-                    const std::vector<Block>& blocks) {
-  std::size_t width = 1;
-  for (const Block& b : blocks)
-    if (b.lockstep) width = std::max(width, std::min<std::size_t>(8, b.runs));
-  const std::size_t jobs = util::ThreadPool::resolve_jobs(spec.jobs);
-  auto units_at = [&](std::size_t w) {
-    std::size_t units = 0;
-    for (const Block& b : blocks)
-      units += b.lockstep ? (b.runs + w - 1) / w : b.runs;
-    return units;
-  };
-  while (width > 1 && units_at(width) < jobs) --width;
-  while (width > 1 && units_at(width - 1) == units_at(width)) --width;
-  return static_cast<unsigned>(width);
-}
-
 }  // namespace
 
-unsigned grid_cohort_width(const ExperimentSpec& spec) {
-  return plan_grid(spec).cohort_width;
-}
+unsigned grid_cohort_width(const ExperimentSpec&) { return 1; }
 
 GridPlan plan_grid(const ExperimentSpec& spec) {
   AM_REQUIRE(!spec.protocols.empty() && !spec.station_counts.empty() &&
@@ -116,34 +71,17 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
                   {protocol, n, r, rho, policy,
                    spec.seed + static_cast<std::uint64_t>(s) * 1000003});
 
-  // Count each block in runs. Every cell of a block shares protocol, n,
-  // R, policy and the injector kind, so one cell answers for all: its
-  // seed use (the seed replicas of a seed-invariant cell are one run) and
-  // whether its runs can take the lockstep path.
-  const std::size_t block = chunk_block(spec);
+  // One unit per distinct run. A cell's seed replicas are contiguous (seed
+  // innermost) and differ only in their seeds, so the first answers for
+  // all: a seed-invariant cell's replicas are one run.
   const std::size_t seeds = static_cast<std::size_t>(spec.seeds);
-  std::vector<Block> blocks;
-  for (std::size_t base = 0; base < plan.cells.size(); base += block) {
-    const RunSpec run = cell_run_spec(spec, plan.cells[base]);
-    Block b;
-    b.first = base;
-    b.run_cells = seed_invariant(run) ? seeds : 1;
-    b.runs = block / b.run_cells;
-    b.lockstep =
-        spec.cohort == 0 && !sim::lockstep_slot_lengths(materials(run)).empty();
-    blocks.push_back(b);
-  }
-
-  // Work units: chunks of up to `cohort_width` runs within each block
-  // (one run per unit where auto width finds no lockstep path). A unit is
-  // [first, first + count) in cell order.
-  plan.cohort_width = spec.cohort != 0 ? spec.cohort : auto_width(spec, blocks);
-  for (const Block& b : blocks) {
-    const std::size_t width =
-        spec.cohort != 0 || b.lockstep ? plan.cohort_width : 1;
-    for (std::size_t r = 0; r < b.runs; r += width)
-      plan.units.push_back({b.first + r * b.run_cells,
-                            std::min(width, b.runs - r) * b.run_cells});
+  for (std::size_t base = 0; base < plan.cells.size(); base += seeds) {
+    if (seed_invariant(cell_run_spec(spec, plan.cells[base]))) {
+      plan.units.push_back({base, seeds});
+    } else {
+      for (std::size_t i = base; i < base + seeds; ++i)
+        plan.units.push_back({i, 1});
+    }
   }
   return plan;
 }
@@ -284,29 +222,12 @@ std::vector<ExperimentRecord> run_grid_cells(
   }
 
   const Tick horizon = spec.horizon_units * kTicksPerUnit;
-  std::vector<sim::LaneMaterials> lanes;
-  lanes.reserve(firsts.size());
-  for (std::size_t i : firsts)
-    lanes.push_back(materials(cell_run_spec(spec, plan.cells[i])));
   std::vector<ExperimentRecord> runs;
   runs.reserve(firsts.size());
-  if (lanes.size() >= 2 && sim::lockstep_eligible(lanes)) {
-    sim::CohortEngine cohort(std::move(lanes));
-    cohort.run(sim::until(horizon));
-    for (std::size_t j = 0; j < firsts.size(); ++j)
-      runs.push_back(extract_record(plan.cells[firsts[j]], spec.energy,
-                                    cohort.stats(j), cohort.channel_stats(j),
-                                    cohort.energy_meter(j)));
-  } else {
-    for (std::size_t j = 0; j < firsts.size(); ++j) {
-      sim::LaneMaterials& m = lanes[j];
-      sim::Engine engine(std::move(m.cfg), std::move(m.protocols),
-                         std::move(m.slot_policy), std::move(m.injection));
-      engine.run(sim::until(horizon));
-      runs.push_back(extract_record(plan.cells[firsts[j]], spec.energy,
-                                    engine.stats(), engine.channel_stats(),
-                                    engine.energy_meter()));
-    }
+  for (std::size_t i : firsts) {
+    const auto engine = build_engine(cell_run_spec(spec, plan.cells[i]));
+    engine->run(sim::until(horizon));
+    runs.push_back(extract_record(plan.cells[i], spec.energy, *engine));
   }
 
   std::vector<ExperimentRecord> out;

@@ -44,14 +44,8 @@ struct GridCell {
 };
 
 /// A contiguous range [first, first + count) of cells forming one work
-/// unit, inside one *block*: the contiguous cells sharing protocol, n, R
-/// and slot policy — with a single slot policy in the spec a whole
-/// rho x seed grid row, otherwise the seed replicas of one cell. Cells of
-/// a unit differ only in seed and injector parameters (rho), so where the
-/// lockstep path applies its runs batch as one sim::CohortEngine cohort.
-/// A unit holds up to the plan's cohort width of distinct *runs*: the
-/// seed replicas of a seed-invariant cell are one run, every other cell
-/// is a run of its own.
+/// unit: one distinct *run*. That is the seed replicas of a
+/// seed-invariant cell, computed once, or a single cell.
 struct GridUnit {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -60,27 +54,16 @@ struct GridUnit {
 struct GridPlan {
   std::vector<GridCell> cells;
   std::vector<GridUnit> units;
-  /// Runs per unit in the blocks the width applies to (grid_cohort_width).
-  unsigned cohort_width = 1;
 };
 
-/// Enumerate the cross product and chunk each block into units of up to
-/// cohort-width runs. Validates the spec the same way run_grid does
-/// (throws std::invalid_argument). Its work beyond enumeration runs once
-/// per block: one RunSpec's seed_invariant and, for auto width, one
-/// lane's sim::lockstep_slot_lengths.
+/// Enumerate the cross product and make one unit per distinct run.
+/// Validates the spec the same way run_grid does (throws
+/// std::invalid_argument). Its work beyond enumeration is one
+/// seed_invariant test per cell's seed replicas.
 GridPlan plan_grid(const ExperimentSpec& spec);
 
-/// The plan's cohort width, in runs per unit (plan_grid(spec).cohort_width).
-/// An explicit spec.cohort = K puts up to K runs in every unit. Auto
-/// (spec.cohort = 0) puts one run in each unit of a block whose runs
-/// cannot take the cohort's lockstep path (sim::lockstep_slot_lengths) —
-/// a wider unit there just runs its scalar engines on one thread. In the
-/// blocks that can, it puts up to 8 runs (never more than the largest
-/// such block holds), narrowed while the grid would have fewer units than
-/// spec.jobs (0 = hardware concurrency) and then while narrowing keeps
-/// the unit count; it returns that width, or 1 when no block takes the
-/// lockstep path.
+/// Returns 1. Nothing in the library reads ExperimentSpec::cohort; this
+/// stays only while perfbench/measure.cpp still calls it.
 unsigned grid_cohort_width(const ExperimentSpec& spec);
 
 /// The run one cell denotes: the cell's protocol, n, R, slot policy and
@@ -90,8 +73,8 @@ unsigned grid_cohort_width(const ExperimentSpec& spec);
 RunSpec cell_run_spec(const ExperimentSpec& spec, const GridCell& cell);
 
 /// The byte encoding of the sweep-defining fields (every list
-/// length-prefixed; not jobs / cohort / checkpoint_dir, which are
-/// per-process choices). The distributed sweep's Welcome carries it, and
+/// length-prefixed; not jobs / checkpoint_dir, which are per-process
+/// choices). The distributed sweep's Welcome carries it, and
 /// grid_fingerprint is its CRC. load_grid_spec throws typed
 /// snapshot::SnapshotErrors on malformed input.
 void save_grid_spec(snapshot::Writer& w, const ExperimentSpec& spec);
@@ -109,12 +92,10 @@ ExperimentRecord load_record(snapshot::Reader& r);
 /// Run the cells at `todo` (indices into plan.cells; all must share
 /// protocol, n, R and slot policy — seed and rho may differ) and return
 /// their records in todo order. Each distinct run among them is computed
-/// once: cells whose RunSpecs are seed replicas of a seed-invariant spec
-/// share one run, whatever unit or resume state left them together. Two
-/// or more runs that pass sim::lockstep_eligible run as one cohort, one
-/// lane each; otherwise each run takes a scalar engine. Every cell's
-/// record is its run's with the cell's own seed — byte-identical to one
-/// engine per cell either way.
+/// once, on one Engine: cells whose RunSpecs are seed replicas of a
+/// seed-invariant spec share one run, whatever unit or resume state left
+/// them together. Every cell's record is its run's with the cell's own
+/// seed — byte-identical to one engine per cell.
 std::vector<ExperimentRecord> run_grid_cells(
     const ExperimentSpec& spec, const GridPlan& plan,
     const std::vector<std::size_t>& todo);

@@ -124,11 +124,11 @@ bool seed_invariant(const RunSpec& spec) {
          !(spec.has_injector && adversary::injector_draws_seed(spec.injector));
 }
 
-sim::LaneMaterials materials(const RunSpec& spec,
-                             std::uint64_t engine_seed) {
+sim::EngineMaterials materials(const RunSpec& spec,
+                               std::uint64_t engine_seed) {
   AM_REQUIRE(spec.n >= 1, "a run needs at least one station");
   AM_REQUIRE(spec.bound_r >= 1, "a run needs R >= 1");
-  sim::LaneMaterials m;
+  sim::EngineMaterials m;
   m.cfg.n = spec.n;
   m.cfg.bound_r = spec.bound_r;
   m.cfg.seed = engine_seed != 0 ? engine_seed : spec.seed;
@@ -149,7 +149,7 @@ sim::LaneMaterials materials(const RunSpec& spec,
 
 std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec,
                                           std::uint64_t engine_seed) {
-  sim::LaneMaterials m = materials(spec, engine_seed);
+  sim::EngineMaterials m = materials(spec, engine_seed);
   return std::make_unique<sim::Engine>(std::move(m.cfg), std::move(m.protocols),
                                        std::move(m.slot_policy),
                                        std::move(m.injection));

@@ -26,7 +26,6 @@
 #include "adversary/injectors.h"
 #include "channel/transmission.h"
 #include "energy/model.h"
-#include "sim/cohort_engine.h"
 #include "sim/engine.h"
 #include "snapshot/io.h"
 #include "util/types.h"
@@ -80,11 +79,11 @@ bool seed_invariant(const RunSpec& spec);
 
 /// The engine materials the spec denotes. `engine_seed` (0 = none)
 /// replaces spec.seed in the engine configuration only: the slot policy
-/// still draws from spec.seed, so lanes of one cohort (and the probes of
-/// one MSR estimate) share the schedule. Throws std::invalid_argument on
-/// unknown protocol/policy/injector names or n, R < 1.
-sim::LaneMaterials materials(const RunSpec& spec,
-                             std::uint64_t engine_seed = 0);
+/// still draws from spec.seed, so the probes of one MSR estimate share the
+/// schedule. Throws std::invalid_argument on unknown
+/// protocol/policy/injector names or n, R < 1.
+sim::EngineMaterials materials(const RunSpec& spec,
+                               std::uint64_t engine_seed = 0);
 
 /// A scalar Engine over materials(spec, engine_seed). The checkpoint sink
 /// is left unset: install one after construction to autosave.

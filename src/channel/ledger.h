@@ -26,9 +26,11 @@
 //
 // The window and the channel rules over it (admission, success, the
 // feedback seek-and-scan, pruning, the snapshot layout) live in
-// channel::Window (window.h), shared with channel::LaneLedger. This class
-// adds what the per-slot hot path needs in front of it: the inline O(1)
-// silence fast paths, the repeat-query memo and batched telemetry.
+// channel::Window (window.h). This class adds what the per-slot hot path
+// needs in front of it: the inline O(1) silence fast paths, the
+// repeat-query memo and batched telemetry — and, for the engine's dense
+// path, the two gates under which a query changes nothing but counters,
+// with a charge for queries answered from them.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +79,9 @@ class Ledger {
   /// O(1) silence fast paths skip the seek entirely: an empty window, and
   /// a slot starting at or after latest_end() (every registered interval
   /// is already over, so nothing can overlap [s, t) or ack-end inside it).
-  /// Defined inline so the engines' per-event loops (scalar Engine and the
-  /// CohortEngine lane loop, which calls it once per lane per event)
-  /// resolve the fast paths without a cross-TU call; only the
-  /// neighborhood scan lives out of line.
+  /// Defined inline so the engine's per-event loops resolve the fast
+  /// paths without a cross-TU call; only the neighborhood scan lives out
+  /// of line.
   Feedback feedback(Tick s, Tick t) {
     AM_CHECK(s < t);
     ++pending_queries_;
@@ -113,6 +114,36 @@ class Ledger {
       return memo_fb_;
     }
     return feedback_slow(s, t);
+  }
+
+  /// True when feedback(s, t) takes an O(1) silence fast path that moves
+  /// nothing but counters, for every t > s: an empty window, or s at or
+  /// past every registered end with nothing left to finalize.
+  bool quiet_at(Tick s) const noexcept {
+    return window_.empty() ||
+           (s >= window_.latest_end() && window_.all_finalized());
+  }
+
+  /// True when feedback(s, t) replays the memo: it then returns
+  /// memo_feedback() and moves nothing but counters.
+  bool memo_at(Tick s, Tick t) const noexcept {
+    return memo_valid_ && s == memo_s_ && t == memo_t_ && !window_.empty() &&
+           s < window_.latest_end();
+  }
+  Feedback memo_feedback() const noexcept { return memo_fb_; }
+
+  /// Charge `m` queries of slot [s, t) that the caller answered from
+  /// quiet_at(s) or memo_at(s, t) without calling feedback(): adds exactly
+  /// the counters those m feedback() calls would have added.
+  void skip_queries(Tick s, Tick t, std::uint64_t m) {
+    pending_queries_ += m;
+    if (quiet_at(s)) {
+      pending_fast_silence_ += m;
+      return;
+    }
+    AM_CHECK(memo_at(s, t));
+    pending_memo_hits_ += m;
+    pending_scanned_ += m * memo_scanned_;
   }
 
   /// Push batched telemetry deltas into the global atomic instruments.

@@ -1,10 +1,8 @@
 // asyncmac/channel/window.h
 //
 // One channel ledger's transmission window and the only implementation of
-// the channel rules over it. channel::Ledger holds one Window;
-// channel::LaneLedger holds one per lane and adds its cross-lane summary
-// arrays on top. Both keep, in front of the Window, only what differs
-// between them: the inline O(1) silence fast paths, the repeat-query
+// the channel rules over it. channel::Ledger holds one Window and keeps,
+// in front of it, the inline O(1) silence fast paths, the repeat-query
 // memo and the batched telemetry.
 //
 // Layout: the window is begin-sorted and field-split — begins, ends,

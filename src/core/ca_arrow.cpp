@@ -29,11 +29,11 @@ SlotAction CaArrowProtocol::begin_phase(sim::StationContext& ctx) {
   return SlotAction::kListen;
 }
 
-// KEEP IN SYNC: sim::CohortEngine lane-izes this automaton — next_action,
-// begin_phase, advance_turn AND the save_state field order below are
-// ported verbatim onto SoA arrays in sim/cohort_engine.cpp (pinned there
-// by byte-identity tests against this implementation). A semantic or
-// serialization change here must be mirrored there.
+// KEEP IN SYNC: sim::Engine's dense path ports this automaton —
+// next_action, begin_phase, advance_turn AND the save_state field order
+// below are copied onto per-station arrays in sim/engine_dense.cpp
+// (pinned there by byte-identity tests against this implementation). A
+// semantic or serialization change here must be mirrored there.
 SlotAction CaArrowProtocol::next_action(
     const std::optional<sim::SlotResult>& prev, sim::StationContext& ctx) {
   if (state_ == State::kInit) {

@@ -4,9 +4,8 @@
 // *counts* per billing class (transmit / listen / sleep) in flat
 // per-station arrays; charges are the linear combination with an
 // EnergyModel's costs, computed on demand in exact u64 arithmetic. The
-// split keeps the hot-path increment a single array bump, makes cohort
-// lane-batched charging a unit-stride `+= m` strip, and lets one run be
-// re-priced under a different cost vector without re-simulating.
+// split keeps the hot-path increment a single array bump and lets one run
+// be re-priced under a different cost vector without re-simulating.
 //
 // Stations are 1-based (engine convention); index 0 is unused storage.
 // Serialization (save_state/load_state) rides at the tail of the engine

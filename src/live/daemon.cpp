@@ -57,7 +57,7 @@ Daemon::Daemon(DaemonConfig cfg)
 
   // The same construction path as every engine; the protocol instances
   // it builds are dropped (stations own their automata).
-  sim::LaneMaterials m = analysis::materials(cfg_.spec);
+  sim::EngineMaterials m = analysis::materials(cfg_.spec);
   policy_ = std::move(m.slot_policy);
   injector_ = std::move(m.injection);
 

@@ -21,9 +21,9 @@ class Collector {
   void on_delivery(StationId station, Tick declared_cost, Tick injected_at,
                    Tick realized, Tick now);
   /// Defined inline: this is the one collector call on the engine's
-  /// innermost per-event path, and RunStats::total_slots must stay exact
-  /// per step (StopCondition::max_total_slots reads it), so it cannot be
-  /// batched like telemetry — it can only be made cheap.
+  /// general per-event path, and RunStats::total_slots must stay exact
+  /// per step (StopCondition::max_total_slots reads it), so that path
+  /// cannot batch it like telemetry — it can only make it cheap.
   void on_slot_end(StationId station, SlotAction action) {
     ++stats_.total_slots;
     StationStats& s = stats_.station[station - 1];
@@ -44,13 +44,12 @@ class Collector {
     }
   }
 
-  /// Batched slot accounting for the cohort lockstep path: numerically
+  /// Batched slot accounting for the engine's dense path: numerically
   /// identical to `events` on_slot_end calls of which `listen` were
   /// kListen, `tx_packet` kTransmitPacket and `tx_control`
   /// kTransmitControl (events == listen + tx_packet + tx_control). The
-  /// per-station halves arrive separately via on_station_slot_batch so
-  /// the caller can keep its counters lane-major. The cohort engine folds
-  /// these in before every stats() observation point, so RunStats stays
+  /// per-station halves arrive separately via on_station_slot_batch. The
+  /// dense loop folds these in before run() returns, so RunStats stays
   /// per-step exact as far as any reader (StopCondition, snapshots,
   /// adaptive adversaries) can tell.
   void on_slot_batch(std::uint64_t events, std::uint64_t listen,

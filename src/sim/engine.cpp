@@ -63,6 +63,8 @@ Engine::Engine(EngineConfig cfg,
                            std::move(protocols[i]));
   }
 
+  dense_length_ = dense_slot_length();
+
   // Packets injected at time 0 are visible to the very first decision.
   poll_injections(0);
   next_injection_poll_ =
@@ -88,15 +90,29 @@ const Engine::StationRuntime& Engine::rt(StationId id) const {
   return stations_[id - 1];
 }
 
-void Engine::begin_slot(StationRuntime& s, Tick begin, SlotAction action) {
+void Engine::check_action(const StationContext& ctx, SlotAction action) const {
   if (action == SlotAction::kTransmitPacket)
-    AM_CHECK_MSG(!s.ctx.queue_empty(),
-                 "station " << s.ctx.id() << " transmits with empty queue");
+    AM_CHECK_MSG(!ctx.queue_empty(),
+                 "station " << ctx.id() << " transmits with empty queue");
   if (action == SlotAction::kTransmitControl)
     AM_CHECK_MSG(cfg_.allow_control,
                  "control message in a no-control model (station "
-                     << s.ctx.id() << ")");
+                     << ctx.id() << ")");
+}
 
+void Engine::add_transmission(const StationContext& ctx, SlotAction action,
+                              Tick begin, Tick end) {
+  channel::Transmission tx;
+  tx.station = ctx.id();
+  tx.begin = begin;
+  tx.end = end;
+  tx.is_control = (action == SlotAction::kTransmitControl);
+  tx.packet = tx.is_control ? 0 : ctx.front().seq;
+  ledger_.add(tx);
+}
+
+void Engine::begin_slot(StationRuntime& s, Tick begin, SlotAction action) {
+  if (is_transmit(action)) check_action(s.ctx, action);
   ++s.slot_index;
   s.slot_begin = begin;
   s.action = action;
@@ -106,16 +122,7 @@ void Engine::begin_slot(StationRuntime& s, Tick begin, SlotAction action) {
                "slot policy returned length " << len << " outside [1, R] for "
                                               << "station " << s.ctx.id());
   s.slot_end = begin + len;
-
-  if (is_transmit(action)) {
-    channel::Transmission tx;
-    tx.station = s.ctx.id();
-    tx.begin = begin;
-    tx.end = s.slot_end;
-    tx.is_control = (action == SlotAction::kTransmitControl);
-    tx.packet = tx.is_control ? 0 : s.ctx.front().seq;
-    ledger_.add(tx);
-  }
+  if (is_transmit(action)) add_transmission(s.ctx, action, begin, s.slot_end);
   // Re-key the station's single pending event in place (no push/pop).
   events_.update(s.ctx.id(), s.slot_end);
 }
@@ -224,9 +231,13 @@ void Engine::maybe_prune() {
   // finalize_until() scan — stays bounded instead of growing with the
   // horizon (O(T^2) total work on long history runs).
   if (++steps_since_prune_ < cfg_.prune_interval) return;
-  steps_since_prune_ = 0;
   Tick horizon = kTickInfinity;
   for (const auto& s : stations_) horizon = std::min(horizon, s.slot_begin);
+  prune(horizon);
+}
+
+void Engine::prune(Tick horizon) {
+  steps_since_prune_ = 0;
   ledger_.prune_before(horizon);
   EngineTelemetry::get().prunes.add();
   flush_telemetry();
@@ -246,11 +257,14 @@ void Engine::flush_telemetry() {
 }
 
 void Engine::run(const StopCondition& stop) {
-  while (!events_.empty()) {
-    if (events_.top_time() > stop.max_time) break;
-    if (stats().total_slots >= stop.max_total_slots) break;
-    if (!step()) break;
-    if (stop.predicate && stop.predicate(*this)) break;
+  // A predicate must see every event, and a traced run records each one.
+  if (!dense() || cfg_.record_trace || stop.predicate || !run_dense(stop)) {
+    while (!events_.empty()) {
+      if (events_.top_time() > stop.max_time) break;
+      if (stats().total_slots >= stop.max_total_slots) break;
+      if (!step()) break;
+      if (stop.predicate && stop.predicate(*this)) break;
+    }
   }
   flush_telemetry();
   ledger_.flush_telemetry();
@@ -326,11 +340,6 @@ Feedback read_feedback(snapshot::Reader& r) {
 void Engine::save_state(snapshot::Writer& w) const {
   // Defensive echo of the configuration facets the mutable state depends
   // on; load_state refuses a payload saved under a different shape.
-  //
-  // KEEP IN SYNC: CohortEngine writes this exact byte layout from its own
-  // lane state (sim/cohort_engine.cpp, save_lane_state) — any field added,
-  // removed or reordered here must be mirrored there, or the cohort
-  // byte-identity oracles compare different layouts.
   w.u32(cfg_.n);
   w.u32(cfg_.bound_r);
   w.boolean(cfg_.keep_channel_history);

@@ -26,6 +26,18 @@
 //    the atomic instruments at prune cadence / run end / destruction, so
 //    the innermost path performs no atomic operations for telemetry.
 //
+// Dense path (sim/engine_dense.cpp). When every station runs the CA-ARRoW
+// automaton and every slot has one fixed length (the `sync` and `max`
+// policies) the constructor marks the run dense(). Its slot-end events
+// then come in strict round-robin order, and run() — untraced, with no
+// stop predicate — takes a loop built on that: a round counter instead of
+// the winner tree, the automaton over n-wide arrays instead of virtual
+// calls, and whole runs of listening stations in a silent or memoized
+// round charged in one batch. It reads the automaton from the protocols
+// when run() starts and writes everything back before run() returns, so
+// save_state, protocol(), step() and the next run() see exactly the
+// state the general path would have left.
+//
 // Correctness notes (why event order gives exact channel semantics):
 //  * A transmission is registered at its slot's *start*, i.e. when the
 //    preceding slot-end event of the same station is processed; since
@@ -123,6 +135,15 @@ struct DeliveryRecord {
   bool operator==(const DeliveryRecord&) const = default;
 };
 
+/// Everything needed to construct one Engine: the exact argument list of
+/// its constructor (analysis::materials builds it from a RunSpec).
+struct EngineMaterials {
+  EngineConfig cfg;
+  std::vector<std::unique_ptr<Protocol>> protocols;
+  std::unique_ptr<SlotPolicy> slot_policy;
+  std::unique_ptr<InjectionPolicy> injection;  ///< may be null
+};
+
 class Engine final : public EngineView {
  public:
   /// `protocols` must have exactly cfg.n entries (index i drives station
@@ -137,8 +158,17 @@ class Engine final : public EngineView {
   Engine& operator=(const Engine&) = delete;
 
   /// Advance the simulation until the stop condition triggers. May be
-  /// called repeatedly; state persists across calls.
+  /// called repeatedly; state persists across calls. A dense() run that
+  /// records no trace and whose stop has no predicate takes the dense
+  /// loop; every other run takes the general one, event by event. Both
+  /// leave the same state.
   void run(const StopCondition& stop);
+
+  /// True when the constructor chose the dense path: every station runs
+  /// the CA-ARRoW automaton, the slot policy's fixed_length is one
+  /// nonzero value within [1, R] units for every station, and
+  /// checkpointing is off.
+  bool dense() const noexcept { return dense_length_ != 0; }
 
   /// Process exactly one slot-end event; returns false when the event
   /// queue is empty (cannot happen in normal configurations).
@@ -207,9 +237,27 @@ class Engine final : public EngineView {
         : ctx(id, n, r, seed), protocol(std::move(p)) {}
   };
 
+  /// The dense loop's working state (sim/engine_dense.cpp).
+  class DenseRun;
+
   void poll_injections(Tick now);
   void begin_slot(StationRuntime& rt, Tick begin, SlotAction action);
+  /// begin_slot's two halves that do not depend on the schedule, shared
+  /// with the dense loop: a transmit action's model checks, and
+  /// registering a transmit slot [begin, end) with the ledger.
+  void check_action(const StationContext& ctx, SlotAction action) const;
+  void add_transmission(const StationContext& ctx, SlotAction action,
+                        Tick begin, Tick end);
   void maybe_prune();
+  /// Prune the ledger before `horizon` (the earliest current-slot start)
+  /// and flush the batched telemetry: the prune cadence's body.
+  void prune(Tick horizon);
+  /// The dense slot length when the run is dense() (see there), else 0.
+  Tick dense_slot_length() const;
+  /// run() on the dense loop. False, with nothing changed, when the state
+  /// is not one the loop can continue (a snapshot saved under another
+  /// schedule); run() then takes the general loop.
+  bool run_dense(const StopCondition& stop);
   /// Push the batched per-step telemetry deltas into the global atomic
   /// instruments. Called on the cold path only (prune cadence, run()
   /// exit, destruction); between flushes the global counters lag by at
@@ -250,6 +298,9 @@ class Engine final : public EngineView {
   std::uint64_t pending_deliveries_ = 0;
   std::uint64_t pending_injections_ = 0;
   std::uint64_t pending_polls_skipped_ = 0;
+
+  /// The one slot length of a dense() run, in ticks (0: not dense).
+  Tick dense_length_ = 0;
 };
 
 }  // namespace asyncmac::sim

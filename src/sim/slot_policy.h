@@ -28,9 +28,11 @@ class SlotPolicy {
   virtual std::string name() const = 0;
 
   /// If this policy always gives `station` the same slot length, return it
-  /// (in ticks); otherwise return 0. Injection adversaries use this to
-  /// charge exact Def.-1 costs; it is advisory and never affects the
-  /// simulation itself.
+  /// (in ticks); otherwise return 0. A nonzero value is binding:
+  /// slot_length returns exactly that value for every slot of the station
+  /// and changes no policy state, so the engine's dense path (sim/engine.h)
+  /// skips the calls. Injection adversaries use it to charge exact Def.-1
+  /// costs.
   virtual Tick fixed_length(StationId station) const {
     (void)station;
     return 0;

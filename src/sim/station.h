@@ -25,7 +25,6 @@ class StationMachine;  // live-channel client driving a Protocol remotely
 namespace asyncmac::sim {
 
 class Engine;
-class CohortEngine;
 
 class StationContext {
  public:
@@ -46,8 +45,7 @@ class StationContext {
   util::Rng& rng() noexcept { return rng_; }
 
  private:
-  friend class Engine;        // queue is mutated only by the engines
-  friend class CohortEngine;  // (lockstep lanes mirror Engine exactly)
+  friend class Engine;  // queue is mutated only by the engine
   friend class asyncmac::adversary::MirrorRun;  // and by virtual runs
   // The live-channel station client replays the engine's queue operations
   // from daemon feedback (push on injection, pop on delivery), keeping the

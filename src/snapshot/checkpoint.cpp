@@ -1,10 +1,10 @@
 #include "snapshot/checkpoint.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -15,12 +15,12 @@ namespace asyncmac::snapshot {
 
 namespace {
 
-/// The AutoSaver file in `dir` with the highest counter, {counter, path};
-/// a name other than ckpt-<decimal counter>.snap is not an AutoSaver file.
-std::optional<std::pair<std::uint64_t, std::string>> newest_in(
+/// The AutoSaver files in `dir` as {counter, path}, in counter order; a
+/// name other than ckpt-<decimal counter>.snap is not an AutoSaver file.
+std::vector<std::pair<std::uint64_t, std::string>> checkpoints_in(
     const std::string& dir) {
   constexpr std::string_view kPrefix = "ckpt-", kSuffix = ".snap";
-  std::optional<std::pair<std::uint64_t, std::string>> best;
+  std::vector<std::pair<std::uint64_t, std::string>> found;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -29,10 +29,11 @@ std::optional<std::pair<std::uint64_t, std::string>> newest_in(
     std::uint64_t counter = 0;
     const auto [at, err] =
         std::from_chars(name.data() + kPrefix.size(), end, counter);
-    if (err == std::errc() && at == end && (!best || counter > best->first))
-      best.emplace(counter, (std::filesystem::path(dir) / name).string());
+    if (err == std::errc() && at == end)
+      found.emplace_back(counter, (std::filesystem::path(dir) / name).string());
   }
-  return best;
+  std::sort(found.begin(), found.end());
+  return found;
 }
 
 }  // namespace
@@ -73,8 +74,8 @@ ResumedRun resume_checkpoint(const std::string& path) {
 }
 
 std::string newest_checkpoint(const std::string& dir) {
-  const auto newest = newest_in(dir);
-  return newest ? newest->second : std::string();
+  const auto found = checkpoints_in(dir);
+  return found.empty() ? std::string() : found.back().second;
 }
 
 AutoSaver::AutoSaver(std::string dir, RunSpec spec, std::size_t retention)
@@ -86,11 +87,15 @@ AutoSaver::AutoSaver(std::string dir, RunSpec spec, std::size_t retention)
     throw SnapshotError(ErrorKind::kIo,
                         "cannot create checkpoint directory " + dir_ + ": " +
                             ec.message());
-  if (const auto newest = newest_in(dir_)) {
-    if (newest->first == UINT64_MAX)
+  // Retention covers the whole directory: the files an earlier saver left
+  // (a resumed run autosaving where it was resumed from) are adopted,
+  // oldest first, and rotate out before this saver's own.
+  for (auto& [counter, path] : checkpoints_in(dir_)) {
+    if (counter == UINT64_MAX)
       throw SnapshotError(ErrorKind::kIo, "checkpoint counter exhausted in " +
                                               dir_);
-    counter_ = newest->first + 1;
+    counter_ = counter + 1;
+    files_.push_back(std::move(path));
   }
 }
 

@@ -68,8 +68,10 @@ std::string newest_checkpoint(const std::string& dir);
 /// Rotating checkpoint writer for EngineConfig::checkpoint_sink. Writes
 /// ckpt-NNNNNN.snap files into `dir` (created if missing), numbering on
 /// from the highest counter already there so newest_checkpoint finds its
-/// latest save, and removes the oldest file it wrote once it has written
-/// more than `retention`. Write errors propagate as SnapshotError(kIo) —
+/// latest save. At construction it adopts the ckpt-<counter>.snap files
+/// already in `dir`, and each save then removes the oldest until the
+/// directory holds at most `retention` of them — its own and the adopted
+/// ones alike. Write errors propagate as SnapshotError(kIo) —
 /// a checkpointed run should fail loudly, not silently stop
 /// snapshotting.
 class AutoSaver {
@@ -79,9 +81,10 @@ class AutoSaver {
   void operator()(const sim::Engine& engine) { save(engine); }
   void save(const sim::Engine& engine);
 
-  /// Paths currently on disk, oldest first.
+  /// Checkpoint paths on disk, adopted ones included, oldest first.
   const std::vector<std::string>& files() const noexcept { return files_; }
-  /// Most recent checkpoint path (empty before the first save).
+  /// Most recent checkpoint path (empty in an empty directory before the
+  /// first save).
   std::string latest() const {
     return files_.empty() ? std::string() : files_.back();
   }

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "analysis/registry.h"
-#include "sim/cohort_engine.h"
 #include "snapshot/format.h"
 #include "snapshot/io.h"
 #include "telemetry/jsonl.h"
@@ -105,91 +104,90 @@ void clamp_to_stations(Scenario& s) {
 
 namespace {
 
-/// Differential oracle for the batched cohort engine, and the seed-use
-/// check, on untraced runs of the scenario (a traced cohort never takes
-/// its dense paths: the idle tier and the batched quiet run).
+/// Packet conservation, between two independently kept records: every
+/// station's queue must hold the packets and cost the Collector counts as
+/// queued there, and the run must have injected exactly the packets it
+/// delivered plus those still queued.
+trace::CheckResult check_conservation(const sim::Engine& engine) {
+  const metrics::RunStats& stats = engine.stats();
+  std::uint64_t queued = 0;
+  for (StationId id = 1; id <= engine.n(); ++id) {
+    const metrics::StationStats& st = stats.station[id - 1];
+    if (engine.queue_size(id) != st.queued ||
+        engine.queue_cost(id) != st.queued_cost) {
+      std::ostringstream os;
+      os << "station " << id << " queues " << engine.queue_size(id)
+         << " packets of cost " << engine.queue_cost(id)
+         << " but the collector counts " << st.queued << " of cost "
+         << st.queued_cost;
+      return {false, os.str()};
+    }
+    queued += engine.queue_size(id);
+  }
+  if (stats.injected_packets != stats.delivered_packets + queued) {
+    std::ostringstream os;
+    os << "packets not conserved: " << stats.injected_packets
+       << " injected, " << stats.delivered_packets << " delivered, "
+       << queued << " queued";
+    return {false, os.str()};
+  }
+  return {};
+}
+
+/// Differential oracle for the engine's dense path, and the seed-use
+/// check, on the untraced scenario (a traced run never takes the dense
+/// loop).
+///
+/// Dense path, dense-eligible scenarios only (sim::Engine::dense): one
+/// engine runs until half the horizon and then until the horizon on the
+/// dense loop; a twin runs the same two stops with a never-true
+/// predicate, which forces the general loop. Their save_state bytes must
+/// match at both stops, and the dense engine must conserve packets.
 ///
 /// Seed use: the engine seed reaches only the stations' RNGs, so a
 /// protocol that declares it never draws from them
-/// (analysis::protocol_draws_rng) must give the scalar engine's stats and
-/// channel stats at engine seed + 1 — its snapshot still differs by the
-/// saved RNG states. A lockstep scenario's cohort lane 1 carries this
-/// check; any other scenario gets a run of its own.
-///
-/// Cohort, lockstep scenarios only (sim::lockstep_eligible): lane 0 is
-/// the scenario, lane 1 runs at engine seed + 1, lane 2 stops at half
-/// the horizon, lane 3 varies the injector *parameters* (halved rho,
-/// longer bursts — the shape analysis::run_grid batches grid rows with).
-/// Lanes 0 and 3 must write their scalar twins' bytes, and lane 2, once
-/// retired, the lane-0 twin's bytes at its stop.
-trace::CheckResult check_cohort_equivalence(const Scenario& s,
-                                            const sim::Engine& scalar) {
+/// (analysis::protocol_draws_rng) must give the scenario engine's stats
+/// and channel stats at engine seed + 1 — its snapshot still differs by
+/// the saved RNG states. For a dense-eligible scenario that run is a
+/// dense one too.
+trace::CheckResult check_dense_equivalence(const Scenario& s,
+                                           const sim::Engine& scenario) {
   Scenario plain = s;
   plain.record_trace = false;
-  // Same protocol/policy/seed, different injector parameters: legal for
-  // every injector kind (rho only shrinks, bursts only lengthen).
-  Scenario varied = plain;
-  varied.injector.rho =
-      util::Ratio(varied.injector.rho.num, varied.injector.rho.den * 2);
-  varied.injector.burst_ticks += 4 * kTicksPerUnit;
   const Tick horizon = s.horizon_units * kTicksPerUnit;
 
-  auto check_seed_use = [&](const metrics::RunStats& stats,
-                            const channel::LedgerStats& channel) {
-    if (analysis::protocol_draws_rng(s.protocol) ||
-        (stats == scalar.stats() && channel == scalar.channel_stats()))
-      return trace::CheckResult{};
-    return trace::CheckResult{
-        false, s.protocol + " declares no seed use, yet its run at engine "
-                            "seed + 1 diverged from the scalar engine's stats"};
-  };
-
-  std::vector<sim::LaneMaterials> lanes;
-  lanes.push_back(analysis::materials(plain));
-  lanes.push_back(analysis::materials(plain, plain.seed + 1));
-  lanes.push_back(analysis::materials(plain));
-  lanes.push_back(analysis::materials(varied));
-  if (!sim::lockstep_eligible(lanes)) {
-    if (analysis::protocol_draws_rng(s.protocol)) return {};
-    auto reseeded = analysis::build_engine(plain, plain.seed + 1);
-    reseeded->run(sim::until(horizon));
-    return check_seed_use(reseeded->stats(), reseeded->channel_stats());
-  }
-
-  sim::CohortEngine cohort(std::move(lanes));
-  std::vector<sim::StopCondition> stops(4, sim::until(horizon));
-  stops[2] = sim::until(horizon / 2);
-  cohort.run(stops);
-  if (auto r = check_seed_use(cohort.stats(1), cohort.channel_stats(1)); !r)
-    return r;
-
-  // One scalar twin serves lane 2 (saved at its stop) and then lane 0.
-  snapshot::Writer want[4];
-  auto twin = analysis::build_engine(plain);
-  twin->run(stops[2]);
-  twin->save_state(want[2]);
-  twin->run(stops[0]);
-  twin->save_state(want[0]);
-  auto varied_twin = analysis::build_engine(varied);
-  varied_twin->run(stops[3]);
-  varied_twin->save_state(want[3]);
-
-  for (const std::size_t lane :
-       {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    snapshot::Writer lane_bytes;
-    cohort.save_lane_state(lane, lane_bytes);
-    if (lane_bytes.buffer() != want[lane].buffer()) {
-      std::ostringstream os;
-      os << "cohort lane " << lane
-         << (lane == 2 ? " (retired at half the horizon)" : "")
-         << (lane == 3 ? " (param-varied injector)" : "")
-         << " diverged from its scalar twin: state snapshots differ ("
-         << lane_bytes.buffer().size() << " vs " << want[lane].buffer().size()
-         << " bytes)";
-      return {false, os.str()};
+  auto dense = analysis::build_engine(plain);
+  if (dense->dense()) {
+    auto general = analysis::build_engine(plain);
+    for (const Tick stop : {horizon / 2, horizon}) {
+      dense->run(sim::until(stop));
+      sim::StopCondition forced = sim::until(stop);
+      forced.predicate = [](const sim::Engine&) { return false; };
+      general->run(forced);
+      snapshot::Writer dense_bytes;
+      snapshot::Writer general_bytes;
+      dense->save_state(dense_bytes);
+      general->save_state(general_bytes);
+      if (dense_bytes.buffer() != general_bytes.buffer()) {
+        std::ostringstream os;
+        os << "dense path diverged from the general path at t=" << stop
+           << ": state snapshots differ (" << dense_bytes.buffer().size()
+           << " vs " << general_bytes.buffer().size() << " bytes)";
+        return {false, os.str()};
+      }
+      if (auto r = check_conservation(*dense); !r) return r;
     }
   }
-  return {};
+
+  if (analysis::protocol_draws_rng(s.protocol)) return {};
+  auto reseeded = analysis::build_engine(plain, plain.seed + 1);
+  reseeded->run(sim::until(horizon));
+  if (reseeded->stats() == scenario.stats() &&
+      reseeded->channel_stats() == scenario.channel_stats())
+    return {};
+  return {false, s.protocol +
+                     " declares no seed use, yet its run at engine seed + 1 "
+                     "diverged from the scenario engine's stats"};
 }
 
 trace::CheckResult run_case_impl(const Scenario& s, const CaseCheck& extra) {
@@ -203,6 +201,7 @@ trace::CheckResult run_case_impl(const Scenario& s, const CaseCheck& extra) {
       return r;
     if (auto r = check_channel_oracle(slots, restrained); !r) return r;
     if (auto r = check_ledger_history(*engine); !r) return r;
+    if (auto r = check_conservation(*engine); !r) return r;
 
     if (s.protocol == "ca-arrow") {
       // The paper's CA-ARRoW guarantees: no transmission ever collides,
@@ -212,7 +211,7 @@ trace::CheckResult run_case_impl(const Scenario& s, const CaseCheck& extra) {
       if (auto r = trace::check_cyclic_turn_order(txs, s.n); !r) return r;
     }
 
-    if (auto r = check_cohort_equivalence(s, *engine); !r) return r;
+    if (auto r = check_dense_equivalence(s, *engine); !r) return r;
 
     if (extra) {
       if (auto r = extra(s, *engine); !r) return r;

@@ -1,17 +1,16 @@
 // Unit tests for the channel model: exact overlap semantics, success
 // finalization, the ack/busy/silence feedback truth table (Section II),
-// pruning and statistics, and the shared Window kernels driven through
-// both ledgers.
+// pruning and statistics, the Window kernels and the dense path's gates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "channel/lane_ledger.h"
 #include "channel/ledger.h"
 #include "channel/transmission.h"
 #include "channel/window.h"
+#include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/types.h"
 
@@ -298,199 +297,177 @@ TEST(Ledger, FeedbackScanDoesNotGrowWithTheWindow) {
 
 // ---------------------------------------------------------- shared window
 //
-// The Window kernels (channel/window.h) answer for both ledgers. Each test
-// below runs its calls through a scalar Ledger and through lane 1 of a
-// two-lane LaneLedger (lane 0 idles) and expects the same answers.
-
-/// One ledger behind the calls the Window kernels serve.
-class LedgerUnderTest {
- public:
-  explicit LedgerUnderTest(bool lane, RestrainedSpec restrained = {})
-      : lane_(lane), ledger_(false, restrained), lanes_(2, false, restrained) {}
-
-  void add(const Transmission& t) {
-    if (lane_)
-      lanes_.add(1, t);
-    else
-      ledger_.add(t);
-  }
-  Feedback feedback(Tick s, Tick t) {
-    if (!lane_) return ledger_.feedback(s, t);
-    std::vector<Feedback> fb(2, Feedback::kSilence);
-    lanes_.feedback_all(s, t, active_, fb.data());
-    return fb[1];
-  }
-  void prune_before(Tick horizon) {
-    if (lane_)
-      lanes_.prune_before(1, horizon);
-    else
-      ledger_.prune_before(horizon);
-  }
-  bool successful(StationId station, Tick end) const {
-    return lane_ ? lanes_.transmission_successful(1, station, end)
-                 : ledger_.transmission_successful(station, end);
-  }
-  const Window& window() const {
-    return lane_ ? lanes_.flat_window(1) : ledger_.flat_window();
-  }
-  void flush() {
-    if (lane_)
-      lanes_.flush_telemetry(1);
-    else
-      ledger_.flush_telemetry();
-  }
-
- private:
-  bool lane_;
-  Ledger ledger_;
-  LaneLedger lanes_;
-  std::vector<std::uint32_t> active_{1};
-};
+// The Window kernels (channel/window.h), driven through the Ledger.
 
 /// `count` back-to-back unit transmissions from t = 0, stations 1..4 in
 /// turn.
-void add_back_to_back(LedgerUnderTest& d, std::uint64_t count) {
+void add_back_to_back(Ledger& d, std::uint64_t count) {
   for (std::uint64_t i = 0; i < count; ++i)
     d.add(tx(static_cast<StationId>(1 + i % 4), static_cast<Tick>(i) * U,
              static_cast<Tick>(i + 1) * U));
 }
 
 TEST(SharedWindow, TouchingEndpointsNeitherOverlapNorCollide) {
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    LedgerUnderTest d(lane);
-    d.add(tx(1, 0, 2 * U));
-    d.add(tx(2, 2 * U, 3 * U));
-    d.add(tx(1, 3 * U, 5 * U));
-    // The longest, so every predecessor begins within max_duration of
-    // its successor and the overlap test reaches the touching end.
-    d.add(tx(3, 5 * U, 10 * U));
-    EXPECT_EQ(d.feedback(0, 2 * U), Feedback::kAck);
-    // [0, 2U) touches [2U, 2.5U) and is not heard there; [2U, 3U) is,
-    // and ends after the slot: busy.
-    EXPECT_EQ(d.feedback(2 * U, 2 * U + U / 2), Feedback::kBusy);
-    EXPECT_EQ(d.feedback(2 * U, 3 * U), Feedback::kAck);
-    EXPECT_EQ(d.feedback(3 * U, 5 * U), Feedback::kAck);
-    EXPECT_EQ(d.feedback(9 * U, 10 * U), Feedback::kAck);
-    EXPECT_TRUE(d.successful(1, 2 * U));
-    EXPECT_TRUE(d.successful(2, 3 * U));
-    EXPECT_TRUE(d.successful(1, 5 * U));
-    EXPECT_TRUE(d.successful(3, 10 * U));
-    EXPECT_EQ(d.window().stats().successful, 4u);
-    EXPECT_EQ(d.window().stats().collided, 0u);
-  }
+  Ledger d;
+  d.add(tx(1, 0, 2 * U));
+  d.add(tx(2, 2 * U, 3 * U));
+  d.add(tx(1, 3 * U, 5 * U));
+  // The longest, so every predecessor begins within max_duration of
+  // its successor and the overlap test reaches the touching end.
+  d.add(tx(3, 5 * U, 10 * U));
+  EXPECT_EQ(d.feedback(0, 2 * U), Feedback::kAck);
+  // [0, 2U) touches [2U, 2.5U) and is not heard there; [2U, 3U) is,
+  // and ends after the slot: busy.
+  EXPECT_EQ(d.feedback(2 * U, 2 * U + U / 2), Feedback::kBusy);
+  EXPECT_EQ(d.feedback(2 * U, 3 * U), Feedback::kAck);
+  EXPECT_EQ(d.feedback(3 * U, 5 * U), Feedback::kAck);
+  EXPECT_EQ(d.feedback(9 * U, 10 * U), Feedback::kAck);
+  EXPECT_TRUE(d.transmission_successful(1, 2 * U));
+  EXPECT_TRUE(d.transmission_successful(2, 3 * U));
+  EXPECT_TRUE(d.transmission_successful(1, 5 * U));
+  EXPECT_TRUE(d.transmission_successful(3, 10 * U));
+  EXPECT_EQ(d.flat_window().stats().successful, 4u);
+  EXPECT_EQ(d.flat_window().stats().collided, 0u);
 }
 
 TEST(SharedWindow, RejectedEntriesAreInvisibleButScanned) {
   telemetry::set_enabled(true);
   auto& scanned =
       telemetry::Registry::global().counter("channel.feedback_scanned");
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    // k = 1, reject mode: B begins while A is on air and is refused.
-    LedgerUnderTest d(lane, RestrainedSpec{1, /*jam=*/false});
-    d.add(tx(1, 0, 10 * U));       // A
-    d.add(tx(2, 5 * U, 15 * U));   // B, rejected
-    d.add(tx(3, 10 * U, 12 * U));  // C, A is off air at 10U
-    d.flush();
-    std::uint64_t before = scanned.value();
-    // The seek lands on B (begin > 10U - max_duration = 0): B is visited
-    // and skipped, C acks.
-    EXPECT_EQ(d.feedback(10 * U, 12 * U), Feedback::kAck);
-    d.flush();
-    EXPECT_EQ(scanned.value() - before, 2u);
-    before = scanned.value();
-    // B would overlap [12U, 14U) and make it busy; rejected, it is
-    // silence — still after visiting B and C.
-    EXPECT_EQ(d.feedback(12 * U, 14 * U), Feedback::kSilence);
-    d.flush();
-    EXPECT_EQ(scanned.value() - before, 2u);
-    // The overlap test skips B too: A and C both succeed.
-    EXPECT_TRUE(d.successful(1, 10 * U));
-    EXPECT_TRUE(d.successful(3, 12 * U));
-    EXPECT_FALSE(d.successful(2, 15 * U));
-    EXPECT_EQ(d.window().stats().rejected, 1u);
-    EXPECT_EQ(d.window().stats().successful, 2u);
-  }
+  // k = 1, reject mode: B begins while A is on air and is refused.
+  Ledger d(false, RestrainedSpec{1, /*jam=*/false});
+  d.add(tx(1, 0, 10 * U));       // A
+  d.add(tx(2, 5 * U, 15 * U));   // B, rejected
+  d.add(tx(3, 10 * U, 12 * U));  // C, A is off air at 10U
+  d.flush_telemetry();
+  std::uint64_t before = scanned.value();
+  // The seek lands on B (begin > 10U - max_duration = 0): B is visited
+  // and skipped, C acks.
+  EXPECT_EQ(d.feedback(10 * U, 12 * U), Feedback::kAck);
+  d.flush_telemetry();
+  EXPECT_EQ(scanned.value() - before, 2u);
+  before = scanned.value();
+  // B would overlap [12U, 14U) and make it busy; rejected, it is
+  // silence — still after visiting B and C.
+  EXPECT_EQ(d.feedback(12 * U, 14 * U), Feedback::kSilence);
+  d.flush_telemetry();
+  EXPECT_EQ(scanned.value() - before, 2u);
+  // The overlap test skips B too: A and C both succeed.
+  EXPECT_TRUE(d.transmission_successful(1, 10 * U));
+  EXPECT_TRUE(d.transmission_successful(3, 12 * U));
+  EXPECT_FALSE(d.transmission_successful(2, 15 * U));
+  EXPECT_EQ(d.flat_window().stats().rejected, 1u);
+  EXPECT_EQ(d.flat_window().stats().successful, 2u);
   telemetry::set_enabled(false);
 }
 
 TEST(SharedWindow, CompactsAtExactlySixtyFourDeadEntries) {
   static_assert(Window::kCompactMinDead == 64);
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    LedgerUnderTest d(lane);
-    add_back_to_back(d, 74);
-    d.prune_before(63 * U);
-    EXPECT_EQ(d.window().dead(), 63u);
-    EXPECT_EQ(d.window().live(), 11u);
-    d.prune_before(64 * U);  // 64 dead, 10 live: compact
-    EXPECT_EQ(d.window().dead(), 0u);
-    EXPECT_EQ(d.window().live(), 10u);
-  }
+  Ledger d;
+  add_back_to_back(d, 74);
+  d.prune_before(63 * U);
+  EXPECT_EQ(d.flat_window().dead(), 63u);
+  EXPECT_EQ(d.flat_window().live(), 11u);
+  d.prune_before(64 * U);  // 64 dead, 10 live: compact
+  EXPECT_EQ(d.flat_window().dead(), 0u);
+  EXPECT_EQ(d.flat_window().live(), 10u);
 }
 
 TEST(SharedWindow, CompactsWhenTheDeadPrefixReachesTheLiveTail) {
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    LedgerUnderTest d(lane);
-    add_back_to_back(d, 200);
-    d.prune_before(99 * U);  // 99 dead < 101 live: keep
-    EXPECT_EQ(d.window().dead(), 99u);
-    d.prune_before(100 * U);  // 100 dead == 100 live: compact
-    EXPECT_EQ(d.window().dead(), 0u);
-    EXPECT_EQ(d.window().live(), 100u);
-  }
+  Ledger d;
+  add_back_to_back(d, 200);
+  d.prune_before(99 * U);  // 99 dead < 101 live: keep
+  EXPECT_EQ(d.flat_window().dead(), 99u);
+  d.prune_before(100 * U);  // 100 dead == 100 live: compact
+  EXPECT_EQ(d.flat_window().dead(), 0u);
+  EXPECT_EQ(d.flat_window().live(), 100u);
 }
 
 TEST(SharedWindow, EntryOrderSurvivesCompaction) {
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    LedgerUnderTest d(lane);
-    // 99 dead, 99 live: compacts, and 99 is no multiple of the four
-    // stations, so a field left unshifted would show.
-    add_back_to_back(d, 198);
-    d.prune_before(99 * U);
-    ASSERT_EQ(d.window().dead(), 0u);
-    // Two more, colliding with each other, after the compaction.
-    d.add(tx(1, 198 * U, 200 * U));
-    d.add(tx(2, 199 * U, 201 * U));
-    const std::vector<Transmission> live = d.window().entries();
-    ASSERT_EQ(live.size(), 101u);
-    for (std::size_t i = 0; i < 99; ++i) {
-      EXPECT_EQ(live[i].begin, static_cast<Tick>(99 + i) * U);
-      EXPECT_EQ(live[i].end, static_cast<Tick>(100 + i) * U);
-      EXPECT_EQ(live[i].station, static_cast<StationId>(1 + (99 + i) % 4));
-    }
-    EXPECT_EQ(live[99].begin, 198 * U);
-    EXPECT_EQ(live[100].begin, 199 * U);
-    // The kernels read the moved entries at their new indices.
-    EXPECT_EQ(d.feedback(150 * U, 151 * U), Feedback::kAck);
-    EXPECT_TRUE(d.successful(static_cast<StationId>(1 + 150 % 4), 151 * U));
-    EXPECT_EQ(d.feedback(200 * U, 201 * U), Feedback::kBusy);
-    EXPECT_FALSE(d.successful(1, 200 * U));
-    EXPECT_FALSE(d.successful(2, 201 * U));
+  Ledger d;
+  // 99 dead, 99 live: compacts, and 99 is no multiple of the four
+  // stations, so a field left unshifted would show.
+  add_back_to_back(d, 198);
+  d.prune_before(99 * U);
+  ASSERT_EQ(d.flat_window().dead(), 0u);
+  // Two more, colliding with each other, after the compaction.
+  d.add(tx(1, 198 * U, 200 * U));
+  d.add(tx(2, 199 * U, 201 * U));
+  const std::vector<Transmission> live = d.flat_window().entries();
+  ASSERT_EQ(live.size(), 101u);
+  for (std::size_t i = 0; i < 99; ++i) {
+    EXPECT_EQ(live[i].begin, static_cast<Tick>(99 + i) * U);
+    EXPECT_EQ(live[i].end, static_cast<Tick>(100 + i) * U);
+    EXPECT_EQ(live[i].station, static_cast<StationId>(1 + (99 + i) % 4));
   }
+  EXPECT_EQ(live[99].begin, 198 * U);
+  EXPECT_EQ(live[100].begin, 199 * U);
+  // The kernels read the moved entries at their new indices.
+  EXPECT_EQ(d.feedback(150 * U, 151 * U), Feedback::kAck);
+  EXPECT_TRUE(
+      d.transmission_successful(static_cast<StationId>(1 + 150 % 4), 151 * U));
+  EXPECT_EQ(d.feedback(200 * U, 201 * U), Feedback::kBusy);
+  EXPECT_FALSE(d.transmission_successful(1, 200 * U));
+  EXPECT_FALSE(d.transmission_successful(2, 201 * U));
 }
 
 TEST(SharedWindow, TransmissionSuccessfulScansBackToTheDurationHorizon) {
-  for (const bool lane : {false, true}) {
-    SCOPED_TRACE(lane ? "lane ledger" : "ledger");
-    LedgerUnderTest d(lane);
-    d.add(tx(1, 0, 10 * U));  // L: the longest, so max_duration = 10U
-    d.add(tx(2, 0, 3 * U));   // same begin, scanned before L from the back
-    for (Tick b = 3; b < 10; ++b)
-      d.add(tx(static_cast<StationId>(3 + b % 2), b * U, (b + 1) * U));
-    // Decides every entry (all collide with L) without pruning any.
-    EXPECT_EQ(d.feedback(9 * U, 10 * U), Feedback::kBusy);
-    // L begins exactly max_duration before the end asked about: the
-    // backward scan must not stop at the newer same-begin entry.
-    EXPECT_FALSE(d.successful(1, 10 * U));
-    EXPECT_FALSE(d.successful(2, 3 * U));
-    // Nothing of station 1 ends at 2U: the scan stops and the invariant
-    // check fires.
-    EXPECT_THROW(d.successful(1, 2 * U), std::logic_error);
+  Ledger d;
+  d.add(tx(1, 0, 10 * U));  // L: the longest, so max_duration = 10U
+  d.add(tx(2, 0, 3 * U));   // same begin, scanned before L from the back
+  for (Tick b = 3; b < 10; ++b)
+    d.add(tx(static_cast<StationId>(3 + b % 2), b * U, (b + 1) * U));
+  // Decides every entry (all collide with L) without pruning any.
+  EXPECT_EQ(d.feedback(9 * U, 10 * U), Feedback::kBusy);
+  // L begins exactly max_duration before the end asked about: the
+  // backward scan must not stop at the newer same-begin entry.
+  EXPECT_FALSE(d.transmission_successful(1, 10 * U));
+  EXPECT_FALSE(d.transmission_successful(2, 3 * U));
+  // Nothing of station 1 ends at 2U: the scan stops and the invariant
+  // check fires.
+  EXPECT_THROW(d.transmission_successful(1, 2 * U), std::logic_error);
+}
+
+// ------------------------------------------------------ dense-path gates
+
+std::vector<std::uint8_t> ledger_bytes(const Ledger& ledger) {
+  snapshot::Writer w;
+  ledger.save_state(w);
+  return w.take();
+}
+
+TEST(Ledger, SkippedQueriesChargeWhatFeedbackWould) {
+  // Two ledgers fed the same transmissions: one answers m queries with
+  // feedback(), the other from a gate and skip_queries(m). Their
+  // snapshots, batched counters included, must match.
+  Ledger asked, skipped;
+  for (Ledger* l : {&asked, &skipped}) {
+    l->add(tx(1, 0, 2 * U));
+    l->add(tx(2, 1 * U, 3 * U));
+    l->add(tx(3, 4 * U, 5 * U));
   }
+  EXPECT_TRUE(Ledger().quiet_at(0));  // an empty window is quiet
+
+  // Memo: the first query of a busy slot scans and memoizes.
+  EXPECT_FALSE(skipped.memo_at(2 * U, 3 * U));
+  EXPECT_EQ(asked.feedback(2 * U, 3 * U), skipped.feedback(2 * U, 3 * U));
+  ASSERT_TRUE(skipped.memo_at(2 * U, 3 * U));
+  EXPECT_FALSE(skipped.quiet_at(2 * U));
+  EXPECT_FALSE(skipped.memo_at(2 * U, 4 * U));
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(asked.feedback(2 * U, 3 * U), skipped.memo_feedback());
+  skipped.skip_queries(2 * U, 3 * U, 5);
+  EXPECT_EQ(ledger_bytes(asked), ledger_bytes(skipped));
+
+  // Quiet: past every end, once a real query has finalized them all.
+  EXPECT_FALSE(skipped.quiet_at(5 * U));
+  EXPECT_EQ(asked.feedback(5 * U, 6 * U), skipped.feedback(5 * U, 6 * U));
+  ASSERT_TRUE(skipped.quiet_at(5 * U));
+  EXPECT_FALSE(skipped.quiet_at(4 * U));
+  for (int i = 0; i < 7; ++i)
+    EXPECT_EQ(asked.feedback(5 * U, 6 * U), Feedback::kSilence);
+  skipped.skip_queries(5 * U, 6 * U, 7);
+  EXPECT_EQ(ledger_bytes(asked), ledger_bytes(skipped));
 }
 
 }  // namespace

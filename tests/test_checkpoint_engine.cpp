@@ -260,12 +260,32 @@ TEST(CheckpointEngine, AutoSaverNumbersOnInAUsedDirectory) {
   first.save(*engine);
   // A second saver in the same directory — a resumed run autosaving where
   // it was resumed from — numbers on past every file already there, so
-  // the newest-checkpoint rule finds its save.
-  snapshot::AutoSaver second(dir, spec, 5);
+  // the newest-checkpoint rule finds its save. It adopts those files, so
+  // its retention of 3 holds for the whole directory: the oldest go
+  // first, adopted or not.
+  auto on_disk = [&dir] {
+    std::size_t count = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      (void)entry;
+      ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(on_disk(), 3u);
+  snapshot::AutoSaver second(dir, spec, 3);
+  EXPECT_EQ(second.latest(), dir + "/ckpt-1000001.snap");
   second.save(*engine);
   EXPECT_EQ(second.latest(), dir + "/ckpt-1000002.snap");
   EXPECT_EQ(snapshot::newest_checkpoint(dir), second.latest());
   EXPECT_EQ(snapshot::resume_checkpoint(second.latest()).spec, spec);
+  EXPECT_EQ(on_disk(), 3u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/ckpt-999999.snap"));
+  second.save(*engine);
+  EXPECT_EQ(on_disk(), 3u);
+  EXPECT_EQ(second.files(),
+            (std::vector<std::string>{dir + "/ckpt-1000001.snap",
+                                      dir + "/ckpt-1000002.snap",
+                                      dir + "/ckpt-1000003.snap"}));
   std::filesystem::remove_all(dir);
 }
 

@@ -72,7 +72,6 @@ TEST(CliUsage, RunModeRejectsMalformedNumerics) {
   expect_usage_exit("--trace=x");
   expect_usage_exit("--seeds=abc");
   expect_usage_exit("--jobs=1.5");
-  expect_usage_exit("--cohort=-1");
 }
 
 TEST(CliUsage, RunModeRejectsNonFiniteRho) {

@@ -3,7 +3,7 @@
 // or fuzz-verdict byte — while the meter itself is exact (slot counts
 // reconcile with the engine's own accounting), survives checkpoint/
 // resume at arbitrary kill points, and agrees byte-for-byte between the
-// scalar engine and every cohort lane.
+// engine's dense path and its general path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,10 +14,10 @@
 
 #include "energy/meter.h"
 #include "metrics/json.h"
-#include "sim/cohort_engine.h"
 #include "sim/engine.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/io.h"
+#include "telemetry/registry.h"
 #include "trace/serialize.h"
 #include "verify/campaign.h"
 #include "verify/scenario.h"
@@ -234,14 +234,22 @@ TEST(EnergyCheckpoint, MeterSurvivesKillAnywhereResume) {
   }
 }
 
-// ------------------------------------------------------------- cohort lanes
+// ------------------------------------------------------------- dense runs
 
 TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
-  // The metered lockstep cohort grids run: ca-arrow, sync, R=1, no trace
-  // (so the idle tier and the batched quiet runs are on), lanes varying
-  // the engine seed and rho. Each lane's meter, and its whole state
-  // snapshot, must equal its scalar twin's.
-  std::vector<verify::Scenario> lanes;
+  // Metered dense runs ("lanes"): ca-arrow, sync, R=1, no trace, so the
+  // dense loop and its quiet-run batcher bill the meter; the engine seed
+  // and rho vary. Each run's meter, and its whole state snapshot, must
+  // equal its twin's on the general loop (a never-true stop predicate).
+  struct Telemetry {
+    Telemetry() { telemetry::set_enabled(true); }
+    ~Telemetry() {
+      telemetry::set_enabled(false);
+      telemetry::Registry::global().reset_values();
+    }
+  } on;
+  const auto& dense_slots =
+      telemetry::Registry::global().counter("engine.dense_slots");
   for (const int rho_pct : {30, 50, 70, 90}) {
     verify::Scenario s = contended_scenario("ca-arrow");
     s.slot_policy = "sync";
@@ -254,27 +262,27 @@ TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
     s.energy.cost_transmit = 4;
     s.energy.cost_listen = 2;
     s.energy.cost_sleep = 1;
-    lanes.push_back(s);
-  }
+    const Tick horizon = s.horizon_units * kTicksPerUnit;
 
-  std::vector<sim::LaneMaterials> mats;
-  for (const auto& s : lanes) mats.push_back(analysis::materials(s));
-  sim::CohortEngine cohort(std::move(mats));
-  const Tick horizon = lanes[0].horizon_units * kTicksPerUnit;
-  cohort.run(sim::until(horizon));
+    auto dense = analysis::build_engine(s);
+    ASSERT_TRUE(dense->dense()) << "rho " << rho_pct;
+    const std::uint64_t before = dense_slots.value();
+    dense->run(sim::until(horizon));
+    EXPECT_GT(dense_slots.value(), before) << "rho " << rho_pct;
+    auto general = analysis::build_engine(s);
+    sim::StopCondition forced = sim::until(horizon);
+    forced.predicate = [](const sim::Engine&) { return false; };
+    general->run(forced);
 
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    auto scalar = analysis::build_engine(lanes[k]);
-    scalar->run(sim::until(horizon));
-    EXPECT_EQ(cohort.energy_meter(k), scalar->energy_meter())
-        << "lane " << k;
-    EXPECT_GT(cohort.energy_meter(k).total_charge(scalar->energy_model()),
-              0u)
-        << "lane " << k;
-    snapshot::Writer lane_bytes, scalar_bytes;
-    cohort.save_lane_state(k, lane_bytes);
-    scalar->save_state(scalar_bytes);
-    EXPECT_EQ(lane_bytes.buffer(), scalar_bytes.buffer()) << "lane " << k;
+    EXPECT_EQ(dense->energy_meter(), general->energy_meter())
+        << "rho " << rho_pct;
+    EXPECT_GT(dense->energy_meter().total_charge(dense->energy_model()), 0u)
+        << "rho " << rho_pct;
+    snapshot::Writer dense_bytes, general_bytes;
+    dense->save_state(dense_bytes);
+    general->save_state(general_bytes);
+    EXPECT_EQ(dense_bytes.buffer(), general_bytes.buffer())
+        << "rho " << rho_pct;
   }
 }
 

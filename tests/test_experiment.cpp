@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -181,92 +180,6 @@ TEST(Experiment, RejectsEmptyDimensions) {
   ExperimentSpec spec;
   spec.protocols.clear();
   EXPECT_THROW(run_grid(spec), std::invalid_argument);
-}
-
-TEST(Experiment, CohortTimesJobsMatrixIsByteIdentical) {
-  // The cohort guarantee stacked on the jobs guarantee: the records (and
-  // the CSV rendered from them) are byte-identical for every (cohort,
-  // jobs) combination, and equal to cohort=1 (one scalar engine per run).
-  // ca-arrow and rrw draw no seed, so each cell's 7 seed replicas are one
-  // run and a row's lanes are its 2 distinct rho values: ca-arrow/
-  // perstation takes the lockstep fast path (lanes whose queues diverge),
-  // rrw falls back to scalar engines inside the cohort. aloha draws from
-  // its seed, so its 14 runs per row leave partial trailing units at
-  // cohort=3.
-  ExperimentSpec spec;
-  spec.protocols = {"ca-arrow", "rrw", "aloha"};
-  spec.station_counts = {3};
-  spec.bounds_r = {2};
-  spec.rho_percents = {40, 70};
-  spec.slot_policies = {"perstation"};
-  spec.horizon_units = 2000;
-  spec.seeds = 7;
-
-  auto csv_bytes = [&](unsigned cohort, unsigned jobs) {
-    spec.cohort = cohort;
-    spec.jobs = jobs;
-    const auto records = run_grid(spec);
-    const std::string path = ::testing::TempDir() + "asyncmac_grid_c" +
-                             std::to_string(cohort) + "_j" +
-                             std::to_string(jobs) + ".csv";
-    write_csv(records, path);
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    std::remove(path.c_str());
-    return bytes;
-  };
-
-  const std::string reference = csv_bytes(1, 1);  // scalar, serial
-  ASSERT_FALSE(reference.empty());
-  for (unsigned cohort : {0u, 3u, 8u})
-    for (unsigned jobs : {1u, 4u})
-      EXPECT_EQ(reference, csv_bytes(cohort, jobs))
-          << "cohort=" << cohort << " jobs=" << jobs;
-}
-
-TEST(Experiment, CohortResumesPartialManifest) {
-  // A manifest written mid-sweep under one cohort width must resume
-  // cleanly under another: done cells drop out of their units and the
-  // remainder batches as a partial cohort.
-  ExperimentSpec spec;
-  spec.protocols = {"ca-arrow"};
-  spec.station_counts = {3};
-  spec.bounds_r = {2};
-  spec.rho_percents = {50};
-  spec.slot_policies = {"perstation"};
-  spec.horizon_units = 1500;
-  spec.seeds = 5;
-  spec.jobs = 1;
-
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "asyncmac_cohort_resume_grid";
-  std::filesystem::remove_all(dir);
-
-  spec.cohort = 1;
-  const auto all_scalar = run_grid(spec);  // no checkpointing: reference
-
-  // First pass: scalar, bounded to complete only part of the grid by
-  // running with a manifest and then truncating 'done' via a fresh dir —
-  // simplest honest setup: write a manifest from a 2-seed prefix run is
-  // not possible (different fingerprint), so instead run the full grid
-  // once with cohort=2 checkpointing, then delete nothing and re-run with
-  // cohort=3: every cell is done, units skip entirely.
-  spec.checkpoint_dir = dir.string();
-  spec.cohort = 2;
-  const auto first = run_grid(spec);
-  spec.cohort = 3;
-  const auto resumed = run_grid(spec);  // all cells from manifest
-  ASSERT_EQ(first.size(), resumed.size());
-  ASSERT_EQ(first.size(), all_scalar.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(all_scalar[i].delivered, first[i].delivered) << i;
-    EXPECT_EQ(first[i].delivered, resumed[i].delivered) << i;
-    EXPECT_EQ(first[i].max_queue_cost_units, resumed[i].max_queue_cost_units)
-        << i;
-    EXPECT_EQ(first[i].seed, resumed[i].seed) << i;
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Experiment, CrossProtocolContrastMatchesTableOne) {

@@ -153,7 +153,7 @@ TEST(RestrainedDifferential, EngineMatrixPassesTheChannelOracle) {
   // End-to-end differential matrix: contention-heavy protocols under
   // every restrained mode, through verify::run_case — which replays the
   // trace through a fresh Ledger AND the O(T^2) reference, cross-checks
-  // admissions, and runs the cohort-equivalence oracle on top.
+  // admissions, and runs the dense-path oracle on top.
   std::uint64_t jammed = 0, rejected = 0;
   for (const char* protocol : {"aloha", "beb", "csma-lbt"}) {
     for (const std::uint32_t k : {1u, 2u}) {

@@ -2,8 +2,8 @@
 // compute each distinct run once. The seed-use matrix checks every
 // declaration analysis::seed_invariant combines against the runs
 // themselves; the grid tests check run sharing against one engine per
-// cell, count the work it saves, pin the planner's auto width and resume
-// a partly completed seed class.
+// cell, count the work it saves, pin the planner's one-run units and
+// resume a partly completed seed class.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,7 +16,6 @@
 #include "analysis/grid.h"
 #include "analysis/registry.h"
 #include "analysis/run_spec.h"
-#include "sim/cohort_engine.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
 
@@ -139,11 +138,15 @@ TEST(SeedUse, EveryDeclaredDrawerMovesItsRun) {
 // ------------------------------------------------------ grids share runs
 
 /// What one engine per cell records — the fields run_grid_cells fills,
-/// derived here independently of its run sharing.
+/// derived here independently of its run sharing, and on the general
+/// loop (a never-true predicate), so the grid's dense runs are checked
+/// against the general path.
 ExperimentRecord one_engine_record(const ExperimentSpec& spec,
                                    const GridCell& cell) {
   auto engine = build_engine(cell_run_spec(spec, cell));
-  engine->run(sim::until(spec.horizon_units * kTicksPerUnit));
+  sim::StopCondition stop = sim::until(spec.horizon_units * kTicksPerUnit);
+  stop.predicate = [](const sim::Engine&) { return false; };
+  engine->run(stop);
   const metrics::RunStats& s = engine->stats();
   ExperimentRecord rec;
   rec.protocol = cell.protocol;
@@ -174,9 +177,7 @@ std::vector<std::uint8_t> record_bytes(const ExperimentRecord& rec) {
   return w.buffer();
 }
 
-/// Seed-free and seed-drawing protocols under a seed-free and a
-/// seed-drawing policy (blocks are one cell's replicas), or under one
-/// policy (blocks are whole rho x seed rows).
+/// Seed-free and seed-drawing protocols under the given policies.
 ExperimentSpec mixed_spec(std::vector<std::string> policies) {
   ExperimentSpec spec;
   spec.protocols = {"ca-arrow", "aloha", "rrw"};
@@ -190,24 +191,22 @@ ExperimentSpec mixed_spec(std::vector<std::string> policies) {
 }
 
 TEST(SeedClasses, GridRecordsMatchOneEnginePerCell) {
+  // ca-arrow under sync and max takes the dense path.
   for (const auto& policies : std::vector<std::vector<std::string>>{
-           {"perstation", "random"}, {"sync"}}) {
+           {"perstation", "random"}, {"sync", "max"}}) {
     ExperimentSpec spec = mixed_spec(policies);
     const GridPlan plan = plan_grid(spec);
     std::vector<std::vector<std::uint8_t>> oracle;
     for (const GridCell& cell : plan.cells)
       oracle.push_back(record_bytes(one_engine_record(spec, cell)));
-    for (unsigned cohort : {0u, 1u, 3u})
-      for (unsigned jobs : {1u, 3u}) {
-        spec.cohort = cohort;
-        spec.jobs = jobs;
-        const auto records = run_grid(spec);
-        ASSERT_EQ(records.size(), oracle.size());
-        for (std::size_t i = 0; i < records.size(); ++i)
-          EXPECT_EQ(record_bytes(records[i]), oracle[i])
-              << policies.front() << " cell " << i << " cohort=" << cohort
-              << " jobs=" << jobs;
-      }
+    for (unsigned jobs : {1u, 3u}) {
+      spec.jobs = jobs;
+      const auto records = run_grid(spec);
+      ASSERT_EQ(records.size(), oracle.size());
+      for (std::size_t i = 0; i < records.size(); ++i)
+        EXPECT_EQ(record_bytes(records[i]), oracle[i])
+            << policies.front() << " cell " << i << " jobs=" << jobs;
+    }
   }
 }
 
@@ -282,18 +281,6 @@ TEST(SeedClasses, ResumesAPartlyCompletedSeedClass) {
 
 // ------------------------------------------------------------ the plan
 
-ExperimentSpec lockstep_spec(unsigned jobs) {
-  ExperimentSpec spec;
-  spec.protocols = {"ca-arrow"};
-  spec.station_counts = {16, 64};
-  spec.bounds_r = {1};
-  spec.rho_percents = {30, 50, 70, 90};
-  spec.slot_policies = {"sync"};
-  spec.seeds = 4;
-  spec.jobs = jobs;
-  return spec;  // 2 blocks of 4 distinct runs, 16 cells each
-}
-
 std::vector<std::size_t> unit_sizes(const GridPlan& plan) {
   std::vector<std::size_t> sizes;
   for (const GridUnit& u : plan.units) sizes.push_back(u.count);
@@ -301,57 +288,25 @@ std::vector<std::size_t> unit_sizes(const GridPlan& plan) {
 }
 
 TEST(GridPlanTest, UnitsHoldRunsNotCells) {
-  // Lockstep blocks: up to 8 runs, never fewer units than jobs, and no
-  // wider than that unit count needs.
-  GridPlan plan = plan_grid(lockstep_spec(1));
-  EXPECT_EQ(plan.cohort_width, 4u);
-  EXPECT_EQ(unit_sizes(plan), (std::vector<std::size_t>{16, 16}));
-  plan = plan_grid(lockstep_spec(4));
-  EXPECT_EQ(plan.cohort_width, 2u);
-  EXPECT_EQ(unit_sizes(plan), (std::vector<std::size_t>{8, 8, 8, 8}));
-  EXPECT_EQ(grid_cohort_width(lockstep_spec(4)), 2u);
+  // One distinct run per unit: the 4 seed replicas of a seed-free cell,
+  // or a single seed-drawing cell (aloha), whatever jobs is.
+  ExperimentSpec spec;
+  spec.protocols = {"ca-arrow"};
+  spec.station_counts = {16, 64};
+  spec.bounds_r = {1};
+  spec.rho_percents = {30, 50, 70, 90};
+  spec.slot_policies = {"sync"};
+  spec.seeds = 4;
+  for (unsigned jobs : {1u, 4u}) {
+    spec.jobs = jobs;
+    EXPECT_EQ(unit_sizes(plan_grid(spec)), std::vector<std::size_t>(8, 4));
+  }
 
-  // An explicit width is runs per unit, everywhere.
-  ExperimentSpec spec = lockstep_spec(1);
-  spec.cohort = 3;
-  plan = plan_grid(spec);
-  EXPECT_EQ(plan.cohort_width, 3u);
-  EXPECT_EQ(unit_sizes(plan), (std::vector<std::size_t>{12, 4, 12, 4}));
-
-  // No lockstep path (ao-arrow): one run per unit — a seed-free cell's
-  // replicas, or a single seed-drawing cell.
-  spec = lockstep_spec(1);
   spec.protocols = {"ao-arrow", "aloha"};
   spec.station_counts = {4};
   spec.rho_percents = {50, 70};
-  plan = plan_grid(spec);
-  EXPECT_EQ(plan.cohort_width, 1u);
-  EXPECT_EQ(unit_sizes(plan),
+  EXPECT_EQ(unit_sizes(plan_grid(spec)),
             (std::vector<std::size_t>{4, 4, 1, 1, 1, 1, 1, 1, 1, 1}));
-}
-
-TEST(GridPlanTest, LockstepTestIsTheCohorts) {
-  // The planner asks sim::lockstep_slot_lengths of one lane what
-  // sim::lockstep_eligible, the test CohortEngine's constructor applies,
-  // decides for a block's lanes.
-  for (const char* protocol : {"ca-arrow", "ao-arrow"})
-    for (const char* policy : {"sync", "perstation", "random"}) {
-      RunSpec run;
-      run.protocol = protocol;
-      run.slot_policy = policy;
-      const bool planned =
-          !sim::lockstep_slot_lengths(materials(run)).empty();
-      std::vector<sim::LaneMaterials> lanes;
-      for (const int rho_pct : {50, 70}) {
-        run.injector.rho = util::Ratio(rho_pct, 100);
-        lanes.push_back(materials(run));
-      }
-      EXPECT_EQ(planned, sim::lockstep_eligible(lanes))
-          << protocol << " / " << policy;
-      EXPECT_EQ(planned, std::string(protocol) == "ca-arrow" &&
-                             std::string(policy) != "random")
-          << protocol << " / " << policy;
-    }
 }
 
 }  // namespace

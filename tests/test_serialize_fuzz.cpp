@@ -136,7 +136,8 @@ void mutate_json(std::string& text, util::Rng& rng) {
       if (comma == std::string::npos || comma == 0) break;
       const std::size_t open = text.find_last_of(",{", comma - 1);
       if (open == std::string::npos) break;
-      text.insert(comma, "," + text.substr(open + 1, comma - open - 1));
+      text = text.substr(0, comma) + "," +
+             text.substr(open + 1, comma - open - 1) + text.substr(comma);
       break;
     }
     case 4: {  // a raw control byte after the next '"'

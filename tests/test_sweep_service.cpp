@@ -185,16 +185,11 @@ TEST_F(SweepServiceTest, DelayedResultStillMerges) {
 }
 
 TEST_F(SweepServiceTest, WorkerKilledWhileIdleBetweenUnits) {
-  // Pin cohort=1: the 8 cells are 4 distinct runs (ca-arrow and rrw
-  // draw no seed, so each cell's 2 seed replicas are one run), and one
-  // run per unit plans 4 units. Wider units would let worker 1 finish
-  // before the kill step; 4 keep it mid-sweep (idle between its units).
-  analysis::ExperimentSpec spec = small_spec();
-  spec.cohort = 1;
-  const auto control = analysis::run_grid(spec);
-  SweepJob job = grid_job();
-  job.grid = spec;
-  Coordinator coord(fast_config(job));
+  // The 8 cells are 4 distinct runs (ca-arrow and rrw draw no seed, so
+  // each cell's 2 seed replicas are one run), one per unit: 4 units keep
+  // worker 1 mid-sweep at the kill step (idle between its units).
+  const auto control = analysis::run_grid(small_spec());
+  Coordinator coord(fast_config(grid_job()));
   LoopbackNet net(coord);
   WorkerSession w1, w2;
   const std::uint64_t c1 = net.attach(w1);

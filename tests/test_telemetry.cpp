@@ -13,10 +13,10 @@
 #include "adversary/injectors.h"
 #include "adversary/slot_policies.h"
 #include "analysis/registry.h"
+#include "analysis/run_spec.h"
 #include "live/virtual_net.h"
 #include "metrics/json.h"
 #include "snapshot/checkpoint.h"
-#include "sim/cohort_engine.h"
 #include "sim/engine.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/registry.h"
@@ -447,44 +447,49 @@ TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------- cohort
+// ----------------------------------------------------------- dense path
 
-/// One lockstep-eligible lane (ca-arrow + fixed-length slots) for the
-/// cohort counter test.
-sim::LaneMaterials cohort_lane(std::uint64_t seed) {
-  sim::LaneMaterials m;
-  m.cfg.n = 4;
-  m.cfg.bound_r = 1;
-  m.cfg.seed = seed;
-  m.protocols = analysis::make_protocols("ca-arrow", m.cfg.n);
-  m.slot_policy = adversary::make_slot_policy("sync", m.cfg.n, 1, 1);
-  return m;
+/// A run the engine takes densely (ca-arrow, one fixed slot length).
+analysis::RunSpec dense_spec(const std::string& policy, std::uint32_t r) {
+  analysis::RunSpec spec;
+  spec.protocol = "ca-arrow";
+  spec.n = 4;
+  spec.bound_r = r;
+  spec.slot_policy = policy;
+  spec.seed = 11;
+  return spec;
 }
 
-TEST(TelemetryCohort, CountsBatchesAndRetirements) {
+TEST(TelemetryDense, CountsDenseSlots) {
   ScopedTelemetry on;
-  const auto& batches = telemetry::Registry::global().counter("cohort.batches");
-  const auto& retired =
-      telemetry::Registry::global().counter("cohort.lanes_retired");
+  const auto& dense_slots =
+      telemetry::Registry::global().counter("engine.dense_slots");
+  const auto& slots = telemetry::Registry::global().counter("engine.slots");
 
-  const std::size_t kLanes = 3;
-  {
-    std::vector<sim::LaneMaterials> lanes;
-    for (std::size_t k = 0; k < kLanes; ++k)
-      lanes.push_back(cohort_lane(11 + 37 * k));
-    sim::CohortEngine cohort(std::move(lanes));
-    // Staggered stops: every lane retires once, at its own horizon.
-    std::vector<sim::StopCondition> stops;
-    for (std::size_t k = 0; k < kLanes; ++k)
-      stops.push_back(sim::until(static_cast<Tick>(500 * (k + 1)) *
-                                 kTicksPerUnit));
-    cohort.run(stops);
-  }  // destructor flushes the batched deltas
+  // Every slot-end event of an untraced dense run, batched or not: 4
+  // stations x 1500 unit slots (sync, R = 1), over two run() calls.
+  auto dense = analysis::build_engine(dense_spec("sync", 1));
+  ASSERT_TRUE(dense->dense());
+  dense->run(sim::until(700 * kTicksPerUnit));
+  dense->run(sim::until(1500 * kTicksPerUnit));
+  EXPECT_EQ(dense_slots.value(), 4u * 1500u);
+  EXPECT_EQ(slots.value(), dense_slots.value());
 
-  // One batch per shared slot-end event: the longest lane's 4 stations x
-  // 1500 unit slots (sync, R = 1).
-  EXPECT_EQ(batches.value(), 4u * 1500u);
-  EXPECT_EQ(retired.value(), kLanes);  // every lane hit its stop once
+  // The general loop adds none: a perstation schedule at R = 2, a traced
+  // dense() run and a stop with a predicate.
+  auto perstation = analysis::build_engine(dense_spec("perstation", 2));
+  EXPECT_FALSE(perstation->dense());
+  perstation->run(sim::until(500 * kTicksPerUnit));
+  analysis::RunSpec traced_spec = dense_spec("sync", 1);
+  traced_spec.record_trace = true;
+  auto traced = analysis::build_engine(traced_spec);
+  EXPECT_TRUE(traced->dense());
+  traced->run(sim::until(500 * kTicksPerUnit));
+  sim::StopCondition with_predicate = sim::until(2000 * kTicksPerUnit);
+  with_predicate.predicate = [](const sim::Engine&) { return false; };
+  dense->run(with_predicate);
+  EXPECT_EQ(dense_slots.value(), 4u * 1500u);
+  EXPECT_GT(slots.value(), 4u * 1500u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // JSON codec, check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -546,8 +547,9 @@ TEST(Json, NestingIsCappedAtMaxDepth) {
     std::string open, close;
     for (int i = 0; i < depth; ++i) {
       open += i % 2 ? "{\"k\":" : "[";
-      close.insert(0, i % 2 ? "}" : "]");
+      close += i % 2 ? '}' : ']';
     }
+    std::reverse(close.begin(), close.end());
     return open + "0" + close;
   };
   util::JsonValue v = util::parse_json(nested(util::kMaxJsonDepth));

@@ -96,7 +96,6 @@ struct Options {
   bool grid = false;
   int seeds = 1;
   unsigned jobs = 0;
-  unsigned cohort = 0;
   std::string csv_path;
   std::uint64_t checkpoint_every = 0;
   std::string checkpoint_dir;
@@ -190,15 +189,6 @@ std::vector<std::string> split_list(const std::string& s) {
       "                 computed once\n"
       "  --jobs=J       worker threads, 0 = all cores (default 0);\n"
       "                 records are byte-identical for every J\n"
-      "  --cohort=K     batch up to K distinct runs differing only in\n"
-      "                 seed and injector params (rho) through the\n"
-      "                 lockstep cohort engine; runs the lockstep path\n"
-      "                 cannot take (not ca-arrow, or a variable-length\n"
-      "                 policy) run on one scalar engine each;\n"
-      "                 1 = scalar, 0 = auto (default): 1 where the\n"
-      "                 lockstep path does not apply, else up to 8 but\n"
-      "                 at least J units; records are byte-identical\n"
-      "                 for every K\n"
       "  --csv=PATH     also write the records as CSV\n"
       "\n"
       "resume flags (after: asyncmac_cli resume path/to/ckpt.snap or the\n"
@@ -451,8 +441,6 @@ Options parse_args(int argc, char** argv) {
           arg_u32(value("--seeds="), "--seeds", INT32_MAX));
     else if (arg.rfind("--jobs=", 0) == 0)
       opt.jobs = arg_u32(value("--jobs="), "--jobs");
-    else if (arg.rfind("--cohort=", 0) == 0)
-      opt.cohort = arg_u32(value("--cohort="), "--cohort");
     else if (arg.rfind("--csv=", 0) == 0)
       opt.csv_path = value("--csv=");
     else if (arg.rfind("--checkpoint-every=", 0) == 0)
@@ -508,7 +496,6 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
   spec.seed = opt.seed;
   spec.seeds = opt.seeds;
   spec.jobs = opt.jobs;
-  spec.cohort = opt.cohort;
   spec.restrained = opt.restrained;
   spec.energy = opt.energy;
   spec.checkpoint_dir = opt.checkpoint_dir;
