@@ -32,7 +32,13 @@ std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec) {
   std::vector<std::uint8_t> done(plan.cells.size(), 0);
   std::uint32_t fingerprint = 0;
   if (checkpointing) {
-    std::filesystem::create_directories(spec.checkpoint_dir);
+    std::error_code ec;
+    std::filesystem::create_directories(spec.checkpoint_dir, ec);
+    if (ec)
+      throw snapshot::SnapshotError(
+          snapshot::ErrorKind::kIo, "cannot create checkpoint directory " +
+                                        spec.checkpoint_dir + ": " +
+                                        ec.message());
     fingerprint = grid_fingerprint(spec);
     load_grid_manifest(spec.checkpoint_dir, fingerprint, done, records);
   }
@@ -88,7 +94,7 @@ std::string to_table(const std::vector<ExperimentRecord>& records) {
   return t.to_string();
 }
 
-void write_csv(const std::vector<ExperimentRecord>& records,
+bool write_csv(const std::vector<ExperimentRecord>& records,
                const std::string& path, bool energy_columns) {
   std::vector<std::string> header{
       "protocol", "n", "R", "rho_pct", "policy", "seed", "injected",
@@ -114,6 +120,7 @@ void write_csv(const std::vector<ExperimentRecord>& records,
               r.p99_latency_units);
     }
   }
+  return csv.ok();
 }
 
 }  // namespace asyncmac::analysis

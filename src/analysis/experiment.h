@@ -57,7 +57,8 @@ struct ExperimentSpec {
   /// incomplete cell and returns records byte-identical to an
   /// uninterrupted sweep (cells are deterministic, so replayed or resumed
   /// makes no difference). A manifest from a *different* spec raises
-  /// snapshot::SnapshotError(kMismatch). jobs and checkpoint_dir are not
+  /// snapshot::SnapshotError(kMismatch), and a directory that cannot be
+  /// created raises SnapshotError(kIo). jobs and checkpoint_dir are not
   /// part of the spec fingerprint.
   std::string checkpoint_dir;
 };
@@ -95,9 +96,10 @@ std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec);
 /// Render records as an aligned ASCII table / CSV file. The energy
 /// columns are opt-in (energy_columns = spec.energy.enabled): a sweep
 /// without energy accounting writes byte-identical files to builds that
-/// predate the energy subsystem.
+/// predate the energy subsystem. write_csv returns false when the file
+/// cannot be written.
 std::string to_table(const std::vector<ExperimentRecord>& records);
-void write_csv(const std::vector<ExperimentRecord>& records,
+bool write_csv(const std::vector<ExperimentRecord>& records,
                const std::string& path, bool energy_columns = false);
 
 }  // namespace asyncmac::analysis

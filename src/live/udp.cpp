@@ -81,24 +81,6 @@ int open_udp_socket(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-/// Atomic port-file write: a polling reader sees nothing or the full line.
-bool write_port_file(const std::string& path, std::uint16_t port,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) {
-    set_error(error, "open " + tmp);
-    return false;
-  }
-  std::fprintf(f, "%u\n", static_cast<unsigned>(port));
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    set_error(error, "rename " + path);
-    return false;
-  }
-  return true;
-}
-
 struct DelayedSend {
   std::int64_t due_us = 0;  ///< on the daemon's elapsed clock
   sockaddr_in to{};
@@ -106,6 +88,19 @@ struct DelayedSend {
 };
 
 }  // namespace
+
+bool write_port_file(const std::string& path, std::uint16_t port,
+                     std::string* error) {
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "w");
+  if (!f) return set_error(error, "open " + tmp);
+  const bool written = std::fprintf(f, "%u\n", unsigned{port}) > 0;
+  if (std::fclose(f) != 0 || !written)
+    return set_error(error, "write " + tmp);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    return set_error(error, "rename " + path);
+  return true;
+}
 
 int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
   sockaddr_in bound{};

@@ -49,6 +49,14 @@ struct UdpServeOptions {
   std::function<void(std::uint16_t)> on_listening;
 };
 
+/// Writes `port` and a newline to `path` atomically (a temporary file
+/// renamed into place), so a polling reader sees nothing or the whole
+/// line. Returns false, with `error` (optional) describing the failure,
+/// when the file cannot be written. `serve_udp` and the CLI's `serve`
+/// both report their bound port through it.
+bool write_port_file(const std::string& path, std::uint16_t port,
+                     std::string* error = nullptr);
+
 /// Drive `daemon` over UDP until the run completes. Returns 0 on a clean
 /// horizon completion, 1 on failure (bind error, idle timeout, poisoned
 /// run); `error` (optional) receives a description. The caller reads

@@ -1,6 +1,7 @@
 #include "sweep/coordinator.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,14 @@ Coordinator::Coordinator(CoordinatorConfig cfg)
     records_.resize(plan_.cells.size());
     cell_done_.assign(plan_.cells.size(), 0);
     if (!cfg_.checkpoint_dir.empty()) {
+      // As in analysis::run_grid, the directory is created up front, and
+      // one that cannot be is a kIo before any unit is leased.
+      std::error_code ec;
+      std::filesystem::create_directories(cfg_.checkpoint_dir, ec);
+      if (ec)
+        throw SnapshotError(ErrorKind::kIo,
+                            "cannot create checkpoint directory " +
+                                cfg_.checkpoint_dir + ": " + ec.message());
       // Resume: a manifest from an earlier (possibly single-process) run
       // of the same grid pre-marks its cells done; a foreign manifest is
       // a kMismatch, exactly as in analysis::run_grid.
@@ -353,9 +362,16 @@ void Coordinator::broadcast_shutdown(std::vector<Action>& out) {
 }
 
 void Coordinator::write_manifest() const {
-  analysis::write_grid_manifest(cfg_.checkpoint_dir,
-                                analysis::grid_fingerprint(cfg_.job.grid),
-                                cell_done_, records_);
+  try {
+    analysis::write_grid_manifest(cfg_.checkpoint_dir,
+                                  analysis::grid_fingerprint(cfg_.job.grid),
+                                  cell_done_, records_);
+  } catch (const SnapshotError& e) {
+    // The coordinator's own failure: as a SnapshotError it would reach
+    // on_bytes' malformed-frame handler, which blames and severs the
+    // worker whose result was just merged.
+    throw std::runtime_error(std::string("grid manifest: ") + e.what());
+  }
 }
 
 }  // namespace asyncmac::sweep

@@ -56,7 +56,9 @@ struct CoordinatorConfig {
   std::uint64_t nowork_retry_ms = 100;
   /// Grid jobs: when non-empty, merge into dir/grid-manifest.snap after
   /// every result (resuming an existing manifest on start), exactly as
-  /// analysis::run_grid does with ExperimentSpec::checkpoint_dir.
+  /// analysis::run_grid does with ExperimentSpec::checkpoint_dir. The
+  /// constructor creates the directory (SnapshotError(kIo) if it cannot);
+  /// a failed manifest write throws std::runtime_error out of on_bytes.
   std::string checkpoint_dir;
 };
 

@@ -90,7 +90,12 @@ ServeOutcome serve(const ServeOptions& opt) {
   sockaddr_in bound{};
   socklen_t blen = sizeof(bound);
   ::getsockname(listener, reinterpret_cast<sockaddr*>(&bound), &blen);
-  if (opt.on_listening) opt.on_listening(ntohs(bound.sin_port));
+  try {
+    if (opt.on_listening) opt.on_listening(ntohs(bound.sin_port));
+  } catch (...) {
+    ::close(listener);
+    throw;
+  }
 
   struct ConnIo {
     int fd = -1;

@@ -34,7 +34,8 @@ struct ServeOptions {
   std::uint64_t tick_ms = 100;
   /// Called once the listener is bound, with the actual port — the CI
   /// smoke job and tests use it to learn an ephemeral port, the CLI to
-  /// print the "listening" line before blocking.
+  /// print the "listening" line and write its port file before blocking.
+  /// An exception it throws closes the listener and leaves serve().
   std::function<void(std::uint16_t)> on_listening;
 };
 

@@ -25,7 +25,11 @@ class CsvWriter {
     add_row(cells);
   }
 
-  bool ok() const { return static_cast<bool>(out_); }
+  /// Flushes, then reports whether every row so far reached the file.
+  bool ok() {
+    out_.flush();
+    return static_cast<bool>(out_);
+  }
 
  private:
   // add_row quotes; to_cell only stringifies (escaping here would

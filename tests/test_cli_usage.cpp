@@ -2,7 +2,10 @@
 // malformed / overflowing / empty / non-finite numeric values, must exit
 // with the usage status (2) and a usage message — never std::terminate
 // on an uncaught std::sto* exception, and never silently accept trailing
-// garbage ("--n=8x") or wrap on u32 overflow ("--r=4294967297").
+// garbage ("--n=8x") or wrap on u32 overflow ("--r=4294967297"). The
+// flag x mode matrix holds every mode to its contract: it refuses each
+// flag it does not read, with no side effect, and accepts every flag it
+// does read. An output path that cannot be written exits 1.
 //
 // The tests spawn the real binary (path injected via ASYNCMAC_CLI_BIN)
 // because ctest's WILL_FAIL cannot distinguish a clean exit 2 from an
@@ -11,11 +14,14 @@
 // only the CLI applies to a directory.
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,10 +34,12 @@ struct RunResult {
 };
 
 /// Runs the CLI; stderr is folded into the output (so the usage message
-/// is observable) unless `stdout_only`.
-RunResult run_cli(const std::string& args, bool stdout_only = false) {
-  const std::string cmd = std::string(ASYNCMAC_CLI_BIN) + " " + args +
-                          (stdout_only ? " 2>/dev/null" : " 2>&1");
+/// is observable) unless `stdout_only`. `wrapper` prefixes the command
+/// (e.g. `timeout 30`).
+RunResult run_cli(const std::string& args, bool stdout_only = false,
+                  const std::string& wrapper = "") {
+  const std::string cmd = wrapper + std::string(ASYNCMAC_CLI_BIN) + " " +
+                          args + (stdout_only ? " 2>/dev/null" : " 2>&1");
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
@@ -70,8 +78,8 @@ TEST(CliUsage, RunModeRejectsMalformedNumerics) {
   expect_usage_exit("--horizon=99999999999999999999");  // u64 overflow
   expect_usage_exit("--burst=16units");
   expect_usage_exit("--trace=x");
-  expect_usage_exit("--seeds=abc");
-  expect_usage_exit("--jobs=1.5");
+  expect_usage_exit("--seeds=abc");  // refused: a single run reads no --seeds
+  expect_usage_exit("--jobs=1.5");   // nor --jobs
 }
 
 TEST(CliUsage, RunModeRejectsNonFiniteRho) {
@@ -100,6 +108,9 @@ TEST(CliUsage, GridModeRejectsMalformedListValues) {
   expect_usage_exit("--grid --rho=0.4,inf");
   expect_usage_exit("--grid --rho=0.4,2.0");
   expect_usage_exit("--grid --seeds=0");
+  expect_usage_exit("--grid --seeds=abc");
+  expect_usage_exit("--grid --jobs=1.5");
+  expect_usage_exit("--grid --csv");  // a value flag without its value
 }
 
 TEST(CliUsage, GridModesRejectPattern) {
@@ -114,7 +125,8 @@ TEST(CliUsage, GridModesRejectPattern) {
 TEST(CliUsage, MsrModeRejectsMalformedNumerics) {
   expect_usage_exit("--msr --horizon=abc");
   expect_usage_exit("--msr --seed=1x");
-  expect_usage_exit("--msr --rho=nan");
+  expect_usage_exit("--msr --rho=nan");  // refused: the search sets rho
+  expect_usage_exit("--msr --burst=nan");
 }
 
 // ------------------------------------------------- fuzz / stats / resume
@@ -128,6 +140,7 @@ TEST(CliUsage, FuzzRejectsMalformedNumerics) {
   expect_usage_exit("fuzz --case-seed=beef");
   expect_usage_exit("fuzz --emit-case=1.0");
   expect_usage_exit("fuzz --seed");      // flag without a value
+  expect_usage_exit("fuzz --no-shrink=1");  // a switch given a value
 }
 
 TEST(CliUsage, StatsRejectsMalformedNumerics) {
@@ -273,5 +286,300 @@ TEST(CliUsage, WellFormedRunExitsZero) {
   EXPECT_TRUE(r.exited);
   EXPECT_EQ(r.status, 0) << r.output;
 }
+
+// ------------------------------------------------------- output paths
+
+// An output the CLI cannot create exits 1 with a message: no abort, no
+// "written" line for a file that does not exist, no serve left waiting.
+// Each target sits under a regular file, so creating it fails.
+class CliOutputPath : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    file_ = ::testing::TempDir() + "cli_output_path_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(file_);
+    std::ofstream(file_) << "not a directory\n";
+  }
+  void TearDown() override { std::filesystem::remove_all(file_); }
+
+  // `timeout` turns a serve that keeps listening into a failure rather
+  // than a hung suite.
+  static void expect_output_failure(const std::string& args) {
+    SCOPED_TRACE(args);
+    const RunResult r = run_cli(args, false, "timeout 60 ");
+    EXPECT_TRUE(r.exited) << "killed by a signal: " << r.output;
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("asyncmac_cli"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("written"), std::string::npos) << r.output;
+  }
+
+  std::string file_;  ///< a regular file, unique to the test
+};
+
+TEST_F(CliOutputPath, GridCsvExitsOne) {
+  expect_output_failure("--grid --protocol=rrw --n=2 --horizon=200 --csv=" +
+                        file_ + "/x.csv");
+}
+
+TEST_F(CliOutputPath, GridCheckpointDirExitsOne) {
+  expect_output_failure(
+      "--grid --protocol=rrw --n=2 --horizon=200 --checkpoint-dir=" + file_ +
+      "/ck");
+}
+
+TEST_F(CliOutputPath, EmittedReproExitsOne) {
+  expect_output_failure("fuzz --seed=1 --emit-case=3 --repro-out=" + file_ +
+                        "/case.json");
+}
+
+TEST_F(CliOutputPath, ServeCheckpointDirExitsOne) {
+  expect_output_failure("serve --protocol=rrw --n=2 --horizon=200 "
+                        "--checkpoint-dir=" + file_ + "/ck");
+}
+
+TEST_F(CliOutputPath, AutosaveDirExitsOne) {
+  expect_output_failure(
+      "--protocol=rrw --n=2 --horizon=200 --checkpoint-every=10 "
+      "--checkpoint-dir=" + file_ + "/ck");
+  // resume builds its saver the same way.
+  const std::string dir = file_ + "_ckpt";
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(run_cli("--protocol=rrw --n=2 --horizon=200 "
+                    "--checkpoint-every=10 --checkpoint-dir=" + dir)
+                .status,
+            0);
+  expect_output_failure("resume " + dir + " --horizon=300 --checkpoint-dir=" +
+                        file_ + "/ck");
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CliOutputPath, ServePortFileExitsOne) {
+  expect_output_failure("serve --protocol=rrw --n=2 --horizon=200 "
+                        "--port-file=" + file_ + "/port.txt");
+  expect_output_failure("serve --fuzz --cases=1 --port-file=" + file_ +
+                        "/port.txt");
+}
+
+// ------------------------------------------------- flag x mode matrix
+
+// The contract, written out here independently of the CLI's flag table:
+// every flag the CLI knows, and for each mode the flags it reads.
+const std::vector<std::string> kAllFlags = {
+    "--protocol", "--n", "--r", "--rho", "--burst", "--policy", "--pattern",
+    "--horizon", "--seed", "--telemetry", "--restrained-k", "--energy-model",
+    "--json", "--trace", "--grid", "--msr", "--seeds", "--jobs", "--csv",
+    "--checkpoint-every", "--checkpoint-dir", "--cases", "--time-budget",
+    "--no-shrink", "--repro-out", "--checkpoint", "--repro", "--case-seed",
+    "--emit-case", "--top", "--fuzz", "--port", "--port-file",
+    "--lease-timeout-ms", "--heartbeat-ms", "--host", "--name", "--virtual",
+    "--unit-us", "--idle-timeout-ms", "--emu-loss", "--emu-delay-us",
+    "--emu-jitter-us", "--emu-seed", "--id", "--retry-units",
+    "--max-retries"};
+const std::vector<std::string> kSwitches = {"--json", "--grid", "--msr",
+                                            "--no-shrink", "--fuzz",
+                                            "--virtual"};
+
+std::vector<std::string> run_flags(std::vector<std::string> except = {}) {
+  std::vector<std::string> out;
+  for (const char* f :
+       {"--protocol", "--n", "--r", "--rho", "--burst", "--policy",
+        "--pattern", "--horizon", "--seed", "--telemetry", "--restrained-k",
+        "--energy-model"})
+    if (std::find(except.begin(), except.end(), f) == except.end())
+      out.push_back(f);
+  return out;
+}
+
+std::vector<std::string> plus(std::vector<std::string> a,
+                              const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+struct ModeCase {
+  std::string name;
+  std::string prefix;                  ///< subcommand word, selector, file
+  std::vector<std::string> reads;    ///< the flags this mode reads
+  std::vector<std::string> selects;  ///< selectors that pick another mode
+  std::string setup;   ///< run before `accept`; must exit 0
+  std::string accept;  ///< every flag in `reads`; {T} = a temp prefix
+  int accept_status;
+};
+
+// Test listings name a case by its mode; gtest would print the bytes.
+void PrintTo(const ModeCase& mode, std::ostream* os) { *os << mode.name; }
+
+std::vector<ModeCase> mode_cases() {
+  const std::string golden =
+      std::string(ASYNCMAC_GOLDEN_DIR) + "/fuzz/ca_arrow_n4_r2_random.json";
+  const std::string run_args =
+      "--protocol=ca-arrow --n=3 --r=2 --burst=8 --policy=max "
+      "--horizon=300 --seed=5 --telemetry={T}t.jsonl --restrained-k=1:reject";
+  const std::string live_args = run_args +
+      " --rho=0.6 --pattern=random --energy-model=4:2:1 --json --trace=10 "
+      "--unit-us=500 --emu-loss=0.05 --emu-delay-us=50 --emu-jitter-us=50 "
+      "--emu-seed=3";
+  const std::string grid_args =
+      "--protocol=ca-arrow,aloha --n=2,3 --r=1,2 --rho=0.3,0.7 --burst=8 "
+      "--policy=sync,random --horizon=300 --seed=5 --telemetry={T}t.jsonl "
+      "--restrained-k=2:jam --energy-model=4:2:1 --seeds=2 --csv={T}g.csv "
+      "--checkpoint-dir={T}ck";
+  const std::string serve_tail =
+      " --port=0 --port-file={T}port.txt --lease-timeout-ms=500 "
+      "--heartbeat-ms=100 --help";
+  const std::vector<std::string> serve_flags = {
+      "--port", "--port-file", "--lease-timeout-ms", "--heartbeat-ms"};
+  return {
+      {"run", "", plus(run_flags(), {"--json", "--trace",
+                                     "--checkpoint-every", "--checkpoint-dir"}),
+       {"--grid", "--msr"}, "",
+       run_args + " --rho=0.6 --pattern=random --energy-model=4:2:1 --json "
+                  "--trace=10 --checkpoint-every=50 --checkpoint-dir={T}ck",
+       0},
+      {"grid", "--grid",
+       plus(run_flags({"--pattern"}),
+            {"--grid", "--seeds", "--jobs", "--csv", "--checkpoint-dir"}),
+       {}, "", "--grid " + grid_args + " --jobs=2", 0},
+      {"msr", "--msr", plus(run_flags({"--rho", "--energy-model"}), {"--msr"}),
+       {}, "", "--msr " + run_args + " --pattern=single", 0},
+      {"resume", "resume {T}ck",
+       {"--horizon", "--json", "--trace", "--telemetry", "--checkpoint-dir"},
+       {},
+       "--protocol=ca-arrow --horizon=300 --checkpoint-every=50 "
+       "--checkpoint-dir={T}ck",
+       "resume {T}ck --horizon=400 --json --trace=10 "
+       "--telemetry={T}t.jsonl --checkpoint-dir={T}ck",
+       0},
+      {"fuzz", "fuzz",
+       {"--seed", "--cases", "--jobs", "--time-budget", "--protocol",
+        "--no-shrink", "--repro-out", "--telemetry", "--checkpoint"},
+       {"--repro", "--case-seed", "--emit-case"}, "",
+       "fuzz --seed=3 --cases=20 --jobs=2 --time-budget=60 "
+       "--protocol=ca-arrow,aloha --no-shrink --repro-out={T}r.json "
+       "--telemetry={T}t.jsonl --checkpoint={T}c.snap",
+       0},
+      {"fuzz_repro", "fuzz --repro=" + golden, {"--repro", "--telemetry"},
+       {}, "",
+       "fuzz --repro=" + golden + " --telemetry={T}t.jsonl", 0},
+      {"fuzz_case_seed", "fuzz --case-seed=5",
+       {"--case-seed", "--protocol", "--telemetry"}, {}, "",
+       "fuzz --case-seed=5 --protocol=ca-arrow,aloha --telemetry={T}t.jsonl",
+       0},
+      {"fuzz_emit_case", "fuzz --emit-case=3",
+       {"--emit-case", "--seed", "--protocol", "--repro-out", "--telemetry"},
+       {}, "",
+       "fuzz --emit-case=3 --seed=3 --protocol=ca-arrow,aloha "
+       "--repro-out={T}e.json --telemetry={T}t.jsonl",
+       0},
+      {"stats", "stats {T}in.jsonl", {"--top"}, {}, "",
+       "stats {T}in.jsonl --top=5", 0},
+      {"serve", "serve",
+       plus(run_flags({"--pattern"}),
+            plus({"--seeds", "--csv", "--checkpoint-dir"}, serve_flags)),
+       {"--fuzz"}, "", "serve " + grid_args + serve_tail, 0},
+      {"serve_fuzz", "serve --fuzz",
+       plus({"--fuzz", "--seed", "--cases", "--telemetry"}, serve_flags), {},
+       "", "serve --fuzz --seed=3 --cases=5 --telemetry={T}t.jsonl" +
+               serve_tail,
+       0},
+      {"worker", "worker", {"--host", "--port", "--name"}, {}, "",
+       "worker --host=127.0.0.1 --port=1 --name=w", 1},
+      {"live_serve", "live-serve",
+       plus(run_flags(), {"--json", "--trace", "--port", "--port-file",
+                          "--unit-us", "--idle-timeout-ms", "--emu-loss",
+                          "--emu-delay-us", "--emu-jitter-us", "--emu-seed"}),
+       {"--virtual"}, "",
+       "live-serve " + live_args +
+           " --port=0 --port-file={T}port.txt --idle-timeout-ms=1",
+       1},
+      {"live_serve_virtual", "live-serve --virtual",
+       plus(run_flags(), {"--virtual", "--json", "--trace", "--unit-us",
+                          "--emu-loss", "--emu-delay-us", "--emu-jitter-us",
+                          "--emu-seed"}),
+       {}, "", "live-serve --virtual " + live_args, 0},
+      {"live_station", "live-station",
+       {"--host", "--port", "--id", "--name", "--unit-us", "--retry-units",
+        "--max-retries"},
+       {}, "",
+       "live-station --host=127.0.0.1 --port=1 --id=1 --name=s "
+       "--unit-us=1000 --retry-units=1 --max-retries=1",
+       1},
+  };
+}
+
+std::string expand(std::string s, const std::string& temp) {
+  for (std::size_t at; (at = s.find("{T}")) != std::string::npos;)
+    s.replace(at, 3, temp);
+  return s;
+}
+
+class CliModeMatrix : public ::testing::TestWithParam<ModeCase> {
+ protected:
+  void SetUp() override {
+    std::filesystem::remove_all(temp_);
+    std::filesystem::create_directories(temp_);
+    std::ofstream(temp_ + "in.jsonl")
+        << R"({"type":"event","name":"x","t_ms":1,"fields":{}})" << "\n";
+  }
+  void TearDown() override { std::filesystem::remove_all(temp_); }
+
+  const std::string temp_ =
+      ::testing::TempDir() + "cli_matrix_" + GetParam().name + "/";
+};
+
+// Every flag outside the mode's set exits 2 with a message naming it, and
+// leaves no side effect: no telemetry file, nothing at the flag's path.
+TEST_P(CliModeMatrix, RefusesEveryFlagItDoesNotRead) {
+  const ModeCase& mode = GetParam();
+  const auto has = [](const std::vector<std::string>& v,
+                      const std::string& f) {
+    return std::find(v.begin(), v.end(), f) != v.end();
+  };
+  int refused = 0;
+  for (const std::string& flag : kAllFlags) {
+    // Another selector of a selected mode's family is refused too: two
+    // selectors of one family exit 2.
+    if (has(mode.reads, flag) || has(mode.selects, flag)) continue;
+    std::string args = expand(mode.prefix, temp_);
+    if (has(mode.reads, "--telemetry")) args += " --telemetry=" + temp_ + "t";
+    args += " " + flag;
+    if (!has(kSwitches, flag)) args += "=" + temp_ + "side";
+    SCOPED_TRACE(args);
+    const RunResult r = run_cli(args);
+    EXPECT_TRUE(r.exited) << r.output;
+    EXPECT_EQ(r.status, 2) << r.output;
+    EXPECT_NE(r.output.find("asyncmac_cli: " + flag + " "), std::string::npos)
+        << r.output;
+    EXPECT_FALSE(std::filesystem::exists(temp_ + "t")) << "telemetry opened";
+    EXPECT_FALSE(std::filesystem::exists(temp_ + "side")) << "path created";
+    ++refused;
+  }
+  EXPECT_GT(refused, 20);
+}
+
+// An invocation carrying every flag the mode reads is not refused. The
+// blocking modes meet an unreachable port, a 1 ms idle timeout or a
+// trailing --help.
+TEST_P(CliModeMatrix, AcceptsEveryFlagItReads) {
+  const ModeCase& mode = GetParam();
+  const std::string accept = expand(mode.accept, temp_);
+  for (const std::string& flag : mode.reads) {
+    const bool value =
+        std::find(kSwitches.begin(), kSwitches.end(), flag) == kSwitches.end();
+    EXPECT_NE(accept.find(flag + (value ? "=" : "")), std::string::npos)
+        << flag << " missing from " << accept;
+  }
+  if (!mode.setup.empty()) {
+    ASSERT_EQ(run_cli(expand(mode.setup, temp_)).status, 0);
+  }
+  SCOPED_TRACE(accept);
+  const RunResult r = run_cli(accept);
+  EXPECT_TRUE(r.exited) << r.output;
+  EXPECT_EQ(r.status, mode.accept_status) << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CliModeMatrix, ::testing::ValuesIn(mode_cases()),
+    [](const ::testing::TestParamInfo<ModeCase>& p) { return p.param.name; });
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -429,6 +431,56 @@ TEST_F(SweepServiceTest, DistributedRunResumesAPartialManifest) {
       dir, analysis::grid_fingerprint(spec), done2, records2);
   EXPECT_EQ(n_done, plan.cells.size());
   expect_records_identical(records2, control);
+  fs::remove_all(dir);
+}
+
+// A checkpoint directory that does not exist yet is created, as
+// analysis::run_grid creates its own, and every result is merged into it.
+TEST_F(SweepServiceTest, MissingManifestDirectoryIsCreated) {
+  namespace fs = std::filesystem;
+  const std::string dir = "sweep_service_manifest_new/nested";
+  fs::remove_all("sweep_service_manifest_new");
+  CoordinatorConfig cfg = fast_config(grid_job());
+  cfg.checkpoint_dir = dir;
+  Coordinator coord(cfg);
+  LoopbackNet net(coord);
+  WorkerSession w;
+  net.attach(w);
+  ASSERT_TRUE(net.run());
+  const analysis::ExperimentSpec spec = small_spec();
+  const analysis::GridPlan plan = analysis::plan_grid(spec);
+  std::vector<std::uint8_t> done(plan.cells.size(), 0);
+  std::vector<analysis::ExperimentRecord> records(plan.cells.size());
+  EXPECT_EQ(analysis::load_grid_manifest(dir, analysis::grid_fingerprint(spec),
+                                         done, records),
+            plan.cells.size());
+  fs::remove_all("sweep_service_manifest_new");
+}
+
+// A manifest the coordinator cannot write is its own failure: it leaves
+// the run as a plain runtime_error, not as a SnapshotError that would be
+// taken for the worker's malformed frame and sever the worker.
+TEST_F(SweepServiceTest, ManifestWriteFailureIsNotBlamedOnTheWorker) {
+  namespace fs = std::filesystem;
+  const std::string dir = "sweep_service_manifest_gone";
+  fs::remove_all(dir);
+  CoordinatorConfig cfg = fast_config(grid_job());
+  cfg.checkpoint_dir = dir;
+  Coordinator coord(cfg);
+  fs::remove_all(dir);
+  std::ofstream(dir) << "a regular file now\n";
+  LoopbackNet net(coord);
+  WorkerSession w;
+  net.attach(w);
+  try {
+    (void)net.run();
+    ADD_FAILURE() << "expected the manifest write to fail the run";
+  } catch (const SnapshotError& e) {
+    ADD_FAILURE() << "a SnapshotError reads as a malformed frame: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("grid manifest"), std::string::npos)
+        << e.what();
+  }
   fs::remove_all(dir);
 }
 

@@ -137,30 +137,28 @@ TEST(SweepTcp, WorkerAfterCompletionGetsCleanShutdown) {
 }
 
 TEST(SweepTcp, ServeThrowsWhenPortTaken) {
-  // Hold a port with one listener, then ask serve() to bind the same one.
-  std::promise<std::uint16_t> port_promise;
-  auto port_future = port_promise.get_future();
+  // Hold a port with a plain listening socket, then ask serve() to bind
+  // the same one. Nothing here runs a unit, so a broken engine cannot
+  // keep this test waiting.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
 
-  CoordinatorConfig cfg;
-  cfg.job.kind = JobKind::kGrid;
-  cfg.job.grid = small_spec();
-
-  ServeOptions first;
-  first.coord = cfg;
-  first.tick_ms = 20;
-  first.on_listening = [&](std::uint16_t p) { port_promise.set_value(p); };
-
-  std::thread server([&] { (void)serve(first); });
-  const std::uint16_t port = port_future.get();
-
-  ServeOptions second;
-  second.coord = cfg;
-  second.port = port;
-  EXPECT_THROW((void)serve(second), std::runtime_error);
-
-  // Unblock and finish the first server with a real worker.
-  EXPECT_EQ(run_worker({"127.0.0.1", port, "closer"}), 0);
-  server.join();
+  ServeOptions opt;
+  opt.coord.job.kind = JobKind::kGrid;
+  opt.coord.job.grid = small_spec();
+  opt.port = ntohs(addr.sin_port);
+  EXPECT_THROW((void)serve(opt), std::runtime_error);
+  ::close(holder);
 }
 
 }  // namespace

@@ -7,18 +7,24 @@
 //                --burst=16 --policy=perstation --horizon=100000
 //   (one command line; wrapped here for width)
 //
-// `asyncmac_cli --help` prints the full flag reference (print_help below
-// is the single source of truth; the help smoke tests in
-// tools/CMakeLists.txt pin its coverage). Modes:
+// Modes, picked by the subcommand word and then a selector flag before
+// any flag value is parsed:
 //
 //   (default)           one simulation run, stats as text or --json
 //   --grid              experiment grid over comma-list dimensions
 //   --msr               Max Stable Rate estimate
 //   resume <ckpt>       continue a run from a checkpoint file
-//   fuzz [...]          property-fuzzing campaign (src/verify/)
+//   fuzz [...]          property-fuzzing campaign (src/verify/); --repro,
+//                       --case-seed and --emit-case select its other modes
 //   stats <jsonl>       summarize a telemetry JSONL stream
 //   serve [...]         distributed-sweep coordinator (src/sweep/)
 //   worker --port=P     distributed-sweep worker
+//   live-serve [...]    live channel-emulator daemon (src/live/)
+//   live-station [...]  one live station
+//
+// kFlags is the one flag table. Each row names the modes that read the
+// flag; one parse loop serves every mode and refuses a flag the chosen
+// mode would ignore, and `--help` prints the rows.
 //
 // Checkpointing (docs/CHECKPOINT.md): a single run with
 // --checkpoint-every=K --checkpoint-dir=D autosaves rotating snapshots
@@ -28,19 +34,20 @@
 // the first incomplete cell.
 //
 // Exit code 0 on success; 1 on fuzz violations / failed replay / bad
-// checkpoint; 2 on bad usage.
-#include <algorithm>
+// checkpoint / an output that cannot be written; 2 on bad usage.
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -68,39 +75,6 @@ namespace {
 using namespace asyncmac;
 constexpr Tick U = kTicksPerUnit;
 
-struct Options {
-  // Run flags (parse_run_flag), shared by single runs, --grid, --msr,
-  // serve and live-serve. The dimensions stay text until a mode reads
-  // them: comma lists for --grid and serve (make_grid_spec), one value
-  // elsewhere (check_scalar_dims).
-  std::string protocol = "ao-arrow";
-  std::string n_list = "4";
-  std::string r_list = "2";
-  std::string rho_list = "0.5";
-  std::string policy = "perstation";
-  std::optional<std::string> pattern;  ///< unset = roundrobin
-  Tick burst_units = 16;
-  Tick horizon_units = 100000;
-  std::uint64_t seed = 1;
-  channel::RestrainedSpec restrained;
-  energy::EnergyModel energy;
-  std::string telemetry_path;
-  // The scalar dimensions, set by check_scalar_dims.
-  std::uint32_t n = 4;
-  std::uint32_t r = 2;
-  double rho = 0.5;
-  // Mode flags.
-  bool json = false;
-  Tick trace_units = 0;
-  bool msr = false;
-  bool grid = false;
-  int seeds = 1;
-  unsigned jobs = 0;
-  std::string csv_path;
-  std::uint64_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-};
-
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
   std::size_t from = 0;
@@ -118,168 +92,6 @@ std::vector<std::string> split_list(const std::string& s) {
   std::cerr << "asyncmac_cli: " << error
             << "\nrun `asyncmac_cli --help` for the full flag reference\n";
   std::exit(2);
-}
-
-// The complete flag reference, covering every mode and subcommand. The
-// help smoke tests (tools/CMakeLists.txt) pin that run/grid/msr/fuzz/
-// stats/resume and the checkpoint/telemetry flags all appear here — keep
-// it in sync when adding flags.
-[[noreturn]] void print_help() {
-  std::cout <<
-      "asyncmac_cli - discrete-event MAC simulator driver\n"
-      "\n"
-      "usage:\n"
-      "  asyncmac_cli [run flags]              one simulation run\n"
-      "  asyncmac_cli --grid [run flags]       experiment grid sweep\n"
-      "  asyncmac_cli --msr [run flags]        Max Stable Rate estimate\n"
-      "  asyncmac_cli resume <ckpt|dir> [...]  continue a checkpointed run\n"
-      "                 (a directory resumes its newest ckpt-*.snap)\n"
-      "  asyncmac_cli fuzz [fuzz flags]        property-fuzzing campaign\n"
-      "  asyncmac_cli stats <file> [--top=N]   summarize telemetry JSONL\n"
-      "  asyncmac_cli serve [serve flags]      distributed-sweep coordinator\n"
-      "  asyncmac_cli worker --port=P          distributed-sweep worker\n"
-      "  asyncmac_cli live-serve [...]         live channel-emulator daemon\n"
-      "  asyncmac_cli live-station [...]       live station client\n"
-      "  asyncmac_cli --help                   this reference\n"
-      "\n"
-      "run flags (single run, --msr, --grid, serve and live-serve):\n"
-      "  --protocol=P   ao-arrow | ca-arrow | adaptive-abs | abs | rrw |\n"
-      "                 mbtf | aloha | beb | csma-lbt | silence-tdma |\n"
-      "                 sync-binary-le | listen | tree-resolution\n"
-      "                 (default ao-arrow)\n"
-      "  --n=N          stations (default 4)\n"
-      "  --r=R          asynchrony bound R >= 1 (default 2)\n"
-      "  --rho=F        injection rate in [0, 1] (default 0.5)\n"
-      "  --burst=B      burstiness in time units (default 16)\n"
-      "  --policy=S     sync | max | perstation | cyclic | random |\n"
-      "                 stretch-tx (default perstation)\n"
-      "  --horizon=T    simulated time units (default 100000)\n"
-      "  --seed=S       master seed (default 1)\n"
-      "  --telemetry=P  stream run telemetry as JSONL to P (never changes\n"
-      "                 simulation results; see docs/OBSERVABILITY.md)\n"
-      "  --restrained-k=K[:jam|reject]  k-restrained channel: at most K\n"
-      "                 concurrent transmissions; over-capacity ones jam\n"
-      "                 (sent anyway, guaranteed collision; default) or\n"
-      "                 are rejected (suppressed). 0 = unrestrained\n"
-      "  --energy-model=TX:LISTEN:SLEEP  per-slot energy accounting with\n"
-      "                 the three integer costs (transmit / listen with a\n"
-      "                 non-empty queue / idle-sleep); observation-only,\n"
-      "                 never changes simulation results (docs/ENERGY.md)\n"
-      "\n"
-      "single-run flags (single run, --msr and live-serve; not --grid or\n"
-      "serve, whose cells always inject round-robin saturating traffic):\n"
-      "  --pattern=S    roundrobin | single | random | maxqueue (default\n"
-      "                 roundrobin)\n"
-      "  --json         print stats as JSON instead of text\n"
-      "  --trace=T      also render the first T time units of the schedule\n"
-      "\n"
-      "checkpoint flags (single run and --grid; serve takes --checkpoint-dir):\n"
-      "  --checkpoint-every=K  single run: autosave a snapshot every K\n"
-      "                 slot events (requires --checkpoint-dir)\n"
-      "  --checkpoint-dir=D    single run: rotating snapshot directory;\n"
-      "                 grid: per-cell manifest directory for resumable\n"
-      "                 sweeps (see docs/CHECKPOINT.md)\n"
-      "\n"
-      "grid flags (--grid; --protocol/--n/--r/--rho/--policy take comma\n"
-      "lists and the cross product x --seeds replications runs on --jobs\n"
-      "workers, see analysis/experiment.h):\n"
-      "  --seeds=K      seed replications per cell (default 1); the\n"
-      "                 replicas of a cell that draws from no seed (not\n"
-      "                 aloha/beb/csma-lbt, not policy random) are\n"
-      "                 computed once\n"
-      "  --jobs=J       worker threads, 0 = all cores (default 0);\n"
-      "                 records are byte-identical for every J\n"
-      "  --csv=PATH     also write the records as CSV\n"
-      "\n"
-      "resume flags (after: asyncmac_cli resume path/to/ckpt.snap or the\n"
-      "autosave directory):\n"
-      "  --horizon=T    run to T time units instead of the checkpoint's\n"
-      "                 recorded horizon\n"
-      "  --json / --trace=T / --telemetry=P   as in run mode\n"
-      "  --checkpoint-dir=D    keep autosaving into D (cadence comes from\n"
-      "                 the checkpoint's own --checkpoint-every)\n"
-      "  exit 1 with a typed error (io/truncated/bad-magic/bad-version/\n"
-      "  bad-crc/corrupt/mismatch) when the file cannot be resumed\n"
-      "\n"
-      "fuzz flags (two-token `--flag value` form also accepted):\n"
-      "  --seed=S         campaign seed; case K's seed derives from it\n"
-      "  --cases=K        generated cases (default 1000)\n"
-      "  --jobs=J         worker threads, 0 = all cores (default 0)\n"
-      "  --time-budget=T  wall-clock cap in seconds, 0 = unlimited\n"
-      "  --protocol=LIST  restrict the generated protocol pool\n"
-      "  --no-shrink      skip counterexample minimization\n"
-      "  --repro-out=P    failure repro path (default\n"
-      "                   asyncmac_fuzz_repro.json)\n"
-      "  --repro=FILE     replay a repro file instead of a campaign\n"
-      "  --case-seed=X    run the one scenario case seed X derives\n"
-      "  --emit-case=I    pin campaign case I as a clean repro\n"
-      "  --telemetry=P    stream campaign telemetry as JSONL to P\n"
-      "  --checkpoint=P   write a resumable chunk cursor to P; a rerun\n"
-      "                   with the same campaign resumes after the last\n"
-      "                   completed chunk (docs/CHECKPOINT.md)\n"
-      "\n"
-      "stats flags:\n"
-      "  --top=N        show the top N counters (default 20)\n"
-      "\n"
-      "serve flags (coordinator; sweep dimensions as in --grid, see\n"
-      "docs/DISTRIBUTED.md — stdout and --csv are byte-identical to the\n"
-      "same sweep run locally with --grid):\n"
-      "  --port=P             listen port; 0 = ephemeral (default 0)\n"
-      "  --port-file=PATH     write the bound port to PATH (scripts/CI)\n"
-      "  --lease-timeout-ms=T reassign a leased unit after T ms without\n"
-      "                       worker liveness (default 10000)\n"
-      "  --heartbeat-ms=T     heartbeat cadence asked of workers\n"
-      "                       (default 1000)\n"
-      "  --seeds=K / --csv=PATH / --checkpoint-dir=D / --telemetry=P\n"
-      "                       as in --grid mode\n"
-      "  --fuzz --cases=K     distribute a fuzz campaign (chunked cases)\n"
-      "                       instead of a grid; --seed seeds it; it\n"
-      "                       takes no grid flag (--protocol, --n,\n"
-      "                       --seeds, --csv, --checkpoint-dir, ...), and\n"
-      "                       a grid serve takes no --cases\n"
-      "\n"
-      "worker flags (joins a coordinator, computes leased units until the\n"
-      "sweep completes; safe to kill — its leases are reassigned):\n"
-      "  --host=H       coordinator host (default 127.0.0.1)\n"
-      "  --port=P       coordinator port (required)\n"
-      "  --name=S       worker name for coordinator-side logs\n"
-      "\n"
-      "live-serve flags (run flags above select the scenario; docs/LIVE.md;\n"
-      "stations connect over loopback UDP unless --virtual; the stability\n"
-      "verdict goes to stderr, stdout matches run mode byte-for-byte):\n"
-      "  --virtual            daemon + stations in-process on a virtual\n"
-      "                       clock (deterministic differential mode)\n"
-      "  --port=P             UDP listen port; 0 = ephemeral (default 0)\n"
-      "  --port-file=PATH     write the bound port to PATH (scripts/CI)\n"
-      "  --unit-us=N          wall microseconds per time unit (default\n"
-      "                       1000); stations must use the same value\n"
-      "  --idle-timeout-ms=T  exit 1 after T ms without a datagram\n"
-      "                       (default 30000)\n"
-      "  --emu-loss=F         per-datagram drop probability in [0, 1)\n"
-      "  --emu-delay-us=N     fixed one-way latency (microseconds)\n"
-      "  --emu-jitter-us=N    extra uniform latency in [0, N] us\n"
-      "  --emu-seed=S         emulation rng seed (default 1)\n"
-      "\n"
-      "live-station flags (one protocol automaton joining a live-serve\n"
-      "daemon; exits 0 when the daemon fins the run cleanly):\n"
-      "  --host=H         daemon host (default 127.0.0.1)\n"
-      "  --port=P         daemon UDP port (required)\n"
-      "  --id=I           station id in 1..n (required)\n"
-      "  --name=S         station name (default station-I)\n"
-      "  --unit-us=N      must match the daemon's (default 1000)\n"
-      "  --retry-units=T  reply timeout before a retransmit (default 64)\n"
-      "  --max-retries=K  unanswered retransmits before giving up\n"
-      "                   (default 25)\n"
-      "\n"
-      "exit codes: 0 success; 1 fuzz violations, failed replay or bad\n"
-      "checkpoint; 2 bad usage\n";
-  std::exit(0);
-}
-
-// Turn telemetry on (all instruments + JSONL streaming to `path`).
-// Exits with usage() if the file cannot be opened.
-void enable_telemetry_or_die(const std::string& path) {
-  if (!telemetry::enable_to_file(path)) usage("cannot write " + path);
 }
 
 // ---- strict argv numeric parsing (util/parse.h) -----------------------
@@ -359,41 +171,458 @@ energy::EnergyModel parse_energy_arg(const std::string& v) {
   return model;
 }
 
-/// The run flags single runs, --grid, --msr, serve and live-serve share,
-/// so every mode spells a run the same way. Returns false when `arg` is
-/// not one of them.
-bool parse_run_flag(const std::string& arg, Options& opt) {
-  const std::size_t eq = arg.find('=');
-  if (eq == std::string::npos) return false;
-  const std::string flag = arg.substr(0, eq);
-  const std::string v = arg.substr(eq + 1);
-  if (flag == "--protocol")
-    opt.protocol = v;
-  else if (flag == "--n")
-    opt.n_list = v;
-  else if (flag == "--r")
-    opt.r_list = v;
-  else if (flag == "--rho")
-    opt.rho_list = v;
-  else if (flag == "--burst")
-    opt.burst_units = arg_units(v, "--burst");
-  else if (flag == "--policy")
-    opt.policy = v;
-  else if (flag == "--pattern")
-    opt.pattern = v;
-  else if (flag == "--horizon")
-    opt.horizon_units = arg_units(v, "--horizon");
-  else if (flag == "--seed")
-    opt.seed = arg_u64(v, "--seed");
-  else if (flag == "--telemetry")
-    opt.telemetry_path = v;
-  else if (flag == "--restrained-k")
-    opt.restrained = parse_restrained_arg(v);
-  else if (flag == "--energy-model")
-    opt.energy = parse_energy_arg(v);
-  else
-    return false;
-  return true;
+// ------------------------------------------------------------- the modes
+
+enum Mode : unsigned {
+  kRun, kGrid, kMsr, kResume, kFuzz, kFuzzRepro, kFuzzCase, kFuzzEmit,
+  kStats, kServe, kServeFuzz, kWorker, kLiveUdp, kLiveVirtual, kLiveStation,
+};
+constexpr unsigned kModeCount = kLiveStation + 1;
+/// How help and refusals name each mode: its subcommand word and selector.
+constexpr const char* kModeNames[kModeCount] = {
+    "run", "--grid", "--msr", "resume", "fuzz", "fuzz --repro",
+    "fuzz --case-seed", "fuzz --emit-case", "stats", "serve",
+    "serve --fuzz", "worker", "live-serve", "live-serve --virtual",
+    "live-station"};
+
+using Modes = std::uint32_t;  ///< a set of modes, one bit per Mode
+constexpr Modes bit(unsigned mode) { return Modes{1} << mode; }
+constexpr Modes of(std::initializer_list<Mode> ms) {
+  Modes out = 0;
+  for (const Mode m : ms) out |= bit(m);
+  return out;
+}
+constexpr Modes kAllModes = bit(kModeCount) - 1;
+constexpr Modes kLive = of({kLiveUdp, kLiveVirtual});
+/// The modes that describe simulator runs and so read the run flags.
+constexpr Modes kRunModes = of({kRun, kGrid, kMsr, kServe}) | kLive;
+constexpr Modes kGridModes = of({kGrid, kServe});
+constexpr Modes kReportModes = of({kRun, kResume}) | kLive;
+constexpr Modes kServeModes = of({kServe, kServeFuzz});
+constexpr Modes kFuzzPool = of({kFuzz, kFuzzCase, kFuzzEmit});
+
+/// A subcommand's selector flags: each picks one mode of its family.
+struct Selector {
+  Mode family;
+  const char* flag;
+  Mode mode;
+};
+constexpr Selector kSelectors[] = {
+    {kRun, "--grid", kGrid},           {kRun, "--msr", kMsr},
+    {kFuzz, "--repro", kFuzzRepro},    {kFuzz, "--case-seed", kFuzzCase},
+    {kFuzz, "--emit-case", kFuzzEmit}, {kServe, "--fuzz", kServeFuzz},
+    {kLiveUdp, "--virtual", kLiveVirtual}};
+
+constexpr Tick kRunHorizonUnits = 100000;
+
+/// Every mode's settings. The run dimensions stay text until a mode reads
+/// them: comma lists for --grid and serve (make_grid_spec), one value
+/// elsewhere (check_scalar_dims).
+struct Options {
+  Mode mode = kRun;
+  std::string path;  ///< resume's checkpoint, stats' telemetry file
+  // Run flags.
+  std::string protocol = "ao-arrow";
+  std::string n_list = "4";
+  std::string r_list = "2";
+  std::string rho_list = "0.5";
+  std::string policy = "perstation";
+  std::optional<std::string> pattern;  ///< unset = roundrobin
+  Tick burst_units = 16;
+  std::optional<Tick> horizon_units;  ///< unset: kRunHorizonUnits, or
+                                      ///< resume's recorded horizon
+  std::uint64_t seed = 1;
+  channel::RestrainedSpec restrained;
+  energy::EnergyModel energy;
+  std::string telemetry_path;
+  // The scalar dimensions, set by check_scalar_dims.
+  std::uint32_t n = 4;
+  std::uint32_t r = 2;
+  double rho = 0.5;
+  // Reports, grids and checkpoints.
+  bool json = false;
+  Tick trace_units = 0;
+  int seeds = 1;
+  unsigned jobs = 0;
+  std::string csv_path;
+  std::uint64_t checkpoint_every = 0;
+  std::string checkpoint_dir;
+  // fuzz and stats.
+  std::vector<std::string> pool;  ///< empty = every fuzzable protocol
+  std::uint64_t cases = 1000;
+  int time_budget = 0;
+  bool shrink = true;
+  std::string repro_out = "asyncmac_fuzz_repro.json";
+  std::string repro_in;
+  std::uint64_t case_seed = 0;
+  std::uint64_t emit_case = 0;
+  std::string campaign_checkpoint;
+  std::size_t top = 20;
+  // serve, worker, live-serve and live-station.
+  std::uint16_t port = 0;  ///< listening: 0 = ephemeral; connecting: required
+  std::string port_file;
+  std::uint64_t lease_timeout_ms = 10000;
+  std::uint64_t heartbeat_ms = 1000;
+  std::string host = "127.0.0.1";
+  std::optional<std::string> name;  ///< unset: worker, or station-<id>
+  std::uint64_t unit_us = 1000;
+  std::uint64_t idle_timeout_ms = 30000;
+  double emu_loss = 0.0;
+  std::uint64_t emu_delay_us = 0;
+  std::uint64_t emu_jitter_us = 0;
+  std::uint64_t emu_seed = 1;
+  std::optional<std::uint32_t> id;
+  Tick retry_units = 64;
+  int max_retries = 25;
+};
+
+[[noreturn]] void print_help();
+
+/// Parses a flag's value into Options; `flag` names it in errors.
+using Setter = void (*)(Options&, const std::string& value, const char* flag);
+
+// Setters for one Options field each, by the field's value type.
+template <auto F>
+void text(Options& o, const std::string& v, const char*) {
+  o.*F = v;
+}
+template <auto F>
+void u64(Options& o, const std::string& v, const char* flag) {
+  o.*F = arg_u64(v, flag);
+}
+template <auto F>
+void u32(Options& o, const std::string& v, const char* flag) {
+  o.*F = arg_u32(v, flag);
+}
+/// A count an int holds: --seeds, --time-budget, --max-retries.
+template <auto F>
+void count(Options& o, const std::string& v, const char* flag) {
+  o.*F = static_cast<int>(arg_u32(v, flag, INT32_MAX));
+}
+template <auto F>
+void units(Options& o, const std::string& v, const char* flag) {
+  o.*F = arg_units(v, flag);
+}
+void port(Options& o, const std::string& v, const char* flag) {
+  o.port = static_cast<std::uint16_t>(arg_u32(v, flag, 65535));
+}
+
+/// One row of the flag table. A flag whose meaning differs by mode has
+/// one row per meaning, with disjoint mode sets.
+struct Flag {
+  const char* name;
+  const char* metavar;  ///< nullptr: a switch, which takes no value
+  Modes modes;          ///< the modes that read it; the rest refuse it
+  Setter set;           ///< nullptr: a selector, read by parse_args
+  const char* help;
+};
+
+const Flag kFlags[] = {
+    // The run flags.
+    {"--protocol", "P", kRunModes, text<&Options::protocol>,
+     "ao-arrow | ca-arrow | adaptive-abs | abs | rrw | mbtf | aloha | beb | "
+     "csma-lbt | silence-tdma | sync-binary-le | listen | tree-resolution "
+     "(default ao-arrow)"},
+    {"--n", "N", kRunModes, text<&Options::n_list>, "stations (default 4)"},
+    {"--r", "R", kRunModes, text<&Options::r_list>,
+     "asynchrony bound R >= 1 (default 2)"},
+    {"--rho", "F", kRunModes & ~of({kMsr}), text<&Options::rho_list>,
+     "injection rate in [0, 1] (default 0.5)"},
+    {"--burst", "B", kRunModes, units<&Options::burst_units>,
+     "burstiness in time units (default 16)"},
+    {"--policy", "S", kRunModes, text<&Options::policy>,
+     "sync | max | perstation | cyclic | random | stretch-tx (default "
+     "perstation)"},
+    {"--pattern", "S", kRunModes & ~kGridModes, text<&Options::pattern>,
+     "roundrobin | single | random | maxqueue (default roundrobin); grid "
+     "cells always inject round-robin saturating traffic"},
+    {"--horizon", "T", kRunModes, units<&Options::horizon_units>,
+     "simulated time units (default 100000)"},
+    {"--seed", "S", kRunModes, u64<&Options::seed>, "master seed (default 1)"},
+    {"--restrained-k", "K[:jam|reject]", kRunModes,
+     [](Options& o, const std::string& v, const char*) {
+       o.restrained = parse_restrained_arg(v);
+     },
+     "k-restrained channel: at most K concurrent transmissions; "
+     "over-capacity ones jam (sent anyway, guaranteed collision; default) "
+     "or are rejected (suppressed). 0 = unrestrained"},
+    {"--energy-model", "TX:LISTEN:SLEEP", kRunModes & ~of({kMsr}),
+     [](Options& o, const std::string& v, const char*) {
+       o.energy = parse_energy_arg(v);
+     },
+     "per-slot energy accounting with the three integer costs (transmit / "
+     "listen with a non-empty queue / idle-sleep); observation-only, never "
+     "changes simulation results (docs/ENERGY.md)"},
+    {"--telemetry", "P", kAllModes & ~of({kStats, kWorker, kLiveStation}),
+     text<&Options::telemetry_path>,
+     "stream telemetry as JSONL to P (never changes results; "
+     "docs/OBSERVABILITY.md)"},
+    // Reports.
+    {"--json", nullptr, kReportModes,
+     [](Options& o, const std::string&, const char*) { o.json = true; },
+     "print stats as JSON instead of text"},
+    {"--trace", "T", kReportModes, units<&Options::trace_units>,
+     "also render the first T time units of the schedule"},
+    // Grids and the MSR estimate.
+    {"--grid", nullptr, of({kGrid}), nullptr,
+     "run the cross product of the comma lists --protocol, --n, --r, --rho "
+     "and --policy, times --seeds replications (analysis/experiment.h)"},
+    {"--msr", nullptr, of({kMsr}), nullptr,
+     "estimate the Max Stable Rate: a binary search over rho"},
+    {"--seeds", "K", kGridModes, count<&Options::seeds>,
+     "seed replications per cell (default 1); the replicas of a cell that "
+     "draws from no seed (not aloha/beb/csma-lbt, not policy random) are "
+     "computed once"},
+    {"--jobs", "J", of({kGrid, kFuzz}), u32<&Options::jobs>,
+     "worker threads, 0 = all cores (default 0); results are "
+     "byte-identical for every J"},
+    {"--csv", "PATH", kGridModes, text<&Options::csv_path>,
+     "also write the records as CSV"},
+    // Checkpoints (docs/CHECKPOINT.md).
+    {"--checkpoint-every", "K", of({kRun}), u64<&Options::checkpoint_every>,
+     "autosave a snapshot every K slot events (needs --checkpoint-dir)"},
+    {"--checkpoint-dir", "D", of({kRun}), text<&Options::checkpoint_dir>,
+     "rotating snapshot directory (needs --checkpoint-every)"},
+    {"--checkpoint-dir", "D", kGridModes, text<&Options::checkpoint_dir>,
+     "per-cell manifest directory: a rerun of an interrupted sweep "
+     "restarts at its first incomplete cell"},
+    {"--horizon", "T", of({kResume}), units<&Options::horizon_units>,
+     "run to T time units instead of the checkpoint's recorded horizon"},
+    {"--checkpoint-dir", "D", of({kResume}), text<&Options::checkpoint_dir>,
+     "keep autosaving into D, at the checkpoint's own --checkpoint-every"},
+    // fuzz (src/verify/).
+    {"--seed", "S", of({kFuzz, kFuzzEmit, kServeFuzz}), u64<&Options::seed>,
+     "campaign seed; case K's seed derives from it (default 1)"},
+    {"--cases", "K", of({kFuzz, kServeFuzz}), u64<&Options::cases>,
+     "generated cases (default 1000)"},
+    {"--time-budget", "T", of({kFuzz}), count<&Options::time_budget>,
+     "wall-clock cap in seconds, 0 = unlimited"},
+    {"--protocol", "LIST", kFuzzPool,
+     [](Options& o, const std::string& v, const char*) {
+       o.pool = split_list(v);
+     },
+     "restrict the generated protocol pool"},
+    {"--no-shrink", nullptr, of({kFuzz}),
+     [](Options& o, const std::string&, const char*) { o.shrink = false; },
+     "skip counterexample minimization"},
+    {"--repro-out", "P", of({kFuzz, kFuzzEmit}), text<&Options::repro_out>,
+     "failure repro path (default asyncmac_fuzz_repro.json)"},
+    {"--checkpoint", "P", of({kFuzz}), text<&Options::campaign_checkpoint>,
+     "write a resumable chunk cursor to P; a rerun with the same campaign "
+     "resumes after the last completed chunk (docs/CHECKPOINT.md)"},
+    {"--repro", "FILE", of({kFuzzRepro}), text<&Options::repro_in>,
+     "replay a repro file instead of a campaign"},
+    {"--case-seed", "X", of({kFuzzCase}), u64<&Options::case_seed>,
+     "run the one scenario case seed X derives"},
+    {"--emit-case", "I", of({kFuzzEmit}), u64<&Options::emit_case>,
+     "pin campaign case I as a clean repro"},
+    {"--top", "N", of({kStats}), u64<&Options::top>,
+     "show the top N counters (default 20)"},
+    // serve and worker (docs/DISTRIBUTED.md).
+    {"--fuzz", nullptr, of({kServeFuzz}), nullptr,
+     "distribute a fuzz campaign (chunked cases) instead of a grid"},
+    {"--port", "P", kServeModes | of({kLiveUdp}), port,
+     "listen port (TCP for serve, UDP for live-serve); 0 = ephemeral "
+     "(default 0)"},
+    {"--port-file", "PATH", kServeModes | of({kLiveUdp}),
+     text<&Options::port_file>, "write the bound port to PATH (scripts/CI)"},
+    {"--lease-timeout-ms", "T", kServeModes, u64<&Options::lease_timeout_ms>,
+     "reassign a leased unit after T ms without worker liveness (default "
+     "10000)"},
+    {"--heartbeat-ms", "T", kServeModes, u64<&Options::heartbeat_ms>,
+     "heartbeat cadence asked of workers (default 1000)"},
+    {"--port", "P", of({kWorker, kLiveStation}), port,
+     "the coordinator's (worker) or daemon's (live-station) port "
+     "(required)"},
+    {"--host", "H", of({kWorker, kLiveStation}), text<&Options::host>,
+     "the coordinator's or daemon's host (default 127.0.0.1)"},
+    {"--name", "S", of({kWorker, kLiveStation}), text<&Options::name>,
+     "name in the peer's logs (default worker, or station-I)"},
+    // live-serve and live-station (docs/LIVE.md).
+    {"--virtual", nullptr, of({kLiveVirtual}), nullptr,
+     "daemon and stations in-process on a virtual clock (deterministic "
+     "differential mode)"},
+    {"--unit-us", "N", kLive | of({kLiveStation}), u64<&Options::unit_us>,
+     "wall microseconds per time unit (default 1000); the daemon and its "
+     "stations must agree"},
+    {"--idle-timeout-ms", "T", of({kLiveUdp}), u64<&Options::idle_timeout_ms>,
+     "exit 1 after T ms without a datagram (default 30000)"},
+    {"--emu-loss", "F", kLive,
+     [](Options& o, const std::string& v, const char* flag) {
+       o.emu_loss = arg_finite(v, flag);
+     },
+     "per-datagram drop probability in [0, 1)"},
+    {"--emu-delay-us", "N", kLive, u64<&Options::emu_delay_us>,
+     "fixed one-way latency (microseconds)"},
+    {"--emu-jitter-us", "N", kLive, u64<&Options::emu_jitter_us>,
+     "extra uniform latency in [0, N] microseconds"},
+    {"--emu-seed", "S", kLive, u64<&Options::emu_seed>,
+     "emulation rng seed (default 1)"},
+    {"--id", "I", of({kLiveStation}), u32<&Options::id>,
+     "station id in 1..n (required)"},
+    {"--retry-units", "T", of({kLiveStation}), units<&Options::retry_units>,
+     "reply timeout before a retransmit (default 64)"},
+    {"--max-retries", "K", of({kLiveStation}), count<&Options::max_retries>,
+     "unanswered retransmits before giving up (default 25)"},
+    {"--help", nullptr, kAllModes,
+     [](Options&, const std::string&, const char*) { print_help(); },
+     "print this reference (also -h, or `asyncmac_cli help`)"},
+};
+
+std::string mode_list(Modes modes) {
+  std::string out;
+  for (unsigned m = 0; m < kModeCount; ++m)
+    if (modes & bit(m))
+      out += (out.empty() ? "" : ", ") + std::string(kModeNames[m]);
+  return out;
+}
+
+[[noreturn]] void print_help() {
+  std::cout <<
+      "asyncmac_cli - discrete-event MAC simulator driver\n"
+      "\n"
+      "usage:\n"
+      "  asyncmac_cli [run flags]              one simulation run\n"
+      "  asyncmac_cli --grid [run flags]       experiment grid sweep\n"
+      "  asyncmac_cli --msr [run flags]        Max Stable Rate estimate\n"
+      "  asyncmac_cli resume <ckpt|dir> [...]  continue a checkpointed run\n"
+      "                 (a directory resumes its newest ckpt-*.snap)\n"
+      "  asyncmac_cli fuzz [fuzz flags]        property-fuzzing campaign\n"
+      "  asyncmac_cli stats <file> [--top=N]   summarize telemetry JSONL\n"
+      "  asyncmac_cli serve [serve flags]      distributed-sweep coordinator\n"
+      "  asyncmac_cli worker --port=P          distributed-sweep worker\n"
+      "  asyncmac_cli live-serve [...]         live channel-emulator daemon\n"
+      "  asyncmac_cli live-station [...]       live station client\n"
+      "  asyncmac_cli --help                   this reference\n"
+      "\n"
+      "`resume` exits 1 with a typed error (io, truncated, bad-magic,\n"
+      "bad-version, bad-crc, corrupt, mismatch) when a file cannot be\n"
+      "resumed. `serve` prints the stdout and --csv the same sweep prints\n"
+      "under --grid, and a killed worker's leases are reassigned.\n"
+      "`live-serve` prints what run mode prints, and its stability verdict\n"
+      "on stderr; `live-station` exits 0 when the daemon ends the run.\n"
+      "\n"
+      "flags (a value flag takes --flag=V or --flag V; each flag lists the\n"
+      "modes that read it, and every other mode refuses it):\n";
+  constexpr std::size_t kIndent = 24;
+  constexpr std::size_t kWidth = 78;
+  for (const Flag& f : kFlags) {
+    // The help words, then the mode names, each kept on one line.
+    std::vector<std::string> words;
+    std::istringstream help(f.help);
+    for (std::string w; help >> w;) words.push_back(w);
+    const char* open = "[";
+    for (unsigned m = 0; m < kModeCount; ++m)
+      if (f.modes & bit(m)) {
+        words.push_back(open + std::string(kModeNames[m]) + ",");
+        open = "";
+      }
+    words.back().back() = ']';
+    std::string line = "  " + std::string(f.name) +
+                       (f.metavar ? "=" + std::string(f.metavar) : "");
+    if (line.size() >= kIndent) {
+      std::cout << line << "\n";
+      line.clear();
+    }
+    line.resize(kIndent, ' ');
+    bool fresh = true;  // no word on this line yet
+    for (const std::string& w : words) {
+      if (!fresh && line.size() + 1 + w.size() > kWidth) {
+        std::cout << line << "\n";
+        line.assign(kIndent, ' ');
+        fresh = true;
+      }
+      line += (fresh ? "" : " ") + w;
+      fresh = false;
+    }
+    std::cout << line << "\n";
+  }
+  std::cout << "\nexit codes: 0 success; 1 fuzz violations, failed replay, "
+               "bad checkpoint or\nunwritable output; 2 bad usage\n";
+  std::exit(0);
+}
+
+bool takes_value(const std::string& flag) {
+  for (const Flag& f : kFlags)
+    if (flag == f.name) return f.metavar != nullptr;
+  return false;
+}
+
+/// The one argv parser. The mode comes first, from the subcommand word
+/// and the selector flags; then every flag is checked against the modes
+/// its rows name and parsed. Each refusal exits 2 before any side effect.
+Options parse_args(int argc, char** argv) {
+  Options o;
+  int i = 1;
+  if (argc > 1) {
+    const std::string word = argv[1];
+    if (word == "help") print_help();
+    for (const Mode m : {kResume, kFuzz, kStats, kServe, kWorker, kLiveUdp,
+                         kLiveStation})
+      if (word == kModeNames[m]) {
+        o.mode = m;
+        i = 2;
+      }
+  }
+  // (flag, value) pairs; a positional is ("", value). The table says which
+  // flags take a value, so `--flag value` needs no guess.
+  std::vector<std::pair<std::string, std::optional<std::string>>> args;
+  for (; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg == "-h") arg = "--help";
+    const std::size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0)
+      args.emplace_back("", arg);
+    else if (eq != std::string::npos)
+      args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
+    else if (takes_value(arg) && i + 1 < argc)
+      args.emplace_back(arg, argv[++i]);
+    else
+      args.emplace_back(arg, std::nullopt);
+  }
+
+  const Mode family = o.mode;
+  for (const auto& [flag, value] : args)
+    for (const Selector& s : kSelectors)
+      if (s.family == family && flag == s.flag) {
+        if (o.mode != family && o.mode != s.mode)
+          usage(flag + " cannot be combined with " + kModeNames[o.mode]);
+        o.mode = s.mode;
+      }
+
+  for (const auto& [flag, value] : args) {
+    if (flag.empty()) {
+      if (o.mode != kResume && o.mode != kStats)
+        usage("unknown argument: " + *value);
+      if (!o.path.empty())
+        usage(std::string(kModeNames[o.mode]) + " takes one file");
+      o.path = *value;
+      continue;
+    }
+    const Flag* row = nullptr;
+    Modes readers = 0;
+    for (const Flag& f : kFlags)
+      if (flag == f.name) {
+        readers |= f.modes;
+        if (f.modes & bit(o.mode)) row = &f;
+      }
+    if (readers == 0) usage("unknown argument: " + flag);
+    if (row == nullptr)
+      usage(flag + " does not apply to " + kModeNames[o.mode] +
+            " (read by: " + mode_list(readers) + ")");
+    if (row->metavar != nullptr && !value) usage(flag + " needs a value");
+    if (row->metavar == nullptr && value) usage(flag + " takes no value");
+    if (row->set != nullptr) row->set(o, value.value_or(""), row->name);
+  }
+  return o;
+}
+
+// Turn telemetry on (all instruments + JSONL streaming), once a mode's
+// checks have passed. Exits with usage() if the file cannot be opened.
+void start_telemetry(const Options& o) {
+  if (!o.telemetry_path.empty() &&
+      !telemetry::enable_to_file(o.telemetry_path))
+    usage("cannot write " + o.telemetry_path);
 }
 
 /// Single runs, --msr and live-serve describe exactly one run: scalar
@@ -413,67 +642,11 @@ void check_scalar_dims(Options& opt) {
   if (opt.rho < 0 || opt.rho > 1) usage("--rho must lie in [0, 1]");
 }
 
-/// Grids (--grid and serve) always inject round-robin saturating traffic.
-void reject_grid_pattern(const Options& opt) {
-  if (opt.pattern)
-    usage("--pattern does not apply to grids: every grid cell injects "
-          "round-robin saturating traffic");
-}
-
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (parse_run_flag(arg, opt)) continue;
-    if (arg == "--json")
-      opt.json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      opt.trace_units = arg_units(value("--trace="), "--trace");
-    else if (arg == "--msr")
-      opt.msr = true;
-    else if (arg == "--grid")
-      opt.grid = true;
-    else if (arg.rfind("--seeds=", 0) == 0)
-      opt.seeds = static_cast<int>(
-          arg_u32(value("--seeds="), "--seeds", INT32_MAX));
-    else if (arg.rfind("--jobs=", 0) == 0)
-      opt.jobs = arg_u32(value("--jobs="), "--jobs");
-    else if (arg.rfind("--csv=", 0) == 0)
-      opt.csv_path = value("--csv=");
-    else if (arg.rfind("--checkpoint-every=", 0) == 0)
-      opt.checkpoint_every =
-          arg_u64(value("--checkpoint-every="), "--checkpoint-every");
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      opt.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown argument: " + arg);
-  }
-  if (opt.seeds < 1) usage("--seeds must be >= 1");
-  if (opt.checkpoint_every > 0 && opt.checkpoint_dir.empty())
-    usage("--checkpoint-every needs --checkpoint-dir");
-  if (opt.checkpoint_every > 0 && (opt.grid || opt.msr))
-    usage("--checkpoint-every applies to single runs only (grid mode "
-          "checkpoints per cell via --checkpoint-dir)");
-  if (!opt.checkpoint_dir.empty() && opt.msr)
-    usage("--checkpoint-dir is not supported in --msr mode");
-  if (!opt.checkpoint_dir.empty() && !opt.grid && opt.checkpoint_every == 0)
-    usage("single-run --checkpoint-dir needs --checkpoint-every");
-  if (opt.grid)
-    reject_grid_pattern(opt);
-  else
-    check_scalar_dims(opt);
-  return opt;
-}
-
 /// Grid dimensions from the parsed comma-lists — shared by --grid and
 /// `serve` so a distributed sweep runs exactly the spec a local one
 /// would (stdout parity depends on it).
 analysis::ExperimentSpec make_grid_spec(const Options& opt) {
+  if (opt.seeds < 1) usage("--seeds must be >= 1");
   analysis::ExperimentSpec spec;
   spec.protocols = split_list(opt.protocol);
   spec.slot_policies = split_list(opt.policy);
@@ -492,7 +665,7 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
     spec.rho_percents.push_back(static_cast<int>(std::lround(rho * 100)));
   }
   spec.burst_units = opt.burst_units;
-  spec.horizon_units = opt.horizon_units;
+  spec.horizon_units = opt.horizon_units.value_or(kRunHorizonUnits);
   spec.seed = opt.seed;
   spec.seeds = opt.seeds;
   spec.jobs = opt.jobs;
@@ -508,16 +681,19 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
 int print_grid_results(const std::vector<analysis::ExperimentRecord>& records,
                        const std::string& csv_path, bool energy_columns) {
   std::cout << analysis::to_table(records);
-  if (!csv_path.empty()) {
-    analysis::write_csv(records, csv_path, energy_columns);
-    std::cout << "(" << records.size() << " records written to "
-              << csv_path << ")\n";
+  if (csv_path.empty()) return 0;
+  if (!analysis::write_csv(records, csv_path, energy_columns)) {
+    std::cerr << "asyncmac_cli: cannot write " << csv_path << "\n";
+    return 1;
   }
+  std::cout << "(" << records.size() << " records written to " << csv_path
+            << ")\n";
   return 0;
 }
 
 int run_experiment_grid(const Options& opt) {
   const analysis::ExperimentSpec spec = make_grid_spec(opt);
+  start_telemetry(opt);
   std::vector<analysis::ExperimentRecord> records;
   try {
     records = analysis::run_grid(spec);
@@ -548,12 +724,22 @@ analysis::RunSpec make_run_spec(const Options& opt) {
   else if (opt.pattern)
     spec.injector.pattern = *opt.pattern;
   spec.seed = opt.seed;
-  spec.horizon_units = opt.horizon_units;
+  spec.horizon_units = opt.horizon_units.value_or(kRunHorizonUnits);
   spec.record_trace = opt.trace_units > 0;
   spec.checkpoint_interval = opt.checkpoint_every;
   spec.restrained = opt.restrained;
   spec.energy = opt.energy;
   return spec;
+}
+
+/// Autosaves `engine` into `dir`. The saver's SnapshotError (such as a
+/// directory that cannot be created) is the caller's exit-1 path.
+std::shared_ptr<snapshot::AutoSaver> autosave(sim::Engine& engine,
+                                              const std::string& dir,
+                                              const analysis::RunSpec& spec) {
+  auto saver = std::make_shared<snapshot::AutoSaver>(dir, spec);
+  engine.set_checkpoint_sink([saver](const sim::Engine& e) { (*saver)(e); });
+  return saver;
 }
 
 /// Stats text/JSON + optional trace render, shared between run mode,
@@ -613,14 +799,55 @@ void report_run(const analysis::RunSpec& spec, double rho,
   }
 }
 
-int run_msr(const Options& opt, const analysis::RunSpec& spec) {
+int run_single(Options& opt) {
+  if (opt.checkpoint_every > 0 && opt.checkpoint_dir.empty())
+    usage("--checkpoint-every needs --checkpoint-dir");
+  if (!opt.checkpoint_dir.empty() && opt.checkpoint_every == 0)
+    usage("single-run --checkpoint-dir needs --checkpoint-every");
+  check_scalar_dims(opt);
+  start_telemetry(opt);
+  const analysis::RunSpec spec = make_run_spec(opt);
+  std::unique_ptr<sim::Engine> engine;
+  try {
+    engine = analysis::build_engine(spec);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  std::shared_ptr<snapshot::AutoSaver> saver;
+  try {
+    if (opt.checkpoint_every > 0)
+      saver = autosave(*engine, opt.checkpoint_dir, spec);
+    engine->run(sim::until(spec.horizon_units * U));
+  } catch (const snapshot::SnapshotError& e) {
+    std::cerr << "asyncmac_cli: autosave failed: " << e.what() << "\n";
+    return 1;
+  }
+  telemetry::emit(
+      "run.done",
+      {{"protocol", opt.protocol},
+       {"injected", engine->stats().injected_packets},
+       {"delivered", engine->stats().delivered_packets}});
+  report_run(spec, opt.rho, engine->stats(), engine->channel_stats(),
+             engine->trace().slots(), opt.json, opt.trace_units,
+             &engine->energy_meter());
+  if (saver && !saver->latest().empty())
+    std::cerr << "checkpoint: " << saver->latest()
+              << " (continue: asyncmac_cli resume " << saver->latest()
+              << ")\n";
+  return 0;
+}
+
+int run_msr(Options& opt) {
+  check_scalar_dims(opt);
+  start_telemetry(opt);
+  const analysis::RunSpec spec = make_run_spec(opt);
   try {
     (void)analysis::materials(spec);  // unknown names are usage errors
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
   analysis::MsrConfig cfg;
-  cfg.probe.horizon = opt.horizon_units * U;
+  cfg.probe.horizon = spec.horizon_units * U;
   cfg.base_seed = opt.seed;
   const auto res = analysis::estimate_msr(analysis::rate_factory(spec), cfg);
   std::cout << "protocol=" << opt.protocol << " n=" << opt.n
@@ -632,82 +859,6 @@ int run_msr(const Options& opt, const analysis::RunSpec& spec) {
 
 // ------------------------------------------------------------------- fuzz
 
-struct FuzzOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t cases = 1000;
-  unsigned jobs = 0;
-  int time_budget = 0;
-  bool shrink = true;
-  std::vector<std::string> protocols;
-  std::string repro_out = "asyncmac_fuzz_repro.json";
-  std::string repro_in;       // replay mode
-  std::uint64_t case_seed = 0;   // single-case mode (0 = off)
-  bool has_emit_case = false;
-  std::uint64_t emit_case = 0;   // corpus-pinning mode
-  std::string telemetry_path;
-  std::string checkpoint_path;   // campaign cursor file
-};
-
-FuzzOptions parse_fuzz_args(int argc, char** argv) {
-  FuzzOptions opt;
-  // Accept both --flag=value and the two-token --flag value form.
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      args.push_back(arg.substr(0, eq));
-      args.push_back(arg.substr(eq + 1));
-    } else if (arg.rfind("--", 0) == 0 && i + 1 < argc &&
-               std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.push_back(arg);
-      args.push_back(argv[++i]);
-    } else {
-      args.push_back(arg);
-    }
-  }
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    auto value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage(flag + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--seed")
-      opt.seed = arg_u64(value(), "--seed");
-    else if (flag == "--cases")
-      opt.cases = arg_u64(value(), "--cases");
-    else if (flag == "--jobs")
-      opt.jobs = arg_u32(value(), "--jobs");
-    else if (flag == "--time-budget")
-      opt.time_budget = static_cast<int>(
-          arg_u32(value(), "--time-budget", INT32_MAX));
-    else if (flag == "--protocol")
-      opt.protocols = split_list(value());
-    else if (flag == "--no-shrink")
-      opt.shrink = false;
-    else if (flag == "--repro-out")
-      opt.repro_out = value();
-    else if (flag == "--repro")
-      opt.repro_in = value();
-    else if (flag == "--case-seed")
-      opt.case_seed = arg_u64(value(), "--case-seed");
-    else if (flag == "--telemetry")
-      opt.telemetry_path = value();
-    else if (flag == "--checkpoint")
-      opt.checkpoint_path = value();
-    else if (flag == "--help" || flag == "-h")
-      print_help();
-    else if (flag == "--emit-case") {
-      opt.has_emit_case = true;
-      opt.emit_case = arg_u64(value(), "--emit-case");
-    } else
-      usage("unknown fuzz argument: " + flag);
-  }
-  if (opt.cases < 1) usage("--cases must be >= 1");
-  if (opt.time_budget < 0) usage("--time-budget must be >= 0");
-  return opt;
-}
-
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) usage("cannot read " + path);
@@ -716,13 +867,16 @@ std::string read_text_file(const std::string& path) {
   return os.str();
 }
 
-void write_text_file(const std::string& path, const std::string& text) {
+/// False, with a message, when `path` cannot be written (exit 1 then).
+bool write_text_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);
-  if (!out) usage("cannot write " + path);
   out << text;
+  out.close();
+  if (!out) std::cerr << "asyncmac_cli: cannot write " << path << "\n";
+  return static_cast<bool>(out);
 }
 
-int replay_repro_file(const FuzzOptions& opt) {
+int replay_repro_file(const Options& opt) {
   verify::Repro repro;
   try {
     repro = verify::parse_repro_json(read_text_file(opt.repro_in));
@@ -747,11 +901,10 @@ int replay_repro_file(const FuzzOptions& opt) {
   return outcome.reproduced ? 0 : 1;
 }
 
-int run_single_case(std::uint64_t case_seed,
-                    const std::vector<std::string>& pool) {
+int run_single_case(const Options& opt) {
   const verify::Scenario s =
-      pool.empty() ? verify::scenario_from_seed(case_seed)
-                   : verify::scenario_from_seed(case_seed, pool);
+      opt.pool.empty() ? verify::scenario_from_seed(opt.case_seed)
+                       : verify::scenario_from_seed(opt.case_seed, opt.pool);
   std::cout << "case: " << s.describe() << "\n";
   const auto r = verify::run_case(s);
   if (r.ok) {
@@ -762,27 +915,28 @@ int run_single_case(std::uint64_t case_seed,
   return 1;
 }
 
-int emit_corpus_case(const FuzzOptions& opt) {
-  const verify::ScenarioGen gen(opt.seed, opt.protocols);
+int emit_corpus_case(const Options& opt) {
+  const verify::ScenarioGen gen(opt.seed, opt.pool);
   const verify::Scenario s = gen.generate(opt.emit_case);
   const auto r = verify::run_case(s);
   if (!r.ok) {
     std::cerr << "refusing to pin a violating case: " << r.what << "\n";
     return 1;
   }
-  write_text_file(opt.repro_out, verify::to_json(verify::make_repro(s, "")));
+  if (!write_text_file(opt.repro_out,
+                       verify::to_json(verify::make_repro(s, ""))))
+    return 1;
   std::cout << "pinned case " << opt.emit_case << " (seed " << s.case_seed
             << ") to " << opt.repro_out << "\n  " << s.describe() << "\n";
   return 0;
 }
 
-int run_fuzz(int argc, char** argv) {
-  const FuzzOptions opt = parse_fuzz_args(argc, argv);
-  if (!opt.telemetry_path.empty())
-    enable_telemetry_or_die(opt.telemetry_path);
-  if (!opt.repro_in.empty()) return replay_repro_file(opt);
-  if (opt.case_seed != 0) return run_single_case(opt.case_seed, opt.protocols);
-  if (opt.has_emit_case) return emit_corpus_case(opt);
+int run_fuzz(const Options& opt) {
+  if (opt.cases < 1) usage("--cases must be >= 1");
+  start_telemetry(opt);
+  if (opt.mode == kFuzzRepro) return replay_repro_file(opt);
+  if (opt.mode == kFuzzCase) return run_single_case(opt);
+  if (opt.mode == kFuzzEmit) return emit_corpus_case(opt);
 
   verify::CampaignConfig cfg;
   cfg.seed = opt.seed;
@@ -790,8 +944,8 @@ int run_fuzz(int argc, char** argv) {
   cfg.jobs = opt.jobs;
   cfg.time_budget_seconds = opt.time_budget;
   cfg.shrink = opt.shrink;
-  cfg.protocols = opt.protocols;
-  cfg.checkpoint_path = opt.checkpoint_path;
+  cfg.protocols = opt.pool;
+  cfg.checkpoint_path = opt.campaign_checkpoint;
 
   std::cout << "fuzz: seed=" << opt.seed << " cases=" << opt.cases
             << " jobs=" << opt.jobs << "\n";
@@ -801,7 +955,7 @@ int run_fuzz(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   } catch (const snapshot::SnapshotError& e) {
-    std::cerr << "asyncmac_cli fuzz: " << opt.checkpoint_path << ": "
+    std::cerr << "asyncmac_cli fuzz: " << opt.campaign_checkpoint << ": "
               << e.what() << "\n";
     return 1;
   }
@@ -815,8 +969,9 @@ int run_fuzz(int argc, char** argv) {
   const std::string& violation = result.shrunk_valid
                                      ? result.shrunk_violation
                                      : result.failures.front().verdict.violation;
-  write_text_file(opt.repro_out,
-                  verify::to_json(verify::make_repro(worst, violation)));
+  if (!write_text_file(opt.repro_out,
+                       verify::to_json(verify::make_repro(worst, violation))))
+    return 1;
   std::cout << "repro written to " << opt.repro_out
             << " (replay: asyncmac_cli fuzz --repro " << opt.repro_out
             << ")\n";
@@ -825,28 +980,16 @@ int run_fuzz(int argc, char** argv) {
 
 // ------------------------------------------------------------------ stats
 
-int run_stats(int argc, char** argv) {
-  std::string path;
-  std::size_t top = 20;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--top=", 0) == 0)
-      top = arg_u64(arg.substr(6), "--top");
-    else if (arg.rfind("--", 0) == 0)
-      usage("unknown stats argument: " + arg);
-    else if (path.empty())
-      path = arg;
-    else
-      usage("stats takes one telemetry file");
-  }
-  if (path.empty()) usage("stats needs a telemetry JSONL file");
-  std::ifstream in(path);
-  if (!in) usage("cannot read " + path);
+int run_stats(const Options& opt) {
+  if (opt.path.empty()) usage("stats needs a telemetry JSONL file");
+  std::ifstream in(opt.path);
+  if (!in) usage("cannot read " + opt.path);
   try {
     const auto summary = telemetry::summarize_stream(in);
-    std::cout << telemetry::render_summary(summary, top);
+    std::cout << telemetry::render_summary(summary, opt.top);
   } catch (const std::invalid_argument& e) {
-    std::cerr << "asyncmac_cli stats: " << path << ": " << e.what() << "\n";
+    std::cerr << "asyncmac_cli stats: " << opt.path << ": " << e.what()
+              << "\n";
     return 1;
   }
   return 0;
@@ -854,39 +997,13 @@ int run_stats(int argc, char** argv) {
 
 // ----------------------------------------------------------------- resume
 
-int run_resume(int argc, char** argv) {
-  std::string path;
-  Tick horizon_units = -1;  // -1 = use the checkpoint's recorded horizon
-  bool json = false;
-  Tick trace_units = 0;
-  std::string telemetry_path;
-  std::string checkpoint_dir;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--horizon=", 0) == 0)
-      horizon_units = arg_units(arg.substr(10), "--horizon");
-    else if (arg == "--json")
-      json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      trace_units = arg_units(arg.substr(8), "--trace");
-    else if (arg.rfind("--telemetry=", 0) == 0)
-      telemetry_path = arg.substr(12);
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      checkpoint_dir = arg.substr(17);
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else if (arg.rfind("--", 0) == 0)
-      usage("unknown resume argument: " + arg);
-    else if (path.empty())
-      path = arg;
-    else
-      usage("resume takes one checkpoint file");
-  }
-  if (path.empty()) usage("resume needs a checkpoint file or directory");
-  if (!telemetry_path.empty()) enable_telemetry_or_die(telemetry_path);
+int run_resume(const Options& opt) {
+  if (opt.path.empty()) usage("resume needs a checkpoint file or directory");
+  start_telemetry(opt);
 
   // A directory means "the newest autosave in it" (the highest AutoSaver
   // counter, snapshot::newest_checkpoint).
+  std::string path = opt.path;
   std::error_code ec;
   if (std::filesystem::is_directory(path, ec)) {
     const std::string best = snapshot::newest_checkpoint(path);
@@ -906,24 +1023,19 @@ int run_resume(int argc, char** argv) {
     return 1;
   }
   analysis::RunSpec spec = run.spec;
-  if (horizon_units >= 0) spec.horizon_units = horizon_units;
+  if (opt.horizon_units) spec.horizon_units = *opt.horizon_units;
 
   // Keep autosaving when asked to (the cadence is baked into the
   // checkpoint; a spec without one cannot re-arm from here).
-  std::shared_ptr<snapshot::AutoSaver> saver;
-  if (!checkpoint_dir.empty()) {
-    if (spec.checkpoint_interval == 0)
-      usage("this checkpoint was written without --checkpoint-every; "
-            "--checkpoint-dir cannot re-arm autosaving");
-    saver = std::make_shared<snapshot::AutoSaver>(checkpoint_dir, spec);
-    run.engine->set_checkpoint_sink(
-        [saver](const sim::Engine& e) { (*saver)(e); });
-  }
-
-  std::cerr << "resumed " << spec.protocol << " n=" << spec.n
-            << " from " << path << " at t=" << to_units(run.engine->now())
-            << " units\n";
+  if (!opt.checkpoint_dir.empty() && spec.checkpoint_interval == 0)
+    usage("this checkpoint was written without --checkpoint-every; "
+          "--checkpoint-dir cannot re-arm autosaving");
   try {
+    if (!opt.checkpoint_dir.empty())
+      autosave(*run.engine, opt.checkpoint_dir, spec);
+    std::cerr << "resumed " << spec.protocol << " n=" << spec.n
+              << " from " << path << " at t=" << to_units(run.engine->now())
+              << " units\n";
     run.engine->run(sim::until(spec.horizon_units * U));
   } catch (const snapshot::SnapshotError& e) {
     std::cerr << "asyncmac_cli resume: autosave failed: " << e.what() << "\n";
@@ -937,109 +1049,38 @@ int run_resume(int argc, char** argv) {
   const double rho =
       spec.has_injector ? spec.injector.rho.to_double() : 0.0;
   report_run(spec, rho, run.engine->stats(), run.engine->channel_stats(),
-             run.engine->trace().slots(), json, trace_units,
+             run.engine->trace().slots(), opt.json, opt.trace_units,
              &run.engine->energy_meter());
   return 0;
 }
 
 // ------------------------------------------------------- serve / worker
 
-struct ServeOptions {
-  Options grid;  ///< sweep dimensions (comma lists) + --csv/--checkpoint-dir
-  bool fuzz = false;
-  std::uint64_t cases = 1000;
-  std::uint16_t port = 0;  ///< 0 = ephemeral
-  std::string port_file;
-  std::uint64_t lease_timeout_ms = 10000;
-  std::uint64_t heartbeat_ms = 1000;
-};
-
-ServeOptions parse_serve_args(int argc, char** argv) {
-  ServeOptions opt;
-  // The flags a distributed fuzz campaign reads. Every other flag is a
-  // grid's, and --cases is the campaign's only: a flag the chosen mode
-  // would ignore is a usage error, not a silent no-op.
-  static const std::vector<std::string> kFuzzFlags = {
-      "--fuzz", "--seed", "--cases", "--telemetry", "--port",
-      "--port-file", "--lease-timeout-ms", "--heartbeat-ms"};
-  std::string grid_flag;  // the first flag only a grid reads
-  bool cases_set = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    const std::string flag = arg.substr(0, arg.find('='));
-    if (grid_flag.empty() &&
-        std::find(kFuzzFlags.begin(), kFuzzFlags.end(), flag) ==
-            kFuzzFlags.end())
-      grid_flag = flag;
-    cases_set = cases_set || flag == "--cases";
-    if (parse_run_flag(arg, opt.grid)) continue;
-    if (arg.rfind("--seeds=", 0) == 0)
-      opt.grid.seeds = static_cast<int>(
-          arg_u32(value("--seeds="), "--seeds", INT32_MAX));
-    else if (arg.rfind("--csv=", 0) == 0)
-      opt.grid.csv_path = value("--csv=");
-    else if (arg.rfind("--checkpoint-dir=", 0) == 0)
-      opt.grid.checkpoint_dir = value("--checkpoint-dir=");
-    else if (arg == "--fuzz")
-      opt.fuzz = true;
-    else if (arg.rfind("--cases=", 0) == 0)
-      opt.cases = arg_u64(value("--cases="), "--cases");
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--port-file=", 0) == 0)
-      opt.port_file = value("--port-file=");
-    else if (arg.rfind("--lease-timeout-ms=", 0) == 0)
-      opt.lease_timeout_ms =
-          arg_u64(value("--lease-timeout-ms="), "--lease-timeout-ms");
-    else if (arg.rfind("--heartbeat-ms=", 0) == 0)
-      opt.heartbeat_ms = arg_u64(value("--heartbeat-ms="), "--heartbeat-ms");
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown serve argument: " + arg);
-  }
-  if (opt.grid.seeds < 1) usage("--seeds must be >= 1");
+int run_serve(const Options& opt) {
   if (opt.lease_timeout_ms == 0) usage("--lease-timeout-ms must be > 0");
   if (opt.cases < 1) usage("--cases must be >= 1");
-  if (opt.fuzz && !grid_flag.empty())
-    usage(grid_flag + " does not apply to serve --fuzz: a distributed fuzz "
-          "campaign takes --seed, --cases and --telemetry");
-  if (!opt.fuzz && cases_set)
-    usage("--cases applies to serve --fuzz only");
-  reject_grid_pattern(opt.grid);
-  return opt;
-}
-
-int run_serve(int argc, char** argv) {
-  const ServeOptions opt = parse_serve_args(argc, argv);
-  if (!opt.grid.telemetry_path.empty())
-    enable_telemetry_or_die(opt.grid.telemetry_path);
-
   sweep::ServeOptions srv;
   srv.port = opt.port;
   srv.coord.lease_timeout_ms = opt.lease_timeout_ms;
   srv.coord.heartbeat_ms = opt.heartbeat_ms;
-  if (opt.fuzz) {
+  if (opt.mode == kServeFuzz) {
     srv.coord.job.kind = sweep::JobKind::kFuzz;
-    srv.coord.job.fuzz.seed = opt.grid.seed;
+    srv.coord.job.fuzz.seed = opt.seed;
     srv.coord.job.fuzz.cases = opt.cases;
   } else {
     srv.coord.job.kind = sweep::JobKind::kGrid;
-    srv.coord.job.grid = make_grid_spec(opt.grid);
-    srv.coord.checkpoint_dir = opt.grid.checkpoint_dir;
+    srv.coord.job.grid = make_grid_spec(opt);
+    srv.coord.checkpoint_dir = opt.checkpoint_dir;
   }
+  start_telemetry(opt);
   // Progress and the bound port go to stderr: stdout stays byte-identical
   // to the same sweep run locally with --grid.
   srv.on_listening = [&](std::uint16_t port) {
     std::cerr << "serve: listening on port " << port << "\n";
-    if (!opt.port_file.empty()) {
-      std::ofstream out(opt.port_file);
-      out << port << "\n";
-    }
+    std::string err;
+    if (!opt.port_file.empty() &&
+        !live::write_port_file(opt.port_file, port, &err))
+      throw std::runtime_error("port file: " + err);
   };
 
   sweep::ServeOutcome outcome;
@@ -1063,7 +1104,7 @@ int run_serve(int argc, char** argv) {
        {"dup_results", reg.counter("sweep.dup_results").value()},
        {"worker_deaths", reg.counter("sweep.worker_deaths").value()}});
 
-  if (opt.fuzz) {
+  if (opt.mode == kServeFuzz) {
     // Same summary run_campaign prints for these verdicts (shrinking is
     // coordinator-local work a distributed run does not repeat).
     verify::CampaignResult result;
@@ -1077,29 +1118,18 @@ int run_serve(int argc, char** argv) {
     std::cout << verify::summarize(result);
     return result.failures.empty() ? 0 : 1;
   }
-  return print_grid_results(outcome.records, opt.grid.csv_path,
-                            opt.grid.energy.enabled);
+  return print_grid_results(outcome.records, opt.csv_path,
+                            opt.energy.enabled);
 }
 
-int run_worker(int argc, char** argv) {
-  sweep::WorkerOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--host=", 0) == 0)
-      opt.host = arg.substr(7);
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(arg.substr(7), "--port", 65535));
-    else if (arg.rfind("--name=", 0) == 0)
-      opt.name = arg.substr(7);
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown worker argument: " + arg);
-  }
+int run_worker(const Options& opt) {
   if (opt.port == 0) usage("worker needs --port");
+  sweep::WorkerOptions worker;
+  worker.host = opt.host;
+  worker.port = opt.port;
+  if (opt.name) worker.name = *opt.name;
   try {
-    return sweep::run_worker(opt);
+    return sweep::run_worker(worker);
   } catch (const std::runtime_error& e) {
     std::cerr << "asyncmac_cli worker: " << e.what() << "\n";
     return 1;
@@ -1108,79 +1138,24 @@ int run_worker(int argc, char** argv) {
 
 // ------------------------------------------------ live-serve / live-station
 
-struct LiveServeOptions {
-  Options run;  ///< scenario dimensions (scalar) + --json/--trace/--telemetry
-  bool virtual_mode = false;
-  std::uint16_t port = 0;  ///< 0 = ephemeral
-  std::string port_file;
-  std::uint64_t unit_us = 1000;
-  std::uint64_t idle_timeout_ms = 30000;
-  double emu_loss = 0.0;
-  std::uint64_t emu_delay_us = 0;
-  std::uint64_t emu_jitter_us = 0;
-  std::uint64_t emu_seed = 1;
-};
-
-LiveServeOptions parse_live_serve_args(int argc, char** argv) {
-  LiveServeOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (parse_run_flag(arg, opt.run)) continue;
-    if (arg == "--json")
-      opt.run.json = true;
-    else if (arg.rfind("--trace=", 0) == 0)
-      opt.run.trace_units = arg_units(value("--trace="), "--trace");
-    else if (arg == "--virtual")
-      opt.virtual_mode = true;
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--port-file=", 0) == 0)
-      opt.port_file = value("--port-file=");
-    else if (arg.rfind("--unit-us=", 0) == 0)
-      opt.unit_us = arg_u64(value("--unit-us="), "--unit-us");
-    else if (arg.rfind("--idle-timeout-ms=", 0) == 0)
-      opt.idle_timeout_ms =
-          arg_u64(value("--idle-timeout-ms="), "--idle-timeout-ms");
-    else if (arg.rfind("--emu-loss=", 0) == 0)
-      opt.emu_loss = arg_finite(value("--emu-loss="), "--emu-loss");
-    else if (arg.rfind("--emu-delay-us=", 0) == 0)
-      opt.emu_delay_us = arg_u64(value("--emu-delay-us="), "--emu-delay-us");
-    else if (arg.rfind("--emu-jitter-us=", 0) == 0)
-      opt.emu_jitter_us = arg_u64(value("--emu-jitter-us="), "--emu-jitter-us");
-    else if (arg.rfind("--emu-seed=", 0) == 0)
-      opt.emu_seed = arg_u64(value("--emu-seed="), "--emu-seed");
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown live-serve argument: " + arg);
-  }
-  // A live daemon emulates exactly one run.
-  check_scalar_dims(opt.run);
-  if (opt.emu_loss < 0 || opt.emu_loss >= 1)
-    usage("--emu-loss must lie in [0, 1)");
-  if (opt.unit_us < 1) usage("--unit-us must be >= 1");
-  if (opt.idle_timeout_ms < 1) usage("--idle-timeout-ms must be > 0");
-  return opt;
-}
-
 /// Wall microseconds -> virtual-clock ticks under --unit-us.
 Tick emu_us_to_ticks(std::uint64_t us, std::uint64_t unit_us) {
   return static_cast<Tick>(us) * U / static_cast<Tick>(unit_us);
 }
 
-int run_live_serve(int argc, char** argv) {
-  const LiveServeOptions opt = parse_live_serve_args(argc, argv);
-  if (!opt.run.telemetry_path.empty())
-    enable_telemetry_or_die(opt.run.telemetry_path);
+int run_live_serve(Options& opt) {
+  // A live daemon emulates exactly one run.
+  check_scalar_dims(opt);
+  if (opt.emu_loss < 0 || opt.emu_loss >= 1)
+    usage("--emu-loss must lie in [0, 1)");
+  if (opt.unit_us < 1) usage("--unit-us must be >= 1");
+  if (opt.idle_timeout_ms < 1) usage("--idle-timeout-ms must be > 0");
+  start_telemetry(opt);
 
   live::DaemonConfig dc;
-  dc.spec = make_run_spec(opt.run);
+  dc.spec = make_run_spec(opt);
 
-  if (opt.virtual_mode) {
+  if (opt.mode == kLiveVirtual) {
     // Whole stack in-process on the virtual clock: deterministic, and
     // stdout is byte-identical to the same scenario in run mode (the
     // live-smoke CI job diffs the two).
@@ -1208,8 +1183,8 @@ int run_live_serve(int argc, char** argv) {
                     {{"protocol", dc.spec.protocol},
                      {"injected", rep.stats.injected_packets},
                      {"delivered", rep.stats.delivered_packets}});
-    report_run(dc.spec, opt.run.rho, rep.stats, rep.channel, rep.trace,
-               opt.run.json, opt.run.trace_units, &rep.energy);
+    report_run(dc.spec, opt.rho, rep.stats, rep.channel, rep.trace,
+               opt.json, opt.trace_units, &rep.energy);
     // Verdict on stderr: stdout must stay identical to run mode, which
     // has no stability probe.
     std::cerr << "live: verdict=" << analysis::to_string(rep.verdict) << " ("
@@ -1245,57 +1220,34 @@ int run_live_serve(int argc, char** argv) {
                   {{"protocol", dc.spec.protocol},
                    {"injected", daemon->stats().injected_packets},
                    {"delivered", daemon->stats().delivered_packets}});
-  report_run(dc.spec, opt.run.rho, daemon->stats(),
+  report_run(dc.spec, opt.rho, daemon->stats(),
              daemon->live_channel_stats(), daemon->trace().slots(),
-             opt.run.json, opt.run.trace_units, &daemon->energy_meter());
+             opt.json, opt.trace_units, &daemon->energy_meter());
   std::cerr << "live: verdict=" << analysis::to_string(daemon->verdict())
             << " (" << daemon->backlog_samples().size() << " samples)\n";
   return 0;
 }
 
-int run_live_station(int argc, char** argv) {
-  live::UdpStationOptions opt;
-  bool have_id = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    if (arg.rfind("--host=", 0) == 0)
-      opt.host = value("--host=");
-    else if (arg.rfind("--port=", 0) == 0)
-      opt.port = static_cast<std::uint16_t>(
-          arg_u32(value("--port="), "--port", 65535));
-    else if (arg.rfind("--id=", 0) == 0) {
-      opt.station.id = arg_u32(value("--id="), "--id");
-      have_id = true;
-    } else if (arg.rfind("--name=", 0) == 0)
-      opt.station.name = value("--name=");
-    else if (arg.rfind("--unit-us=", 0) == 0)
-      opt.unit_us = arg_u64(value("--unit-us="), "--unit-us");
-    else if (arg.rfind("--retry-units=", 0) == 0)
-      opt.station.retry_ticks =
-          arg_units(value("--retry-units="), "--retry-units") * U;
-    else if (arg.rfind("--max-retries=", 0) == 0)
-      opt.station.max_retries = static_cast<int>(
-          arg_u32(value("--max-retries="), "--max-retries", INT32_MAX));
-    else if (arg == "--help" || arg == "-h")
-      print_help();
-    else
-      usage("unknown live-station argument: " + arg);
-  }
+int run_live_station(const Options& opt) {
   if (opt.port == 0) usage("live-station needs --port");
-  if (!have_id || opt.station.id < 1) usage("live-station needs --id >= 1");
-  if (opt.station.retry_ticks < 1) usage("--retry-units must be >= 1");
-  if (opt.station.max_retries < 1) usage("--max-retries must be >= 1");
+  if (!opt.id || *opt.id < 1) usage("live-station needs --id >= 1");
+  if (opt.retry_units < 1) usage("--retry-units must be >= 1");
+  if (opt.max_retries < 1) usage("--max-retries must be >= 1");
   if (opt.unit_us < 1) usage("--unit-us must be >= 1");
-  if (opt.station.name == "station")
-    opt.station.name = "station-" + std::to_string(opt.station.id);
+  live::UdpStationOptions station;
+  station.host = opt.host;
+  station.port = opt.port;
+  station.unit_us = opt.unit_us;
+  station.station.id = *opt.id;
+  station.station.name =
+      opt.name.value_or("station-" + std::to_string(*opt.id));
+  station.station.retry_ticks = opt.retry_units * U;
+  station.station.max_retries = opt.max_retries;
 
   std::string err;
-  const int rc = live::run_station_udp(opt, &err);
+  const int rc = live::run_station_udp(station, &err);
   if (rc != 0)
-    std::cerr << "asyncmac_cli live-station " << opt.station.id << ": "
+    std::cerr << "asyncmac_cli live-station " << *opt.id << ": "
               << (err.empty() ? std::string("failed") : err) << "\n";
   return rc;
 }
@@ -1303,57 +1255,23 @@ int run_live_station(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "serve")
-    return run_serve(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "worker")
-    return run_worker(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "fuzz")
-    return run_fuzz(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "stats")
-    return run_stats(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "resume")
-    return run_resume(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "live-serve")
-    return run_live_serve(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "live-station")
-    return run_live_station(argc - 2, argv + 2);
-  if (argc > 1 && std::string(argv[1]) == "help") print_help();
-  const Options opt = parse_args(argc, argv);
-  if (!opt.telemetry_path.empty())
-    enable_telemetry_or_die(opt.telemetry_path);
-  if (opt.grid) return run_experiment_grid(opt);
-  const analysis::RunSpec spec = make_run_spec(opt);
-  if (opt.msr) return run_msr(opt, spec);
-
-  std::unique_ptr<sim::Engine> engine;
-  try {
-    engine = analysis::build_engine(spec);
-  } catch (const std::invalid_argument& e) {
-    usage(e.what());
+  Options opt = parse_args(argc, argv);
+  switch (opt.mode) {
+    case kRun: return run_single(opt);
+    case kGrid: return run_experiment_grid(opt);
+    case kMsr: return run_msr(opt);
+    case kResume: return run_resume(opt);
+    case kFuzz:
+    case kFuzzRepro:
+    case kFuzzCase:
+    case kFuzzEmit: return run_fuzz(opt);
+    case kStats: return run_stats(opt);
+    case kServe:
+    case kServeFuzz: return run_serve(opt);
+    case kWorker: return run_worker(opt);
+    case kLiveUdp:
+    case kLiveVirtual: return run_live_serve(opt);
+    case kLiveStation: return run_live_station(opt);
   }
-  std::shared_ptr<snapshot::AutoSaver> saver;
-  if (opt.checkpoint_every > 0) {
-    saver = std::make_shared<snapshot::AutoSaver>(opt.checkpoint_dir, spec);
-    engine->set_checkpoint_sink(
-        [saver](const sim::Engine& e) { (*saver)(e); });
-  }
-  try {
-    engine->run(sim::until(opt.horizon_units * U));
-  } catch (const snapshot::SnapshotError& e) {
-    std::cerr << "asyncmac_cli: autosave failed: " << e.what() << "\n";
-    return 1;
-  }
-  telemetry::emit(
-      "run.done",
-      {{"protocol", opt.protocol},
-       {"injected", engine->stats().injected_packets},
-       {"delivered", engine->stats().delivered_packets}});
-  report_run(spec, opt.rho, engine->stats(), engine->channel_stats(),
-             engine->trace().slots(), opt.json, opt.trace_units,
-             &engine->energy_meter());
-  if (saver && !saver->latest().empty())
-    std::cerr << "checkpoint: " << saver->latest()
-              << " (continue: asyncmac_cli resume " << saver->latest()
-              << ")\n";
-  return 0;
+  return 2;
 }
