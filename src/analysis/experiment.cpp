@@ -6,7 +6,6 @@
 #include "analysis/grid.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/registry.h"
-#include "util/csv.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -94,8 +93,9 @@ std::string to_table(const std::vector<ExperimentRecord>& records) {
   return t.to_string();
 }
 
-bool write_csv(const std::vector<ExperimentRecord>& records,
-               const std::string& path, bool energy_columns) {
+namespace {
+
+std::vector<std::string> csv_header(bool energy_columns) {
   std::vector<std::string> header{
       "protocol", "n", "R", "rho_pct", "policy", "seed", "injected",
       "delivered", "queued", "max_queue_units", "final_queue_units",
@@ -105,21 +105,36 @@ bool write_csv(const std::vector<ExperimentRecord>& records,
     header.push_back("energy_peak_station");
     header.push_back("energy_per_delivery");
   }
-  util::CsvWriter csv(path, header);
+  return header;
+}
+
+}  // namespace
+
+RecordsCsv::RecordsCsv(const std::string& path, bool energy_columns)
+    : csv_(path, csv_header(energy_columns)),
+      energy_columns_(energy_columns) {}
+
+void RecordsCsv::write(const std::vector<ExperimentRecord>& records) {
   for (const auto& r : records) {
-    if (energy_columns) {
-      csv.row(r.protocol, r.n, r.bound_r, r.rho_pct, r.slot_policy, r.seed,
-              r.injected, r.delivered, r.queued, r.max_queue_cost_units,
-              r.final_queue_cost_units, r.collisions, r.control_msgs,
-              r.p99_latency_units, r.energy_total, r.energy_peak_station,
-              r.energy_per_delivery);
+    if (energy_columns_) {
+      csv_.row(r.protocol, r.n, r.bound_r, r.rho_pct, r.slot_policy, r.seed,
+               r.injected, r.delivered, r.queued, r.max_queue_cost_units,
+               r.final_queue_cost_units, r.collisions, r.control_msgs,
+               r.p99_latency_units, r.energy_total, r.energy_peak_station,
+               r.energy_per_delivery);
     } else {
-      csv.row(r.protocol, r.n, r.bound_r, r.rho_pct, r.slot_policy, r.seed,
-              r.injected, r.delivered, r.queued, r.max_queue_cost_units,
-              r.final_queue_cost_units, r.collisions, r.control_msgs,
-              r.p99_latency_units);
+      csv_.row(r.protocol, r.n, r.bound_r, r.rho_pct, r.slot_policy, r.seed,
+               r.injected, r.delivered, r.queued, r.max_queue_cost_units,
+               r.final_queue_cost_units, r.collisions, r.control_msgs,
+               r.p99_latency_units);
     }
   }
+}
+
+bool write_csv(const std::vector<ExperimentRecord>& records,
+               const std::string& path, bool energy_columns) {
+  RecordsCsv csv(path, energy_columns);
+  csv.write(records);
   return csv.ok();
 }
 

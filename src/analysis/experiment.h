@@ -16,6 +16,7 @@
 
 #include "channel/transmission.h"
 #include "energy/model.h"
+#include "util/csv.h"
 #include "util/types.h"
 
 namespace asyncmac::analysis {
@@ -93,12 +94,30 @@ struct ExperimentRecord {
 /// and each worker writes into its cell's pre-sized slot.
 std::vector<ExperimentRecord> run_grid(const ExperimentSpec& spec);
 
-/// Render records as an aligned ASCII table / CSV file. The energy
-/// columns are opt-in (energy_columns = spec.energy.enabled): a sweep
-/// without energy accounting writes byte-identical files to builds that
-/// predate the energy subsystem. write_csv returns false when the file
-/// cannot be written.
+/// Render records as an aligned ASCII table.
 std::string to_table(const std::vector<ExperimentRecord>& records);
+
+/// A records CSV file. The constructor writes the header, so a caller can
+/// open it before the sweep that fills it and learn from ok() that the
+/// path cannot be written before any cell runs. The energy columns are
+/// opt-in (energy_columns = spec.energy.enabled): a sweep without energy
+/// accounting writes byte-identical files to builds that predate the
+/// energy subsystem.
+class RecordsCsv {
+ public:
+  RecordsCsv(const std::string& path, bool energy_columns);
+  /// Append one row per record.
+  void write(const std::vector<ExperimentRecord>& records);
+  /// Flushes, then reports whether everything so far reached the file.
+  bool ok() { return csv_.ok(); }
+
+ private:
+  util::CsvWriter csv_;
+  bool energy_columns_;
+};
+
+/// Open, write and flush in one call; false when the file cannot be
+/// written.
 bool write_csv(const std::vector<ExperimentRecord>& records,
                const std::string& path, bool energy_columns = false);
 

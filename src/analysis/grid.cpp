@@ -83,6 +83,10 @@ GridPlan plan_grid(const ExperimentSpec& spec) {
         plan.units.push_back({i, 1});
     }
   }
+  // A run no engine can be built for (an unknown slot policy, n or R of
+  // 0) refuses the sweep here, before any unit runs.
+  for (const GridUnit& unit : plan.units)
+    (void)materials(cell_run_spec(spec, plan.cells[unit.first]));
   return plan;
 }
 

@@ -58,8 +58,9 @@ struct GridPlan {
 
 /// Enumerate the cross product and make one unit per distinct run.
 /// Validates the spec the same way run_grid does (throws
-/// std::invalid_argument). Its work beyond enumeration is one
-/// seed_invariant test per cell's seed replicas.
+/// std::invalid_argument), so a bad spec fails before any unit runs. Its
+/// work beyond enumeration is one seed_invariant test per cell's seed
+/// replicas and one materials() build per unit.
 GridPlan plan_grid(const ExperimentSpec& spec);
 
 /// Returns 1. Nothing in the library reads ExperimentSpec::cohort; this

@@ -66,7 +66,10 @@ class Ledger {
   /// on-air count at t.begin (non-rejected entries with end > t.begin)
   /// decides kOk vs kJammed/kRejected. Rejected transmissions are decided
   /// unsuccessful immediately and never touch the medium — overlap scans
-  /// and feedback classification skip them.
+  /// and feedback classification skip them. t.end is finite: a Ledger
+  /// never holds an open entry (channel/window.h), because the silence
+  /// fast path in feedback() reads latest_end(), which an open entry does
+  /// not move.
   void add(const Transmission& t);
 
   /// Exact feedback for a slot [s, t). Uniform for transmitters and

@@ -75,6 +75,9 @@ bool Window::add(Transmission t) {
                                                               << last_begin_);
   AM_CHECK(t.end > t.begin);
   AM_CHECK(t.station != kInvalidStation);
+  const bool open = t.end == kTickInfinity;
+  AM_CHECK_MSG(!open || open_slot(t.station) == open_.size(),
+               "station " << t.station << " already has an open transmission");
   t.decided = false;
   t.successful = false;
   t.admission = static_cast<std::uint8_t>(Admission::kOk);
@@ -93,13 +96,45 @@ bool Window::add(Transmission t) {
     }
   }
   last_begin_ = t.begin;
-  latest_end_ = std::max(latest_end_, t.end);
-  const bool seek_moved = t.duration() > max_duration_;
-  if (seek_moved) max_duration_ = t.duration();
   ++stats_.transmissions;
   if (t.is_control) ++stats_.control_transmissions;
+  if (open) open_.push_back(begin_.size());
   append(t);
-  return seek_moved;
+  return !open && raise_watermarks(t.begin, t.end);
+}
+
+bool Window::raise_watermarks(Tick begin, Tick end) {
+  latest_end_ = std::max(latest_end_, end);
+  if (end - begin <= max_duration_) return false;
+  max_duration_ = end - begin;
+  return true;
+}
+
+std::size_t Window::open_slot(StationId station) const {
+  std::size_t k = 0;
+  while (k < open_.size() && station_[open_[k]] != station) ++k;
+  return k;
+}
+
+bool Window::close(StationId station, Tick end) {
+  // Openness is membership of the side list, not !decided: a rejected
+  // entry is decided at add() yet still awaits its end.
+  const std::size_t k = open_slot(station);
+  AM_CHECK_MSG(k < open_.size(),
+               "station " << station << " has no open transmission");
+  const std::size_t i = open_[k];
+  open_[k] = open_.back();
+  open_.pop_back();
+  AM_CHECK_MSG(end > begin_[i], "transmission must have positive duration");
+  end_[i] = end;
+  raise_watermarks(begin_[i], end);
+  if (restrained_.enabled() && !rejected(admission_[i])) {
+    --open_on_air_;
+    live_ends_.push_back(end);
+    std::push_heap(live_ends_.begin(), live_ends_.end(), std::greater<Tick>());
+  }
+  finalize_until(end);
+  return successful_[i] != 0;
 }
 
 Admission Window::admit(Tick begin, Tick end) {
@@ -109,15 +144,19 @@ Admission Window::admit(Tick begin, Tick end) {
     std::pop_heap(live_ends_.begin(), live_ends_.end(), std::greater<Tick>());
     live_ends_.pop_back();
   }
-  if (live_ends_.size() >= restrained_.k && !restrained_.jam)
-    return Admission::kRejected;
+  // Every open entry is on air: its end, still unknown, is after `begin`.
+  const std::size_t on_air = live_ends_.size() + open_on_air_;
+  if (on_air >= restrained_.k && !restrained_.jam) return Admission::kRejected;
   // Admitted or jammed, the transmission occupies the medium and counts
   // toward the on-air total later adds see.
-  const Admission verdict = live_ends_.size() < restrained_.k
-                                ? Admission::kOk
-                                : Admission::kJammed;
-  live_ends_.push_back(end);
-  std::push_heap(live_ends_.begin(), live_ends_.end(), std::greater<Tick>());
+  const Admission verdict =
+      on_air < restrained_.k ? Admission::kOk : Admission::kJammed;
+  if (end == kTickInfinity) {
+    ++open_on_air_;
+  } else {
+    live_ends_.push_back(end);
+    std::push_heap(live_ends_.begin(), live_ends_.end(), std::greater<Tick>());
+  }
   return verdict;
 }
 
@@ -134,6 +173,10 @@ bool Window::overlaps_other(std::size_t i) const {
   // Successors: begin >= b, so one overlaps iff it begins before e.
   for (std::size_t j = i + 1; j < begin_.size() && begin_[j] < e; ++j)
     if (!rejected(admission_[j])) return true;
+  // Open entries (end +inf) overlap iff they begin before e; the scans
+  // above miss the ones beginning max_duration_ or more before b.
+  for (const std::size_t j : open_)
+    if (!rejected(admission_[j]) && begin_[j] < e) return true;
   return false;
 }
 
@@ -184,6 +227,13 @@ Feedback Window::feedback(Tick s, Tick t, std::uint64_t& scanned) {
     // begin < t here, so the entry overlaps [s, t) iff it ends after s.
     any_overlap = any_overlap || end_[i] > s;
   }
+  // Open entries never ack and are busy iff they begin before t; the
+  // seek skips the ones beginning max_duration_ or more before s.
+  for (std::size_t k = 0; !any_overlap && k < open_.size(); ++k) {
+    ++scanned;
+    const std::size_t j = open_[k];
+    any_overlap = !rejected(admission_[j]) && begin_[j] < t;
+  }
   return any_overlap ? Feedback::kBusy : Feedback::kSilence;
 }
 
@@ -222,6 +272,7 @@ std::uint64_t Window::prune_before(Tick horizon) {
     drop(decided_);
     drop(admission_);
     finalized_ -= head_;
+    for (std::size_t& j : open_) j -= head_;
     head_ = 0;
   }
   return removed;
@@ -235,6 +286,7 @@ std::vector<Transmission> Window::entries() const {
 }
 
 void Window::save(snapshot::Writer& w) const {
+  AM_CHECK_MSG(open_.empty(), "a window with open entries cannot be saved");
   w.boolean(keep_history_);
   w.u32(restrained_.k);
   w.boolean(restrained_.jam);

@@ -1,9 +1,10 @@
 // asyncmac/channel/window.h
 //
-// One channel ledger's transmission window and the only implementation of
-// the channel rules over it. channel::Ledger holds one Window and keeps,
-// in front of it, the inline O(1) silence fast paths, the repeat-query
-// memo and the batched telemetry.
+// One channel's transmission window and the only implementation of the
+// channel rules over it. channel::Ledger holds one Window for the engine
+// and keeps, in front of it, the inline O(1) silence fast paths, the
+// repeat-query memo and the batched telemetry; the live daemon
+// (live/daemon.h) holds one directly.
 //
 // Layout: the window is begin-sorted and field-split — begins, ends,
 // stations, packets and the per-entry flags each live in one flat array.
@@ -14,20 +15,33 @@
 // O(1) per entry, and after a prune fewer than max(kCompactMinDead,
 // live) dead entries remain.
 //
+// Open entries. An entry added with end = kTickInfinity is open: its
+// begin is known, its end is fixed later by close() (the live daemon
+// learns a slot's end only when its SlotEnd datagram arrives). An open
+// entry gets its admission verdict and its counts at add() but moves
+// neither latest_end() nor max_duration(); it never acks, it is on the
+// air from its begin on, and it is never pruned. A station holds at most
+// one open entry. Their indices sit in a side list, which the rules read
+// for the open entries the bounded scans below cannot reach: those older
+// than the scan bound. An engine window never holds one, so there the
+// side list is empty.
+//
 // The rules (paper Section II; see channel/ledger.h for the model):
 //   * admission — on a k-restrained channel the on-air count at a
 //     transmission's begin fixes kOk, kJammed or kRejected at add();
-//     rejected entries are decided unsuccessful at once and invisible to
-//     the overlap test and to feedback;
+//     every open non-rejected entry counts as on air. Rejected entries
+//     are decided unsuccessful at once and invisible to the overlap test
+//     and to feedback;
 //   * success — [a, b) succeeds iff no other non-rejected entry overlaps
 //     it, decided lazily once the caller's clock reaches b. The overlap
 //     test starts from the entry's own index: only predecessors beginning
 //     within max_duration() of a and successors beginning before b can
-//     reach it;
-//   * feedback — for a slot [s, t) only entries beginning in
+//     reach it. An open entry overlaps it iff it begins before b;
+//   * feedback — for a slot [s, t) only closed entries beginning in
 //     (s - max_duration(), t) can overlap it or end inside (s, t], so a
 //     binary seek plus that neighborhood scan answers ack/busy/silence in
-//     O(log W + neighborhood);
+//     O(log W + neighborhood). An open entry makes the slot busy iff it
+//     begins before t;
 //   * ack ownership — whether a station's transmission ending at a given
 //     time succeeded, found by a backward scan that stops once begins
 //     fall more than max_duration() before that end.
@@ -75,8 +89,15 @@ class Window {
   /// durations positive, a valid station. Fixes the admission verdict,
   /// updates the stats and watermarks and appends the entry. Returns true
   /// iff the add raised max_duration(), which moves every feedback seek
-  /// point (callers memoizing a scan must drop the memo).
+  /// point (callers memoizing a scan must drop the memo). t.end ==
+  /// kTickInfinity adds an open entry (at most one per station), which
+  /// raises nothing.
   bool add(Transmission t);
+
+  /// Fix the end of `station`'s open entry, finalize through `end` and
+  /// return the entry's success. Requires end > its begin and every
+  /// transmission beginning before `end` already added.
+  bool close(StationId station, Tick end);
 
   /// Decide success for every entry with end <= now.
   void finalize_until(Tick now);
@@ -102,7 +123,8 @@ class Window {
   /// True when the decided-prefix cursor has reached the newest entry —
   /// finalize_until() then has nothing left to walk.
   bool all_finalized() const noexcept { return finalized_ == begin_.size(); }
-  /// Largest end and largest duration ever added (0 before any add).
+  /// Largest end and largest duration ever added or closed (0 before
+  /// any).
   Tick latest_end() const noexcept { return latest_end_; }
   Tick max_duration() const noexcept { return max_duration_; }
   const LedgerStats& stats() const noexcept { return stats_; }
@@ -120,7 +142,7 @@ class Window {
   /// finalized cursor, the archive, the stats and the watermarks. load
   /// refuses (kMismatch) a payload saved under a different keep_history
   /// flag or restrained spec, and (kCorrupt) counts or cursors no writer
-  /// produces.
+  /// produces. A window holding an open entry cannot be saved.
   void save(snapshot::Writer& w) const;
   void load(snapshot::Reader& r);
 
@@ -129,8 +151,14 @@ class Window {
   /// Append `t` verbatim (flags included).
   void append(const Transmission& t);
   bool overlaps_other(std::size_t i) const;
+  /// Raise latest_end() and max_duration() to cover [begin, end); true
+  /// iff max_duration() grew.
+  bool raise_watermarks(Tick begin, Tick end);
+  /// Position of `station`'s open entry in open_ (open_.size() if none).
+  std::size_t open_slot(StationId station) const;
   /// Restrained admission: pop stale ends, count the on-air entries at
-  /// `begin`, record `end` when the entry reaches the medium.
+  /// `begin`, record `end` (or one more open entry) when the entry
+  /// reaches the medium.
   Admission admit(Tick begin, Tick end);
 
   std::vector<Tick> begin_;
@@ -156,6 +184,11 @@ class Window {
   Tick latest_end_ = 0;
   Tick max_duration_ = 0;
   bool keep_history_;
+  /// Indices of the open entries, in no particular order.
+  std::vector<std::size_t> open_;
+  /// Open non-rejected entries (restrained mode only): on air, with no
+  /// end in live_ends_ until close().
+  std::size_t open_on_air_ = 0;
 };
 
 }  // namespace asyncmac::channel

@@ -25,6 +25,8 @@ struct LiveTelemetry {
       telemetry::Registry::global().counter("live.decode_errors");
   telemetry::MaxGauge& drift =
       telemetry::Registry::global().gauge("live.slot_timer_drift");
+  telemetry::Counter& channel_scanned =
+      telemetry::Registry::global().counter("live.channel_scanned");
 
   static LiveTelemetry& get() {
     static LiveTelemetry t;
@@ -48,7 +50,7 @@ Daemon::Daemon(DaemonConfig cfg)
       n_(checked_station_count(cfg_.spec)),
       horizon_ticks_(cfg_.spec.horizon_units * kTicksPerUnit),
       max_slot_ticks_(static_cast<Tick>(cfg_.spec.bound_r) * kTicksPerUnit),
-      channel_(cfg_.spec.restrained),
+      channel_(/*keep_history=*/false, cfg_.spec.restrained),
       metrics_(n_),
       meter_(n_) {
   AM_REQUIRE(cfg_.spec.horizon_units >= 1, "horizon must be positive");
@@ -226,7 +228,7 @@ bool Daemon::accept_slot_end(Tick t, const Msg& m, DaemonActions& out) {
   if (end <= st.slot_begin) end = st.slot_begin + 1;
   st.slot_close_end = end;
   st.awaiting_end = false;
-  if (is_transmit(st.action)) channel_.close_tx(m.station, end);
+  if (is_transmit(st.action)) channel_.close(m.station, end);
   return true;
 }
 
@@ -236,7 +238,10 @@ void Daemon::settle_slot(Tick t, StationId id, DaemonActions& out) {
   // delivery — an injector reacting to a delivery sees it only from the
   // next event on.
   poll_injections(t);
-  const Feedback fb = channel_.feedback(st.slot_begin, st.slot_close_end);
+  std::uint64_t scanned = 0;
+  const Feedback fb =
+      channel_.feedback(st.slot_begin, st.slot_close_end, scanned);
+  LiveTelemetry::get().channel_scanned.add(scanned);
   bool delivered = false;
   // Ownership check mirrors the engines: under a reject-mode restrained
   // channel the ack may belong to another station's transmission ending
@@ -317,11 +322,13 @@ void Daemon::handle_boundary(Tick t, const Msg& m, DaemonActions& out) {
   st.awaiting_end = true;
 
   if (is_transmit(st.action)) {
-    channel_.begin_tx(m.station, st.slot_begin,
-                      st.action == SlotAction::kTransmitControl,
-                      st.action == SlotAction::kTransmitControl
-                          ? 0
-                          : st.queue.front().seq);
+    channel::Transmission tx;
+    tx.station = m.station;
+    tx.begin = st.slot_begin;
+    tx.end = kTickInfinity;  // open until the SlotEnd arrives
+    tx.is_control = st.action == SlotAction::kTransmitControl;
+    tx.packet = tx.is_control ? 0 : st.queue.front().seq;
+    channel_.add(tx);
   }
 
   Msg reply;

@@ -1,12 +1,12 @@
 // asyncmac/live/daemon.h
 //
 // Sans-IO channel-emulator daemon of live mode (docs/LIVE.md). The daemon
-// owns the base-station view of a run: the arrival-driven channel
-// (live/channel.h), the slot-length adversary, the injection adversary,
-// the metrics collector, the trace recorder and the backlog samples the
-// stability verdict is computed from. Stations own nothing but their
-// protocol automaton — every observable (feedback, injections, slot
-// grants) crosses the wire.
+// owns the base-station view of a run: the channel (a channel::Window,
+// the engine's implementation of the channel rules), the slot-length
+// adversary, the injection adversary, the metrics collector, the trace
+// recorder and the backlog samples the stability verdict is computed
+// from. Stations own nothing but their protocol automaton — every
+// observable (feedback, injections, slot grants) crosses the wire.
 //
 // The daemon is a pure state machine: the transport (live/virtual_net.h
 // for deterministic tests, live/udp.h for real sockets) hands it batches
@@ -24,6 +24,12 @@
 //   C. commit — per Boundary: fix the next slot's begin at t, ask the
 //      slot policy for its length, register the transmission, reply
 //      Grant.
+// A transmission's end is its SlotEnd arrival, so phase C adds it to the
+// window as an open entry and phase A closes it (every transmission
+// beginning before t was added by an earlier wave, as Window::close
+// requires). Taking the unknown end as +inf is exact: phase A closes
+// every end <= t before phase B answers a feedback query at t, so an
+// open entry is really on air then.
 // This reproduces sim::Engine's per-event loop exactly when datagrams
 // arrive at their nominal times: the engine processes slot-end events in
 // (end, station) order, polls before feedback, and registers the next
@@ -60,9 +66,8 @@
 
 #include "analysis/run_spec.h"
 #include "analysis/stability.h"
-#include "channel/ledger.h"
+#include "channel/window.h"
 #include "energy/meter.h"
-#include "live/channel.h"
 #include "live/wire.h"
 #include "metrics/collector.h"
 #include "sim/injection.h"
@@ -186,7 +191,7 @@ class Daemon : public sim::EngineView {
   Tick max_slot_ticks_;
   std::unique_ptr<sim::SlotPolicy> policy_;
   std::unique_ptr<sim::InjectionPolicy> injector_;
-  LiveChannel channel_;
+  channel::Window channel_;
   metrics::Collector metrics_;
   energy::EnergyMeter meter_;
   trace::Recorder trace_;

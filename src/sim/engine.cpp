@@ -9,6 +9,12 @@
 namespace asyncmac::sim {
 
 namespace {
+/// Initial capacity of the delivery log when record_deliveries is set.
+/// The log grows unbounded with deliveries: long validator runs should
+/// bound StopCondition::max_total_slots (or max_time) rather than rely on
+/// the reserve.
+constexpr std::size_t kDeliveryReserve = 1024;
+
 // Write-only telemetry instruments (docs/OBSERVABILITY.md). The hot loop
 // never touches these directly: per-step deltas accumulate in plain
 // Engine members and are pushed here by flush_telemetry() on the cold
@@ -52,7 +58,7 @@ Engine::Engine(EngineConfig cfg,
   max_slot_ticks_ = static_cast<Tick>(cfg_.bound_r) * kTicksPerUnit;
 
   if (cfg_.record_deliveries)
-    deliveries_.reserve(cfg_.delivery_reserve_hint);
+    deliveries_.reserve(kDeliveryReserve);
 
   util::Rng seeder(cfg_.seed);
   stations_.reserve(cfg_.n);

@@ -83,11 +83,6 @@ struct EngineConfig {
   /// flushes). Must be >= 1. The default balances prune work against live
   /// window growth (see docs/PERFORMANCE.md, "Choosing prune_interval").
   std::uint64_t prune_interval = 4096;
-  /// Initial capacity reserved for the delivery log when
-  /// record_deliveries is set. The log grows unbounded with deliveries —
-  /// long validator runs should bound StopCondition::max_total_slots (or
-  /// max_time) rather than rely on the reserve.
-  std::size_t delivery_reserve_hint = 1024;
   /// Autosave cadence in processed slot-end events (0 = off). The engine
   /// never touches the filesystem itself: every checkpoint_interval steps
   /// it invokes checkpoint_sink with *this, and the sink (e.g.

@@ -360,6 +360,46 @@ TEST_F(CliOutputPath, ServePortFileExitsOne) {
                         "/port.txt");
 }
 
+// --csv is opened before the sweep: a path under a regular file exits 1
+// before the first unit runs, so a grid prints no record row and `serve`
+// never binds its listener (no worker is ever needed to end it).
+std::string regular_file(const std::string& name) {
+  const std::string file = ::testing::TempDir() + name;
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "not a directory\n";
+  return file;
+}
+
+TEST(CliUsage, GridCsvFailsBeforeAnyUnitRuns) {
+  const std::string file = regular_file("cli_grid_csv_first");
+  const RunResult r = run_cli(
+      "--grid --protocol=rrw,aloha --n=2,4 --rho=0.5,0.9 --horizon=100000 "
+      "--csv=" + file + "/x.csv");
+  EXPECT_TRUE(r.exited) << r.output;
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("cannot write " + file + "/x.csv"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("rrw"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("aloha"), std::string::npos) << r.output;
+  std::filesystem::remove_all(file);
+}
+
+TEST(CliUsage, ServeCsvFailsBeforeListening) {
+  const std::string file = regular_file("cli_serve_csv_first");
+  const RunResult r =
+      run_cli("serve --protocol=rrw --n=2 --horizon=200 --csv=" + file +
+                  "/x.csv",
+              false, "timeout 30 ");
+  EXPECT_TRUE(r.exited) << r.output;
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("cannot write " + file + "/x.csv"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("listening"), std::string::npos) << r.output;
+  std::filesystem::remove_all(file);
+}
+
 // ------------------------------------------------- flag x mode matrix
 
 // The contract, written out here independently of the CLI's flag table:

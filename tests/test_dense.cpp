@@ -8,10 +8,6 @@
 // meter, delivery log and engine cursors. Every test also checks that
 // the dense loop really ran (dense() and engine.dense_slots), so a change
 // that quietly switches it off fails here.
-//
-// The suite and test names are those these checks had when a lane
-// engine ran them: a "lane" is now one dense run, its "scalar twin" the
-// same run on the general loop.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -126,7 +122,7 @@ sim::EngineMaterials golden_materials(const EngineGoldenCase& c) {
 // Every golden corpus case's uniform CA-ARRoW variants: ca-arrow under
 // sync and under max, with the case's n, R, injector (the adaptive
 // maxqueue and drain-chasing ones included) and seed.
-TEST(CohortGolden, ByteIdentityAcrossCorpus) {
+TEST(DenseGolden, ByteIdentityAcrossCorpus) {
   const DenseSlots slots;
   for (EngineGoldenCase c : testing::engine_golden_cases()) {
     c.protocol = "ca-arrow";
@@ -145,7 +141,7 @@ TEST(CohortGolden, ByteIdentityAcrossCorpus) {
 // Generated ca-arrow scenarios the dense path takes, with whatever
 // injector, channel variant and energy model the generator draws, run
 // untraced to half the horizon and then to the horizon.
-TEST(CohortScenario, GeneratedScenariosByteIdentity) {
+TEST(DenseScenario, GeneratedScenariosByteIdentity) {
   const DenseSlots slots;
   verify::ScenarioGen gen(0xC0480u, {"ca-arrow"});
   int drawn = 0;
@@ -167,7 +163,7 @@ TEST(CohortScenario, GeneratedScenariosByteIdentity) {
 
 // Runs that share protocol, policy, n, R and seed but differ in injector
 // parameters and kinds, one of them without an injector.
-TEST(Cohort, ParamVaryingLanesByteIdentity) {
+TEST(Dense, ParamVaryingRunsByteIdentity) {
   std::vector<adversary::InjectorSpec> specs(4);
   specs[0].rho = util::Ratio(1, 2);
   specs[1].rho = util::Ratio(1, 4);  // halved rate
@@ -198,7 +194,7 @@ TEST(Cohort, ParamVaryingLanesByteIdentity) {
 // general run. Swept across prune cadences (every event, 16, and one so
 // sparse it never fires) so cuts land before, between and on prune
 // boundaries. Before any run the two engines hold the same bytes.
-TEST(Cohort, KillAnywhereByteIdentityAcrossPruneCadences) {
+TEST(Dense, KillAnywhereByteIdentityAcrossPruneCadences) {
   const DenseSlots slots;
   for (const std::uint64_t prune : {std::uint64_t{1}, std::uint64_t{16},
                                     std::uint64_t{4096}}) {
@@ -227,7 +223,7 @@ TEST(Cohort, KillAnywhereByteIdentityAcrossPruneCadences) {
 // Stops that land mid-round and mid-batch: slot-count stops of every
 // size modulo n, and time stops between round ends, interleaved on one
 // dense engine and its twin, compared at every stop.
-TEST(Cohort, StaggeredStopsRetireLanesMidRun) {
+TEST(Dense, StaggeredStopsEndRunsMidRound) {
   const DenseSlots slots;
   for (const char* policy : {"sync", "max"}) {
     auto dense = engine_from(dense_materials(1000, policy));
@@ -253,7 +249,7 @@ TEST(Cohort, StaggeredStopsRetireLanesMidRun) {
 // The prune cadence with channel history archiving: a small prune
 // interval fires many prunes, and runs stopped at different prune phases
 // must serialize as their twins do.
-TEST(Cohort, PruneCadenceWithHistoryByteIdentity) {
+TEST(Dense, PruneCadenceWithHistoryByteIdentity) {
   const DenseSlots slots;
   auto materials = [] {
     sim::EngineMaterials m = dense_materials(300);
@@ -272,7 +268,7 @@ TEST(Cohort, PruneCadenceWithHistoryByteIdentity) {
 
 // The energy meter under the dense loop and its batcher, on both
 // policies: meters and snapshots equal the twin's.
-TEST(Cohort, MeteredRunByteIdentity) {
+TEST(Dense, MeteredRunByteIdentity) {
   const DenseSlots slots;
   for (const char* policy : {"sync", "max"}) {
     auto materials = [policy] {
@@ -294,7 +290,7 @@ TEST(Cohort, MeteredRunByteIdentity) {
 
 // A k-restrained channel, in jam mode and in reject mode (the delivery
 // then confirms that the ack is the station's own).
-TEST(Cohort, RestrainedChannelByteIdentity) {
+TEST(Dense, RestrainedChannelByteIdentity) {
   const DenseSlots slots;
   for (const bool jam : {true, false}) {
     auto materials = [jam] {
@@ -313,7 +309,7 @@ TEST(Cohort, RestrainedChannelByteIdentity) {
 // step() and run() interleave: a dense run continues from where step()
 // left the schedule (mid-round), and step() from where a dense run wrote
 // its state back.
-TEST(Cohort, RunAfterStepAndStepAfterRun) {
+TEST(Dense, RunAfterStepAndStepAfterRun) {
   const DenseSlots slots;
   auto dense = engine_from(dense_materials(7, "sync"));
   auto twin = engine_from(dense_materials(7, "sync"));
@@ -335,7 +331,7 @@ TEST(Cohort, RunAfterStepAndStepAfterRun) {
 // length for every station. Other protocols, a mixed protocol set,
 // variable or per-station lengths run on the general loop — dense() is
 // false and run() adds no dense slot.
-TEST(Cohort, RefusesIneligibleLanes) {
+TEST(Dense, RefusesIneligibleRuns) {
   const DenseSlots slots;
   auto with = [](const std::string& policy, std::uint32_t n, std::uint32_t r,
                  const std::string& protocol = "ca-arrow") {
@@ -379,7 +375,7 @@ TEST(Cohort, RefusesIneligibleLanes) {
 // Checkpointing keeps a run off the dense path (the sink observes the
 // engine mid-run): dense() is false, the sink fires, no dense slot runs,
 // and the run's statistics are the dense run's.
-TEST(Cohort, RefusesCheckpointConfig) {
+TEST(Dense, RefusesCheckpointConfig) {
   const DenseSlots slots;
   int saves = 0;
   sim::EngineMaterials m = dense_materials(17);
@@ -402,7 +398,7 @@ TEST(Cohort, RefusesCheckpointConfig) {
 // A stop with a predicate, and a traced run, take the general loop: a
 // predicate must see every event, and a trace records each. Neither adds
 // a dense slot, and each ends where the dense loop would have.
-TEST(Cohort, RefusesPredicateStop) {
+TEST(Dense, RefusesPredicateStop) {
   const DenseSlots slots;
   auto with_predicate = engine_from(dense_materials(5));
   ASSERT_TRUE(with_predicate->dense());

@@ -236,10 +236,10 @@ TEST(EnergyCheckpoint, MeterSurvivesKillAnywhereResume) {
 
 // ------------------------------------------------------------- dense runs
 
-TEST(EnergyCohort, LanesMatchTheirScalarTwinsExactly) {
-  // Metered dense runs ("lanes"): ca-arrow, sync, R=1, no trace, so the
-  // dense loop and its quiet-run batcher bill the meter; the engine seed
-  // and rho vary. Each run's meter, and its whole state snapshot, must
+TEST(EnergyDense, RunsMatchTheirGeneralPathTwinsExactly) {
+  // Metered dense runs: ca-arrow, sync, R=1, no trace, so the dense
+  // loop and its quiet-run batcher bill the meter; the engine seed and
+  // rho vary. Each run's meter, and its whole state snapshot, must
   // equal its twin's on the general loop (a never-true stop predicate).
   struct Telemetry {
     Telemetry() { telemetry::set_enabled(true); }

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "analysis/grid.h"
 #include "analysis/msr.h"
 #include "analysis/run_spec.h"
 #include "energy/meter.h"
@@ -514,12 +515,21 @@ std::string mode_list(Modes modes) {
     const char* open = "[";
     for (unsigned m = 0; m < kModeCount; ++m)
       if (f.modes & bit(m)) {
-        words.push_back(open + std::string(kModeNames[m]) + ",");
+        std::string word = open;
+        word += kModeNames[m];
+        word += ',';
+        words.push_back(std::move(word));
         open = "";
       }
     words.back().back() = ']';
-    std::string line = "  " + std::string(f.name) +
-                       (f.metavar ? "=" + std::string(f.metavar) : "");
+    // Appended piece by piece: g++ 12 at -O3 reports a false
+    // -Werror=restrict on `const char* + std::string`.
+    std::string line = "  ";
+    line += f.name;
+    if (f.metavar) {
+      line += '=';
+      line += f.metavar;
+    }
     if (line.size() >= kIndent) {
       std::cout << line << "\n";
       line.clear();
@@ -675,14 +685,33 @@ analysis::ExperimentSpec make_grid_spec(const Options& opt) {
   return spec;
 }
 
+/// Opens --csv, header written, once `spec` is known to plan, so a
+/// refused spec exits 2 leaving no file and a path that cannot be written
+/// exits 1 before any unit runs. Without --csv, `csv` stays empty.
+bool open_csv(const Options& opt, const analysis::ExperimentSpec& spec,
+              std::optional<analysis::RecordsCsv>& csv) {
+  if (opt.csv_path.empty()) return true;
+  try {
+    analysis::plan_grid(spec);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  csv.emplace(opt.csv_path, spec.energy.enabled);
+  if (csv->ok()) return true;
+  std::cerr << "asyncmac_cli: cannot write " << opt.csv_path << "\n";
+  return false;
+}
+
 /// Table + optional CSV, shared by --grid and `serve`: the distributed
 /// path must produce byte-identical stdout and CSV (the sweep-smoke CI
 /// job diffs both against a single-process control).
 int print_grid_results(const std::vector<analysis::ExperimentRecord>& records,
-                       const std::string& csv_path, bool energy_columns) {
+                       const std::string& csv_path,
+                       std::optional<analysis::RecordsCsv>& csv) {
   std::cout << analysis::to_table(records);
-  if (csv_path.empty()) return 0;
-  if (!analysis::write_csv(records, csv_path, energy_columns)) {
+  if (!csv) return 0;
+  csv->write(records);
+  if (!csv->ok()) {
     std::cerr << "asyncmac_cli: cannot write " << csv_path << "\n";
     return 1;
   }
@@ -693,6 +722,8 @@ int print_grid_results(const std::vector<analysis::ExperimentRecord>& records,
 
 int run_experiment_grid(const Options& opt) {
   const analysis::ExperimentSpec spec = make_grid_spec(opt);
+  std::optional<analysis::RecordsCsv> csv;
+  if (!open_csv(opt, spec, csv)) return 1;
   start_telemetry(opt);
   std::vector<analysis::ExperimentRecord> records;
   try {
@@ -704,7 +735,7 @@ int run_experiment_grid(const Options& opt) {
               << ": " << e.what() << "\n";
     return 1;
   }
-  return print_grid_results(records, opt.csv_path, spec.energy.enabled);
+  return print_grid_results(records, opt.csv_path, csv);
 }
 
 /// The one run that single-run mode, --msr and live-serve describe (the
@@ -1072,6 +1103,8 @@ int run_serve(const Options& opt) {
     srv.coord.job.grid = make_grid_spec(opt);
     srv.coord.checkpoint_dir = opt.checkpoint_dir;
   }
+  std::optional<analysis::RecordsCsv> csv;
+  if (!open_csv(opt, srv.coord.job.grid, csv)) return 1;
   start_telemetry(opt);
   // Progress and the bound port go to stderr: stdout stays byte-identical
   // to the same sweep run locally with --grid.
@@ -1118,8 +1151,7 @@ int run_serve(const Options& opt) {
     std::cout << verify::summarize(result);
     return result.failures.empty() ? 0 : 1;
   }
-  return print_grid_results(outcome.records, opt.csv_path,
-                            opt.energy.enabled);
+  return print_grid_results(outcome.records, opt.csv_path, csv);
 }
 
 int run_worker(const Options& opt) {
