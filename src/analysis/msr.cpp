@@ -14,27 +14,42 @@ namespace {
 
 bool stable_probe(const RateEngineFactory& factory, util::Ratio rho,
                   const MsrConfig& config, int* probes) {
-  // Seed votes are independent deterministic runs: replicate them across
-  // the pool and tally afterwards (vote totals are order-independent).
-  std::vector<char> stable(static_cast<std::size_t>(config.seeds), 0);
-  util::parallel_for(
-      config.jobs, stable.size(), [&](std::size_t s) {
-        const std::uint64_t seed = config.base_seed + s;
-        const auto report = probe_stability(
-            [&] { return factory(rho, seed); }, config.probe);
-        stable[s] = report.verdict == Verdict::kStable ? 1 : 0;
-      });
-  if (probes) *probes += config.seeds;
-  const int stable_votes = static_cast<int>(
-      std::count(stable.begin(), stable.end(), char{1}));
-  const bool verdict = 2 * stable_votes > config.seeds;
+  // The seeds vote in order, in rounds: each round casts, on the pool, the
+  // fewest next votes that could still decide the majority (with 3 seeds:
+  // two, then the third only on a split). The votes cast are a prefix of
+  // the full vote and decide it, so the verdict is the full vote's.
+  const int stable_needed = config.seeds / 2 + 1;
+  const int unstable_needed = config.seeds - stable_needed + 1;
+  int votes = 0;
+  int stable_votes = 0;
+  while (stable_votes < stable_needed &&
+         votes - stable_votes < unstable_needed) {
+    const int round = std::min(stable_needed - stable_votes,
+                               unstable_needed - (votes - stable_votes));
+    std::vector<char> stable(static_cast<std::size_t>(round), 0);
+    const std::uint64_t first = config.base_seed +
+                                static_cast<std::uint64_t>(votes);
+    util::parallel_for(
+        config.jobs, stable.size(), [&](std::size_t k) {
+          const std::uint64_t seed = first + k;
+          const auto report = probe_stability(
+              [&] { return factory(rho, seed); }, config.probe);
+          stable[k] = report.verdict == Verdict::kStable ? 1 : 0;
+        });
+    votes += round;
+    stable_votes += static_cast<int>(
+        std::count(stable.begin(), stable.end(), char{1}));
+  }
+  if (probes) *probes += votes;
+  const bool verdict = stable_votes >= stable_needed;
   static auto& probe_count =
       telemetry::Registry::global().counter("analysis.msr_probes");
-  probe_count.add(static_cast<std::uint64_t>(config.seeds));
+  probe_count.add(static_cast<std::uint64_t>(votes));
   telemetry::emit("msr.probe",
                   {{"rho_num", static_cast<std::int64_t>(rho.num)},
                    {"rho_den", static_cast<std::int64_t>(rho.den)},
                    {"stable_votes", static_cast<std::int64_t>(stable_votes)},
+                   {"votes", static_cast<std::int64_t>(votes)},
                    {"seeds", static_cast<std::int64_t>(config.seeds)},
                    {"stable", verdict}});
   return verdict;

@@ -10,6 +10,8 @@
 // The search assumes monotonicity (stable at rho implies stable below),
 // which holds for the leaky-bucket workloads used here; randomized
 // protocols (ALOHA, BEB) get a majority vote over seeds to tame variance.
+// A vote stops as soon as its majority is decided: seeds are cast in
+// order, in rounds of the fewest votes that could still decide it.
 #pragma once
 
 #include <cstdint>
@@ -39,23 +41,25 @@ struct MsrConfig {
   int hi_pct = 99;
   int seeds = 1;              ///< majority vote across seeds per rho
   std::uint64_t base_seed = 1;
-  /// Worker threads for the per-rho seed votes (0 = hardware_concurrency,
-  /// 1 = serial). The binary search over rho stays sequential; with
-  /// jobs != 1 the factory must be callable concurrently (it only builds
-  /// engines, so value-capturing factories are safe).
+  /// Worker threads for each round of a per-rho seed vote (0 =
+  /// hardware_concurrency, 1 = serial). The binary search over rho and
+  /// the rounds stay sequential; with jobs != 1 the factory must be
+  /// callable concurrently (it only builds engines, so value-capturing
+  /// factories are safe). No result depends on it.
   unsigned jobs = 1;
 };
 
 struct MsrResult {
   int msr_pct = 0;  ///< highest percent classified stable (0 = none)
-  int probes = 0;   ///< stability probes executed
+  int probes = 0;   ///< seed votes cast (stability probes executed)
 };
 
 /// Binary-search the highest stable rho (percent).
 MsrResult estimate_msr(const RateEngineFactory& factory,
                        const MsrConfig& config = {});
 
-/// Single-rate convenience: majority-vote stability at one rho.
+/// Single-rate convenience: majority-vote stability at one rho, the
+/// verdict estimate_msr's probe at that rho reaches.
 bool stable_at(const RateEngineFactory& factory, util::Ratio rho,
                const MsrConfig& config = {});
 

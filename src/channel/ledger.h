@@ -77,8 +77,9 @@ class Ledger {
   /// rule yield ack exactly when that transmission succeeded and busy
   /// when it collided. Requires t <= the latest safe query time (all
   /// transmissions beginning before t already added). Cost is
-  /// O(log W + neighborhood), not O(W): the begin-sorted window is seeked
-  /// to the first entry that can reach the slot (Window::feedback). Two
+  /// O(log distance + neighborhood), not O(W): the begin-sorted window is
+  /// seeked, galloping back from the newest entry, to the first entry
+  /// that can reach the slot (Window::feedback). Two
   /// O(1) silence fast paths skip the seek entirely: an empty window, and
   /// a slot starting at or after latest_end() (every registered interval
   /// is already over, so nothing can overlap [s, t) or ack-end inside it).

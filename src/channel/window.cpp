@@ -99,6 +99,7 @@ bool Window::add(Transmission t) {
   ++stats_.transmissions;
   if (t.is_control) ++stats_.control_transmissions;
   if (open) open_.push_back(begin_.size());
+  if (!t.decided) next_due_ = std::min(next_due_, t.end);
   append(t);
   return !open && raise_watermarks(t.begin, t.end);
 }
@@ -127,6 +128,7 @@ bool Window::close(StationId station, Tick end) {
   open_.pop_back();
   AM_CHECK_MSG(end > begin_[i], "transmission must have positive duration");
   end_[i] = end;
+  if (!decided_[i]) next_due_ = std::min(next_due_, end);
   raise_watermarks(begin_[i], end);
   if (restrained_.enabled() && !rejected(admission_[i])) {
     --open_on_air_;
@@ -184,35 +186,59 @@ void Window::finalize_until(Tick now) {
   // Begins are non-decreasing but ends are not, so decidable entries can
   // be interleaved with pending ones: walk the undecided suffix, decide
   // each entry whose end has passed, then advance the decided prefix.
-  for (std::size_t i = finalized_; i < begin_.size(); ++i) {
-    if (decided_[i] || end_[i] > now) continue;
-    const bool ok = !overlaps_other(i);
-    successful_[i] = ok ? 1 : 0;
-    decided_[i] = 1;
-    if (ok) {
-      ++stats_.successful;
-      const Tick duration = end_[i] - begin_[i];
-      if (is_control_[i]) {
-        stats_.successful_control_time += duration;
-      } else {
-        ++stats_.successful_packets;
-        stats_.successful_packet_time += duration;
+  // Before next_due_ no entry is decidable and the walk is skipped; the
+  // prefix still advances over entries decided at add (rejected ones).
+  if (now >= next_due_) {
+    next_due_ = kTickInfinity;
+    for (std::size_t i = finalized_; i < begin_.size(); ++i) {
+      if (decided_[i]) continue;
+      if (end_[i] > now) {
+        next_due_ = std::min(next_due_, end_[i]);
+        continue;
       }
-    } else {
-      ++stats_.collided;
+      const bool ok = !overlaps_other(i);
+      successful_[i] = ok ? 1 : 0;
+      decided_[i] = 1;
+      if (ok) {
+        ++stats_.successful;
+        const Tick duration = end_[i] - begin_[i];
+        if (is_control_[i]) {
+          stats_.successful_control_time += duration;
+        } else {
+          ++stats_.successful_packets;
+          stats_.successful_packet_time += duration;
+        }
+      } else {
+        ++stats_.collided;
+      }
     }
   }
   while (finalized_ < begin_.size() && decided_[finalized_]) ++finalized_;
+}
+
+std::size_t Window::seek_after(Tick x) const {
+  // Queries ask about the newest slots, so the answer lies within a few
+  // entries of the end: gallop back 1, 2, 4, ... entries until a begin
+  // at or before x, then binary-search the last step. O(log distance).
+  std::size_t hi = begin_.size();  // every begin in [hi, size) is > x
+  std::size_t step = 1;
+  while (hi - head_ > step && begin_[hi - step] > x) {
+    hi -= step;
+    step *= 2;
+  }
+  // Either the step reaches the window start or begin_[hi - step] <= x.
+  const std::size_t lo = hi - head_ > step ? hi - step + 1 : head_;
+  return static_cast<std::size_t>(
+      std::upper_bound(begin_.begin() + static_cast<std::ptrdiff_t>(lo),
+                       begin_.begin() + static_cast<std::ptrdiff_t>(hi), x) -
+      begin_.begin());
 }
 
 Feedback Window::feedback(Tick s, Tick t, std::uint64_t& scanned) {
   finalize_until(t);
   // An entry with begin <= s - max_duration_ has end <= s: it neither
   // overlaps [s, t) nor ends inside (s, t]. Seek past those.
-  std::size_t i = static_cast<std::size_t>(
-      std::upper_bound(begin_.begin() + static_cast<std::ptrdiff_t>(head_),
-                       begin_.end(), s - max_duration_) -
-      begin_.begin());
+  std::size_t i = seek_after(s - max_duration_);
   bool any_overlap = false;
   scanned = 0;
   for (; i < begin_.size() && begin_[i] < t; ++i) {
@@ -354,6 +380,8 @@ void Window::load(snapshot::Reader& r) {
   last_begin_ = r.i64();
   latest_end_ = r.i64();
   max_duration_ = r.i64();
+  for (std::size_t i = finalized_; i < begin_.size(); ++i)
+    if (!decided_[i]) next_due_ = std::min(next_due_, end_[i]);
   if (restrained_.enabled()) {
     for (std::size_t i = 0; i < begin_.size(); ++i)
       if (!rejected(admission_[i])) live_ends_.push_back(end_[i]);

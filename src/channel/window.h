@@ -39,9 +39,10 @@
 //     reach it. An open entry overlaps it iff it begins before b;
 //   * feedback — for a slot [s, t) only closed entries beginning in
 //     (s - max_duration(), t) can overlap it or end inside (s, t], so a
-//     binary seek plus that neighborhood scan answers ack/busy/silence in
-//     O(log W + neighborhood). An open entry makes the slot busy iff it
-//     begins before t;
+//     seek plus that neighborhood scan answers ack/busy/silence. The seek
+//     gallops back from the newest entry, O(log distance) for the recent
+//     slots callers ask about, then scans the neighborhood. An open entry
+//     makes the slot busy iff it begins before t;
 //   * ack ownership — whether a station's transmission ending at a given
 //     time succeeded, found by a backward scan that stops once begins
 //     fall more than max_duration() before that end.
@@ -151,6 +152,9 @@ class Window {
   /// Append `t` verbatim (flags included).
   void append(const Transmission& t);
   bool overlaps_other(std::size_t i) const;
+  /// The first live index whose begin is > x (std::upper_bound over the
+  /// live window), found by galloping back from the newest entry.
+  std::size_t seek_after(Tick x) const;
   /// Raise latest_end() and max_duration() to cover [begin, end); true
   /// iff max_duration() grew.
   bool raise_watermarks(Tick begin, Tick end);
@@ -171,6 +175,10 @@ class Window {
   std::vector<std::uint8_t> admission_;
   std::size_t head_ = 0;       ///< [0, head_) pruned, awaiting compaction
   std::size_t finalized_ = 0;  ///< [head_, finalized_) decided
+  /// The smallest end among undecided entries (kTickInfinity if none):
+  /// finalize_until walks only once its clock reaches it. add and close
+  /// lower it, each walk and load recompute it; not serialized.
+  Tick next_due_ = kTickInfinity;
 
   std::vector<Transmission> history_;
   LedgerStats stats_;

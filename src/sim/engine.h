@@ -26,17 +26,19 @@
 //    the atomic instruments at prune cadence / run end / destruction, so
 //    the innermost path performs no atomic operations for telemetry.
 //
-// Dense path (sim/engine_dense.cpp). When every station runs the CA-ARRoW
-// automaton and every slot has one fixed length (the `sync` and `max`
-// policies) the constructor marks the run dense(). Its slot-end events
-// then come in strict round-robin order, and run() — untraced, with no
-// stop predicate — takes a loop built on that: a round counter instead of
-// the winner tree, the automaton over n-wide arrays instead of virtual
-// calls, and whole runs of listening stations in a silent or memoized
-// round charged in one batch. It reads the automaton from the protocols
-// when run() starts and writes everything back before run() returns, so
-// save_state, protocol(), step() and the next run() see exactly the
-// state the general path would have left.
+// Dense path (sim/engine_dense.cpp). When every slot has one fixed length
+// (the `sync` and `max` policies, `perstation` at R = 1 or n = 1) the
+// constructor marks the run dense(), whatever the protocols. Its slot-end
+// events then come in strict round-robin order, and run() — untraced,
+// with no stop predicate — takes a loop built on that: a round counter
+// instead of the winner tree and no slot-policy call or length check per
+// event. Each station steps through its own automaton, except when every
+// station runs CA-ARRoW: then the loop runs that automaton over n-wide
+// arrays instead of virtual calls and charges whole runs of listening
+// stations in a silent or memoized round in one batch. It writes
+// everything back before run() returns, so save_state, protocol(),
+// step() and the next run() see exactly the state the general path would
+// have left.
 //
 // Correctness notes (why event order gives exact channel semantics):
 //  * A transmission is registered at its slot's *start*, i.e. when the
@@ -159,10 +161,10 @@ class Engine final : public EngineView {
   /// leave the same state.
   void run(const StopCondition& stop);
 
-  /// True when the constructor chose the dense path: every station runs
-  /// the CA-ARRoW automaton, the slot policy's fixed_length is one
-  /// nonzero value within [1, R] units for every station, and
-  /// checkpointing is off.
+  /// True when the constructor chose the dense path: the slot policy's
+  /// fixed_length is one nonzero value within [1, R] units for every
+  /// station, and checkpointing is off. Any protocol set qualifies; the
+  /// CA-ARRoW port and its batcher run when every station is CA-ARRoW.
   bool dense() const noexcept { return dense_length_ != 0; }
 
   /// Process exactly one slot-end event; returns false when the event

@@ -2,19 +2,21 @@
 //
 // The engine's dense path: Engine::run for a dense() run (sim/engine.h).
 //
-// Every station runs the CA-ARRoW automaton and every slot lasts the same
-// L ticks, so the (end, station) event order is a strict round-robin:
-// each round all n slots end at one time t, in ascending station order.
-// The scheduler becomes a cursor (next station, t). Before the cursor,
-// stations hold slot [t, t + L); from it on, [t - L, t). The winner tree,
-// the slot policy (fixed_length is binding: sim/slot_policy.h) and the
-// per-station slot records go unused until run() returns.
+// Every slot lasts the same L ticks, so the (end, station) event order is
+// a strict round-robin: each round all n slots end at one time t, in
+// ascending station order. The scheduler becomes a cursor (next station,
+// t). Before the cursor, stations hold slot [t, t + L); from it on,
+// [t - L, t). The winner tree, the slot policy (fixed_length is binding:
+// sim/slot_policy.h) and the per-station slot records go unused until
+// run() returns.
 //
 // The loop runs the general step's operations in the general step's
-// order on one event at a time, with the CA-ARRoW automaton ported onto
-// n-wide arrays (KEEP IN SYNC with core/ca_arrow.cpp, whose next_action,
-// begin_phase and save_state field order it copies). Two things make it
-// fast beyond that:
+// order on one event at a time. Each station steps through its own
+// automaton (a virtual Protocol::next_action with the SlotResult the
+// general step builds), except when every station runs CA-ARRoW: then
+// the loop uses that automaton ported onto n-wide arrays (KEEP IN SYNC
+// with core/ca_arrow.cpp, whose next_action, begin_phase and save_state
+// field order it copies). The port adds:
 //  * the quiet-run batcher: when a round's slot [t - L, t) takes the
 //    ledger's silent or memo fast path (Ledger::quiet_at / memo_at) and no
 //    injection poll is due at t, the listening stations from the cursor on
@@ -24,15 +26,16 @@
 //    ledger is charged for the skipped queries (Ledger::skip_queries). A
 //    batch never crosses the prune cadence or the stop budget, so the
 //    prune lands on the same event as in the general path;
-//  * the engine's Collector slot counts, engine.dense_slots and the
-//    CA-ARRoW turn counter are batched and folded in when run() returns.
+//  * the CA-ARRoW turn counter, batched like the rest.
+// Either way the engine's Collector slot counts and engine.dense_slots
+// are batched and folded in when run() returns.
 //
-// Byte identity: load() reads the automaton from each protocol's
-// save_state bytes, and store() writes it back through the protocol's
-// load_state, sets every committed slot and re-keys the scheduler, so
-// the engine holds exactly the state the general path leaves.
-// tests/test_dense.cpp and the fuzz oracle (verify/campaign.cpp) compare
-// the two paths' save_state bytes.
+// Byte identity: store() sets every committed slot and re-keys the
+// scheduler; under the port, load() reads the automaton from each
+// protocol's save_state bytes and store() writes it back through the
+// protocol's load_state. So the engine holds exactly the state the
+// general path leaves. tests/test_dense.cpp and the fuzz oracle
+// (verify/campaign.cpp) compare the two paths' save_state bytes.
 #include <algorithm>
 
 #include "sim/engine.h"
@@ -56,9 +59,9 @@ struct DenseTelemetry {
   }
 };
 
-// The dense path's automaton, identified by Protocol::name() (sim has no
+// The ported automaton, identified by Protocol::name() (sim has no
 // link-time dependency on core).
-constexpr const char* kDenseProtocol = "CA-ARRoW";
+constexpr const char* kPortProtocol = "CA-ARRoW";
 
 // core::CaArrowProtocol::State values, pinned by its save_state u8.
 constexpr std::uint8_t kCaCountdown = 1;
@@ -71,13 +74,19 @@ constexpr std::uint8_t kCaAwaitSequenceEnd = 4;
 class Engine::DenseRun {
  public:
   explicit DenseRun(Engine& e)
-      : e_(e), n_(e.cfg_.n), len_(e.dense_length_) {}
+      : e_(e),
+        n_(e.cfg_.n),
+        len_(e.dense_length_),
+        port_(std::all_of(e.stations_.begin(), e.stations_.end(),
+                          [](const StationRuntime& s) {
+                            return s.protocol->name() == kPortProtocol;
+                          })) {}
 
-  /// Read the cursor from the scheduler and the automaton from the
-  /// protocols (CaArrowProtocol::save_state's fields, in its order). False
-  /// when the committed slots are not in round-robin form or the prune
-  /// cadence is already due — states a snapshot saved under another
-  /// configuration can hold.
+  /// Read the cursor from the scheduler and, under the port, the
+  /// automaton from the protocols (CaArrowProtocol::save_state's fields,
+  /// in its order). False when the committed slots are not in round-robin
+  /// form or the prune cadence is already due — states a snapshot saved
+  /// under another configuration can hold.
   bool load() {
     if (e_.steps_since_prune_ >= e_.cfg_.prune_interval) return false;
     next_ = e_.events_.top_station();
@@ -95,6 +104,9 @@ class Engine::DenseRun {
       const StationRuntime& s = e_.stations_[i];
       if (s.slot_end != slot_end(i) || s.slot_begin != s.slot_end - len_)
         return false;
+      action_[i] = s.action;
+      q_empty_[i] = s.ctx.queue_empty() ? 1 : 0;
+      if (!port_) continue;
       snapshot::Writer w;
       s.protocol->save_state(w);
       snapshot::Reader r(w.buffer());
@@ -103,8 +115,6 @@ class Engine::DenseRun {
       countdown_[i] = r.u64();
       heard_[i] = r.boolean() ? 1 : 0;
       turns_taken_[i] = r.u64();
-      action_[i] = s.action;
-      q_empty_[i] = s.ctx.queue_empty() ? 1 : 0;
     }
     return true;
   }
@@ -116,7 +126,7 @@ class Engine::DenseRun {
     std::uint64_t budget =
         stop.max_total_slots > total ? stop.max_total_slots - total : 0;
     while (budget > 0 && t_ <= stop.max_time) {
-      std::uint64_t done = quiet_run(budget);
+      std::uint64_t done = port_ ? quiet_run(budget) : 0;
       if (done == 0) {
         step();
         done = 1;
@@ -138,6 +148,8 @@ class Engine::DenseRun {
       s.slot_end = slot_end(i);
       s.slot_begin = s.slot_end - len_;
       s.action = action_[i];
+      e_.events_.update(s.ctx.id(), s.slot_end);
+      if (!port_) continue;
       snapshot::Writer w;
       w.u8(state_[i]);
       w.u32(turn_[i]);
@@ -146,7 +158,6 @@ class Engine::DenseRun {
       w.u64(turns_taken_[i]);
       snapshot::Reader r(w.buffer());
       s.protocol->load_state(r, s.ctx);
-      e_.events_.update(s.ctx.id(), s.slot_end);
     }
     flush_telemetry();
   }
@@ -235,10 +246,12 @@ class Engine::DenseRun {
 
     const SlotAction act = action_[i];
     const Feedback fb = e_.ledger_.feedback(begin, t);
+    SlotResult result{act, fb, false};
     if (act == SlotAction::kTransmitPacket && fb == Feedback::kAck &&
         (!e_.cfg_.restrained.enabled() ||
          e_.ledger_.transmission_successful(id, t))) {
       const Packet p = s.ctx.pop_front();
+      result.delivered = true;
       q_empty_[i] = s.ctx.queue_empty() ? 1 : 0;
       e_.last_successful_ = id;
       e_.metrics_.on_delivery(id, p.cost, p.injected_at, len_, t);
@@ -268,8 +281,9 @@ class Engine::DenseRun {
         e_.meter_.add_idle(id, q_empty_[i] != 0);
     }
 
-    // (The automaton ignores SlotResult::delivered.)
-    const SlotAction next = next_action(i, fb);
+    // (The port ignores SlotResult::delivered.)
+    const SlotAction next = port_ ? next_action(i, fb)
+                                  : s.protocol->next_action(result, s.ctx);
     action_[i] = next;
     if (is_transmit(next)) {
       e_.check_action(s.ctx, next);
@@ -346,14 +360,16 @@ class Engine::DenseRun {
   Engine& e_;
   const std::uint32_t n_;
   const Tick len_;
+  /// Every station runs CA-ARRoW: the loop runs the port and its batcher.
+  const bool port_;
 
   // The cursor: the next event is station next_'s slot end at t_.
   StationId next_ = 1;
   Tick t_ = 0;
 
-  // The CA-ARRoW automaton per station (index station - 1), the committed
-  // action and the queue-empty flag, kept at the queue's two mutation
-  // sites (injection push, delivery pop).
+  // The CA-ARRoW automaton per station (index station - 1; port only),
+  // the committed action and the queue-empty flag, kept at the queue's two
+  // mutation sites (injection push, delivery pop).
   std::vector<std::uint8_t> state_;
   std::vector<std::uint32_t> turn_;
   std::vector<std::uint64_t> countdown_;
@@ -382,9 +398,7 @@ Tick Engine::dense_slot_length() const {
   const Tick len = slot_policy_->fixed_length(1);
   if (len < kTicksPerUnit || len > max_slot_ticks_) return 0;
   for (const StationRuntime& s : stations_)
-    if (slot_policy_->fixed_length(s.ctx.id()) != len ||
-        s.protocol->name() != kDenseProtocol)
-      return 0;
+    if (slot_policy_->fixed_length(s.ctx.id()) != len) return 0;
   return len;
 }
 

@@ -148,25 +148,28 @@ trace::CheckResult check_conservation(const sim::Engine& engine) {
 /// protocol that declares it never draws from them
 /// (analysis::protocol_draws_rng) must give the scenario engine's stats
 /// and channel stats at engine seed + 1 — its snapshot still differs by
-/// the saved RNG states. For a dense-eligible scenario that run is a
-/// dense one too.
+/// the saved RNG states. For such a protocol the engine above (and its
+/// twin) is built at engine seed + 1, so its horizon stats are that
+/// check's; a seed-drawing protocol's pair runs at the scenario seed.
 trace::CheckResult check_dense_equivalence(const Scenario& s,
                                            const sim::Engine& scenario) {
   Scenario plain = s;
   plain.record_trace = false;
   const Tick horizon = s.horizon_units * kTicksPerUnit;
+  const bool seed_free = !analysis::protocol_draws_rng(s.protocol);
+  const std::uint64_t engine_seed = seed_free ? plain.seed + 1 : 0;
 
-  auto dense = analysis::build_engine(plain);
-  if (dense->dense()) {
-    auto general = analysis::build_engine(plain);
+  auto engine = analysis::build_engine(plain, engine_seed);
+  if (engine->dense()) {
+    auto general = analysis::build_engine(plain, engine_seed);
     for (const Tick stop : {horizon / 2, horizon}) {
-      dense->run(sim::until(stop));
+      engine->run(sim::until(stop));
       sim::StopCondition forced = sim::until(stop);
       forced.predicate = [](const sim::Engine&) { return false; };
       general->run(forced);
       snapshot::Writer dense_bytes;
       snapshot::Writer general_bytes;
-      dense->save_state(dense_bytes);
+      engine->save_state(dense_bytes);
       general->save_state(general_bytes);
       if (dense_bytes.buffer() != general_bytes.buffer()) {
         std::ostringstream os;
@@ -175,15 +178,15 @@ trace::CheckResult check_dense_equivalence(const Scenario& s,
            << " vs " << general_bytes.buffer().size() << " bytes)";
         return {false, os.str()};
       }
-      if (auto r = check_conservation(*dense); !r) return r;
+      if (auto r = check_conservation(*engine); !r) return r;
     }
+  } else if (seed_free) {
+    engine->run(sim::until(horizon));
   }
 
-  if (analysis::protocol_draws_rng(s.protocol)) return {};
-  auto reseeded = analysis::build_engine(plain, plain.seed + 1);
-  reseeded->run(sim::until(horizon));
-  if (reseeded->stats() == scenario.stats() &&
-      reseeded->channel_stats() == scenario.channel_stats())
+  if (!seed_free) return {};
+  if (engine->stats() == scenario.stats() &&
+      engine->channel_stats() == scenario.channel_stats())
     return {};
   return {false, s.protocol +
                      " declares no seed use, yet its run at engine seed + 1 "

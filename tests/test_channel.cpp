@@ -1,10 +1,14 @@
 // Unit tests for the channel model: exact overlap semantics, success
 // finalization, the ack/busy/silence feedback truth table (Section II),
-// pruning and statistics, the Window kernels and the dense path's gates.
+// pruning and statistics, the Window kernels, the Window's seek and
+// finalize against a re-walking reference, and the dense path's gates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "channel/ledger.h"
@@ -12,6 +16,7 @@
 #include "channel/window.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
+#include "util/rng.h"
 #include "util/types.h"
 
 namespace asyncmac::channel {
@@ -426,6 +431,239 @@ TEST(SharedWindow, TransmissionSuccessfulScansBackToTheDurationHorizon) {
   // Nothing of station 1 ends at 2U: the scan stops and the invariant
   // check fires.
   EXPECT_THROW(d.transmission_successful(1, 2 * U), std::logic_error);
+}
+
+// ------------------------------------------------ seek and finalize
+
+/// The reference for Window's seek and finalize: every entry ever added,
+/// with the admission verdict the Window fixed at add, decided by a walk
+/// over every undecided entry on each finalize call, and a feedback seek
+/// by std::upper_bound over the live entries. Open entries (end +inf)
+/// sit in a side list kept in the Window's order.
+class RewalkWindow {
+ public:
+  void add(const Transmission& t) {
+    all_.push_back(t);
+    Transmission& e = all_.back();
+    e.successful = false;
+    e.decided = rejected(e);
+    ++stats_.transmissions;
+    if (e.is_control) ++stats_.control_transmissions;
+    if (e.decided) {
+      ++stats_.rejected;
+      ++stats_.collided;
+    } else if (static_cast<Admission>(e.admission) == Admission::kJammed) {
+      ++stats_.jammed;
+    }
+    if (e.end == kTickInfinity)
+      open_.push_back(all_.size() - 1);
+    else
+      max_duration_ = std::max(max_duration_, e.end - e.begin);
+  }
+
+  bool close(StationId station, Tick end) {
+    std::size_t k = 0;
+    while (all_[open_[k]].station != station) ++k;
+    const std::size_t i = open_[k];
+    open_[k] = open_.back();
+    open_.pop_back();
+    all_[i].end = end;
+    max_duration_ = std::max(max_duration_, end - all_[i].begin);
+    finalize_until(end);
+    return all_[i].successful;
+  }
+
+  void finalize_until(Tick now) {
+    for (std::size_t i = 0; i < all_.size(); ++i) {
+      Transmission& e = all_[i];
+      if (e.decided || e.end > now) continue;
+      e.decided = true;
+      e.successful = !overlaps_other(i);
+      if (!e.successful) {
+        ++stats_.collided;
+        continue;
+      }
+      ++stats_.successful;
+      if (e.is_control) {
+        stats_.successful_control_time += e.end - e.begin;
+      } else {
+        ++stats_.successful_packets;
+        stats_.successful_packet_time += e.end - e.begin;
+      }
+    }
+  }
+
+  Feedback feedback(Tick s, Tick t, std::uint64_t& scanned) {
+    finalize_until(t);
+    std::vector<Tick> begins;
+    for (std::size_t i = head_; i < all_.size(); ++i)
+      begins.push_back(all_[i].begin);
+    std::size_t i = head_ + static_cast<std::size_t>(
+                                std::upper_bound(begins.begin(), begins.end(),
+                                                 s - max_duration_) -
+                                begins.begin());
+    scanned = 0;
+    bool busy = false;
+    for (; i < all_.size() && all_[i].begin < t; ++i) {
+      ++scanned;
+      const Transmission& e = all_[i];
+      if (rejected(e)) continue;
+      if (e.end > s && e.end <= t && e.successful) return Feedback::kAck;
+      busy = busy || e.end > s;
+    }
+    for (std::size_t k = 0; !busy && k < open_.size(); ++k) {
+      ++scanned;
+      busy = !rejected(all_[open_[k]]) && all_[open_[k]].begin < t;
+    }
+    return busy ? Feedback::kBusy : Feedback::kSilence;
+  }
+
+  void prune_before(Tick horizon) {
+    finalize_until(horizon);
+    while (head_ < all_.size() && all_[head_].decided &&
+           all_[head_].end <= horizon)
+      ++head_;
+  }
+
+  const LedgerStats& stats() const { return stats_; }
+
+ private:
+  static bool rejected(const Transmission& e) {
+    return static_cast<Admission>(e.admission) == Admission::kRejected;
+  }
+
+  bool overlaps_other(std::size_t i) const {
+    for (std::size_t j = 0; j < all_.size(); ++j)
+      if (j != i && !rejected(all_[j]) &&
+          intervals_overlap(all_[i].begin, all_[i].end, all_[j].begin,
+                            all_[j].end))
+        return true;
+    return false;
+  }
+
+  std::vector<Transmission> all_;
+  std::vector<std::size_t> open_;
+  std::size_t head_ = 0;  ///< entries before it are pruned
+  Tick max_duration_ = 0;
+  LedgerStats stats_;
+};
+
+/// Drive a Window and its RewalkWindow reference through one seeded
+/// random sequence of adds (short entries, long ones up to 200 units and,
+/// with `open`, open ones), closes, clock steps, finalize calls, prunes
+/// and feedback queries, near the newest entry and far behind it. Every
+/// verdict, scan count, close result and the stats after every operation
+/// must match. With `resume`, a window with no open entry is now and then
+/// saved and replaced by a fresh one loaded from the bytes, and
+/// `resumed_undecided` counts those saved with undecided entries.
+void expect_matches_rewalk(std::uint64_t seed, RestrainedSpec restrained,
+                           bool open, int* resumed_undecided = nullptr) {
+  const bool resume = resumed_undecided != nullptr;
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " restrained=" +
+               (restrained.enabled()
+                    ? std::to_string(restrained.k) +
+                          (restrained.jam ? ":jam" : ":reject")
+                    : std::string("off")) +
+               (open ? " open" : "") + (resume ? " resume" : ""));
+  constexpr StationId kStations = 6;
+  util::Rng rng(seed);
+  auto window = std::make_unique<Window>(false, restrained);
+  RewalkWindow ref;
+  std::vector<Tick> open_begin(kStations + 1, -1);  // -1: none open
+  Tick now = 0;
+  Tick floor = 0;  // queries stay at or after the last prune horizon
+  auto below = [&rng](Tick bound) {
+    return static_cast<Tick>(rng.below(static_cast<std::uint64_t>(bound)));
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t pick = rng.below(100);
+    const std::string what = "op " + std::to_string(op);
+    if (pick < 20) {
+      const auto station = static_cast<StationId>(1 + rng.below(kStations));
+      if (open_begin[station] >= 0) continue;
+      const std::uint64_t shape = rng.below(40);
+      Tick end = now + U / 4 + below(3 * U);
+      if (shape == 0) end = now + 20 * U + below(180 * U);
+      if (open && shape >= 36) end = kTickInfinity;
+      window->add(tx(station, now, end, rng.below(8) == 0));
+      ref.add(window->entries().back());
+      if (end == kTickInfinity) open_begin[station] = now;
+    } else if (pick < 50) {
+      now += below(3 * U);
+    } else if (pick < 60) {
+      // Close the oldest open entry once the clock has passed its begin.
+      StationId station = 0;
+      for (StationId k = 1; k <= kStations; ++k)
+        if (open_begin[k] >= 0 &&
+            (station == 0 || open_begin[k] < open_begin[station]))
+          station = k;
+      if (station == 0 || open_begin[station] >= now) continue;
+      open_begin[station] = -1;
+      ASSERT_EQ(window->close(station, now), ref.close(station, now)) << what;
+    } else if (pick < 82) {
+      if (now <= floor) continue;
+      // Near the newest entries, or anywhere back to the prune floor.
+      const Tick t = rng.below(2) == 0 ? now - below(std::min(now - floor, U))
+                                       : floor + 1 + below(now - floor);
+      const Tick s = std::max(floor, t - 1 - below(4 * U));
+      if (s >= t) continue;
+      std::uint64_t scanned = 0;
+      std::uint64_t ref_scanned = 0;
+      ASSERT_EQ(window->feedback(s, t, scanned), ref.feedback(s, t, ref_scanned))
+          << what << " [" << s << "," << t << ")";
+      ASSERT_EQ(scanned, ref_scanned) << what << " [" << s << "," << t << ")";
+    } else if (pick < 94) {
+      const Tick until = below(now + 1);
+      window->finalize_until(until);
+      ref.finalize_until(until);
+    } else if (pick < 97) {
+      // No later than the begin of any undecided entry (the engine's
+      // horizon, the earliest current slot's begin, is that), so nothing
+      // pruned can overlap an entry decided later.
+      Tick horizon = now - below(60 * U);
+      for (const Transmission& e : window->entries())
+        if (!e.decided) horizon = std::min(horizon, e.begin);
+      floor = std::max(floor, horizon);
+      window->prune_before(floor);
+      ref.prune_before(floor);
+    } else if (resume && std::none_of(open_begin.begin(), open_begin.end(),
+                                      [](Tick b) { return b >= 0; })) {
+      snapshot::Writer w;
+      window->save(w);
+      if (!window->all_finalized()) ++*resumed_undecided;
+      window = std::make_unique<Window>(false, restrained);
+      snapshot::Reader r(w.buffer());
+      window->load(r);
+    }
+    ASSERT_EQ(window->stats(), ref.stats()) << what;
+  }
+  EXPECT_GT(window->stats().successful, 0u);
+  EXPECT_GT(window->stats().collided, 0u);
+}
+
+const RestrainedSpec kRewalkChannels[] = {
+    {}, {1, true}, {1, false}, {2, true}, {3, false}};
+
+// The gallop seek returns std::upper_bound's index over the live window
+// (so every verdict and scan count is the same), far behind the newest
+// entry too, and finalize_until decides the entries a walk over the whole
+// undecided suffix would, at the same calls, long and open entries and
+// the restrained channel included.
+TEST(WindowRewalk, SeekAndFinalizeMatchTheReference) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 99ULL})
+    for (const RestrainedSpec& spec : kRewalkChannels)
+      expect_matches_rewalk(seed, spec, /*open=*/true);
+}
+
+// A window saved with undecided entries and loaded into a fresh one
+// continues exactly as the reference: load recomputes when the next
+// finalize walk is due.
+TEST(WindowRewalk, LoadedWindowContinuesIdentically) {
+  int resumed_undecided = 0;
+  for (const std::uint64_t seed : {3ULL, 11ULL})
+    for (const RestrainedSpec& spec : kRewalkChannels)
+      expect_matches_rewalk(seed, spec, /*open=*/false, &resumed_undecided);
+  EXPECT_GT(resumed_undecided, 20);
 }
 
 // ------------------------------------------------------ dense-path gates

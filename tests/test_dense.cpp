@@ -1,7 +1,7 @@
 // The engine's dense path against its general path — the contract of
 // sim/engine.h: a dense() run that run() takes through the dense loop
-// must leave exactly the state the same run leaves when it is taken
-// event by event. A never-true stop predicate forces the general loop,
+// (the CA-ARRoW port, or each station's own automaton) must leave exactly
+// the state the same run leaves when it is taken event by event. A never-true stop predicate forces the general loop,
 // so every test below runs a dense engine and a twin built from the same
 // materials and compares full save_state snapshots — queues, RNG
 // streams, protocol state, committed slots, ledger, metrics, energy
@@ -327,48 +327,170 @@ TEST(Dense, RunAfterStepAndStepAfterRun) {
   EXPECT_GT(slots.count(), 0u);
 }
 
-// The dense path is the constructor's choice: ca-arrow on one fixed slot
-// length for every station. Other protocols, a mixed protocol set,
-// variable or per-station lengths run on the general loop — dense() is
-// false and run() adds no dense slot.
-TEST(Dense, RefusesIneligibleRuns) {
+// The dense path is the constructor's choice: one fixed slot length for
+// every station, whatever the protocols. Every queue-driven protocol and
+// a mixed protocol set go dense under sync, max, perstation at R = 1 and
+// perstation at n = 1, and match their general-loop twins. Variable or
+// per-station lengths and checkpointing run on the general loop: dense()
+// is false and run() adds no dense slot.
+TEST(Dense, EligibilityFollowsTheSchedule) {
   const DenseSlots slots;
-  auto with = [](const std::string& policy, std::uint32_t n, std::uint32_t r,
-                 const std::string& protocol = "ca-arrow") {
+  auto with = [](const std::string& protocol, const std::string& policy,
+                 std::uint32_t n, std::uint32_t r) {
     sim::EngineMaterials m = dense_materials(3, policy, n, r);
-    m.protocols = analysis::make_protocols(protocol, n);
+    if (protocol == "mixed") {
+      // The pool's protocols from ca-arrow on, one per station.
+      const std::vector<std::string>& pool = verify::default_protocol_pool();
+      for (std::uint32_t i = 0; i < n; ++i)
+        m.protocols[i] = analysis::make_protocol(pool[(i + 1) % pool.size()]);
+    } else {
+      m.protocols = analysis::make_protocols(protocol, n);
+    }
     return m;
   };
+  std::vector<std::string> protocols = verify::default_protocol_pool();
+  protocols.emplace_back("mixed");
   struct Shape {
     const char* policy;
     std::uint32_t n, r;
   };
-  // perstation gives every station one length when R = 1 or n = 1.
-  for (const Shape& s : {Shape{"sync", 5, 3}, Shape{"max", 5, 3},
-                         Shape{"perstation", 5, 1},
-                         Shape{"perstation", 1, 3}}) {
-    auto dense = engine_from(with(s.policy, s.n, s.r));
-    auto twin = engine_from(with(s.policy, s.n, s.r));
-    expect_same_run(*dense, *twin, sim::until(200 * kTicksPerUnit), slots,
-                    std::string(s.policy) + " n=" + std::to_string(s.n) +
-                        " R=" + std::to_string(s.r));
+  for (const std::string& protocol : protocols) {
+    for (const Shape& s : {Shape{"sync", 5, 3}, Shape{"max", 5, 3},
+                           Shape{"perstation", 5, 1},
+                           Shape{"perstation", 1, 3}}) {
+      auto dense = engine_from(with(protocol, s.policy, s.n, s.r));
+      auto twin = engine_from(with(protocol, s.policy, s.n, s.r));
+      expect_same_run(*dense, *twin, sim::until(200 * kTicksPerUnit), slots,
+                      protocol + " " + s.policy + " n=" + std::to_string(s.n) +
+                          " R=" + std::to_string(s.r));
+    }
   }
 
-  std::vector<std::pair<std::string, sim::EngineMaterials>> refused;
-  refused.emplace_back("ao-arrow", with("sync", 5, 3, "ao-arrow"));
-  refused.emplace_back("random", with("random", 5, 3));
-  refused.emplace_back("cyclic", with("cyclic", 5, 3));
-  refused.emplace_back("perstation R=3", with("perstation", 5, 3));
-  sim::EngineMaterials mixed = with("sync", 5, 3);
-  mixed.protocols[2] = analysis::make_protocol("rrw");
-  refused.emplace_back("mixed protocols", std::move(mixed));
-  for (auto& [what, m] : refused) {
-    auto engine = engine_from(std::move(m));
-    EXPECT_FALSE(engine->dense()) << what;
-    const std::uint64_t before = slots.count();
-    engine->run(sim::until(200 * kTicksPerUnit));
-    EXPECT_GT(engine->stats().total_slots, 0u) << what;
-    EXPECT_EQ(slots.count(), before) << what;
+  for (const std::string protocol : {"ca-arrow", "aloha", "mixed"}) {
+    std::vector<std::pair<std::string, sim::EngineMaterials>> refused;
+    for (const char* policy : {"random", "cyclic", "stretch-tx"})
+      refused.emplace_back(policy, with(protocol, policy, 5, 3));
+    refused.emplace_back("perstation R=3", with(protocol, "perstation", 5, 3));
+    sim::EngineMaterials checkpointed = with(protocol, "sync", 5, 3);
+    checkpointed.cfg.checkpoint_interval = 64;
+    refused.emplace_back("checkpointing", std::move(checkpointed));
+    for (auto& [what, m] : refused) {
+      auto engine = engine_from(std::move(m));
+      EXPECT_FALSE(engine->dense()) << protocol << " " << what;
+      const std::uint64_t before = slots.count();
+      engine->run(sim::until(200 * kTicksPerUnit));
+      EXPECT_GT(engine->stats().total_slots, 0u) << protocol << " " << what;
+      EXPECT_EQ(slots.count(), before) << protocol << " " << what;
+    }
+  }
+}
+
+/// A dense run of `protocol` under `policy` with an injector of `kind`
+/// (saturating, bursty, maxqueue, drain-chasing) at rho 3/5.
+sim::EngineMaterials protocol_materials(const std::string& protocol,
+                                        const std::string& kind,
+                                        const std::string& policy,
+                                        std::uint32_t r,
+                                        std::uint64_t seed = 11) {
+  constexpr std::uint32_t n = 5;
+  sim::EngineMaterials m = dense_materials(seed, policy, n, r);
+  m.protocols = analysis::make_protocols(protocol, n);
+  adversary::InjectorSpec inj;
+  inj.kind = kind;
+  inj.rho = util::Ratio(3, 5);
+  inj.burst_ticks = 6 * kTicksPerUnit;
+  inj.period_ticks = 40 * kTicksPerUnit;
+  inj.drain_a = 2;
+  inj.drain_b = 4;
+  inj.seed = seed + 1;
+  m.injection = adversary::make_injector(inj);
+  return m;
+}
+
+// Every queue-driven protocol steps through its own automaton on the
+// dense loop: under each injector kind (the adaptive maxqueue and
+// drain-chasing ones included), under sync and under max at R = 3, a
+// dense run stopped mid-round (slot counts that are not multiples of n)
+// and at its horizon holds its general twin's snapshot bytes. Seed-drawing
+// protocols are killed and resumed on the way, and one non-CA protocol
+// runs metered and on a restrained channel in both modes.
+TEST(Dense, EveryProtocolMatchesTheGeneralLoop) {
+  const DenseSlots slots;
+  const Tick horizon = 700 * kTicksPerUnit;
+  for (const std::string& protocol : verify::default_protocol_pool()) {
+    std::uint64_t delivered = 0;
+    for (const char* kind : {"saturating", "bursty", "maxqueue",
+                             "drain-chasing"}) {
+      for (const char* policy : {"sync", "max"}) {
+        const std::string what = protocol + " " + kind + " " + policy;
+        auto dense = engine_from(protocol_materials(protocol, kind, policy, 3));
+        auto twin = engine_from(protocol_materials(protocol, kind, policy, 3));
+        for (const std::uint64_t count : {std::uint64_t{7}, std::uint64_t{123},
+                                          std::uint64_t{1001}}) {
+          sim::StopCondition stop;
+          stop.max_total_slots = count;
+          expect_same_run(*dense, *twin, stop, slots,
+                          what + " slot " + std::to_string(count));
+        }
+        expect_same_run(*dense, *twin, sim::until(horizon), slots, what);
+        delivered += dense->stats().delivered_packets;
+      }
+    }
+    EXPECT_GT(delivered, 0u) << protocol;
+  }
+
+  // Kill and resume: a dense aloha or beb run saved mid-round and loaded
+  // into a fresh engine runs on exactly as the uninterrupted general run.
+  for (const std::string protocol : {"aloha", "beb"}) {
+    auto materials = [&protocol] {
+      return protocol_materials(protocol, "saturating", "sync", 3, 29);
+    };
+    auto dense = engine_from(materials());
+    auto twin = engine_from(materials());
+    for (const std::uint64_t count : {std::uint64_t{38}, std::uint64_t{401},
+                                      std::uint64_t{2222}}) {
+      sim::StopCondition stop;
+      stop.max_total_slots = count;
+      expect_same_run(*dense, *twin, stop, slots,
+                      protocol + " cut " + std::to_string(count));
+      const std::vector<std::uint8_t> saved = bytes(*dense);
+      auto resumed = engine_from(materials());
+      snapshot::Reader r(saved);
+      resumed->load_state(r);
+      dense = std::move(resumed);
+    }
+    expect_same_run(*dense, *twin, sim::until(horizon), slots,
+                    protocol + " resumed to the horizon");
+  }
+
+  // A metered run and a restrained channel (jam, then reject) of beb.
+  auto metered = [] {
+    sim::EngineMaterials m = protocol_materials("beb", "bursty", "max", 2);
+    m.cfg.energy.enabled = true;
+    m.cfg.energy.cost_transmit = 4;
+    m.cfg.energy.cost_listen = 2;
+    m.cfg.energy.cost_sleep = 1;
+    return m;
+  };
+  auto dense = engine_from(metered());
+  auto twin = engine_from(metered());
+  expect_same_run(*dense, *twin, sim::until(horizon), slots, "metered beb");
+  EXPECT_EQ(dense->energy_meter(), twin->energy_meter());
+  EXPECT_GT(dense->energy_meter().total_charge(dense->energy_model()), 0u);
+  for (const bool jam : {true, false}) {
+    auto restrained = [jam] {
+      sim::EngineMaterials m =
+          protocol_materials("beb", "saturating", "sync", 3);
+      m.cfg.restrained = channel::RestrainedSpec{1, jam};
+      return m;
+    };
+    auto dense_r = engine_from(restrained());
+    auto twin_r = engine_from(restrained());
+    expect_same_run(*dense_r, *twin_r, sim::until(horizon), slots,
+                    jam ? "beb jam" : "beb reject");
+    EXPECT_GT(dense_r->stats().delivered_packets, 0u);
+    EXPECT_GT(dense_r->channel_stats().jammed + dense_r->channel_stats().rejected,
+              0u);
   }
 }
 
