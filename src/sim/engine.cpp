@@ -69,7 +69,7 @@ Engine::Engine(EngineConfig cfg,
                            std::move(protocols[i]));
   }
 
-  dense_length_ = dense_slot_length();
+  plan_dense();
 
   // Packets injected at time 0 are visible to the very first decision.
   poll_injections(0);

@@ -26,19 +26,22 @@
 //    the atomic instruments at prune cadence / run end / destruction, so
 //    the innermost path performs no atomic operations for telemetry.
 //
-// Dense path (sim/engine_dense.cpp). When every slot has one fixed length
-// (the `sync` and `max` policies, `perstation` at R = 1 or n = 1) the
+// Dense path (sim/engine_dense.cpp). When every station has one fixed
+// slot length of its own, in any mix (the `sync`, `max` and `perstation`
+// policies at any R) and one hyperperiod's events fit a fixed cap, the
 // constructor marks the run dense(), whatever the protocols. Its slot-end
-// events then come in strict round-robin order, and run() — untraced,
-// with no stop predicate — takes a loop built on that: a round counter
-// instead of the winner tree and no slot-policy call or length check per
-// event. Each station steps through its own automaton, except when every
-// station runs CA-ARRoW: then the loop runs that automaton over n-wide
-// arrays instead of virtual calls and charges whole runs of listening
-// stations in a silent or memoized round in one batch. It writes
-// everything back before run() returns, so save_state, protocol(),
-// step() and the next run() see exactly the state the general path would
-// have left.
+// events then repeat with the period P, the lcm of the lengths, and run()
+// — untraced, with no stop predicate — takes a loop built on that: a
+// cursor over a table of one hyperperiod's (offset, station) events,
+// built by the first such run (a uniform schedule's is one round of n
+// entries), instead of the winner tree, and no slot-policy call or
+// length check per event. Each station
+// steps through its own automaton, except when every station runs
+// CA-ARRoW: then the loop runs that automaton over n-wide arrays instead
+// of virtual calls and charges whole runs of listening stations that end
+// one silent or memoized slot in one batch. It writes everything back
+// before run() returns, so save_state, protocol(), step() and the next
+// run() see exactly the state the general path would have left.
 //
 // Correctness notes (why event order gives exact channel semantics):
 //  * A transmission is registered at its slot's *start*, i.e. when the
@@ -162,10 +165,22 @@ class Engine final : public EngineView {
   void run(const StopCondition& stop);
 
   /// True when the constructor chose the dense path: the slot policy's
-  /// fixed_length is one nonzero value within [1, R] units for every
-  /// station, and checkpointing is off. Any protocol set qualifies; the
-  /// CA-ARRoW port and its batcher run when every station is CA-ARRoW.
-  bool dense() const noexcept { return dense_length_ != 0; }
+  /// fixed_length is nonzero and within [1, R] units for every station
+  /// (one length or several), checkpointing is off, and the stations'
+  /// events in one hyperperiod number at most kDenseEventCap. Any
+  /// protocol set qualifies; the CA-ARRoW port and its batcher run when
+  /// every station is CA-ARRoW.
+  bool dense() const noexcept { return dense_period_ != 0; }
+
+  /// Most slot-end events one hyperperiod of a dense() schedule may hold
+  /// (the table the first dense run builds); past it the run takes the
+  /// general loop. Admits `perstation` at every R <= 10 for n <= 64, and
+  /// a uniform schedule up to n = 65,536.
+  static constexpr std::uint64_t kDenseEventCap = 65536;
+
+  /// Slot-end events this engine has processed on the dense loop (its
+  /// share of the engine.dense_slots counter). Not part of save_state.
+  std::uint64_t dense_slots() const noexcept { return dense_slot_count_; }
 
   /// Process exactly one slot-end event; returns false when the event
   /// queue is empty (cannot happen in normal configurations).
@@ -234,8 +249,18 @@ class Engine final : public EngineView {
         : ctx(id, n, r, seed), protocol(std::move(p)) {}
   };
 
-  /// The dense loop's working state (sim/engine_dense.cpp).
+  /// The dense loop's working state and its cursor over the hyperperiod
+  /// table (sim/engine_dense.cpp).
   class DenseRun;
+  class TableCursor;
+  /// One slot-end event of the hyperperiod table: station index `station`
+  /// ends a slot at `offset` into the period; `run` counts the entries
+  /// from this one on that end the same slot (same offset and length).
+  struct DenseEvent {
+    Tick offset;
+    std::uint32_t station;
+    std::uint32_t run;
+  };
 
   void poll_injections(Tick now);
   void begin_slot(StationRuntime& rt, Tick begin, SlotAction action);
@@ -249,11 +274,12 @@ class Engine final : public EngineView {
   /// Prune the ledger before `horizon` (the earliest current-slot start)
   /// and flush the batched telemetry: the prune cadence's body.
   void prune(Tick horizon);
-  /// The dense slot length when the run is dense() (see there), else 0.
-  Tick dense_slot_length() const;
-  /// run() on the dense loop. False, with nothing changed, when the state
-  /// is not one the loop can continue (a snapshot saved under another
-  /// schedule); run() then takes the general loop.
+  /// Decide dense() (see there): dense_lengths_ and dense_period_.
+  void plan_dense();
+  /// run() on the dense loop; the first call builds dense_events_. False,
+  /// with the engine's state unchanged, when the state is not one the
+  /// loop can continue (a snapshot saved under another schedule); run()
+  /// then takes the general loop.
   bool run_dense(const StopCondition& stop);
   /// Push the batched per-step telemetry deltas into the global atomic
   /// instruments. Called on the cold path only (prune cadence, run()
@@ -296,8 +322,15 @@ class Engine final : public EngineView {
   std::uint64_t pending_injections_ = 0;
   std::uint64_t pending_polls_skipped_ = 0;
 
-  /// The one slot length of a dense() run, in ticks (0: not dense).
-  Tick dense_length_ = 0;
+  /// The dense() schedule: each station's fixed slot length (index
+  /// station - 1), their lcm P (0: not dense), and one hyperperiod's
+  /// events sorted by (offset, station), the winner tree's order (empty
+  /// until the first dense run).
+  std::vector<Tick> dense_lengths_;
+  Tick dense_period_ = 0;
+  std::vector<DenseEvent> dense_events_;
+  /// dense_slots(): events processed on the dense loop.
+  std::uint64_t dense_slot_count_ = 0;
 };
 
 }  // namespace asyncmac::sim

@@ -104,12 +104,21 @@ Tick checkable_horizon(const std::vector<SlotRecord>& slots) {
 
 CheckResult check_feedback_consistency(const std::vector<SlotRecord>& slots,
                                        channel::RestrainedSpec restrained) {
-  const Tick horizon = checkable_horizon(slots);
   channel::Ledger ledger(/*keep_history=*/false, restrained);
   for (const auto& t : transmissions_of(slots)) ledger.add(t);
-  for (const auto& s : slots) {
+  return check_feedback_consistency(slots, checkable_horizon(slots), ledger,
+                                    nullptr);
+}
+
+CheckResult check_feedback_consistency(const std::vector<SlotRecord>& slots,
+                                       Tick horizon, channel::Ledger& replay,
+                                       std::vector<Feedback>* replayed) {
+  if (replayed) replayed->assign(slots.size(), Feedback::kSilence);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const SlotRecord& s = slots[i];
     if (s.end > horizon) continue;  // may depend on unrecorded slots
-    const Feedback expected = ledger.feedback(s.begin, s.end);
+    const Feedback expected = replay.feedback(s.begin, s.end);
+    if (replayed) (*replayed)[i] = expected;
     if (s.feedback != expected)
       return fail("station ", s.station, " slot ", s.index, " at [",
                   s.begin, ",", s.end, ") recorded ", to_string(s.feedback),

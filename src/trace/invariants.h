@@ -13,6 +13,10 @@
 #include "channel/transmission.h"
 #include "trace/recorder.h"
 
+namespace asyncmac::channel {
+class Ledger;
+}
+
 namespace asyncmac::trace {
 
 struct CheckResult {
@@ -38,6 +42,16 @@ CheckResult check_slot_contiguity(const std::vector<SlotRecord>& slots);
 /// order — the engine's event order — so admission replays exactly).
 CheckResult check_feedback_consistency(const std::vector<SlotRecord>& slots,
                                        channel::RestrainedSpec restrained = {});
+
+/// The same check against a replay the caller built and goes on using
+/// (verify::check_channel_oracle): `horizon` is checkable_horizon(slots),
+/// and `replay` a fresh Ledger, built with the run's restrained spec, to
+/// which every transmission of transmissions_of(slots) has been added.
+/// When `replayed` is given it receives one feedback per slot, the
+/// replay's for each slot ending by `horizon` (kSilence for the others).
+CheckResult check_feedback_consistency(const std::vector<SlotRecord>& slots,
+                                       Tick horizon, channel::Ledger& replay,
+                                       std::vector<Feedback>* replayed);
 
 /// The mirror-execution property (Theorem 2): listening slots hear
 /// silence, transmitting slots hear busy — and hence nobody succeeds.

@@ -110,13 +110,21 @@ trace::CheckResult check_channel_oracle(
   const Tick horizon = trace::checkable_horizon(slots);
   const auto txs = trace::transmissions_of(slots);
 
+  // (a) against (b) first: trace::check_feedback_consistency on the one
+  // Ledger replay, which keeps each checkable slot's feedback for the
+  // comparison with the reference.
+  channel::Ledger ledger(/*keep_history=*/false, restrained);
+  for (const auto& t : txs) ledger.add(t);
+  std::vector<Feedback> replayed;
+  if (auto r = trace::check_feedback_consistency(slots, horizon, ledger,
+                                                 &replayed);
+      !r)
+    return r;
+
   ReferenceChannel ref;
   ref.set_restrained(restrained);
   for (const auto& t : txs) ref.add(t);
   ref.cache_success();
-
-  channel::Ledger ledger(/*keep_history=*/false, restrained);
-  for (const auto& t : txs) ledger.add(t);
 
   if (restrained.enabled()) {
     // The replayed Ledger decided every admission at add; the naive
@@ -133,19 +141,17 @@ trace::CheckResult check_channel_oracle(
     }
   }
 
-  for (const auto& s : slots) {
+  // The recorded feedback equals the replay's on every checkable slot, so
+  // the replay against the reference covers (a) against (c) too.
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const trace::SlotRecord& s = slots[i];
     if (s.end > horizon) continue;  // may depend on unrecorded slots
     const Feedback from_ref = ref.feedback(s.begin, s.end);
-    const Feedback from_ledger = ledger.feedback(s.begin, s.end);
-    if (from_ref != from_ledger)
+    if (replayed[i] != from_ref)
       return fail("ledger/reference disagree on slot [", s.begin, ",", s.end,
                   ") of station ", s.station, ": ledger says ",
-                  to_string(from_ledger), ", reference says ",
+                  to_string(replayed[i]), ", reference says ",
                   to_string(from_ref));
-    if (s.feedback != from_ref)
-      return fail("station ", s.station, " slot ", s.index, " at [", s.begin,
-                  ",", s.end, ") recorded ", to_string(s.feedback),
-                  " but the reference channel derives ", to_string(from_ref));
   }
   return {};
 }

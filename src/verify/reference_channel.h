@@ -92,8 +92,10 @@ class ReferenceChannel {
 /// (a) the feedback the engine recorded, (b) a fresh optimized Ledger
 /// replay and (c) the naive reference — convicting either the live
 /// engine/ledger interaction or the Ledger's windowed feedback scan.
-/// When the run used a k-restrained channel, pass its spec; both replays
-/// then also cross-check per-transmission admission verdicts.
+/// (a) against (b) runs first, as trace::check_feedback_consistency with
+/// its message, so the oracle subsumes that check on one replay. When
+/// the run used a k-restrained channel, pass its spec; both replays then
+/// also cross-check per-transmission admission verdicts.
 trace::CheckResult check_channel_oracle(
     const std::vector<trace::SlotRecord>& slots,
     channel::RestrainedSpec restrained = {});

@@ -1,15 +1,17 @@
 // The engine's dense path against its general path — the contract of
 // sim/engine.h: a dense() run that run() takes through the dense loop
 // (the CA-ARRoW port, or each station's own automaton) must leave exactly
-// the state the same run leaves when it is taken event by event. A never-true stop predicate forces the general loop,
-// so every test below runs a dense engine and a twin built from the same
-// materials and compares full save_state snapshots — queues, RNG
+// the state the same run leaves when it is taken event by event. A
+// never-true stop predicate forces the general loop, so every test below
+// runs a dense engine and a twin built from the same materials and
+// compares full save_state snapshots — queues, RNG
 // streams, protocol state, committed slots, ledger, metrics, energy
 // meter, delivery log and engine cursors. Every test also checks that
 // the dense loop really ran (dense() and engine.dense_slots), so a change
 // that quietly switches it off fails here.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,24 +69,51 @@ class DenseSlots {
 };
 
 /// Run `dense` to `stop` and `twin` to the same stop on the general loop.
-/// Every event of the dense engine's run must have been a dense one, and
-/// the two must end in the same state.
+/// Every event of the dense engine's run must have been a dense one (by
+/// engine.dense_slots and by Engine::dense_slots), and the two must end
+/// in the same state.
 void expect_same_run(sim::Engine& dense, sim::Engine& twin,
                      const sim::StopCondition& stop, const DenseSlots& slots,
                      const std::string& what) {
   ASSERT_TRUE(dense.dense()) << what;
   const std::uint64_t dense_before = slots.count();
+  const std::uint64_t engine_before = dense.dense_slots();
   const std::uint64_t events_before = dense.stats().total_slots;
   dense.run(stop);
   twin.run(general(stop));
-  EXPECT_EQ(slots.count() - dense_before,
-            dense.stats().total_slots - events_before)
-      << what;
+  const std::uint64_t events = dense.stats().total_slots - events_before;
+  EXPECT_EQ(slots.count() - dense_before, events) << what;
+  EXPECT_EQ(dense.dense_slots() - engine_before, events) << what;
+  EXPECT_EQ(twin.dense_slots(), 0u) << what;
   EXPECT_EQ(bytes(dense), bytes(twin)) << what;
 }
 
-/// A dense run: ca-arrow under `policy` (sync: 1-unit slots, max: R
-/// units), saturating round-robin traffic at rho 1/2.
+/// A hand-built per-station schedule with non-unit lengths: station i
+/// fixed at 1, 3/2 and 5/2 units in turn (R >= 3; hyperperiod 15 units).
+constexpr const char* kHalves = "1,3/2,5/2";
+
+/// The slot policy named `policy`: a make_slot_policy family or kHalves.
+std::unique_ptr<sim::SlotPolicy> schedule(const std::string& policy,
+                                          std::uint32_t n, std::uint32_t r) {
+  if (policy != kHalves) return adversary::make_slot_policy(policy, n, r, 1);
+  const Tick halves[] = {kTicksPerUnit, 3 * kTicksPerUnit / 2,
+                         5 * kTicksPerUnit / 2};
+  std::vector<Tick> lengths(n);
+  for (std::uint32_t i = 0; i < n; ++i) lengths[i] = halves[i % 3];
+  return std::make_unique<adversary::PerStationSlotPolicy>(std::move(lengths));
+}
+
+/// The schedules of the CA-ARRoW tests below: uniform (sync: 1-unit
+/// slots, max: R units) and per-station (perstation: 1, 2, 3, 1, 2
+/// units at R = 3, and kHalves), each dense.
+const std::vector<std::string>& all_schedules() {
+  static const std::vector<std::string> kSchedules = {"sync", "max",
+                                                      "perstation", kHalves};
+  return kSchedules;
+}
+
+/// A dense run: ca-arrow under `policy` (see schedule()), saturating
+/// round-robin traffic at rho 1/2.
 sim::EngineMaterials dense_materials(std::uint64_t seed,
                                      const std::string& policy = "max",
                                      std::uint32_t n = 5, std::uint32_t r = 3) {
@@ -94,7 +123,7 @@ sim::EngineMaterials dense_materials(std::uint64_t seed,
   m.cfg.seed = seed;
   m.cfg.record_deliveries = true;
   m.protocols = analysis::make_protocols("ca-arrow", n);
-  m.slot_policy = adversary::make_slot_policy(policy, n, r, 1);
+  m.slot_policy = schedule(policy, n, r);
   adversary::InjectorSpec inj;
   inj.kind = "saturating";
   inj.rho = util::Ratio(1, 2);
@@ -119,14 +148,14 @@ sim::EngineMaterials golden_materials(const EngineGoldenCase& c) {
   return m;
 }
 
-// Every golden corpus case's uniform CA-ARRoW variants: ca-arrow under
-// sync and under max, with the case's n, R, injector (the adaptive
+// Every golden corpus case's dense CA-ARRoW variants: ca-arrow under
+// sync, max and perstation, with the case's n, R, injector (the adaptive
 // maxqueue and drain-chasing ones included) and seed.
 TEST(DenseGolden, ByteIdentityAcrossCorpus) {
   const DenseSlots slots;
   for (EngineGoldenCase c : testing::engine_golden_cases()) {
     c.protocol = "ca-arrow";
-    for (const char* policy : {"sync", "max"}) {
+    for (const char* policy : {"sync", "max", "perstation"}) {
       c.slot_policy = policy;
       auto dense = engine_from(golden_materials(c));
       auto twin = engine_from(golden_materials(c));
@@ -193,39 +222,42 @@ TEST(Dense, ParamVaryingRunsByteIdentity) {
 // fresh engine that runs on — continues exactly as the uninterrupted
 // general run. Swept across prune cadences (every event, 16, and one so
 // sparse it never fires) so cuts land before, between and on prune
-// boundaries. Before any run the two engines hold the same bytes.
+// boundaries, and across the schedules (per-station cuts land
+// mid-hyperperiod). Before any run the two engines hold the same bytes.
 TEST(Dense, KillAnywhereByteIdentityAcrossPruneCadences) {
   const DenseSlots slots;
-  for (const std::uint64_t prune : {std::uint64_t{1}, std::uint64_t{16},
-                                    std::uint64_t{4096}}) {
-    auto materials = [prune] {
-      sim::EngineMaterials m = dense_materials(600, "sync");
-      m.cfg.prune_interval = prune;
-      return m;
-    };
-    auto dense = engine_from(materials());
-    auto twin = engine_from(materials());
-    EXPECT_EQ(bytes(*dense), bytes(*twin)) << "prune=" << prune;
-    for (const Tick cut_units : {3, 17, 40, 111, 256}) {
-      expect_same_run(*dense, *twin, sim::until(cut_units * kTicksPerUnit),
-                      slots,
-                      "prune=" + std::to_string(prune) +
-                          " cut=" + std::to_string(cut_units));
-      const std::vector<std::uint8_t> saved = bytes(*dense);
-      auto resumed = engine_from(materials());
-      snapshot::Reader r(saved);
-      resumed->load_state(r);
-      dense = std::move(resumed);
+  for (const std::string& policy : all_schedules()) {
+    for (const std::uint64_t prune : {std::uint64_t{1}, std::uint64_t{16},
+                                      std::uint64_t{4096}}) {
+      auto materials = [prune, &policy] {
+        sim::EngineMaterials m = dense_materials(600, policy);
+        m.cfg.prune_interval = prune;
+        return m;
+      };
+      const std::string what = policy + " prune=" + std::to_string(prune);
+      auto dense = engine_from(materials());
+      auto twin = engine_from(materials());
+      EXPECT_EQ(bytes(*dense), bytes(*twin)) << what;
+      for (const Tick cut_units : {3, 17, 40, 111, 256}) {
+        expect_same_run(*dense, *twin, sim::until(cut_units * kTicksPerUnit),
+                        slots, what + " cut=" + std::to_string(cut_units));
+        const std::vector<std::uint8_t> saved = bytes(*dense);
+        auto resumed = engine_from(materials());
+        snapshot::Reader r(saved);
+        resumed->load_state(r);
+        dense = std::move(resumed);
+      }
     }
   }
 }
 
-// Stops that land mid-round and mid-batch: slot-count stops of every
-// size modulo n, and time stops between round ends, interleaved on one
-// dense engine and its twin, compared at every stop.
+// Stops that land mid-round, mid-hyperperiod and mid-batch: slot-count
+// stops of every size modulo n, and time stops between round ends (on
+// the kHalves schedule, on event times), interleaved on one dense engine
+// and its twin, compared at every stop.
 TEST(Dense, StaggeredStopsEndRunsMidRound) {
   const DenseSlots slots;
-  for (const char* policy : {"sync", "max"}) {
+  for (const std::string& policy : all_schedules()) {
     auto dense = engine_from(dense_materials(1000, policy));
     auto twin = engine_from(dense_materials(1000, policy));
     Tick next_time = 0;
@@ -240,7 +272,7 @@ TEST(Dense, StaggeredStopsEndRunsMidRound) {
         stop.max_total_slots = dense->stats().total_slots + (k * 13) % 37 + 1;
       }
       expect_same_run(*dense, *twin, stop, slots,
-                      std::string(policy) + " stop " + std::to_string(k));
+                      policy + " stop " + std::to_string(k));
     }
   }
   EXPECT_GT(slots.count(), 0u);
@@ -251,27 +283,29 @@ TEST(Dense, StaggeredStopsEndRunsMidRound) {
 // must serialize as their twins do.
 TEST(Dense, PruneCadenceWithHistoryByteIdentity) {
   const DenseSlots slots;
-  auto materials = [] {
-    sim::EngineMaterials m = dense_materials(300);
-    m.cfg.prune_interval = 16;
-    m.cfg.keep_channel_history = true;
-    return m;
-  };
-  for (const Tick horizon : {900, 967, 1034, 1101}) {
-    auto dense = engine_from(materials());
-    auto twin = engine_from(materials());
-    expect_same_run(*dense, *twin, sim::until(horizon * kTicksPerUnit), slots,
-                    "horizon " + std::to_string(horizon));
+  for (const std::string& policy : all_schedules()) {
+    auto materials = [&policy] {
+      sim::EngineMaterials m = dense_materials(300, policy);
+      m.cfg.prune_interval = 16;
+      m.cfg.keep_channel_history = true;
+      return m;
+    };
+    for (const Tick horizon : {900, 967, 1034, 1101}) {
+      auto dense = engine_from(materials());
+      auto twin = engine_from(materials());
+      expect_same_run(*dense, *twin, sim::until(horizon * kTicksPerUnit),
+                      slots, policy + " horizon " + std::to_string(horizon));
+    }
   }
   EXPECT_GT(slots.count(), 0u);
 }
 
-// The energy meter under the dense loop and its batcher, on both
-// policies: meters and snapshots equal the twin's.
+// The energy meter under the dense loop and its batcher, on every
+// schedule: meters and snapshots equal the twin's.
 TEST(Dense, MeteredRunByteIdentity) {
   const DenseSlots slots;
-  for (const char* policy : {"sync", "max"}) {
-    auto materials = [policy] {
+  for (const std::string& policy : all_schedules()) {
+    auto materials = [&policy] {
       sim::EngineMaterials m = dense_materials(41, policy);
       m.cfg.energy.enabled = true;
       m.cfg.energy.cost_transmit = 4;
@@ -289,50 +323,59 @@ TEST(Dense, MeteredRunByteIdentity) {
 }
 
 // A k-restrained channel, in jam mode and in reject mode (the delivery
-// then confirms that the ack is the station's own).
+// then confirms that the ack is the station's own), on every schedule.
 TEST(Dense, RestrainedChannelByteIdentity) {
   const DenseSlots slots;
-  for (const bool jam : {true, false}) {
-    auto materials = [jam] {
-      sim::EngineMaterials m = dense_materials(73, "sync");
-      m.cfg.restrained = channel::RestrainedSpec{1, jam};
-      return m;
-    };
-    auto dense = engine_from(materials());
-    auto twin = engine_from(materials());
-    expect_same_run(*dense, *twin, sim::until(400 * kTicksPerUnit), slots,
-                    jam ? "jam" : "reject");
-    EXPECT_GT(dense->stats().delivered_packets, 0u);
+  for (const std::string& policy : all_schedules()) {
+    for (const bool jam : {true, false}) {
+      auto materials = [jam, &policy] {
+        sim::EngineMaterials m = dense_materials(73, policy);
+        m.cfg.restrained = channel::RestrainedSpec{1, jam};
+        return m;
+      };
+      auto dense = engine_from(materials());
+      auto twin = engine_from(materials());
+      expect_same_run(*dense, *twin, sim::until(400 * kTicksPerUnit), slots,
+                      policy + (jam ? " jam" : " reject"));
+      EXPECT_GT(dense->stats().delivered_packets, 0u) << policy;
+    }
   }
 }
 
 // step() and run() interleave: a dense run continues from where step()
-// left the schedule (mid-round), and step() from where a dense run wrote
-// its state back.
+// left the schedule (mid-round, mid-hyperperiod), and step() from where a
+// dense run wrote its state back.
 TEST(Dense, RunAfterStepAndStepAfterRun) {
   const DenseSlots slots;
-  auto dense = engine_from(dense_materials(7, "sync"));
-  auto twin = engine_from(dense_materials(7, "sync"));
-  for (int round = 1; round <= 6; ++round) {
-    expect_same_run(*dense, *twin,
-                    sim::until(static_cast<Tick>(37 * round) * kTicksPerUnit),
-                    slots, "run " + std::to_string(round));
-    for (int k = 0; k < round; ++k) {
-      ASSERT_TRUE(dense->step());
-      ASSERT_TRUE(twin->step());
-      EXPECT_EQ(bytes(*dense), bytes(*twin))
-          << "step " << k << " after run " << round;
+  for (const std::string& policy : all_schedules()) {
+    auto dense = engine_from(dense_materials(7, policy));
+    auto twin = engine_from(dense_materials(7, policy));
+    for (int round = 1; round <= 6; ++round) {
+      expect_same_run(
+          *dense, *twin,
+          sim::until(static_cast<Tick>(37 * round) * kTicksPerUnit), slots,
+          policy + " run " + std::to_string(round));
+      for (int k = 0; k < round; ++k) {
+        ASSERT_TRUE(dense->step());
+        ASSERT_TRUE(twin->step());
+        EXPECT_EQ(bytes(*dense), bytes(*twin))
+            << policy << " step " << k << " after run " << round;
+      }
     }
   }
   EXPECT_GT(slots.count(), 0u);
 }
 
-// The dense path is the constructor's choice: one fixed slot length for
-// every station, whatever the protocols. Every queue-driven protocol and
-// a mixed protocol set go dense under sync, max, perstation at R = 1 and
-// perstation at n = 1, and match their general-loop twins. Variable or
-// per-station lengths and checkpointing run on the general loop: dense()
-// is false and run() adds no dense slot.
+// The dense path is the constructor's choice: a fixed slot length of its
+// own for every station, one hyperperiod's events within the cap,
+// whatever the protocols. Every queue-driven protocol and a mixed
+// protocol set go dense under sync, max and perstation at R = 1 and at
+// n = 1, all but tree-resolution (which needs synchronous slots) under
+// perstation at R = 2 to 4, and match their general-loop twins. Variable
+// lengths, a hyperperiod past the cap (perstation at R = 11 once the
+// 11-unit station joins; hand-built lengths whose lcm has too many
+// events or leaves Tick's range) and checkpointing run on the general
+// loop: dense() is false and run() adds no dense slot.
 TEST(Dense, EligibilityFollowsTheSchedule) {
   const DenseSlots slots;
   auto with = [](const std::string& protocol, const std::string& policy,
@@ -355,9 +398,13 @@ TEST(Dense, EligibilityFollowsTheSchedule) {
     std::uint32_t n, r;
   };
   for (const std::string& protocol : protocols) {
-    for (const Shape& s : {Shape{"sync", 5, 3}, Shape{"max", 5, 3},
-                           Shape{"perstation", 5, 1},
-                           Shape{"perstation", 1, 3}}) {
+    for (const Shape& s :
+         {Shape{"sync", 5, 3}, Shape{"max", 5, 3}, Shape{"perstation", 5, 1},
+          Shape{"perstation", 1, 3}, Shape{"perstation", 5, 2},
+          Shape{"perstation", 5, 3}, Shape{"perstation", 5, 4}}) {
+      if (protocol == "tree-resolution" && s.n > 1 && s.r > 1 &&
+          std::string(s.policy) == "perstation")
+        continue;
       auto dense = engine_from(with(protocol, s.policy, s.n, s.r));
       auto twin = engine_from(with(protocol, s.policy, s.n, s.r));
       expect_same_run(*dense, *twin, sim::until(200 * kTicksPerUnit), slots,
@@ -365,12 +412,40 @@ TEST(Dense, EligibilityFollowsTheSchedule) {
                           " R=" + std::to_string(s.r));
     }
   }
+  // The cap's reach: perstation at R = 10 and n = 64 (49,536 events, a
+  // 2,520-unit hyperperiod), run past the table's wrap.
+  {
+    auto dense = engine_from(with("aloha", "perstation", 64, 10));
+    auto twin = engine_from(with("aloha", "perstation", 64, 10));
+    expect_same_run(*dense, *twin, sim::until(2900 * kTicksPerUnit), slots,
+                    "aloha perstation n=64 R=10");
+  }
 
+  /// `lengths[i % size]` ticks for station i of 5, at R = 3.
+  auto hand_built = [&with](const std::string& protocol,
+                            const std::vector<Tick>& lengths) {
+    sim::EngineMaterials m = with(protocol, "sync", 5, 3);
+    std::vector<Tick> per_station(5);
+    for (std::size_t i = 0; i < per_station.size(); ++i)
+      per_station[i] = lengths[i % lengths.size()];
+    m.slot_policy =
+        std::make_unique<adversary::PerStationSlotPolicy>(per_station);
+    return m;
+  };
+  constexpr Tick u = kTicksPerUnit;
   for (const std::string protocol : {"ca-arrow", "aloha", "mixed"}) {
     std::vector<std::pair<std::string, sim::EngineMaterials>> refused;
     for (const char* policy : {"random", "cyclic", "stretch-tx"})
       refused.emplace_back(policy, with(protocol, policy, 5, 3));
-    refused.emplace_back("perstation R=3", with(protocol, "perstation", 5, 3));
+    refused.emplace_back("perstation R=11 n=11",
+                         with(protocol, "perstation", 11, 11));
+    // 1 + 1/720720 units: lcm u(u + 1), 1,441,441 events per station pair.
+    refused.emplace_back("lengths past the cap",
+                         hand_built(protocol, {u, u + 1}));
+    // Five pairwise near-coprime lengths: their lcm leaves Tick's range.
+    refused.emplace_back(
+        "lcm past Tick's range",
+        hand_built(protocol, {u, u + 1, u + 2, u + 3, u + 5}));
     sim::EngineMaterials checkpointed = with(protocol, "sync", 5, 3);
     checkpointed.cfg.checkpoint_interval = 64;
     refused.emplace_back("checkpointing", std::move(checkpointed));
@@ -381,6 +456,7 @@ TEST(Dense, EligibilityFollowsTheSchedule) {
       engine->run(sim::until(200 * kTicksPerUnit));
       EXPECT_GT(engine->stats().total_slots, 0u) << protocol << " " << what;
       EXPECT_EQ(slots.count(), before) << protocol << " " << what;
+      EXPECT_EQ(engine->dense_slots(), 0u) << protocol << " " << what;
     }
   }
 }
@@ -492,6 +568,131 @@ TEST(Dense, EveryProtocolMatchesTheGeneralLoop) {
     EXPECT_GT(dense_r->channel_stats().jammed + dense_r->channel_stats().rejected,
               0u);
   }
+}
+
+/// The pool's protocols the scenario generator runs at R > 1: all but
+/// tree-resolution, which it pins to R = 1.
+std::vector<std::string> async_pool() {
+  std::vector<std::string> pool = verify::default_protocol_pool();
+  std::erase(pool, "tree-resolution");
+  return pool;
+}
+
+/// The per-station schedules at n = 5 (hyperperiod tables of 8, 20, 37
+/// and 56 events).
+struct PerStation {
+  const char* policy;
+  std::uint32_t r;
+};
+constexpr PerStation kPerStation[] = {
+    {"perstation", 2}, {"perstation", 3}, {"perstation", 4}, {kHalves, 3}};
+
+constexpr const char* kInjectorKinds[] = {"saturating", "bursty", "maxqueue",
+                                          "drain-chasing"};
+
+/// Interleave, on a dense engine and its general twin: slot-count stops
+/// that end mid-hyperperiod, time stops half a unit past a unit (on the
+/// kHalves schedule, on event times), step() calls between runs and one
+/// kill-and-resume of the dense engine from its snapshot; then run both
+/// to `horizon`. Compared after every call. Returns the packets the run
+/// delivered.
+std::uint64_t interleave(
+    const std::function<sim::EngineMaterials()>& materials, Tick horizon,
+    const DenseSlots& slots, const std::string& what) {
+  auto dense = engine_from(materials());
+  auto twin = engine_from(materials());
+  Tick next_time = 0;
+  for (std::uint64_t k = 1; k <= 9; ++k) {
+    const std::string at = what + " stop " + std::to_string(k);
+    sim::StopCondition stop;
+    if (k % 3 == 0) {
+      next_time = std::max(next_time, dense->now()) +
+                  static_cast<Tick>(7 * k + 1) * kTicksPerUnit +
+                  kTicksPerUnit / 2;
+      stop.max_time = next_time;
+    } else {
+      stop.max_total_slots = dense->stats().total_slots + (k * 29) % 53 + 1;
+    }
+    expect_same_run(*dense, *twin, stop, slots, at);
+    for (std::uint64_t j = 0; j < k % 4; ++j) {
+      EXPECT_TRUE(dense->step()) << at;
+      EXPECT_TRUE(twin->step()) << at;
+    }
+    EXPECT_EQ(bytes(*dense), bytes(*twin)) << at << " after steps";
+    if (k == 5) {
+      const std::vector<std::uint8_t> saved = bytes(*dense);
+      auto resumed = engine_from(materials());
+      snapshot::Reader r(saved);
+      resumed->load_state(r);
+      dense = std::move(resumed);
+    }
+  }
+  expect_same_run(*dense, *twin, sim::until(horizon), slots, what);
+  return dense->stats().delivered_packets;
+}
+
+// Every protocol the generator runs at R > 1, under each injector kind
+// and each per-station schedule, through interleave(): stops mid-
+// hyperperiod, steps between runs and a kill-and-resume, each against the
+// uninterrupted general twin.
+TEST(Dense, PerStationEveryProtocolMatchesTheGeneralLoop) {
+  const DenseSlots slots;
+  for (const std::string& protocol : async_pool()) {
+    std::uint64_t delivered = 0;
+    for (const char* kind : kInjectorKinds) {
+      for (const PerStation& ps : kPerStation) {
+        auto materials = [&] {
+          return protocol_materials(protocol, kind, ps.policy, ps.r);
+        };
+        delivered += interleave(materials, 700 * kTicksPerUnit, slots,
+                                protocol + " " + kind + " " + ps.policy +
+                                    " R=" + std::to_string(ps.r));
+      }
+    }
+    EXPECT_GT(delivered, 0u) << protocol;
+  }
+  EXPECT_GT(slots.count(), 0u);
+}
+
+// The same protocols per-station with the engine's other state, through
+// interleave(): prune cadences 1 and 16 with the channel history
+// archived, the energy meter, and a 1-restrained channel in jam and in
+// reject mode (the injector kind rotating across the variants).
+TEST(Dense, PerStationPruneMeterAndRestrainedMatchTheGeneralLoop) {
+  const DenseSlots slots;
+  enum Variant { kPrune1, kPrune16, kMetered, kJam, kReject, kVariants };
+  static const char* const kNames[] = {"prune=1 history", "prune=16 history",
+                                       "metered", "jam", "reject"};
+  for (const std::string& protocol : async_pool()) {
+    for (const PerStation& ps : {kPerStation[2], kPerStation[3]}) {
+      for (int v = 0; v < kVariants; ++v) {
+        auto materials = [&] {
+          sim::EngineMaterials m = protocol_materials(
+              protocol, kInjectorKinds[v % 4], ps.policy, ps.r);
+          switch (v) {
+            case kPrune1:
+            case kPrune16:
+              m.cfg.prune_interval = v == kPrune1 ? 1 : 16;
+              m.cfg.keep_channel_history = true;
+              break;
+            case kMetered:
+              m.cfg.energy.enabled = true;
+              m.cfg.energy.cost_transmit = 4;
+              m.cfg.energy.cost_listen = 2;
+              m.cfg.energy.cost_sleep = 1;
+              break;
+            default:
+              m.cfg.restrained = channel::RestrainedSpec{1, v == kJam};
+          }
+          return m;
+        };
+        interleave(materials, 500 * kTicksPerUnit, slots,
+                   protocol + " " + ps.policy + " R=" + std::to_string(ps.r) +
+                       " " + kNames[v]);
+      }
+    }
+  }
+  EXPECT_GT(slots.count(), 0u);
 }
 
 // Checkpointing keeps a run off the dense path (the sink observes the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/injectors.h"
+#include "channel/ledger.h"
 #include "core/ao_arrow.h"
 #include "core/ca_arrow.h"
 #include "sim/engine.h"
@@ -78,6 +79,40 @@ TEST(Invariants, FeedbackConsistencyFlagsWrongFeedback) {
   const auto res = trace::check_feedback_consistency(slots);
   EXPECT_FALSE(res);
   EXPECT_NE(res.what.find("station 2"), std::string::npos);
+}
+
+// The check on a caller's replay: the same verdict and message, and the
+// replay's feedback kept per slot (silence past the checkable horizon),
+// which verify::check_channel_oracle goes on from.
+TEST(Invariants, FeedbackConsistencyKeepsItsReplay) {
+  std::vector<SlotRecord> slots{
+      slot(1, 1, 0, U, SlotAction::kTransmitPacket, Feedback::kAck),
+      slot(2, 1, 0, 2 * U, SlotAction::kListen, Feedback::kAck),
+      slot(1, 2, U, 2 * U, SlotAction::kListen, Feedback::kSilence),
+      // Past station 2's last recorded end: not checkable.
+      slot(1, 3, 2 * U, 3 * U, SlotAction::kListen, Feedback::kBusy),
+  };
+  auto replay_of = [](const std::vector<SlotRecord>& s) {
+    auto ledger = std::make_unique<channel::Ledger>();
+    for (const auto& t : trace::transmissions_of(s)) ledger->add(t);
+    return ledger;
+  };
+  const Tick horizon = trace::checkable_horizon(slots);
+  std::vector<Feedback> replayed;
+  EXPECT_TRUE(trace::check_feedback_consistency(slots, horizon,
+                                                *replay_of(slots), &replayed));
+  EXPECT_EQ(replayed, (std::vector<Feedback>{Feedback::kAck, Feedback::kAck,
+                                             Feedback::kSilence,
+                                             Feedback::kSilence}));
+
+  slots[2].feedback = Feedback::kBusy;  // the replay hears silence
+  const auto plain = trace::check_feedback_consistency(slots);
+  const auto kept = trace::check_feedback_consistency(
+      slots, horizon, *replay_of(slots), &replayed);
+  EXPECT_FALSE(plain);
+  EXPECT_FALSE(kept);
+  EXPECT_EQ(kept.what, plain.what);
+  EXPECT_NE(kept.what.find("station 1 slot 2"), std::string::npos);
 }
 
 TEST(Invariants, MirrorPropertyChecks) {

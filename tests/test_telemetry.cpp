@@ -449,7 +449,8 @@ TEST(TelemetryDeterminism, FuzzVerdictsAreByteIdentical) {
 
 // ----------------------------------------------------------- dense path
 
-/// A run the engine takes densely (ca-arrow, one fixed slot length).
+/// A ca-arrow run of 4 stations under `policy` (dense for sync, max and
+/// perstation).
 analysis::RunSpec dense_spec(const std::string& policy, std::uint32_t r) {
   analysis::RunSpec spec;
   spec.protocol = "ca-arrow";
@@ -475,11 +476,19 @@ TEST(TelemetryDense, CountsDenseSlots) {
   EXPECT_EQ(dense_slots.value(), 4u * 1500u);
   EXPECT_EQ(slots.value(), dense_slots.value());
 
-  // The general loop adds none: a perstation schedule at R = 2, a traced
-  // dense() run and a stop with a predicate.
+  // A perstation schedule at R = 2 (slots of 1, 2, 1 and 2 units) is
+  // dense too: 500 + 250 + 500 + 250 slot ends by t = 500.
   auto perstation = analysis::build_engine(dense_spec("perstation", 2));
-  EXPECT_FALSE(perstation->dense());
+  ASSERT_TRUE(perstation->dense());
   perstation->run(sim::until(500 * kTicksPerUnit));
+  EXPECT_EQ(dense_slots.value(), 4u * 1500u + 1500u);
+  EXPECT_EQ(slots.value(), dense_slots.value());
+
+  // The general loop adds none: a random schedule, a traced dense() run
+  // and a stop with a predicate.
+  auto random = analysis::build_engine(dense_spec("random", 2));
+  EXPECT_FALSE(random->dense());
+  random->run(sim::until(500 * kTicksPerUnit));
   analysis::RunSpec traced_spec = dense_spec("sync", 1);
   traced_spec.record_trace = true;
   auto traced = analysis::build_engine(traced_spec);
@@ -488,8 +497,8 @@ TEST(TelemetryDense, CountsDenseSlots) {
   sim::StopCondition with_predicate = sim::until(2000 * kTicksPerUnit);
   with_predicate.predicate = [](const sim::Engine&) { return false; };
   dense->run(with_predicate);
-  EXPECT_EQ(dense_slots.value(), 4u * 1500u);
-  EXPECT_GT(slots.value(), 4u * 1500u);
+  EXPECT_EQ(dense_slots.value(), 4u * 1500u + 1500u);
+  EXPECT_GT(slots.value(), 4u * 1500u + 1500u);
 }
 
 }  // namespace
