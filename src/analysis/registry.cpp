@@ -21,14 +21,16 @@ namespace asyncmac::analysis {
 
 namespace {
 
-/// One registered protocol: its factory, and whether its automaton draws
+/// One registered protocol: its factory, whether its automaton draws
 /// from the station RNG (ctx.rng()) — the protocol's seed-use
-/// declaration.
+/// declaration — and whether it is correct only on synchronous slots.
 struct Entry {
   sim::ProtocolMaker make;
   bool draws_rng = false;
+  bool needs_synchronous_slots = false;
 };
 constexpr bool kDrawsRng = true;
+constexpr bool kNeedsSynchronousSlots = true;
 
 const std::map<std::string, Entry>& registry() {
   static const std::map<std::string, Entry> kRegistry = {
@@ -56,9 +58,8 @@ const std::map<std::string, Entry>& registry() {
       {"sync-binary-le",
        {[] { return std::make_unique<baselines::SyncBinaryLeProtocol>(); }}},
       {"tree-resolution",
-       {[] {
-         return std::make_unique<baselines::TreeResolutionProtocol>();
-       }}},
+       {[] { return std::make_unique<baselines::TreeResolutionProtocol>(); },
+        !kDrawsRng, kNeedsSynchronousSlots}},
       {"listen",
        {[] { return std::make_unique<baselines::ListenProtocol>(); }}},
   };
@@ -79,6 +80,10 @@ sim::ProtocolMaker protocol_maker(const std::string& name) {
 
 bool protocol_draws_rng(const std::string& name) {
   return entry(name).draws_rng;
+}
+
+bool protocol_needs_synchronous_slots(const std::string& name) {
+  return entry(name).needs_synchronous_slots;
 }
 
 std::unique_ptr<sim::Protocol> make_protocol(const std::string& name) {

@@ -29,6 +29,13 @@ sim::ProtocolMaker protocol_maker(const std::string& name);
 /// name.
 bool protocol_draws_rng(const std::string& name);
 
+/// Declared in each registry entry: true when the automaton is correct
+/// only if every station's slot boundaries coincide — tree-resolution,
+/// whose stations split on shared feedback. materials() refuses such a
+/// protocol on an asynchronous schedule. Throws std::invalid_argument
+/// on an unknown name.
+bool protocol_needs_synchronous_slots(const std::string& name);
+
 /// Convenience: one instance.
 std::unique_ptr<sim::Protocol> make_protocol(const std::string& name);
 

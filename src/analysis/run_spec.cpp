@@ -25,6 +25,16 @@ void save_injector_spec(snapshot::Writer& w,
   w.u64(spec.seed);
 }
 
+/// True when every station's slot boundaries coincide: one station,
+/// R = 1, or one fixed length for all stations (sync, max).
+bool boundaries_coincide(const RunSpec& spec, const sim::SlotPolicy& policy) {
+  if (spec.n == 1 || spec.bound_r == 1) return true;
+  const Tick length = policy.fixed_length(1);
+  for (StationId s = 2; s <= spec.n; ++s)
+    if (policy.fixed_length(s) != length) return false;
+  return length != 0;
+}
+
 adversary::InjectorSpec load_injector_spec(snapshot::Reader& r) {
   adversary::InjectorSpec spec;
   spec.kind = r.str();
@@ -143,6 +153,10 @@ sim::EngineMaterials materials(const RunSpec& spec,
   m.protocols = make_protocols(spec.protocol, spec.n);
   m.slot_policy = adversary::make_slot_policy(spec.slot_policy, spec.n,
                                               spec.bound_r, spec.seed);
+  AM_REQUIRE(!protocol_needs_synchronous_slots(spec.protocol) ||
+                 boundaries_coincide(spec, *m.slot_policy),
+             spec.protocol + " needs synchronous slots: run it at n = 1, "
+                             "R = 1, or under slot policy sync or max");
   if (spec.has_injector) m.injection = adversary::make_injector(spec.injector);
   return m;
 }

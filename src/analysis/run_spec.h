@@ -81,7 +81,9 @@ bool seed_invariant(const RunSpec& spec);
 /// replaces spec.seed in the engine configuration only: the slot policy
 /// still draws from spec.seed, so the probes of one MSR estimate share the
 /// schedule. Throws std::invalid_argument on unknown
-/// protocol/policy/injector names or n, R < 1.
+/// protocol/policy/injector names or n, R < 1, and on a protocol that
+/// needs synchronous slots (protocol_needs_synchronous_slots) unless
+/// n = 1, R = 1 or every station's fixed_length is one nonzero value.
 sim::EngineMaterials materials(const RunSpec& spec,
                                std::uint64_t engine_seed = 0);
 

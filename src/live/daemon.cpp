@@ -97,19 +97,26 @@ analysis::Verdict Daemon::verdict() const {
   return analysis::classify_backlog_samples(samples_, cfg_.stability);
 }
 
-void Daemon::send(StationId to, const Msg& m, DaemonActions& out, bool cache) {
-  std::vector<std::uint8_t> bytes = encode(m);
-  if (cache) mirror(to).last_reply = bytes;
-  out.sends.push_back({to, std::move(bytes)});
+void Daemon::append(StationId to, const std::vector<std::uint8_t>& datagram,
+                    DaemonActions& out) {
+  out.sends.push_back({to, out.bytes.size(), datagram.size()});
+  out.bytes.insert(out.bytes.end(), datagram.begin(), datagram.end());
   LiveTelemetry::get().tx.add();
+}
+
+// The outbox holds copies, so a second send to one station in a wave
+// overwrites the cache without touching the first datagram.
+void Daemon::send(StationId to, const Msg& m, DaemonActions& out) {
+  std::vector<std::uint8_t>& cache = mirror(to).last_reply;
+  encode(m, cache);
+  append(to, cache, out);
 }
 
 void Daemon::resend_cached(StationId to, DaemonActions& out) {
   Mirror& m = mirror(to);
   LiveTelemetry::get().late.add();
   if (m.last_reply.empty()) return;
-  out.sends.push_back({to, m.last_reply});
-  LiveTelemetry::get().tx.add();
+  append(to, m.last_reply, out);
 }
 
 void Daemon::poll_injections(Tick t) {
@@ -270,14 +277,17 @@ void Daemon::settle_slot(Tick t, StationId id, DaemonActions& out) {
     trace_.record({id, st.slot_index, st.slot_begin, st.slot_close_end,
                    st.action, fb});
 
+  // The reply borrows `pending` and hands it back emptied, so the next
+  // injection reuses its storage.
   Msg reply;
   reply.type = MsgType::kFeedback;
   reply.slot_index = st.slot_index;
   reply.feedback = fb;
   reply.delivered = delivered;
-  reply.injections = std::move(st.pending);
-  st.pending.clear();
+  reply.injections.swap(st.pending);
   send(id, reply, out);
+  reply.injections.swap(st.pending);
+  st.pending.clear();
 
   ++settled_since_prune_;
 }
@@ -378,27 +388,36 @@ void Daemon::check_done(DaemonActions& out) {
   }
 }
 
-DaemonActions Daemon::on_batch(
-    Tick now, const std::vector<std::vector<std::uint8_t>>& datagrams) {
+const Msg* Daemon::receive(std::span<const std::uint8_t> bytes,
+                           DaemonActions& out) {
+  try {
+    decode(bytes.data(), bytes.size(), received_);
+  } catch (const snapshot::SnapshotError&) {
+    LiveTelemetry::get().decode_errors.add();
+    out.senders.push_back(kInvalidStation);
+    return nullptr;
+  }
+  LiveTelemetry::get().rx.add();
+  const StationId id = received_.station;
+  out.senders.push_back(id >= 1 && id <= n_ ? id : kInvalidStation);
+  return &received_;
+}
+
+const DaemonActions& Daemon::on_batch(
+    Tick now, std::span<const std::vector<std::uint8_t>> datagrams) {
   AM_CHECK_MSG(now >= now_, "wave times must not decrease");
   now_ = now;
-  DaemonActions out;
+  DaemonActions& out = out_;  // out.done, once set, stays set
+  out.sends.clear();
+  out.bytes.clear();
+  out.senders.clear();
   if (done_) {
     // The run is settled, but a station whose Fin datagram was lost keeps
     // retransmitting its last request until it gives up: stay idempotent
     // and re-serve the cached Fin so late stations still exit cleanly.
-    out.done = true;
-    for (const auto& bytes : datagrams) {
-      Msg m;
-      try {
-        m = decode(bytes);
-      } catch (const snapshot::SnapshotError&) {
-        LiveTelemetry::get().decode_errors.add();
-        continue;
-      }
-      LiveTelemetry::get().rx.add();
-      if (m.station >= 1 && m.station <= n_) resend_cached(m.station, out);
-    }
+    for (const auto& bytes : datagrams)
+      if (receive(bytes, out) && out.senders.back() != kInvalidStation)
+        resend_cached(out.senders.back(), out);
     return out;
   }
 
@@ -411,27 +430,22 @@ DaemonActions Daemon::on_batch(
   boundaries_.clear();
   settling_.clear();
   for (const auto& bytes : datagrams) {
-    Msg m;
-    try {
-      m = decode(bytes);
-    } catch (const snapshot::SnapshotError&) {
-      LiveTelemetry::get().decode_errors.add();
-      continue;
-    }
-    LiveTelemetry::get().rx.add();
+    const Msg* decoded = receive(bytes, out);
+    if (!decoded) continue;
+    const Msg& m = *decoded;
     if (m.type != MsgType::kJoin && m.type != MsgType::kSlotEnd &&
         m.type != MsgType::kBoundary) {
       LiveTelemetry::get().late.add();  // not a station->daemon type
       continue;
     }
-    if (m.station < 1 || m.station > n_) {
+    if (out.senders.back() == kInvalidStation) {
       LiveTelemetry::get().decode_errors.add();
       continue;
     }
     switch (m.type) {
-      case MsgType::kJoin: joins_.push_back(std::move(m)); break;
-      case MsgType::kSlotEnd: ends_.push_back(std::move(m)); break;
-      default: boundaries_.push_back(std::move(m)); break;
+      case MsgType::kJoin: joins_.push_back(m); break;
+      case MsgType::kSlotEnd: ends_.push_back(m); break;
+      default: boundaries_.push_back(m); break;
     }
   }
 

@@ -11,7 +11,8 @@
 // The daemon is a pure state machine: the transport (live/virtual_net.h
 // for deterministic tests, live/udp.h for real sockets) hands it batches
 // of datagrams that arrived at one tick, and it returns the datagrams to
-// send. No sockets, clocks or threads in here.
+// send in an outbox it owns and reuses. No sockets, clocks or threads in
+// here.
 //
 // ## Wave processing and sim-equivalence
 //
@@ -58,9 +59,11 @@
 // the horizon — the same cut sim::Engine::run(until(H)) makes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,15 +95,28 @@ struct DaemonConfig {
 };
 
 /// A datagram addressed to one station (the transport owns the mapping
-/// from StationId to socket address / machine instance).
+/// from StationId to socket address / machine instance): `size` bytes at
+/// `offset` in its DaemonActions::bytes.
 struct Outgoing {
   StationId to = kInvalidStation;
-  std::vector<std::uint8_t> datagram;
+  std::size_t offset = 0;
+  std::size_t size = 0;
 };
 
+/// The daemon's outbox for one wave. on_batch clears it, keeping its
+/// capacity, so a steady run sends without allocating.
 struct DaemonActions {
   std::vector<Outgoing> sends;
+  std::vector<std::uint8_t> bytes;  ///< the wave's datagrams, back to back
+  /// One entry per input datagram: the station id it carries when it
+  /// decoded with an id in 1..n (whatever its type), else kInvalidStation.
+  /// A transport learns each station's address from these.
+  std::vector<StationId> senders;
   bool done = false;  ///< all stations finned (or the run failed)
+
+  std::span<const std::uint8_t> datagram(const Outgoing& o) const {
+    return {bytes.data() + o.offset, o.size};
+  }
 };
 
 class Daemon : public sim::EngineView {
@@ -111,8 +127,10 @@ class Daemon : public sim::EngineView {
 
   /// Process every datagram that arrived at tick `now` (non-decreasing
   /// across calls). The transport must batch same-tick arrivals: the
-  /// wave phases rely on seeing all of a tick's SlotEnds together.
-  DaemonActions on_batch(Tick now, const std::vector<std::vector<std::uint8_t>>& datagrams);
+  /// wave phases rely on seeing all of a tick's SlotEnds together. The
+  /// outbox returned is the daemon's own: valid until the next call.
+  const DaemonActions& on_batch(
+      Tick now, std::span<const std::vector<std::uint8_t>> datagrams);
 
   bool done() const noexcept { return done_; }
   /// True when the run ended on a protocol violation instead of the
@@ -170,6 +188,9 @@ class Daemon : public sim::EngineView {
   };
 
   Mirror& mirror(StationId id);
+  /// Decode one datagram of the wave into received_ and record its entry
+  /// in out.senders; nullptr (counted) when it is malformed.
+  const Msg* receive(std::span<const std::uint8_t> bytes, DaemonActions& out);
   void handle_join(Tick t, const Msg& m, DaemonActions& out);
   void start_run(Tick t, DaemonActions& out);
   bool accept_slot_end(Tick t, const Msg& m, DaemonActions& out);
@@ -182,8 +203,10 @@ class Daemon : public sim::EngineView {
   void fail_run(const std::string& why, DaemonActions& out);
   void maybe_prune();
   void check_done(DaemonActions& out);
-  void send(StationId to, const Msg& m, DaemonActions& out, bool cache = true);
+  void send(StationId to, const Msg& m, DaemonActions& out);
   void resend_cached(StationId to, DaemonActions& out);
+  void append(StationId to, const std::vector<std::uint8_t>& datagram,
+              DaemonActions& out);
 
   DaemonConfig cfg_;
   std::uint32_t n_;
@@ -216,6 +239,8 @@ class Daemon : public sim::EngineView {
   std::vector<Tick> samples_;
 
   /// Per-wave scratch, cleared (capacity kept) at each on_batch.
+  DaemonActions out_;
+  Msg received_;
   std::vector<Msg> joins_, ends_, boundaries_;
   std::vector<StationId> settling_;
 };

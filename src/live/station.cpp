@@ -45,8 +45,8 @@ void StationMachine::fill_timer(Actions& out) const {
 }
 
 void StationMachine::send_request(Tick now, const Msg& m, Actions& out) {
-  last_sent_ = encode(m);
-  out.sends.push_back(last_sent_);
+  encode(m, last_sent_);
+  out.send = last_sent_;
   StationTelemetry::get().tx.add();
   retries_ = 0;
   retry_deadline_ = now + cfg_.retry_ticks;
@@ -158,9 +158,9 @@ StationMachine::Actions StationMachine::on_datagram(Tick now,
     out.exit_code = exit_code_;
     return out;
   }
-  Msg m;
+  Msg& m = received_;
   try {
-    m = decode(data, size);
+    decode(data, size, m);
   } catch (const snapshot::SnapshotError&) {
     StationTelemetry::get().decode_errors.add();
     fill_timer(out);
@@ -200,7 +200,7 @@ StationMachine::Actions StationMachine::on_timer(Tick now) {
       give_up(1, out);
       return out;
     }
-    out.sends.push_back(last_sent_);
+    out.send = last_sent_;
     ++retransmits_;
     StationTelemetry::get().tx.add();
     StationTelemetry::get().retransmits.add();

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,10 @@ class StationMachine {
   ~StationMachine();
 
   struct Actions {
-    std::vector<std::vector<std::uint8_t>> sends;  ///< datagrams to daemon
+    /// The datagram to send the daemon, empty when there is none (a
+    /// station sends at most one per call). A view of the machine's own
+    /// buffer: valid until the machine's next call.
+    std::span<const std::uint8_t> send;
     /// Absolute tick of the next wanted wake-up (slot end or retry),
     /// nullopt when finished.
     std::optional<Tick> timer;
@@ -74,7 +78,7 @@ class StationMachine {
   Actions on_start(Tick now);
   /// Feed one received datagram. Malformed input is dropped.
   Actions on_datagram(Tick now, const std::uint8_t* data, std::size_t size);
-  Actions on_datagram(Tick now, const std::vector<std::uint8_t>& d) {
+  Actions on_datagram(Tick now, std::span<const std::uint8_t> d) {
     return on_datagram(now, d.data(), d.size());
   }
   /// Clock callback; fires slot ends and retransmits that are due.
@@ -110,7 +114,8 @@ class StationMachine {
   std::unique_ptr<sim::Protocol> protocol_;
   SlotIndex slot_index_ = 0;
   SlotAction action_ = SlotAction::kListen;
-  std::vector<std::uint8_t> last_sent_;
+  std::vector<std::uint8_t> last_sent_;  ///< what Actions::send views
+  Msg received_;  ///< decoded into, its storage kept across datagrams
   std::optional<Tick> retry_deadline_;
   std::optional<Tick> slot_deadline_;
   int retries_ = 0;

@@ -12,10 +12,10 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "live/wire.h"
-#include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/rng.h"
 
@@ -119,6 +119,10 @@ int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
   std::vector<bool> addr_known(daemon.station_count(), false);
   std::deque<DelayedSend> delayed;
   std::vector<std::uint8_t> buf(kDatagramHeaderBytes + kMaxDatagramPayload);
+  // One poll's arrival wave: its first `count` entries, kept (with their
+  // capacity) from one poll to the next.
+  std::vector<std::vector<std::uint8_t>> wave;
+  std::vector<sockaddr_in> froms;
   Tick last_tick = 0;
   std::int64_t last_rx_us = 0;
 
@@ -132,7 +136,7 @@ int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
   };
 
   const auto queue_send = [&](StationId to,
-                              const std::vector<std::uint8_t>& bytes,
+                              std::span<const std::uint8_t> bytes,
                               std::int64_t now_us) {
     if (!addr_known[to - 1]) return;
     if (opt.emu_loss > 0 && emu_rng.chance(opt.emu_loss)) {
@@ -151,7 +155,7 @@ int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
     DelayedSend d;
     d.due_us = now_us + delay;
     d.to = addrs[to - 1];
-    d.bytes = bytes;
+    d.bytes.assign(bytes.begin(), bytes.end());
     // Keep the queue due-ordered (jitter can reorder; that is the point).
     auto pos = std::upper_bound(
         delayed.begin(), delayed.end(), d,
@@ -188,7 +192,7 @@ int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
     if (ready == 0) continue;
 
     // Drain everything queued on the socket into one arrival wave.
-    std::vector<std::vector<std::uint8_t>> batch;
+    std::size_t count = 0;
     const std::int64_t arrival_us = elapsed_us(epoch);
     last_rx_us = arrival_us;
     for (;;) {
@@ -198,29 +202,30 @@ int serve_udp(Daemon& daemon, const UdpServeOptions& opt, std::string* error) {
           ::recvfrom(fd, buf.data(), buf.size(), MSG_DONTWAIT,
                      reinterpret_cast<sockaddr*>(&from), &from_len);
       if (got < 0) break;  // EAGAIN: socket drained
-      std::vector<std::uint8_t> bytes(buf.begin(), buf.begin() + got);
-      // Learn/refresh the sender's address from the station id in the
-      // datagram (the daemon re-validates everything itself).
-      StationId sender = kInvalidStation;
-      try {
-        const Msg m = decode(bytes);
-        sender = m.station;
-      } catch (const snapshot::SnapshotError&) {
-        // Malformed: still hand it to the daemon for counting.
+      if (count == wave.size()) {
+        wave.emplace_back();
+        froms.emplace_back();
       }
-      if (sender >= 1 && sender <= daemon.station_count()) {
-        addrs[sender - 1] = from;
-        addr_known[sender - 1] = true;
-      }
-      batch.push_back(std::move(bytes));
+      wave[count].assign(buf.begin(), buf.begin() + got);
+      froms[count] = from;
+      ++count;
     }
-    if (batch.empty()) continue;
+    if (count == 0) continue;
 
     const Tick tick = std::max(last_tick, us_to_ticks(arrival_us, opt.unit_us));
     last_tick = tick;
-    DaemonActions acts = daemon.on_batch(tick, batch);
+    const DaemonActions& acts = daemon.on_batch(tick, {wave.data(), count});
+    // Learn/refresh each sender's address from the station id the daemon
+    // decoded, before any reply is addressed.
+    for (std::size_t i = 0; i < count; ++i) {
+      const StationId sender = acts.senders[i];
+      if (sender == kInvalidStation) continue;
+      addrs[sender - 1] = froms[i];
+      addr_known[sender - 1] = true;
+    }
     const std::int64_t send_us = elapsed_us(epoch);
-    for (const Outgoing& o : acts.sends) queue_send(o.to, o.datagram, send_us);
+    for (const Outgoing& o : acts.sends)
+      queue_send(o.to, acts.datagram(o), send_us);
   }
 
   // Final Fins may still be queued behind an emulated delay.
@@ -243,8 +248,8 @@ int run_station_udp(const UdpStationOptions& opt, std::string* error) {
   std::optional<Tick> timer;
 
   const auto apply = [&](StationMachine::Actions acts) {
-    for (const auto& bytes : acts.sends)
-      (void)::send(fd, bytes.data(), bytes.size(), 0);
+    if (!acts.send.empty())
+      (void)::send(fd, acts.send.data(), acts.send.size(), 0);
     timer = acts.timer;
   };
 

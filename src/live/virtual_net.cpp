@@ -39,7 +39,7 @@ Tick VirtualNet::latency() {
 }
 
 void VirtualNet::dispatch(StationId station, bool to_station,
-                          std::vector<std::uint8_t> bytes) {
+                          std::span<const std::uint8_t> bytes) {
   if (knobs_.loss > 0 && rng_.chance(knobs_.loss)) {
     telemetry::count("live.emu_dropped");
     return;
@@ -64,15 +64,38 @@ void VirtualNet::dispatch(StationId station, bool to_station,
   ev.seq = next_event_seq_++;
   ev.station = station;
   ev.to_station = to_station;
-  ev.bytes = std::move(bytes);
-  queue_.push_back(std::move(ev));
-  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  if (free_.empty()) {
+    ev.buffer = static_cast<std::uint32_t>(buffers_.size());
+    buffers_.emplace_back();
+  } else {
+    ev.buffer = free_.back();
+    free_.pop_back();
+  }
+  buffers_[ev.buffer].assign(bytes.begin(), bytes.end());
+  const auto head = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  queue_.insert(std::upper_bound(head, queue_.end(), ev, EventEarlier{}), ev);
+}
+
+bool VirtualNet::due(bool to_station) const {
+  return head_ < queue_.size() && queue_[head_].time <= now_ &&
+         queue_[head_].to_station == to_station;
+}
+
+VirtualNet::Event VirtualNet::pop() {
+  const Event ev = queue_[head_++];
+  // Drop the delivered prefix once it is half the queue: O(1) amortized,
+  // and the queue stays bounded by the events in flight.
+  if (2 * head_ >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return ev;
 }
 
 void VirtualNet::apply_station_actions(StationId id,
                                        StationMachine::Actions actions) {
-  for (auto& bytes : actions.sends)
-    dispatch(id, /*to_station=*/false, std::move(bytes));
+  if (!actions.send.empty()) dispatch(id, /*to_station=*/false, actions.send);
   timers_[id - 1] = actions.finished ? std::nullopt : actions.timer;
 }
 
@@ -93,7 +116,7 @@ bool VirtualNet::run(std::uint64_t max_events) {
 
     // Next tick: earliest pending datagram or due timer.
     Tick next = kTickInfinity;
-    if (!queue_.empty()) next = queue_.front().time;
+    if (head_ < queue_.size()) next = queue_[head_].time;
     for (const auto& t : timers_)
       if (t && *t < next) next = *t;
     if (next == kTickInfinity) return false;  // deadlock
@@ -108,15 +131,14 @@ bool VirtualNet::run(std::uint64_t max_events) {
       progressed = false;
 
       // Station-bound datagrams at now_, in (time, seq) arrival order.
-      while (!queue_.empty() && queue_.front().time <= now_ &&
-             queue_.front().to_station) {
-        std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-        Event ev = std::move(queue_.back());
-        queue_.pop_back();
+      while (due(/*to_station=*/true)) {
+        const Event ev = pop();
         ++processed;
         progressed = true;
         apply_station_actions(
-            ev.station, stations_[ev.station - 1]->on_datagram(now_, ev.bytes));
+            ev.station,
+            stations_[ev.station - 1]->on_datagram(now_, buffers_[ev.buffer]));
+        free_.push_back(ev.buffer);
       }
 
       // Due station timers (deliveries above may have re-armed them).
@@ -131,21 +153,21 @@ bool VirtualNet::run(std::uint64_t max_events) {
       }
 
       // All daemon-bound datagrams of this tick form one wave.
-      if (!queue_.empty() && queue_.front().time <= now_ &&
-          !queue_.front().to_station) {
-        batch_.clear();
-        while (!queue_.empty() && queue_.front().time <= now_ &&
-               !queue_.front().to_station) {
-          std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-          batch_.push_back(std::move(queue_.back().bytes));
-          queue_.pop_back();
+      if (due(/*to_station=*/false)) {
+        std::size_t wave = 0;
+        while (due(/*to_station=*/false)) {
+          const std::uint32_t buffer = pop().buffer;
+          if (wave == batch_.size()) batch_.emplace_back();
+          batch_[wave++].swap(buffers_[buffer]);
+          free_.push_back(buffer);
         }
         ++processed;
         progressed = true;
-        DaemonActions acts = daemon_.on_batch(now_, batch_);
+        const DaemonActions& acts =
+            daemon_.on_batch(now_, {batch_.data(), wave});
         if (acts.done) daemon_done_ = true;
-        for (auto& s : acts.sends)
-          dispatch(s.to, /*to_station=*/true, std::move(s.datagram));
+        for (const Outgoing& o : acts.sends)
+          dispatch(o.to, /*to_station=*/true, acts.datagram(o));
       }
     }
   }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,17 +77,22 @@ class VirtualNet {
     std::uint64_t seq = 0;  ///< FIFO tie-break within a tick
     StationId station = kInvalidStation;
     bool to_station = false;
-    std::vector<std::uint8_t> bytes;
+    std::uint32_t buffer = 0;  ///< index into buffers_
   };
-  /// Min-heap order on (time, seq) for the std:: max-heap algorithms.
-  struct EventLater {
+  /// Delivery order: (time, seq).
+  struct EventEarlier {
     bool operator()(const Event& a, const Event& b) const {
-      return b.time < a.time || (b.time == a.time && b.seq < a.seq);
+      return a.time < b.time || (a.time == b.time && a.seq < b.seq);
     }
   };
 
+  /// Queue a copy of `bytes`, in a recycled buffer, for delivery.
   void dispatch(StationId station, bool to_station,
-                std::vector<std::uint8_t> bytes);
+                std::span<const std::uint8_t> bytes);
+  /// True when the next event is due at now_ and goes the given way.
+  bool due(bool to_station) const;
+  /// Remove and return the next event.
+  Event pop();
   void apply_station_actions(StationId id, StationMachine::Actions actions);
   Tick latency();
 
@@ -95,12 +101,23 @@ class VirtualNet {
   std::vector<std::optional<Tick>> timers_;
   EmulationKnobs knobs_;
   util::Rng rng_;
-  std::vector<Event> queue_;  ///< heap ordered by (time, seq)
+  /// Pending events from head_ on, in delivery order. Without latency an
+  /// event is due at its send tick and goes at the end; a delayed one is
+  /// inserted in place.
+  std::vector<Event> queue_;
+  std::size_t head_ = 0;
   std::uint64_t next_event_seq_ = 0;
   /// Datagrams dispatched per station (index id - 1), one per direction.
   std::vector<std::uint64_t> sent_to_station_, sent_to_daemon_;
   std::map<std::pair<bool, StationId>, std::vector<std::uint64_t>> drops_;
-  std::vector<std::vector<std::uint8_t>> batch_;  ///< the daemon's wave
+  /// The bytes of every datagram in flight, and of delivered ones kept
+  /// for reuse (their indices in free_). No cap: as many as were ever in
+  /// flight at once.
+  std::vector<std::vector<std::uint8_t>> buffers_;
+  std::vector<std::uint32_t> free_;
+  /// The daemon's wave in its first entries, swapped in from buffers_:
+  /// storage moves between the two and is never freed.
+  std::vector<std::vector<std::uint8_t>> batch_;
   Tick now_ = 0;
   bool daemon_done_ = false;
 };

@@ -24,9 +24,9 @@ void encode_injections(snapshot::Writer& w,
   }
 }
 
-std::vector<InjectionDelta> decode_injections(snapshot::Reader& r) {
+/// Appends to `v` (reset() left it empty).
+void decode_injections(snapshot::Reader& r, std::vector<InjectionDelta>& v) {
   const std::uint64_t count = r.count(16);
-  std::vector<InjectionDelta> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     InjectionDelta d;
@@ -34,7 +34,17 @@ std::vector<InjectionDelta> decode_injections(snapshot::Reader& r) {
     d.cost = r.i64();
     v.push_back(d);
   }
-  return v;
+}
+
+/// Every field of `m` back to its default, the storage of its name and
+/// injections kept for the decode that refills them.
+void reset(Msg& m) {
+  Msg fresh;
+  fresh.name = std::move(m.name);
+  fresh.injections = std::move(m.injections);
+  fresh.name.clear();
+  fresh.injections.clear();
+  m = std::move(fresh);
 }
 
 SlotAction decode_action(std::uint8_t v) {
@@ -75,8 +85,9 @@ std::uint8_t encode_feedback(Feedback f) {
   return 0;
 }
 
-/// Exact encoded payload size of `m`: the Writer is reserved to it, so
-/// a datagram costs one allocation.
+/// Exact encoded payload size of `m`: frame_writer sizes the buffer to
+/// it, so a datagram costs at most one allocation, none in a buffer that
+/// held one as large.
 std::size_t payload_bytes(const Msg& m) {
   const std::size_t name = 8 + m.name.size();
   const std::size_t injections = 8 + 16 * m.injections.size();
@@ -112,8 +123,9 @@ bool known_type(std::uint8_t t) noexcept {
          t <= static_cast<std::uint8_t>(MsgType::kFin);
 }
 
-std::vector<std::uint8_t> encode(const Msg& m) {
-  snapshot::Writer w = snapshot::frame_writer(payload_bytes(m));
+void encode(const Msg& m, std::vector<std::uint8_t>& out) {
+  snapshot::Writer w =
+      snapshot::frame_writer(payload_bytes(m), std::move(out));
   switch (m.type) {
     case MsgType::kJoin:
       w.u32(m.station);
@@ -152,11 +164,17 @@ std::vector<std::uint8_t> encode(const Msg& m) {
       w.str(m.name);
       break;
   }
-  return snapshot::seal_frame(kFormat, static_cast<std::uint8_t>(m.type),
-                             std::move(w));
+  out = snapshot::seal_frame(kFormat, static_cast<std::uint8_t>(m.type),
+                            std::move(w));
 }
 
-Msg decode(const std::uint8_t* data, std::size_t size) {
+std::vector<std::uint8_t> encode(const Msg& m) {
+  std::vector<std::uint8_t> out;
+  encode(m, out);
+  return out;
+}
+
+void decode(const std::uint8_t* data, std::size_t size, Msg& m) {
   if (size < kDatagramHeaderBytes)
     throw SnapshotError(ErrorKind::kTruncated, "datagram shorter than header");
   const snapshot::FrameHeader h = snapshot::decode_frame_header(kFormat, data);
@@ -167,21 +185,21 @@ Msg decode(const std::uint8_t* data, std::size_t size) {
   snapshot::check_frame_crc(h, payload);
 
   snapshot::Reader r(payload, static_cast<std::size_t>(h.length));
-  Msg m;
+  reset(m);
   m.type = static_cast<MsgType>(h.type);
   switch (m.type) {
     case MsgType::kJoin:
       m.station = r.u32();
-      m.name = r.str();
+      r.str(m.name);
       break;
     case MsgType::kWelcome:
       m.station = r.u32();
-      m.name = r.str();
+      r.str(m.name);
       m.n = r.u32();
       m.bound_r = r.u32();
       m.rng_seed = r.u64();
       m.horizon_ticks = r.i64();
-      m.injections = decode_injections(r);
+      decode_injections(r, m.injections);
       break;
     case MsgType::kBoundary:
       m.station = r.u32();
@@ -200,19 +218,20 @@ Msg decode(const std::uint8_t* data, std::size_t size) {
       m.slot_index = r.u64();
       m.feedback = decode_feedback(r.u8());
       m.delivered = r.boolean();
-      m.injections = decode_injections(r);
+      decode_injections(r, m.injections);
       break;
     case MsgType::kFin:
       m.ok = r.boolean();
-      m.name = r.str();
+      r.str(m.name);
       break;
   }
   r.expect_end();
-  return m;
 }
 
-Msg decode(const std::vector<std::uint8_t>& datagram) {
-  return decode(datagram.data(), datagram.size());
+Msg decode(std::span<const std::uint8_t> datagram) {
+  Msg m;
+  decode(datagram.data(), datagram.size(), m);
+  return m;
 }
 
 }  // namespace asyncmac::live

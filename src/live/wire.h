@@ -8,11 +8,16 @@
 // "AMLD", version kLiveWireVersion and at most kMaxDatagramPayload
 // payload bytes.
 //
-// Live mode sends four datagrams per slot, so encode() builds each in one
-// buffer: a snapshot::frame_writer reserved to the message's exact size,
-// the payload written after the header room, the header sealed in place
-// by snapshot::seal_frame. One allocation, no payload copy. The exact
-// bytes are pinned by LiveWire.EncodedBytesArePinned.
+// Live mode sends four datagrams per slot, so the codec works on storage
+// the caller keeps. encode(m, out) builds the datagram in `out`'s buffer:
+// snapshot::frame_writer takes it, reserved to the message's exact size,
+// the payload is written after the header room, and snapshot::seal_frame
+// fills the header in place and hands the buffer back. decode(data, size,
+// out) refills a Msg the same way, reusing its name and injection
+// storage. So once a buffer and a Msg have held a datagram that large,
+// neither direction allocates or copies a payload. The value-returning
+// forms wrap these two for tests and cold paths. The exact bytes are
+// pinned by LiveWire.EncodedBytesArePinned.
 //
 // The decoder is strict: short datagrams, bad magic/version/type, length
 // mismatches, CRC failures and trailing payload bytes all raise a typed
@@ -28,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,12 +112,16 @@ struct Msg {
   std::vector<InjectionDelta> injections;
 };
 
-/// Encode one message as a complete datagram (header + CRC + payload).
+/// Encode one message as a complete datagram (header + CRC + payload),
+/// replacing `out`'s bytes and reusing its capacity.
+void encode(const Msg& m, std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> encode(const Msg& m);
 
-/// Decode and validate one datagram. Throws snapshot::SnapshotError
-/// (kTruncated/kBadMagic/kBadVersion/kBadCrc/kCorrupt) on any violation.
-Msg decode(const std::uint8_t* data, std::size_t size);
-Msg decode(const std::vector<std::uint8_t>& datagram);
+/// Decode and validate one datagram into `out`, every field `out` held
+/// before reset and its name and injection storage reused. Throws
+/// snapshot::SnapshotError (kTruncated/kBadMagic/kBadVersion/kBadCrc/
+/// kCorrupt) on any violation, leaving `out` valid but unspecified.
+void decode(const std::uint8_t* data, std::size_t size, Msg& out);
+Msg decode(std::span<const std::uint8_t> datagram);
 
 }  // namespace asyncmac::live

@@ -7,11 +7,12 @@
 
 namespace asyncmac::snapshot {
 
-Writer frame_writer(std::size_t payload_bytes) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kFrameHeaderBytes + payload_bytes);
-  buf.resize(kFrameHeaderBytes);
-  return Writer(std::move(buf));
+Writer frame_writer(std::size_t payload_bytes,
+                    std::vector<std::uint8_t> storage) {
+  // Sized, not reserved: the payload overwrites the room in place, and a
+  // reused buffer that already held as many bytes is not filled again.
+  storage.resize(kFrameHeaderBytes + payload_bytes);
+  return Writer(std::move(storage), kFrameHeaderBytes);
 }
 
 std::vector<std::uint8_t> seal_frame(const FrameFormat& format,

@@ -49,10 +49,13 @@ struct FrameHeader {
   std::uint32_t crc = 0;
 };
 
-/// A Writer holding kFrameHeaderBytes of header room, with capacity for
-/// `payload_bytes` more: a payload of at most that size is written
-/// without reallocating.
-Writer frame_writer(std::size_t payload_bytes = 0);
+/// A Writer holding kFrameHeaderBytes of header room and `payload_bytes`
+/// of room after it: a payload of at most that size is written without
+/// reallocating. The Writer builds in `storage` (its bytes are
+/// overwritten, its capacity kept), so a caller that hands back the
+/// vector seal_frame returned builds its next frame without allocating.
+Writer frame_writer(std::size_t payload_bytes = 0,
+                    std::vector<std::uint8_t> storage = {});
 
 /// Fill the header room of a frame_writer() buffer (magic, version, type,
 /// payload length, payload CRC) and return the frame. Throws

@@ -136,14 +136,18 @@ bool Reader::boolean() {
 }
 
 std::string Reader::str() {
+  std::string s;
+  str(s);
+  return s;
+}
+
+void Reader::str(std::string& out) {
   const std::uint64_t len = u64();
   // need() guards the allocation: a corrupt huge length is reported as
   // truncation instead of an out-of-memory attempt.
   need(static_cast<std::size_t>(len));
-  std::string s(reinterpret_cast<const char*>(p_),
-                static_cast<std::size_t>(len));
+  out.assign(reinterpret_cast<const char*>(p_), static_cast<std::size_t>(len));
   p_ += len;
-  return s;
 }
 
 std::uint64_t Reader::count(std::size_t min_element_bytes) {

@@ -99,10 +99,12 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
 class Writer {
  public:
   Writer() = default;
-  /// Append after `buf`'s bytes, filling its spare capacity before
-  /// reallocating (a frame's header room: snapshot::frame_writer).
-  explicit Writer(std::vector<std::uint8_t> buf)
-      : buf_(std::move(buf)), len_(buf_.size()) {}
+  /// Write from byte `at` of `buf` on (at <= buf.size()), overwriting its
+  /// bytes past `at` and then its spare capacity before reallocating: a
+  /// frame's header room, followed by the room snapshot::frame_writer
+  /// sized for the payload.
+  Writer(std::vector<std::uint8_t> buf, std::size_t at)
+      : buf_(std::move(buf)), len_(at) {}
 
   void u8(std::uint8_t v) { *claim(1) = v; }
   void u32(std::uint32_t v) { store_le32(claim(4), v); }
@@ -156,6 +158,8 @@ class Reader {
   double f64();
   bool boolean();
   std::string str();
+  /// str() into `out`, reusing its storage.
+  void str(std::string& out);
   void bytes(void* out, std::size_t n);
   /// A u64 element count, refused as kCorrupt when that many elements of
   /// at least `min_element_bytes` each cannot fit in the bytes left — a

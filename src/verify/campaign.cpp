@@ -146,17 +146,27 @@ trace::CheckResult check_conservation(const sim::Engine& engine) {
 /// the general loop and compare it with itself), their save_state bytes
 /// must match at both stops, and the dense engine must conserve packets.
 ///
+/// The pair prunes every kDensePairPruneInterval slot ends instead of
+/// at the scenario's RunSpec default (4,096): a case runs at most
+/// 6 stations x 200 units = 1,200 slot ends, so at the default neither
+/// loop would ever prune and a wrong prune horizon on the dense loop
+/// would go unseen.
+///
 /// Seed use: the engine seed reaches only the stations' RNGs, so a
 /// protocol that declares it never draws from them
 /// (analysis::protocol_draws_rng) must give the scenario engine's stats
 /// and channel stats at engine seed + 1 — its snapshot still differs by
 /// the saved RNG states. For such a protocol the engine above (and its
 /// twin) is built at engine seed + 1, so its horizon stats are that
-/// check's; a seed-drawing protocol's pair runs at the scenario seed.
+/// check's (neither RunStats nor LedgerStats depends on the pruning
+/// cadence); a seed-drawing protocol's pair runs at the scenario seed.
+constexpr std::uint64_t kDensePairPruneInterval = 64;
+
 trace::CheckResult check_dense_equivalence(const Scenario& s,
                                            const sim::Engine& scenario) {
   Scenario plain = s;
   plain.record_trace = false;
+  plain.prune_interval = kDensePairPruneInterval;
   const Tick horizon = s.horizon_units * kTicksPerUnit;
   const bool seed_free = !analysis::protocol_draws_rng(s.protocol);
   const std::uint64_t engine_seed = seed_free ? plain.seed + 1 : 0;

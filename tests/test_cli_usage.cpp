@@ -129,6 +129,29 @@ TEST(CliUsage, MsrModeRejectsMalformedNumerics) {
   expect_usage_exit("--msr --burst=nan");
 }
 
+// tree-resolution splits contenders on feedback every station hears at
+// once. On slots whose boundaries differ between stations its automaton
+// used to abort the process (an uncaught AM_CHECK); every mode now
+// refuses such a spec as a usage error, and runs it where the boundaries
+// coincide.
+TEST(CliUsage, SynchronousOnlyProtocolIsRefusedOnAsynchronousSlots) {
+  const std::string tree = "--protocol=tree-resolution --horizon=2000 ";
+  for (const std::string mode :
+       {"", "--grid ", "--msr ", "live-serve --virtual "}) {
+    const std::string rho = mode == "--msr " ? "" : "--rho=0.5 ";
+    expect_usage_exit(mode + tree + rho + "--n=5 --r=2");
+    expect_usage_exit(mode + tree + rho + "--n=4 --r=2 --policy=perstation");
+    expect_usage_exit(mode + tree + rho + "--n=3 --r=2 --policy=random");
+    for (const std::string shape :
+         {"--n=1 --r=2", "--n=5 --r=1", "--n=5 --r=2 --policy=sync",
+          "--n=5 --r=2 --policy=max"}) {
+      const RunResult r = run_cli(mode + tree + rho + shape);
+      EXPECT_TRUE(r.exited) << mode << shape << ": " << r.output;
+      EXPECT_EQ(r.status, 0) << mode << shape << ": " << r.output;
+    }
+  }
+}
+
 // ------------------------------------------------- fuzz / stats / resume
 
 TEST(CliUsage, FuzzRejectsMalformedNumerics) {

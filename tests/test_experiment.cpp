@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/experiment.h"
 #include "analysis/registry.h"
+#include "analysis/run_spec.h"
 
 namespace asyncmac::analysis {
 namespace {
@@ -27,6 +30,45 @@ TEST(Registry, AllNamesConstructible) {
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_protocol("csma-cd"), std::invalid_argument);
+}
+
+// tree-resolution splits contenders on feedback every station hears at
+// once, so materials() builds it only where every station's slot
+// boundaries coincide: n = 1, R = 1, or one fixed length for all (sync,
+// max). Every other protocol runs on any schedule.
+TEST(Registry, SynchronousOnlyProtocolIsRefusedOnAsynchronousSlots) {
+  struct Shape {
+    const char* policy;
+    std::uint32_t n, r;
+    bool allowed;
+  };
+  const Shape shapes[] = {
+      {"sync", 5, 3, true},        {"max", 5, 4, true},
+      {"perstation", 1, 4, true},  {"random", 1, 3, true},
+      {"perstation", 5, 1, true},  {"stretch-tx", 8, 1, true},
+      {"perstation", 5, 2, false}, {"perstation", 2, 4, false},
+      {"random", 5, 2, false},     {"cyclic", 3, 4, false},
+      {"stretch-tx", 2, 3, false},
+  };
+  for (const auto& name : protocol_names()) {
+    EXPECT_EQ(protocol_needs_synchronous_slots(name),
+              name == "tree-resolution")
+        << name;
+    for (const Shape& s : shapes) {
+      RunSpec spec;
+      spec.protocol = name;
+      spec.n = s.n;
+      spec.bound_r = s.r;
+      spec.slot_policy = s.policy;
+      const std::string what = name + " " + s.policy + " n=" +
+                               std::to_string(s.n) + " R=" +
+                               std::to_string(s.r);
+      if (s.allowed || name != "tree-resolution")
+        EXPECT_NO_THROW((void)materials(spec)) << what;
+      else
+        EXPECT_THROW((void)materials(spec), std::invalid_argument) << what;
+    }
+  }
 }
 
 TEST(Registry, MakeProtocolsCount) {

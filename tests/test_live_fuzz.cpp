@@ -232,8 +232,10 @@ RunResult run(const analysis::RunSpec& spec, std::uint64_t garbage_seed) {
   std::vector<Bytes> to_daemon;
   std::vector<Bytes> on_wire;  ///< legitimate daemon-bound datagrams so far
   std::vector<std::optional<Tick>> timers(n);
+  // A machine's send view and the daemon's outbox last only until the
+  // machine's next call, so both are copied out at once.
   auto apply = [&](StationId id, StationMachine::Actions a) {
-    for (auto& b : a.sends) to_daemon.push_back(std::move(b));
+    if (!a.send.empty()) to_daemon.emplace_back(a.send.begin(), a.send.end());
     timers[id - 1] = a.finished ? std::nullopt : a.timer;
   };
   auto all_finished = [&] {
@@ -293,9 +295,11 @@ RunResult run(const analysis::RunSpec& spec, std::uint64_t garbage_seed) {
         r.expected_counted += wave.size() - legit;
         std::shuffle(wave.begin(), wave.end(), rng);
       }
-      DaemonActions acts = daemon.on_batch(now, wave);
-      for (auto& s : acts.sends)
-        to_station.emplace_back(s.to, std::move(s.datagram));
+      const DaemonActions& acts = daemon.on_batch(now, wave);
+      for (const Outgoing& o : acts.sends) {
+        const auto bytes = acts.datagram(o);
+        to_station.emplace_back(o.to, Bytes(bytes.begin(), bytes.end()));
+      }
       progressed = true;
     }
     if (progressed) continue;

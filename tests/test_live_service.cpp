@@ -164,7 +164,7 @@ TEST(LiveService, StationGivesUpOnDeadDaemon) {
   sc.max_retries = 3;
   StationMachine m(sc);
   auto acts = m.on_start(0);
-  ASSERT_EQ(acts.sends.size(), 1u);  // the Join
+  ASSERT_FALSE(acts.send.empty());  // the Join
   ASSERT_TRUE(acts.timer.has_value());
   int fired = 0;
   while (!m.finished() && fired < 100) {
@@ -183,9 +183,11 @@ TEST(LiveService, MalformedDatagramsAreDroppedNotFatal) {
   // Hand the daemon garbage alongside a normal run start: decode failures
   // must be swallowed (counted), never poison the run.
   const std::vector<std::uint8_t> garbage = {0xde, 0xad, 0xbe, 0xef, 0x00};
-  auto acts = f.daemon->on_batch(0, {garbage});
+  const std::vector<std::vector<std::uint8_t>> wave = {garbage};
+  const DaemonActions& acts = f.daemon->on_batch(0, wave);
   EXPECT_FALSE(f.daemon->failed());
   EXPECT_TRUE(acts.sends.empty());
+  EXPECT_EQ(acts.senders, std::vector<StationId>{kInvalidStation});
   ASSERT_TRUE(net.run());
   expect_clean_completion(f);
 
@@ -196,7 +198,7 @@ TEST(LiveService, MalformedDatagramsAreDroppedNotFatal) {
   (void)m.on_start(0);
   auto sacts = m.on_datagram(1, garbage);
   EXPECT_FALSE(m.finished());
-  EXPECT_TRUE(sacts.sends.empty());
+  EXPECT_TRUE(sacts.send.empty());
 }
 
 // A Welcome with a valid CRC, the station's own id and a registered
@@ -219,16 +221,16 @@ TEST(LiveService, ForgedWelcomeCannotSizeAStation) {
     ASSERT_NO_THROW(acts = m.on_datagram(1, encode(w))) << n;
     if (n <= kMaxStations) {
       // Joined: the protocol announces its first slot.
-      ASSERT_EQ(acts.sends.size(), 1u) << n;
-      EXPECT_EQ(decode(acts.sends[0]).type, MsgType::kBoundary);
+      ASSERT_FALSE(acts.send.empty()) << n;
+      EXPECT_EQ(decode(acts.send).type, MsgType::kBoundary);
       continue;
     }
     // Still joining: nothing sent, and the retry timer resends the Join.
-    EXPECT_TRUE(acts.sends.empty()) << n;
+    EXPECT_TRUE(acts.send.empty()) << n;
     ASSERT_TRUE(acts.timer.has_value());
     acts = m.on_timer(*acts.timer);
-    ASSERT_EQ(acts.sends.size(), 1u) << n;
-    EXPECT_EQ(decode(acts.sends[0]).type, MsgType::kJoin) << n;
+    ASSERT_FALSE(acts.send.empty()) << n;
+    EXPECT_EQ(decode(acts.send).type, MsgType::kJoin) << n;
   }
 }
 
@@ -259,7 +261,10 @@ TEST(LiveService, ViolationPoisonsTheRun) {
     j.name = "t";
     joins.push_back(encode(j));
   }
-  (void)daemon.on_batch(0, joins);
+  // The outbox names each input datagram's sender: a transport learns
+  // the stations' addresses from it.
+  EXPECT_EQ(daemon.on_batch(0, joins).senders,
+            (std::vector<StationId>{1, 2}));
   ASSERT_TRUE(daemon.started());
 
   Msg b;
@@ -267,20 +272,31 @@ TEST(LiveService, ViolationPoisonsTheRun) {
   b.station = 1;
   b.slot_index = 1;
   b.action = SlotAction::kTransmitPacket;  // queue is empty: a violation
-  const auto acts = daemon.on_batch(0, {encode(b)});
+  const std::vector<std::vector<std::uint8_t>> wave = {encode(b)};
+  const DaemonActions& acts = daemon.on_batch(0, wave);
   EXPECT_TRUE(daemon.failed());
   EXPECT_TRUE(daemon.done());
   EXPECT_FALSE(daemon.reason().empty());
   // Every station got a Fin{ok=false}.
   int fins = 0;
-  for (const auto& out : acts.sends) {
-    const Msg m = decode(out.datagram);
+  for (const Outgoing& out : acts.sends) {
+    const Msg m = decode(acts.datagram(out));
     if (m.type == MsgType::kFin) {
       EXPECT_FALSE(m.ok);
       ++fins;
     }
   }
   EXPECT_EQ(fins, 2);
+
+  // After the run a retransmitted request gets its station's cached Fin
+  // again, and senders still has one entry per datagram, 0 for garbage.
+  const std::vector<std::vector<std::uint8_t>> late = {{0xde, 0xad},
+                                                       encode(b)};
+  const DaemonActions& again = daemon.on_batch(1, late);
+  EXPECT_EQ(again.senders, (std::vector<StationId>{kInvalidStation, 1}));
+  ASSERT_EQ(again.sends.size(), 1u);
+  EXPECT_EQ(again.sends[0].to, 1u);
+  EXPECT_EQ(decode(again.datagram(again.sends[0])).type, MsgType::kFin);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -101,14 +102,22 @@ TEST(SeedUse, SeedInvariantRunsAreIdenticalAcrossSeeds) {
       for (const auto& injector : matrix_injectors()) {
         const RunSpec spec = matrix_spec(protocol, policy, injector);
         if (!seed_invariant(spec)) continue;
+        if (protocol_needs_synchronous_slots(protocol) && policy != "sync" &&
+            policy != "max") {
+          EXPECT_THROW(build_engine(spec), std::invalid_argument)
+              << describe(spec);
+          continue;
+        }
         ++invariant;
         const Observed first = observe(spec, 0);
         for (int k : {1, 2})
           EXPECT_TRUE(observe(spec, k) == first)
               << describe(spec) << " differs at replica " << k;
       }
-  // 10 seed-free protocols x 5 seed-free policies x 6 seed-free injectors.
-  EXPECT_EQ(invariant, 10u * 5u * 6u);
+  // 10 seed-free protocols x 5 seed-free policies x 6 seed-free injectors,
+  // less tree-resolution under the three asynchronous ones (perstation,
+  // cyclic, stretch-tx), which materials() refuses at n = 3, R = 2.
+  EXPECT_EQ(invariant, 10u * 5u * 6u - 3u * 6u);
 }
 
 TEST(SeedUse, EveryDeclaredDrawerMovesItsRun) {

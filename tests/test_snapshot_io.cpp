@@ -363,7 +363,7 @@ TEST(SnapshotCodec, WriterFillsAHeldVectorsSpareCapacityFirst) {
     start.reserve(start.size() + spare);
     const std::uint8_t* held = start.data();
     std::vector<std::uint8_t> want = start;
-    Writer w(std::move(start));
+    Writer w(std::move(start), want.size());
     // Fill exactly the spare capacity: no reallocation.
     for (std::size_t i = 0; i < spare; ++i) {
       w.u8(static_cast<std::uint8_t>(i));
