@@ -35,13 +35,13 @@
 // cursor over a table of one hyperperiod's (offset, station) events,
 // built by the first such run (a uniform schedule's is one round of n
 // entries), instead of the winner tree, and no slot-policy call or
-// length check per event. Each station
-// steps through its own automaton, except when every station runs
-// CA-ARRoW: then the loop runs that automaton over n-wide arrays instead
-// of virtual calls and charges whole runs of listening stations that end
-// one silent or memoized slot in one batch. It writes everything back
-// before run() returns, so save_state, protocol(), step() and the next
-// run() see exactly the state the general path would have left.
+// length check per event. Each station steps through its own automaton.
+// When every station runs CA-ARRoW (Protocol::ca_arrow_automaton()), the
+// loop steps each protocol's core::CaArrowAutomaton in place instead of
+// calling next_action, and charges whole runs of listening stations that
+// end one silent or memoized slot in one batch. It writes everything
+// back before run() returns, so save_state, protocol(), step() and the
+// next run() see exactly the state the general path would have left.
 //
 // Correctness notes (why event order gives exact channel semantics):
 //  * A transmission is registered at its slot's *start*, i.e. when the
@@ -168,8 +168,8 @@ class Engine final : public EngineView {
   /// fixed_length is nonzero and within [1, R] units for every station
   /// (one length or several), checkpointing is off, and the stations'
   /// events in one hyperperiod number at most kDenseEventCap. Any
-  /// protocol set qualifies; the CA-ARRoW port and its batcher run when
-  /// every station is CA-ARRoW.
+  /// protocol set qualifies; the loop steps the CA-ARRoW automata in
+  /// place, with the quiet-run batcher, when every station has one.
   bool dense() const noexcept { return dense_period_ != 0; }
 
   /// Most slot-end events one hyperperiod of a dense() schedule may hold

@@ -21,10 +21,11 @@
 // The loop runs the general step's operations in the general step's
 // order on one event at a time. Each station steps through its own
 // automaton (a virtual Protocol::next_action with the SlotResult the
-// general step builds), except when every station runs CA-ARRoW: then
-// the loop uses that automaton ported onto n-wide arrays (KEEP IN SYNC
-// with core/ca_arrow.cpp, whose next_action, begin_phase and save_state
-// field order it copies). The port adds:
+// general step builds), except when every station runs CA-ARRoW
+// (Protocol::ca_arrow_automaton() is non-null for each): then the loop
+// steps each station's core::CaArrowAutomaton (core/ca_arrow.h, the one
+// definition CaArrowProtocol::next_action also runs) in place, with no
+// virtual call, and adds:
 //  * the quiet-run batcher: when the cursor's slot [t - L, t) takes the
 //    ledger's silent or memo fast path (Ledger::quiet_at / memo_at) and
 //    no injection poll is due at t, the consecutive events from the
@@ -36,22 +37,22 @@
 //    the skipped queries (Ledger::skip_queries). A batch never crosses
 //    the prune cadence or the stop budget, so the prune lands on the same
 //    event as in the general path;
-//  * the CA-ARRoW turn counter, batched like the rest.
+//  * the core.ca_arrow.turns counter, fed from the change in the
+//    automata's summed turns_taken at each telemetry flush.
 // Either way the engine's Collector slot counts and engine.dense_slots
 // are batched and folded in when run() returns. The prune horizon is the
 // earliest committed slot begin, the general path's.
 //
-// Byte identity: store() sets every committed slot and re-keys the
-// scheduler; under the port, load() reads the automaton from each
-// protocol's save_state bytes and store() writes it back through the
-// protocol's load_state. So the engine holds exactly the state the
-// general path leaves. tests/test_dense.cpp and the fuzz oracle
-// (verify/campaign.cpp) compare the two paths' save_state bytes.
+// Byte identity: every automaton is stepped where its protocol keeps it,
+// and store() sets every committed slot and re-keys the scheduler, so
+// the engine holds exactly the state the general path leaves.
+// tests/test_dense.cpp and the fuzz oracle (verify/campaign.cpp) compare
+// the two paths' save_state bytes.
 #include <algorithm>
 #include <numeric>
 
+#include "core/ca_arrow.h"
 #include "sim/engine.h"
-#include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
 
@@ -70,16 +71,6 @@ struct DenseTelemetry {
     return t;
   }
 };
-
-// The ported automaton, identified by Protocol::name() (sim has no
-// link-time dependency on core).
-constexpr const char* kPortProtocol = "CA-ARRoW";
-
-// core::CaArrowProtocol::State values, pinned by its save_state u8.
-constexpr std::uint8_t kCaCountdown = 1;
-constexpr std::uint8_t kCaDrain = 2;
-constexpr std::uint8_t kCaNoise = 3;
-constexpr std::uint8_t kCaAwaitSequenceEnd = 4;
 
 // The winner tree's (end, station) order on hyperperiod table entries.
 constexpr auto kEventOrder = [](const auto& a, const auto& b) {
@@ -165,28 +156,26 @@ class Engine::TableCursor {
 class Engine::DenseRun {
  public:
   explicit DenseRun(Engine& e)
-      : e_(e),
-        n_(e.cfg_.n),
-        cur_(e),
-        port_(std::all_of(e.stations_.begin(), e.stations_.end(),
-                          [](const StationRuntime& s) {
-                            return s.protocol->name() == kPortProtocol;
-                          })) {}
+      : e_(e), n_(e.cfg_.n), r_(e.cfg_.bound_r), cur_(e) {
+    for (StationRuntime& s : e.stations_) {
+      core::CaArrowAutomaton* a = s.protocol->ca_arrow_automaton();
+      if (a == nullptr) {
+        automata_.clear();
+        return;
+      }
+      automata_.push_back(a);
+    }
+    turns_flushed_ = turns_taken();
+  }
 
-  /// Read the cursor from the scheduler and, under the port, the
-  /// automaton from the protocols (CaArrowProtocol::save_state's fields,
-  /// in its order). False when the scheduler's next event or a committed
-  /// slot is not the schedule's, or the prune cadence is already due —
-  /// states a snapshot saved under another configuration can hold.
+  /// Read the cursor from the scheduler. False when the scheduler's next
+  /// event or a committed slot is not the schedule's, or the prune
+  /// cadence is already due — states a snapshot saved under another
+  /// configuration can hold.
   bool load() {
     if (e_.steps_since_prune_ >= e_.cfg_.prune_interval) return false;
     if (!cur_.seek(e_.events_.top_time(), e_.events_.top_station()))
       return false;
-    state_.resize(n_);
-    turn_.resize(n_);
-    countdown_.resize(n_);
-    heard_.resize(n_);
-    turns_taken_.resize(n_);
     action_.resize(n_);
     q_empty_.resize(n_);
     station_slots_.assign(n_, 0);
@@ -198,15 +187,6 @@ class Engine::DenseRun {
         return false;
       action_[i] = s.action;
       q_empty_[i] = s.ctx.queue_empty() ? 1 : 0;
-      if (!port_) continue;
-      snapshot::Writer w;
-      s.protocol->save_state(w);
-      snapshot::Reader r(w.buffer());
-      state_[i] = r.u8();
-      turn_[i] = r.u32();
-      countdown_[i] = r.u64();
-      heard_[i] = r.boolean() ? 1 : 0;
-      turns_taken_[i] = r.u64();
     }
     return true;
   }
@@ -218,7 +198,7 @@ class Engine::DenseRun {
     std::uint64_t budget =
         stop.max_total_slots > total ? stop.max_total_slots - total : 0;
     while (budget > 0 && cur_.time() <= stop.max_time) {
-      std::uint64_t done = port_ ? quiet_run(budget) : 0;
+      std::uint64_t done = automata_.empty() ? 0 : quiet_run(budget);
       if (done == 0) {
         step();
         done = 1;
@@ -242,69 +222,11 @@ class Engine::DenseRun {
       s.slot_begin = s.slot_end - cur_.length(i);
       s.action = action_[i];
       e_.events_.update(s.ctx.id(), s.slot_end);
-      if (!port_) continue;
-      snapshot::Writer w;
-      w.u8(state_[i]);
-      w.u32(turn_[i]);
-      w.u64(countdown_[i]);
-      w.boolean(heard_[i] != 0);
-      w.u64(turns_taken_[i]);
-      snapshot::Reader r(w.buffer());
-      s.protocol->load_state(r, s.ctx);
     }
     flush_telemetry();
   }
 
  private:
-  // ---- the CA-ARRoW automaton (port of core/ca_arrow.cpp) ----
-
-  void advance_turn(std::size_t i) { turn_[i] = (turn_[i] % n_) + 1; }
-
-  SlotAction begin_phase(std::size_t i) {
-    if (turn_[i] == i + 1) {
-      ++turns_taken_[i];
-      ++turns_;
-      countdown_[i] = 2ULL * e_.cfg_.bound_r;
-      state_[i] = kCaCountdown;
-    } else {
-      heard_[i] = 0;
-      state_[i] = kCaAwaitSequenceEnd;
-    }
-    return SlotAction::kListen;
-  }
-
-  SlotAction next_action(std::size_t i, Feedback fb) {
-    switch (state_[i]) {
-      case kCaCountdown:
-        if (--countdown_[i] > 0) return SlotAction::kListen;
-        if (q_empty_[i]) {
-          state_[i] = kCaNoise;
-          return SlotAction::kTransmitControl;
-        }
-        state_[i] = kCaDrain;
-        return SlotAction::kTransmitPacket;
-      case kCaNoise:
-        advance_turn(i);
-        return begin_phase(i);
-      case kCaDrain:
-        if (!q_empty_[i]) return SlotAction::kTransmitPacket;
-        advance_turn(i);
-        return begin_phase(i);
-      case kCaAwaitSequenceEnd:
-        if (fb != Feedback::kSilence) {
-          heard_[i] = 1;
-          return SlotAction::kListen;
-        }
-        if (heard_[i]) {
-          advance_turn(i);
-          return begin_phase(i);
-        }
-        return SlotAction::kListen;
-    }
-    AM_CHECK(false);  // kInit is left before the first slot; else corrupt
-    return SlotAction::kListen;
-  }
-
   // ---- events ----
 
   /// One slot-end event: Engine::step on the cursor's station.
@@ -362,9 +284,9 @@ class Engine::DenseRun {
         e_.meter_.add_idle(id, q_empty_[i] != 0);
     }
 
-    // (The port ignores SlotResult::delivered.)
-    const SlotAction next = port_ ? next_action(i, fb)
-                                  : s.protocol->next_action(result, s.ctx);
+    const SlotAction next =
+        automata_.empty() ? s.protocol->next_action(result, s.ctx)
+                          : automata_[i]->next(id, n_, r_, q_empty_[i], fb);
     action_[i] = next;
     if (is_transmit(next)) {
       e_.check_action(s.ctx, next);
@@ -385,8 +307,8 @@ class Engine::DenseRun {
       fb = ledger.memo_feedback();
     }
     if (t >= e_.next_injection_poll_) return 0;
-    // A local copy: the automaton's byte stores below cannot alias it, so
-    // its fields stay in registers through the loops.
+    // A local copy: the automata's stores below cannot alias it, so its
+    // fields stay in registers through the loops.
     const TableCursor at = cur_;
     const std::uint64_t cap =
         std::min({at.run(), e_.cfg_.prune_interval - e_.steps_since_prune_,
@@ -396,10 +318,11 @@ class Engine::DenseRun {
     std::uint64_t m = 0;
     for (; m < cap; ++m) {
       const std::size_t i = at.station_at(m);
-      if (state_[i] != kCaAwaitSequenceEnd ||
+      core::CaArrowAutomaton& a = *automata_[i];
+      if (a.state != core::CaArrowAutomaton::State::kAwaitSequenceEnd ||
           action_[i] != SlotAction::kListen)
         break;
-      next_action(i, fb);
+      a.next(static_cast<StationId>(i + 1), n_, r_, q_empty_[i], fb);
       ++station_slots_[i];
     }
     if (m == 0) return 0;
@@ -435,28 +358,33 @@ class Engine::DenseRun {
   }
 
   void flush_telemetry() {
-    if ((dense_slots_ | turns_) == 0) return;
     DenseTelemetry& t = DenseTelemetry::get();
     t.dense_slots.add(dense_slots_);
-    t.ca_arrow_turns.add(turns_);
-    dense_slots_ = turns_ = 0;
+    dense_slots_ = 0;
+    const std::uint64_t turns = turns_taken();
+    t.ca_arrow_turns.add(turns - turns_flushed_);
+    turns_flushed_ = turns;
+  }
+
+  /// The automata's turns so far, summed: O(n), once per flush.
+  std::uint64_t turns_taken() const {
+    std::uint64_t turns = 0;
+    for (const core::CaArrowAutomaton* a : automata_) turns += a->turns_taken;
+    return turns;
   }
 
   Engine& e_;
   const std::uint32_t n_;
+  const std::uint32_t r_;
   /// The next event and the committed slots.
   TableCursor cur_;
-  /// Every station runs CA-ARRoW: the loop runs the port and its batcher.
-  const bool port_;
+  /// Each station's CA-ARRoW automaton, inside its protocol (index
+  /// station - 1); empty unless every station runs one, and then the loop
+  /// steps these and runs the batcher.
+  std::vector<core::CaArrowAutomaton*> automata_;
 
-  // The CA-ARRoW automaton per station (index station - 1; port only),
-  // the committed action and the queue-empty flag, kept at the queue's two
-  // mutation sites (injection push, delivery pop).
-  std::vector<std::uint8_t> state_;
-  std::vector<std::uint32_t> turn_;
-  std::vector<std::uint64_t> countdown_;
-  std::vector<std::uint8_t> heard_;
-  std::vector<std::uint64_t> turns_taken_;
+  // The committed action and the queue-empty flag per station, the flag
+  // kept at the queue's two mutation sites (injection push, delivery pop).
   std::vector<SlotAction> action_;
   std::vector<std::uint8_t> q_empty_;
 
@@ -470,9 +398,10 @@ class Engine::DenseRun {
   std::vector<std::uint64_t> station_slots_;
   std::vector<std::uint64_t> station_tx_;
 
-  // Batched telemetry: engine.dense_slots and core.ca_arrow.turns.
+  // Batched telemetry: engine.dense_slots, and the summed turns_taken
+  // already added to core.ca_arrow.turns.
   std::uint64_t dense_slots_ = 0;
-  std::uint64_t turns_ = 0;
+  std::uint64_t turns_flushed_ = 0;
 };
 
 void Engine::plan_dense() {

@@ -17,6 +17,10 @@
 #include "snapshot/fwd.h"
 #include "util/types.h"
 
+namespace asyncmac::core {
+struct CaArrowAutomaton;
+}
+
 namespace asyncmac::sim {
 
 /// What happened in the slot that just ended, from the station's own
@@ -57,6 +61,11 @@ class Protocol {
   /// One-shot protocols (leader election / SST) report completion so that
   /// drivers can stop early; ongoing PT protocols never finish.
   virtual bool finished() const { return false; }
+
+  /// The protocol's CA-ARRoW automaton (core/ca_arrow.h), null when it
+  /// runs none. When every station returns one, the engine's dense loop
+  /// steps these in place instead of calling next_action.
+  virtual core::CaArrowAutomaton* ca_arrow_automaton() { return nullptr; }
 
   /// Checkpoint/resume (docs/CHECKPOINT.md): serialize every mutable
   /// automaton field. The defaults are correct ONLY for protocols with no

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "adversary/slot_policies.h"
+#include "analysis/registry.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -18,16 +19,6 @@ std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-// Protocols whose correctness argument assumes globally simultaneous
-// feedback. The generator pins them to R = 1 (every named slot policy
-// then degenerates to 1-unit slots, i.e. the synchronous channel);
-// running them under bounded asynchrony is a *known* failure mode of the
-// paper, not a bug for the fuzzer to hunt.
-bool requires_synchrony(const std::string& protocol) {
-  return protocol == "tree-resolution" || protocol == "sync-binary-le" ||
-         protocol == "abs";
 }
 
 }  // namespace
@@ -103,7 +94,10 @@ Scenario scenario_from_seed(std::uint64_t case_seed,
   s.n = static_cast<std::uint32_t>(topo_rng.range(1, 6));
   s.bound_r = static_cast<std::uint32_t>(topo_rng.range(1, 4));
   s.horizon_units = topo_rng.range(30, 200);
-  if (requires_synchrony(s.protocol)) s.bound_r = 1;
+  // A protocol the registry declares correct only on synchronous slots
+  // is pinned to R = 1 (every named slot policy then degenerates to
+  // 1-unit slots): materials() refuses it on asynchronous ones.
+  if (analysis::protocol_needs_synchronous_slots(s.protocol)) s.bound_r = 1;
 
   const auto policies = adversary::slot_policy_names();
   s.slot_policy = policies[slots_rng.below(policies.size())];

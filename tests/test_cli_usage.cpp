@@ -19,8 +19,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -164,6 +166,41 @@ TEST(CliUsage, FuzzRejectsMalformedNumerics) {
   expect_usage_exit("fuzz --emit-case=1.0");
   expect_usage_exit("fuzz --seed");      // flag without a value
   expect_usage_exit("fuzz --no-shrink=1");  // a switch given a value
+}
+
+// A repro whose scenario no engine can be built for is a bad file: exit
+// 2 before any replay. A replay that diverges exits 1, which is what a
+// real regression of a clean corpus repro gives.
+TEST(CliUsage, FuzzReproRefusesAScenarioNoEngineCanBeBuiltFor) {
+  std::ifstream in(std::string(ASYNCMAC_GOLDEN_DIR) +
+                   "/fuzz/tree_resolution_n5_r1_stretchtx.json");
+  const std::string clean((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::string path = ::testing::TempDir() + "cli_unbuildable_repro.json";
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"r\": 1,", "\"r\": 2,"},
+        {"\"protocol\": \"tree-resolution\"",
+         "\"protocol\": \"no-such-protocol\""}}) {
+    SCOPED_TRACE(to);
+    std::string edited = clean;
+    const std::size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos);
+    std::ofstream(path) << edited.replace(at, from.size(), to);
+    const RunResult r = run_cli("fuzz --repro=" + path);
+    EXPECT_TRUE(r.exited) << r.output;
+    EXPECT_EQ(r.status, 2) << r.output;
+    EXPECT_NE(r.output.find("bad repro file"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("replay:"), std::string::npos) << r.output;
+  }
+  std::remove(path.c_str());
+}
+
+// Every fuzz mode refuses a --protocol name the registry does not know,
+// drawn or not.
+TEST(CliUsage, FuzzRefusesAnUnknownProtocol) {
+  expect_usage_exit("fuzz --cases=3 --protocol=ca-arrow,no-such-protocol");
+  expect_usage_exit("fuzz --case-seed=5 --protocol=ca-arrow,no-such-protocol");
+  expect_usage_exit("fuzz --emit-case=3 --protocol=ca-arrow,no-such-protocol");
 }
 
 TEST(CliUsage, StatsRejectsMalformedNumerics) {

@@ -1,6 +1,6 @@
 // The engine's dense path against its general path — the contract of
 // sim/engine.h: a dense() run that run() takes through the dense loop
-// (the CA-ARRoW port, or each station's own automaton) must leave exactly
+// (the CA-ARRoW automata, or each station's own automaton) must leave exactly
 // the state the same run leaves when it is taken event by event. A
 // never-true stop predicate forces the general loop, so every test below
 // runs a dense engine and a twin built from the same materials and

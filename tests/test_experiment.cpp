@@ -2,6 +2,7 @@
 // runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -26,6 +27,18 @@ TEST(Registry, AllNamesConstructible) {
     // requirement).
     EXPECT_NE(p->clone(), nullptr) << name;
   }
+}
+
+// The engine's dense loop steps CA-ARRoW's automaton in place and finds
+// it through this accessor alone. Without it every byte would stay the
+// same and only the loop's speed would show the loss.
+TEST(Registry, OnlyCaArrowExposesItsAutomaton) {
+  const auto names = protocol_names();
+  ASSERT_NE(std::find(names.begin(), names.end(), "ca-arrow"), names.end());
+  for (const auto& name : names)
+    EXPECT_EQ(make_protocol(name)->ca_arrow_automaton() != nullptr,
+              name == "ca-arrow")
+        << name;
 }
 
 TEST(Registry, UnknownNameThrows) {

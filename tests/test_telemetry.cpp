@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -499,6 +500,53 @@ TEST(TelemetryDense, CountsDenseSlots) {
   dense->run(with_predicate);
   EXPECT_EQ(dense_slots.value(), 4u * 1500u + 1500u);
   EXPECT_GT(slots.value(), 4u * 1500u + 1500u);
+}
+
+/// Every nonzero engine.*, channel.* and core.* counter one run of `spec`
+/// leaves, but engine.dense_slots; `general` forces the general loop (a
+/// never-true stop predicate).
+std::map<std::string, std::uint64_t> run_counters(
+    const analysis::RunSpec& spec, bool general) {
+  telemetry::Registry::global().reset_values();
+  auto engine = analysis::build_engine(spec);
+  EXPECT_TRUE(engine->dense());
+  sim::StopCondition stop = sim::until(spec.horizon_units * kTicksPerUnit);
+  if (general) stop.predicate = [](const sim::Engine&) { return false; };
+  engine->run(stop);
+  EXPECT_EQ(engine->dense_slots(), general ? 0 : engine->stats().total_slots);
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] :
+       telemetry::Registry::global().snapshot().counters) {
+    const bool layer = name.rfind("engine.", 0) == 0 ||
+                       name.rfind("channel.", 0) == 0 ||
+                       name.rfind("core.", 0) == 0;
+    if (layer && value != 0 && name != "engine.dense_slots")
+      out[name] = value;
+  }
+  return out;
+}
+
+// The dense loop batches its counters (and reads core.ca_arrow.turns off
+// the CA-ARRoW automata), the general loop counts per event: one run
+// must report the same totals either way. ca-arrow runs the automaton
+// path and its quiet-run batcher, ao-arrow its own automaton.
+TEST(TelemetryDense, CountersMatchTheGeneralLoop) {
+  ScopedTelemetry on;
+  analysis::RunSpec ca = dense_spec("sync", 2);
+  ca.horizon_units = 5000;
+  analysis::RunSpec ao = dense_spec("perstation", 3);
+  ao.protocol = "ao-arrow";
+  ao.horizon_units = 5000;
+  for (const analysis::RunSpec& spec : {ca, ao}) {
+    SCOPED_TRACE(spec.protocol);
+    const auto dense = run_counters(spec, false);
+    EXPECT_EQ(dense, run_counters(spec, true));
+    EXPECT_EQ(dense.count(spec.protocol == "ca-arrow"
+                              ? "core.ca_arrow.turns"
+                              : "core.ao_arrow.elections"),
+              1u);
+    EXPECT_EQ(dense.count("engine.prunes"), 1u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/registry.h"
 #include "escaped_bytes.h"
 #include "sim/engine.h"
 #include "verify/campaign.h"
@@ -76,6 +77,20 @@ TEST(VerifyCampaign, SynchronousOnlyProtocolsArePinnedToR1) {
     const Scenario s =
         verify::scenario_from_seed(seed, {"tree-resolution"});
     EXPECT_EQ(s.bound_r, 1u) << "seed " << seed;
+  }
+}
+
+// The generator pins R = 1 from the registry's declaration alone: over a
+// few hundred case seeds a protocol draws some R > 1 exactly when the
+// registry does not declare that it needs synchronous slots.
+TEST(VerifyCampaign, GeneratorPinsExactlyTheDeclaredProtocols) {
+  for (const std::string& name : analysis::protocol_names()) {
+    bool asynchronous = false;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+      asynchronous |= verify::scenario_from_seed(seed, {name}).bound_r > 1;
+    EXPECT_EQ(asynchronous,
+              !analysis::protocol_needs_synchronous_slots(name))
+        << name;
   }
 }
 

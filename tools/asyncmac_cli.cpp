@@ -53,6 +53,7 @@
 #include "analysis/experiment.h"
 #include "analysis/grid.h"
 #include "analysis/msr.h"
+#include "analysis/registry.h"
 #include "analysis/run_spec.h"
 #include "energy/meter.h"
 #include "live/daemon.h"
@@ -911,6 +912,9 @@ int replay_repro_file(const Options& opt) {
   verify::Repro repro;
   try {
     repro = verify::parse_repro_json(read_text_file(opt.repro_in));
+    // A scenario no engine can be built for (an unknown name, a protocol
+    // on slots it refuses) is a bad file, not a replay that diverged.
+    (void)analysis::materials(repro.scenario);
   } catch (const std::invalid_argument& e) {
     usage(std::string("bad repro file: ") + e.what());
   }
@@ -964,6 +968,12 @@ int emit_corpus_case(const Options& opt) {
 
 int run_fuzz(const Options& opt) {
   if (opt.cases < 1) usage("--cases must be >= 1");
+  try {
+    for (const std::string& name : opt.pool)
+      (void)analysis::protocol_maker(name);  // an unknown name throws
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   start_telemetry(opt);
   if (opt.mode == kFuzzRepro) return replay_repro_file(opt);
   if (opt.mode == kFuzzCase) return run_single_case(opt);
