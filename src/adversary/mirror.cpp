@@ -4,7 +4,7 @@
 #include <map>
 #include <tuple>
 
-#include "channel/ledger.h"
+#include "trace/invariants.h"
 #include "util/check.h"
 
 namespace asyncmac::adversary {
@@ -143,45 +143,23 @@ MirrorResult MirrorRun::run() {
   result.slots_per_station = static_cast<std::uint64_t>(result.phases) * r_;
   result.total_time = now;
   for (const auto& s : alive) result.survivors.push_back(s.id);
-  result.verified_mirror = verify(alive, now);
+  result.verified_mirror = verify(alive);
   return result;
 }
 
-bool MirrorRun::verify(const std::vector<AliveStation>& alive,
-                       Tick end_time) const {
-  (void)end_time;
-  if (alive.size() < 2) return true;  // nothing committed (0 phases)
-
-  // Gather every committed slot, register the transmissions in begin
-  // order, then check the mirror property against the exact channel model.
-  struct Slot {
-    StationId station;
-    Tick begin, end;
-    SlotAction action;
-  };
-  std::vector<Slot> slots;
-  for (const auto& s : alive)
-    for (const auto& [b, e, a] : s.schedule) slots.push_back({s.id, b, e, a});
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    return std::tie(a.begin, a.station) < std::tie(b.begin, b.station);
-  });
-
-  channel::Ledger ledger;
-  for (const auto& s : slots) {
-    if (!is_transmit(s.action)) continue;
-    channel::Transmission tx;
-    tx.station = s.station;
-    tx.begin = s.begin;
-    tx.end = s.end;
-    ledger.add(tx);
+bool MirrorRun::verify(const std::vector<AliveStation>& alive) const {
+  // The survivors' committed slots, each with the feedback the mirror
+  // promised it. Every survivor's schedule ends at the same time, so the
+  // replay's checkable horizon covers every slot.
+  std::vector<trace::SlotRecord> records;
+  for (const auto& s : alive) {
+    SlotIndex index = 0;
+    for (const auto& [begin, end, action] : s.schedule)
+      records.push_back(
+          {s.id, ++index, begin, end, action,
+           is_transmit(action) ? Feedback::kBusy : Feedback::kSilence});
   }
-  for (const auto& s : slots) {
-    const Feedback fb = ledger.feedback(s.begin, s.end);
-    const Feedback expected =
-        is_transmit(s.action) ? Feedback::kBusy : Feedback::kSilence;
-    if (fb != expected) return false;
-  }
-  return true;
+  return trace::check_feedback_consistency(records).ok;
 }
 
 }  // namespace asyncmac::adversary

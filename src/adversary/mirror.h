@@ -74,7 +74,7 @@ class MirrorRun {
   };
 
   Extension extend(const AliveStation& s) const;
-  bool verify(const std::vector<AliveStation>& alive, Tick end_time) const;
+  bool verify(const std::vector<AliveStation>& alive) const;
 
   sim::ProtocolMaker factory_;
   std::uint32_t n_, r_, bound_r_, max_phases_;

@@ -147,7 +147,6 @@ sim::EngineMaterials materials(const RunSpec& spec,
   m.cfg.record_deliveries = spec.record_deliveries;
   m.cfg.allow_control = spec.allow_control;
   m.cfg.prune_interval = spec.prune_interval;
-  m.cfg.checkpoint_interval = spec.checkpoint_interval;
   m.cfg.restrained = spec.restrained;
   m.cfg.energy = spec.energy;
   m.protocols = make_protocols(spec.protocol, spec.n);

@@ -46,6 +46,8 @@ struct RunSpec {
   bool record_deliveries = false;
   bool allow_control = true;
   std::uint64_t prune_interval = 4096;
+  /// Autosave cadence in slot-end events (0 = off). Not an engine knob:
+  /// snapshot::AutoSaver::run saves at its multiples.
   std::uint64_t checkpoint_interval = 0;
   /// k-restrained channel (k = 0: unrestrained).
   channel::RestrainedSpec restrained;
@@ -87,8 +89,8 @@ bool seed_invariant(const RunSpec& spec);
 sim::EngineMaterials materials(const RunSpec& spec,
                                std::uint64_t engine_seed = 0);
 
-/// A scalar Engine over materials(spec, engine_seed). The checkpoint sink
-/// is left unset: install one after construction to autosave.
+/// A scalar Engine over materials(spec, engine_seed). To autosave, run it
+/// through snapshot::AutoSaver::run.
 std::unique_ptr<sim::Engine> build_engine(const RunSpec& spec,
                                           std::uint64_t engine_seed = 0);
 

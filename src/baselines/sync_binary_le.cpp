@@ -1,6 +1,6 @@
 #include "baselines/sync_binary_le.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::baselines {
 
@@ -57,7 +57,7 @@ void SyncBinaryLeAutomaton::save_state(snapshot::Writer& w) const {
 
 void SyncBinaryLeAutomaton::load_state(snapshot::Reader& r) {
   id_ = r.u32();
-  outcome_ = static_cast<Outcome>(r.u8());
+  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
   phase_ = r.u32();
   slots_ = r.u64();
 }

@@ -2,7 +2,7 @@
 
 #include <bit>
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::baselines {
@@ -81,7 +81,7 @@ void TreeResolutionAutomaton::load_state(snapshot::Reader& r) {
   id_ = r.u32();
   bit_ = r.u32();
   counter_ = r.i64();
-  outcome_ = static_cast<Outcome>(r.u8());
+  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
   slots_ = r.u64();
 }
 

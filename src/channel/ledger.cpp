@@ -93,34 +93,17 @@ void Ledger::flush_telemetry() {
   window_peak_local_ = 0;
 }
 
-void Ledger::save_state(snapshot::Writer& w) const {
-  window_.save(w);
-  // Batched telemetry deltas ride along so a resumed run flushes the same
-  // not-yet-flushed counts (telemetry itself is outside the determinism
-  // contract, but carrying the deltas keeps it *approximately* seamless).
-  w.u64(pending_adds_);
-  w.u64(pending_queries_);
-  w.u64(pending_scanned_);
-  w.u64(pending_fast_silence_);
-  w.u64(pending_memo_hits_);
-  w.u64(pending_memo_misses_);
-  w.u64(pending_prunes_);
-  w.u64(pending_pruned_entries_);
-  w.u64(window_peak_local_);
-}
+void Ledger::save_state(snapshot::Writer& w) const { window_.save(w); }
 
 void Ledger::load_state(snapshot::Reader& r) {
   memo_valid_ = false;  // cold memo; replay is identical to re-scanning
   window_.load(r);
-  pending_adds_ = r.u64();
-  pending_queries_ = r.u64();
-  pending_scanned_ = r.u64();
-  pending_fast_silence_ = r.u64();
-  pending_memo_hits_ = r.u64();
-  pending_memo_misses_ = r.u64();
-  pending_prunes_ = r.u64();
-  pending_pruned_entries_ = r.u64();
-  window_peak_local_ = static_cast<std::size_t>(r.u64());
+  // Telemetry, not state: the saved run counted the first transmissions
+  // its engine's constructor added.
+  pending_adds_ = pending_queries_ = pending_scanned_ = pending_fast_silence_ =
+      pending_memo_hits_ = pending_memo_misses_ = pending_prunes_ =
+          pending_pruned_entries_ = 0;
+  window_peak_local_ = 0;
 }
 
 }  // namespace asyncmac::channel

@@ -200,10 +200,11 @@ class Ledger {
   Tick max_duration() const noexcept { return window_.max_duration(); }
 
   /// Checkpoint/resume (docs/CHECKPOINT.md): serialize/restore the full
-  /// mutable state — live window, finalized cursor, archived history,
-  /// cumulative stats and the batched telemetry deltas. load_state
-  /// requires the ledger to have been constructed with the same
-  /// keep_history flag (SnapshotError::kMismatch otherwise).
+  /// mutable state — live window, finalized cursor, archived history and
+  /// cumulative stats. The batched telemetry deltas are not state:
+  /// load_state zeroes them. load_state requires the ledger to have been
+  /// constructed with the same keep_history flag (SnapshotError::kMismatch
+  /// otherwise).
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 

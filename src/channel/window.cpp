@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::channel {
@@ -34,7 +34,8 @@ Transmission load_transmission(snapshot::Reader& r) {
   t.packet = r.u64();
   t.successful = r.boolean();
   t.decided = r.boolean();
-  t.admission = r.u8();
+  t.admission = static_cast<std::uint8_t>(
+      snapshot::load_enum(r, Admission::kRejected));
   return t;
 }
 

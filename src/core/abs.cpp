@@ -1,6 +1,6 @@
 #include "core/abs.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::core {
@@ -116,8 +116,8 @@ void AbsAutomaton::load_state(snapshot::Reader& r) {
   cfg_.R = r.u32();
   cfg_.threshold0 = r.u64();
   cfg_.threshold1 = r.u64();
-  state_ = static_cast<State>(r.u8());
-  outcome_ = static_cast<Outcome>(r.u8());
+  state_ = snapshot::load_enum(r, State::kDone);
+  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
   phase_ = r.u32();
   counter_ = r.u64();
   target_ = r.u64();

@@ -3,7 +3,7 @@
 #include <bit>
 
 #include "core/bounds.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::core {
@@ -107,8 +107,8 @@ void AdaptiveAbsProtocol::save_state(snapshot::Writer& w) const {
 
 void AdaptiveAbsProtocol::load_state(snapshot::Reader& r,
                                      sim::StationContext& ctx) {
-  state_ = static_cast<State>(r.u8());
-  status_ = static_cast<Status>(r.u8());
+  state_ = snapshot::load_enum(r, State::kBarrier);
+  status_ = snapshot::load_enum(r, Status::kObservedWinner);
   if (r.boolean()) {
     abs_.emplace(AbsAutomaton::standard(ctx.id(), ctx.bound_r()));
     abs_->load_state(r);

@@ -1,7 +1,7 @@
 #include "core/ao_arrow.h"
 
 #include "core/bounds.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
 
@@ -198,7 +198,7 @@ void AoArrowProtocol::save_state(snapshot::Writer& w) const {
 
 void AoArrowProtocol::load_state(snapshot::Reader& r,
                                  sim::StationContext& ctx) {
-  state_ = static_cast<State>(r.u8());
+  state_ = snapshot::load_enum(r, State::kSyncTransmit);
   if (r.boolean()) {
     le_ = le_factory_ ? le_factory_(ctx.id(), ctx.n(), ctx.bound_r())
                       : AbsAutomaton::factory()(ctx.id(), ctx.n(),

@@ -1,6 +1,6 @@
 #include "core/ca_arrow.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
 
@@ -39,7 +39,7 @@ void CaArrowProtocol::save_state(snapshot::Writer& w) const {
 }
 
 void CaArrowProtocol::load_state(snapshot::Reader& r, sim::StationContext&) {
-  automaton_.state = static_cast<State>(r.u8());
+  automaton_.state = snapshot::load_enum(r, State::kAwaitSequenceEnd);
   automaton_.turn = r.u32();
   automaton_.countdown = r.u64();
   automaton_.heard_transmission = r.boolean();

@@ -213,11 +213,6 @@ bool Engine::step() {
   begin_slot(s, /*begin=*/t, next);
 
   maybe_prune();
-  if (cfg_.checkpoint_interval != 0 &&
-      ++steps_since_checkpoint_ >= cfg_.checkpoint_interval) {
-    steps_since_checkpoint_ = 0;
-    if (cfg_.checkpoint_sink) cfg_.checkpoint_sink(*this);
-  }
 #if defined(__GNUC__) || defined(__clang__)
   // The re-keyed scheduler already names the next event's station; pull its
   // runtime and protocol toward L1 while the loop overhead runs. With
@@ -325,22 +320,6 @@ namespace {
       std::string("engine snapshot was saved under a different ") + what);
 }
 
-SlotAction read_action(snapshot::Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(SlotAction::kTransmitControl))
-    throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
-                                  "invalid slot action byte");
-  return static_cast<SlotAction>(v);
-}
-
-Feedback read_feedback(snapshot::Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(Feedback::kAck))
-    throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
-                                  "invalid feedback byte");
-  return static_cast<Feedback>(v);
-}
-
 }  // namespace
 
 void Engine::save_state(snapshot::Writer& w) const {
@@ -404,13 +383,6 @@ void Engine::save_state(snapshot::Writer& w) const {
   w.u64(next_seq_);
   w.u32(last_successful_);
   w.u64(steps_since_prune_);
-  w.u64(steps_since_checkpoint_);
-  // Batched telemetry deltas ride along so a resumed engine flushes the
-  // same residue; telemetry itself is outside the determinism contract.
-  w.u64(pending_slots_);
-  w.u64(pending_deliveries_);
-  w.u64(pending_injections_);
-  w.u64(pending_polls_skipped_);
 
   // Energy accounting tail, gated by the enabled flag: a disabled run
   // contributes one flag byte regardless of the configured costs, so the
@@ -458,7 +430,7 @@ void Engine::load_state(snapshot::Reader& r) {
         s.slot_end - s.slot_begin > max_slot_ticks_)
       throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
                                     "committed slot outside [1, R] units");
-    s.action = read_action(r);
+    s.action = snapshot::load_enum(r, SlotAction::kTransmitControl);
     s.protocol->load_state(r, s.ctx);
     // The scheduler's top depends only on the (end, station) key set, so
     // re-keying every station reproduces the saved scheduler exactly.
@@ -482,8 +454,8 @@ void Engine::load_state(snapshot::Reader& r) {
     rec.index = r.u64();
     rec.begin = r.i64();
     rec.end = r.i64();
-    rec.action = read_action(r);
-    rec.feedback = read_feedback(r);
+    rec.action = snapshot::load_enum(r, SlotAction::kTransmitControl);
+    rec.feedback = snapshot::load_enum(r, Feedback::kAck);
     trace_.record(rec);
   }
 
@@ -506,11 +478,10 @@ void Engine::load_state(snapshot::Reader& r) {
   next_seq_ = r.u64();
   last_successful_ = r.u32();
   steps_since_prune_ = r.u64();
-  steps_since_checkpoint_ = r.u64();
-  pending_slots_ = r.u64();
-  pending_deliveries_ = r.u64();
-  pending_injections_ = r.u64();
-  pending_polls_skipped_ = r.u64();
+  // Telemetry, not state: the saved run counted the time-0 injections
+  // this engine's constructor polled.
+  pending_slots_ = pending_deliveries_ = pending_injections_ =
+      pending_polls_skipped_ = 0;
 
   if (r.boolean() != cfg_.energy.enabled)
     throw_mismatch("energy accounting setting");

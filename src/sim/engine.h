@@ -88,14 +88,6 @@ struct EngineConfig {
   /// flushes). Must be >= 1. The default balances prune work against live
   /// window growth (see docs/PERFORMANCE.md, "Choosing prune_interval").
   std::uint64_t prune_interval = 4096;
-  /// Autosave cadence in processed slot-end events (0 = off). The engine
-  /// never touches the filesystem itself: every checkpoint_interval steps
-  /// it invokes checkpoint_sink with *this, and the sink (e.g.
-  /// snapshot::AutoSaver) serializes and persists. The counter is part of
-  /// the snapshot, so a resumed run autosaves on the same slot boundaries
-  /// as an uninterrupted one.
-  std::uint64_t checkpoint_interval = 0;
-  std::function<void(const class Engine&)> checkpoint_sink;
   /// k-restrained channel (channel/transmission.h, arXiv 1808.02216): at
   /// most `restrained.k` overlapping transmissions are admitted on air;
   /// excess ones are jammed or rejected. k == 0 keeps the classic
@@ -166,8 +158,8 @@ class Engine final : public EngineView {
 
   /// True when the constructor chose the dense path: the slot policy's
   /// fixed_length is nonzero and within [1, R] units for every station
-  /// (one length or several), checkpointing is off, and the stations'
-  /// events in one hyperperiod number at most kDenseEventCap. Any
+  /// (one length or several), and the stations' events in one
+  /// hyperperiod number at most kDenseEventCap. Any
   /// protocol set qualifies; the loop steps the CA-ARRoW automata in
   /// place, with the quiet-run batcher, when every station has one.
   bool dense() const noexcept { return dense_period_ != 0; }
@@ -214,6 +206,8 @@ class Engine final : public EngineView {
   bool all_finished() const;
 
   // ---- Checkpoint/resume ----
+  /// The engine never saves itself: snapshot::AutoSaver::run calls run()
+  /// in chunks of a fixed slot count and saves between them.
   /// Serialize the complete mutable simulation state: station queues,
   /// RNG streams, protocol state, committed slots, ledger (window and
   /// archive), metrics, trace, delivery log, adversary state and the
@@ -223,17 +217,13 @@ class Engine final : public EngineView {
   /// then overwrites every mutable field. After load_state the engine
   /// continues bit-for-bit as the saved run would have (telemetry
   /// counters excepted; they are process-global and out of contract).
+  /// The batched telemetry deltas are not state: run() flushes them
+  /// before it returns, and load_state zeroes them.
   void save_state(snapshot::Writer& w) const;
   /// Throws snapshot::SnapshotError (kMismatch) when the payload was
   /// saved under a different n / R / recording configuration, and
   /// (kCorrupt) on enum bytes or invariants no writer produces.
   void load_state(snapshot::Reader& r);
-  /// (Re-)install the autosave sink after construction — a resumed engine
-  /// is built by a factory that cannot capture the caller's saver. Only
-  /// fires when checkpoint_interval was configured.
-  void set_checkpoint_sink(std::function<void(const Engine&)> sink) {
-    cfg_.checkpoint_sink = std::move(sink);
-  }
 
  private:
   struct StationRuntime {
@@ -312,7 +302,6 @@ class Engine final : public EngineView {
   PacketSeq next_seq_ = 1;
   StationId last_successful_ = kInvalidStation;
   std::uint64_t steps_since_prune_ = 0;
-  std::uint64_t steps_since_checkpoint_ = 0;
   std::vector<Injection> injection_buffer_;
 
   // Batched telemetry deltas (plain integers on the hot path; see

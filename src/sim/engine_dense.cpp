@@ -405,7 +405,6 @@ class Engine::DenseRun {
 };
 
 void Engine::plan_dense() {
-  if (cfg_.checkpoint_interval != 0) return;
   std::vector<Tick> lengths(cfg_.n);
   Tick period = 1;
   for (std::uint32_t i = 0; i < cfg_.n; ++i) {

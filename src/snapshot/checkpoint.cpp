@@ -81,6 +81,8 @@ std::string newest_checkpoint(const std::string& dir) {
 AutoSaver::AutoSaver(std::string dir, RunSpec spec, std::size_t retention)
     : dir_(std::move(dir)), spec_(std::move(spec)), retention_(retention) {
   AM_REQUIRE(retention_ >= 1, "checkpoint retention must be >= 1");
+  AM_REQUIRE(spec_.checkpoint_interval >= 1,
+             "checkpoint interval must be >= 1");
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec)
@@ -96,6 +98,25 @@ AutoSaver::AutoSaver(std::string dir, RunSpec spec, std::size_t retention)
                                               dir_);
     counter_ = counter + 1;
     files_.push_back(std::move(path));
+  }
+}
+
+void AutoSaver::run(sim::Engine& engine, const sim::StopCondition& stop) {
+  const std::uint64_t k = spec_.checkpoint_interval;
+  // A predicate that stops the run at a chunk's end must end it here too.
+  bool stopped = false;
+  sim::StopCondition chunk = stop;
+  if (stop.predicate)
+    chunk.predicate = [&stopped, &stop](const sim::Engine& e) {
+      return stopped = stop.predicate(e);
+    };
+  for (;;) {
+    const std::uint64_t next = (engine.stats().total_slots / k + 1) * k;
+    chunk.max_total_slots = std::min(next, stop.max_total_slots);
+    engine.run(chunk);
+    if (engine.stats().total_slots != next) return;
+    save(engine);
+    if (stopped || next == stop.max_total_slots) return;
   }
 }
 

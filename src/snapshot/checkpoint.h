@@ -12,9 +12,10 @@
 // would have (the determinism contract pinned by
 // tests/test_checkpoint_engine.cpp).
 //
-// The AutoSaver is the standard EngineConfig::checkpoint_sink: it writes
-// rotating, atomically-renamed snapshot files into a directory with
-// bounded retention.
+// The AutoSaver drives an autosaving run from outside the engine: it runs
+// the engine in chunks of the RunSpec's checkpoint_interval slot-end
+// events and writes rotating, atomically-renamed snapshot files into a
+// directory with bounded retention.
 #pragma once
 
 #include <cstdint>
@@ -65,20 +66,25 @@ ResumedRun resume_checkpoint(const std::string& path);
 /// as text past 999999 saves. Empty when `dir` holds none.
 std::string newest_checkpoint(const std::string& dir);
 
-/// Rotating checkpoint writer for EngineConfig::checkpoint_sink. Writes
-/// ckpt-NNNNNN.snap files into `dir` (created if missing), numbering on
-/// from the highest counter already there so newest_checkpoint finds its
-/// latest save. At construction it adopts the ckpt-<counter>.snap files
-/// already in `dir`, and each save then removes the oldest until the
-/// directory holds at most `retention` of them — its own and the adopted
-/// ones alike. Write errors propagate as SnapshotError(kIo) —
-/// a checkpointed run should fail loudly, not silently stop
-/// snapshotting.
+/// Rotating checkpoint writer. Writes ckpt-NNNNNN.snap files into `dir`
+/// (created if missing), numbering on from the highest counter already
+/// there so newest_checkpoint finds its latest save. At construction it
+/// adopts the ckpt-<counter>.snap files already in `dir`, and each save
+/// then removes the oldest until the directory holds at most `retention`
+/// of them — its own and the adopted ones alike. Write errors propagate
+/// as SnapshotError(kIo) — a checkpointed run should fail loudly, not
+/// silently stop snapshotting. `spec.checkpoint_interval` must be >= 1.
 class AutoSaver {
  public:
   AutoSaver(std::string dir, RunSpec spec, std::size_t retention = 3);
 
-  void operator()(const sim::Engine& engine) { save(engine); }
+  /// engine.run(stop), saved whenever the engine's total slot count
+  /// (RunStats::total_slots) reaches a multiple of the interval K: the
+  /// engine runs in chunks whose max_total_slots budget ends at the next
+  /// multiple, and each chunk that ends there is saved. A resumed engine
+  /// saves on the same slot counts as the uninterrupted run, and every
+  /// chunk may take the dense loop.
+  void run(sim::Engine& engine, const sim::StopCondition& stop);
   void save(const sim::Engine& engine);
 
   /// Checkpoint paths on disk, adopted ones included, oldest first.

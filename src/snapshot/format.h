@@ -30,7 +30,9 @@ namespace asyncmac::snapshot {
 
 // v2: Ledger::save_state grew the memo_hits/memo_misses pending telemetry
 // deltas (channel/ledger.h).
-inline constexpr std::uint32_t kFormatVersion = 2;
+// v3: engine snapshots hold simulation state only: the engine's autosave
+// counter and the engine's and ledger's batched telemetry deltas are gone.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr char kMagic[8] = {'A', 'M', 'A', 'C', 'S', 'N', 'A', 'P'};
 
 enum class FileKind : std::uint8_t {

@@ -12,13 +12,22 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "adversary/injectors.h"
 #include "baselines/mbtf.h"
+#include "baselines/sync_binary_le.h"
+#include "baselines/tree_resolution.h"
 #include "channel/ledger.h"
+#include "core/abs.h"
+#include "core/adaptive_abs.h"
+#include "core/ao_arrow.h"
+#include "core/ca_arrow.h"
 #include "engine_golden_cases.h"
 #include "metrics/collector.h"
 #include "metrics/json.h"
@@ -195,18 +204,16 @@ TEST(CheckpointEngine, AutoSaverRotatesWithBoundedRetention) {
   const std::string dir = "ckpt_retention_dir";
   std::filesystem::remove_all(dir);
 
-  auto saver = std::make_shared<snapshot::AutoSaver>(dir, spec, 2);
-  EXPECT_EQ(saver->latest(), "");
+  snapshot::AutoSaver saver(dir, spec, 2);
+  EXPECT_EQ(saver.latest(), "");
   auto engine = snapshot::build_engine(spec);
-  engine->set_checkpoint_sink(
-      [saver](const sim::Engine& e) { (*saver)(e); });
-  engine->run(sim::until(spec.horizon_units * kTicksPerUnit));
+  saver.run(*engine, sim::until(spec.horizon_units * kTicksPerUnit));
 
   // Many autosaves fired, but only `retention` files remain — the oldest
   // were removed, and files() lists survivors oldest-first.
-  ASSERT_EQ(saver->files().size(), 2u);
-  EXPECT_LT(saver->files()[0], saver->files()[1]);
-  EXPECT_EQ(saver->latest(), saver->files()[1]);
+  ASSERT_EQ(saver.files().size(), 2u);
+  EXPECT_LT(saver.files()[0], saver.files()[1]);
+  EXPECT_EQ(saver.latest(), saver.files()[1]);
   std::size_t on_disk = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().extension(), ".snap");
@@ -215,9 +222,103 @@ TEST(CheckpointEngine, AutoSaverRotatesWithBoundedRetention) {
   EXPECT_EQ(on_disk, 2u);
 
   // The newest survivor must resume cleanly.
-  snapshot::ResumedRun run = snapshot::resume_checkpoint(saver->latest());
+  snapshot::ResumedRun run = snapshot::resume_checkpoint(saver.latest());
   EXPECT_EQ(run.spec, spec);
   std::filesystem::remove_all(dir);
+
+  // The cadence comes from the spec; without one there is nothing to do.
+  spec.checkpoint_interval = 0;
+  EXPECT_THROW(snapshot::AutoSaver(dir, spec), std::invalid_argument);
+}
+
+// AutoSaver::run stops where engine.run(stop) alone would, whatever ends
+// the run — a predicate or a slot budget, at a multiple of the interval
+// or between two — and saves at every multiple of it up to there.
+TEST(CheckpointEngine, AutoSaverStopsWhereTheStopConditionDoes) {
+  RunSpec spec = spec_from_golden(testing::engine_golden_cases()[0]);
+  spec.checkpoint_interval = 50;
+  const std::string dir = "ckpt_stop_dir";
+  auto at_least = [](std::uint64_t slots) {
+    sim::StopCondition stop;
+    stop.predicate = [slots](const sim::Engine& e) {
+      return e.stats().total_slots >= slots;
+    };
+    return stop;
+  };
+  auto budget = [](std::uint64_t slots) {
+    sim::StopCondition stop;
+    stop.max_total_slots = slots;
+    return stop;
+  };
+  for (const sim::StopCondition& stop :
+       {at_least(100), at_least(120), budget(150), budget(170)}) {
+    auto alone = snapshot::build_engine(spec);
+    alone->run(stop);
+    const std::uint64_t end = alone->stats().total_slots;
+    SCOPED_TRACE(end);
+    std::filesystem::remove_all(dir);
+    auto saved = snapshot::build_engine(spec);
+    snapshot::AutoSaver saver(dir, spec, /*retention=*/100);
+    saver.run(*saved, stop);
+    EXPECT_EQ(saved->stats().total_slots, end);
+    EXPECT_EQ(saver.files().size(), end / spec.checkpoint_interval);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The bytes of every file in `dir`, by name.
+std::map<std::string, std::vector<std::uint8_t>> files_in(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+// The determinism contract, save by save: a run resumed from its j-th
+// autosave, autosaving on into the directory it resumed from, writes
+// saves j+1, j+2, ... under the same names and with the same bytes as
+// the uninterrupted run. Covers a dense and a general-loop schedule.
+TEST(CheckpointEngine, ResumedAutosaveWritesTheUninterruptedSaves) {
+  for (const char* policy : {"perstation", "random"}) {
+    SCOPED_TRACE(policy);
+    RunSpec spec;
+    spec.protocol = "ao-arrow";
+    spec.n = 4;
+    spec.bound_r = 3;
+    spec.slot_policy = policy;
+    spec.horizon_units = 600;
+    spec.checkpoint_interval = 113;
+    const sim::StopCondition stop =
+        sim::until(spec.horizon_units * kTicksPerUnit);
+    const std::string whole = "ckpt_whole_dir";
+    std::filesystem::remove_all(whole);
+    auto engine = snapshot::build_engine(spec);
+    snapshot::AutoSaver(whole, spec, /*retention=*/1000).run(*engine, stop);
+    const auto control = files_in(whole);
+    ASSERT_GE(control.size(), 6u);
+
+    for (const std::size_t j : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(j);
+      const std::string dir = "ckpt_resumed_dir";
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      auto it = control.begin();
+      for (std::size_t i = 0; i < j; ++i, ++it)
+        std::ofstream(dir + "/" + it->first, std::ios::binary)
+            .write(reinterpret_cast<const char*>(it->second.data()),
+                   static_cast<std::streamsize>(it->second.size()));
+      snapshot::ResumedRun run =
+          snapshot::resume_checkpoint(snapshot::newest_checkpoint(dir));
+      snapshot::AutoSaver(dir, run.spec, 1000).run(*run.engine, stop);
+      EXPECT_EQ(files_in(dir), control);
+      std::filesystem::remove_all(dir);
+    }
+    std::filesystem::remove_all(whole);
+  }
 }
 
 /// Create empty files named `names` in a fresh directory `dir`.
@@ -456,21 +557,33 @@ std::int64_t get_i64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
   return static_cast<std::int64_t>(v);
 }
 
-/// Save a two-station ca-arrow engine (R = 1, no injector) at 100 units,
-/// set station 1's slot end to `end(slot_begin)` and expect kCorrupt.
-template <typename End>
-void expect_crafted_slot_end_corrupt(End&& end) {
+/// A two-station ca-arrow run (R = 1, no injector): station 1's queue is
+/// empty, so its committed slot sits at the offsets above.
+RunSpec small_spec() {
   RunSpec spec;
   spec.protocol = "ca-arrow";
   spec.n = 2;
   spec.bound_r = 1;
   spec.slot_policy = "sync";
   spec.has_injector = false;
+  return spec;
+}
+
+/// Engine::save_state of `spec` run to 100 units.
+std::vector<std::uint8_t> saved_at_100(const RunSpec& spec) {
   auto engine = snapshot::build_engine(spec);
   engine->run(sim::until(100 * kTicksPerUnit));
   snapshot::Writer w;
   engine->save_state(w);
-  std::vector<std::uint8_t> bytes = w.buffer();
+  return w.take();
+}
+
+/// Save a small_spec() engine at 100 units, set station 1's slot end to
+/// `end(slot_begin)` and expect kCorrupt.
+template <typename End>
+void expect_crafted_slot_end_corrupt(End&& end) {
+  const RunSpec spec = small_spec();
+  std::vector<std::uint8_t> bytes = saved_at_100(spec);
   const Tick begin = get_i64(bytes, kStation1SlotBeginAt);
   ASSERT_EQ(begin, 100 * kTicksPerUnit);
   ASSERT_EQ(get_i64(bytes, kStation1SlotEndAt), 101 * kTicksPerUnit);
@@ -498,6 +611,151 @@ TEST(CraftedSlot, EndBeyondRUnitsIsCorrupt) {
 
 TEST(CraftedSlot, EndNotAfterBeginIsCorrupt) {
   expect_crafted_slot_end_corrupt([](Tick) { return Tick{0}; });
+}
+
+// ---- crafted enum bytes ------------------------------------------------
+//
+// Every one-byte enum in a snapshot loads through snapshot::load_enum: a
+// byte past the last enumerator is kCorrupt, not a cast into a state no
+// switch handles (an AM_CHECK abort on the next run()).
+
+/// Set byte `at` of `bytes` to `last` (an enumerator, or the value of a
+/// private enum's last one) and expect `load` to accept it, so the byte is
+/// the enum's and `last` its bound; then to last + 1 and expect kCorrupt.
+template <typename Last, typename Load>
+void expect_enum_byte(std::vector<std::uint8_t> bytes, std::size_t at,
+                      Last last, Load&& load) {
+  ASSERT_LT(at, bytes.size());
+  const auto top = static_cast<std::uint8_t>(last);
+  bytes[at] = top;
+  {
+    snapshot::Reader r(bytes);
+    EXPECT_NO_THROW(load(r)) << "byte " << at << " is not the enum's";
+  }
+  bytes[at] = static_cast<std::uint8_t>(top + 1);
+  snapshot::Reader r(bytes);
+  try {
+    load(r);
+    ADD_FAILURE() << "expected SnapshotError(kCorrupt) at byte " << at;
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCorrupt) << e.what();
+  }
+}
+
+template <typename Saved>
+std::vector<std::uint8_t> saved(const Saved& s) {
+  snapshot::Writer w;
+  s.save_state(w);
+  return w.take();
+}
+
+/// load_state of a fresh `Protocol` at station 1 of 3, R = 2.
+template <typename Protocol>
+auto protocol_loader() {
+  return [](snapshot::Reader& r) {
+    Protocol fresh;
+    sim::StationContext ctx(1, 3, 2, 1);
+    fresh.load_state(r, ctx);
+  };
+}
+
+TEST(CraftedByte, CaArrowStateIsCorrupt) {
+  expect_enum_byte(saved(core::CaArrowProtocol()), 0,
+                   core::CaArrowProtocol::State::kAwaitSequenceEnd,
+                   protocol_loader<core::CaArrowProtocol>());
+}
+
+TEST(CraftedByte, AoArrowStateIsCorrupt) {
+  expect_enum_byte(saved(core::AoArrowProtocol()), 0,
+                   core::AoArrowProtocol::State::kSyncTransmit,
+                   protocol_loader<core::AoArrowProtocol>());
+}
+
+TEST(CraftedByte, AbsStateAndOutcomeAreCorrupt) {
+  // id u32, R u32 and two u64 thresholds lead; then state, outcome.
+  const core::AbsAutomaton abs(core::AbsAutomaton::standard(1, 2));
+  const auto load = [](snapshot::Reader& r) {
+    core::AbsAutomaton fresh(core::AbsAutomaton::standard(1, 2));
+    fresh.load_state(r);
+  };
+  expect_enum_byte(saved(abs), 24, /*State::kDone=*/3, load);
+  expect_enum_byte(saved(abs), 25, core::AbsAutomaton::Outcome::kEliminated,
+                   load);
+}
+
+TEST(CraftedByte, AdaptiveAbsStateAndStatusAreCorrupt) {
+  const core::AdaptiveAbsProtocol adaptive;
+  const auto load = protocol_loader<core::AdaptiveAbsProtocol>();
+  expect_enum_byte(saved(adaptive), 0, /*State::kBarrier=*/2, load);
+  expect_enum_byte(saved(adaptive), 1,
+                   core::AdaptiveAbsProtocol::Status::kObservedWinner, load);
+}
+
+TEST(CraftedByte, TreeResolutionOutcomeIsCorrupt) {
+  // id u32, bit u32 and the i64 counter lead.
+  expect_enum_byte(saved(baselines::TreeResolutionAutomaton(1, 3)), 16,
+                   core::LeaderElection::Outcome::kEliminated,
+                   [](snapshot::Reader& r) {
+                     baselines::TreeResolutionAutomaton fresh(1, 3);
+                     fresh.load_state(r);
+                   });
+}
+
+TEST(CraftedByte, SyncBinaryLeOutcomeIsCorrupt) {
+  expect_enum_byte(saved(baselines::SyncBinaryLeAutomaton(1)), 4,
+                   core::LeaderElection::Outcome::kEliminated,
+                   [](snapshot::Reader& r) {
+                     baselines::SyncBinaryLeAutomaton fresh(1);
+                     fresh.load_state(r);
+                   });
+}
+
+TEST(CraftedByte, WindowAdmissionIsCorrupt) {
+  // The window's header (kLedgerWindowCountAt) and live count, then the
+  // entry: station u32, begin i64, end i64, is_control u8, packet u64,
+  // successful u8, decided u8, admission u8.
+  channel::Ledger ledger;
+  channel::Transmission tx;
+  tx.station = 1;
+  tx.begin = 0;
+  tx.end = kTicksPerUnit;
+  ledger.add(tx);
+  constexpr std::size_t kAdmissionAt =
+      kLedgerWindowCountAt + 8 + 4 + 8 + 8 + 1 + 8 + 1 + 1;
+  expect_enum_byte(saved(ledger), kAdmissionAt, channel::Admission::kRejected,
+                   [](snapshot::Reader& r) {
+                     channel::Ledger fresh;
+                     fresh.load_state(r);
+                   });
+}
+
+/// load_state into a fresh engine of `spec`.
+auto engine_loader(const RunSpec& spec) {
+  return [spec](snapshot::Reader& r) {
+    snapshot::build_engine(spec)->load_state(r);
+  };
+}
+
+TEST(CraftedByte, EngineSlotActionIsCorrupt) {
+  // Station 1's committed action follows its slot end.
+  const RunSpec spec = small_spec();
+  expect_enum_byte(saved_at_100(spec), kStation1SlotEndAt + 8,
+                   SlotAction::kTransmitControl, engine_loader(spec));
+}
+
+TEST(CraftedByte, EngineTraceActionAndFeedbackAreCorrupt) {
+  // The last trace record ends in its action and feedback bytes. After it
+  // come the delivery count u64 (no log kept), now, the injection poll and
+  // last injection times, the next packet seq (u64 each), the last
+  // successful station u32, steps since prune u64 and the energy flag.
+  RunSpec spec = small_spec();
+  spec.record_trace = true;
+  const std::vector<std::uint8_t> bytes = saved_at_100(spec);
+  constexpr std::size_t kTail = 8 + 4 * 8 + 4 + 8 + 1;
+  expect_enum_byte(bytes, bytes.size() - kTail - 2,
+                   SlotAction::kTransmitControl, engine_loader(spec));
+  expect_enum_byte(bytes, bytes.size() - kTail - 1, Feedback::kAck,
+                   engine_loader(spec));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "analysis/run_spec.h"
+#include "snapshot/checkpoint.h"
+#include "snapshot/format.h"
 
 namespace {
 
@@ -338,6 +343,40 @@ TEST(CliResume, DirectoryResumesItsNewestCheckpoint) {
   EXPECT_EQ(resumed.status, 0);
   EXPECT_EQ(resumed.output, control.output);
   std::filesystem::remove_all(dir);
+}
+
+// A checkpoint whose framing and CRC are valid but whose station 1
+// automaton state byte names no CA-ARRoW state: `resume` refuses it as
+// corrupt (exit 1) instead of aborting on the automaton's next slot.
+TEST(CliResume, CraftedAutomatonByteExitsOne) {
+  using namespace asyncmac;
+  analysis::RunSpec spec;
+  spec.protocol = "ca-arrow";
+  spec.n = 3;
+  spec.bound_r = 2;
+  spec.slot_policy = "sync";
+  spec.has_injector = false;
+  auto engine = analysis::build_engine(spec);
+  engine->run(sim::until(100 * kTicksPerUnit));
+  snapshot::Writer spec_bytes;
+  analysis::save_run_spec(spec_bytes, spec);
+  std::vector<std::uint8_t> payload =
+      snapshot::encode_checkpoint(spec, *engine);
+  // Engine layout up to station 1's protocol state (an empty queue): n
+  // and R u32, four flags, queue length u64, queue cost i64, four RNG
+  // words, slot index u64, slot begin and end i64, action u8.
+  constexpr std::size_t kStation1StateAt =
+      4 + 4 + 4 + 8 + 8 + 4 * 8 + 8 + 8 + 8 + 1;
+  const std::size_t at = spec_bytes.buffer().size() + kStation1StateAt;
+  ASSERT_LT(at, payload.size());
+  payload[at] = 9;
+  const std::string path = ::testing::TempDir() + "cli_crafted_state.snap";
+  snapshot::write_file(path, snapshot::FileKind::kEngineRun, payload);
+  const RunResult r = run_cli("resume " + path);
+  EXPECT_TRUE(r.exited) << "killed by a signal: " << r.output;
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("snapshot corrupt"), std::string::npos) << r.output;
+  std::filesystem::remove(path);
 }
 
 TEST(CliUsage, WellFormedRunExitsZero) {

@@ -11,6 +11,7 @@
 // that quietly switches it off fails here.
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -23,6 +24,8 @@
 #include "analysis/registry.h"
 #include "analysis/run_spec.h"
 #include "engine_golden_cases.h"
+#include "snapshot/checkpoint.h"
+#include "snapshot/format.h"
 #include "snapshot/io.h"
 #include "telemetry/registry.h"
 #include "verify/scenario.h"
@@ -374,8 +377,8 @@ TEST(Dense, RunAfterStepAndStepAfterRun) {
 // perstation at R = 2 to 4, and match their general-loop twins. Variable
 // lengths, a hyperperiod past the cap (perstation at R = 11 once the
 // 11-unit station joins; hand-built lengths whose lcm has too many
-// events or leaves Tick's range) and checkpointing run on the general
-// loop: dense() is false and run() adds no dense slot.
+// events or leaves Tick's range) run on the general loop: dense() is
+// false and run() adds no dense slot.
 TEST(Dense, EligibilityFollowsTheSchedule) {
   const DenseSlots slots;
   auto with = [](const std::string& protocol, const std::string& policy,
@@ -446,9 +449,6 @@ TEST(Dense, EligibilityFollowsTheSchedule) {
     refused.emplace_back(
         "lcm past Tick's range",
         hand_built(protocol, {u, u + 1, u + 2, u + 3, u + 5}));
-    sim::EngineMaterials checkpointed = with(protocol, "sync", 5, 3);
-    checkpointed.cfg.checkpoint_interval = 64;
-    refused.emplace_back("checkpointing", std::move(checkpointed));
     for (auto& [what, m] : refused) {
       auto engine = engine_from(std::move(m));
       EXPECT_FALSE(engine->dense()) << protocol << " " << what;
@@ -695,27 +695,59 @@ TEST(Dense, PerStationPruneMeterAndRestrainedMatchTheGeneralLoop) {
   EXPECT_GT(slots.count(), 0u);
 }
 
-// Checkpointing keeps a run off the dense path (the sink observes the
-// engine mid-run): dense() is false, the sink fires, no dense slot runs,
-// and the run's statistics are the dense run's.
-TEST(Dense, RefusesCheckpointConfig) {
+// Autosave runs outside the engine (snapshot::AutoSaver::run), in
+// chunks that end at each multiple of the interval K, so an autosaving
+// run takes the dense loop for every slot. It saves at exactly the
+// multiples of K, and each save holds the bytes a general-loop twin
+// saves at the same slot count.
+TEST(Dense, AutosavingRunStaysDense) {
   const DenseSlots slots;
-  int saves = 0;
-  sim::EngineMaterials m = dense_materials(17);
-  m.cfg.checkpoint_interval = 64;
-  m.cfg.checkpoint_sink = [&saves](const sim::Engine&) { ++saves; };
-  auto checkpointed = engine_from(std::move(m));
-  EXPECT_FALSE(checkpointed->dense());
-  const std::uint64_t before = slots.count();
-  checkpointed->run(sim::until(300 * kTicksPerUnit));
-  EXPECT_GT(saves, 0);
-  EXPECT_EQ(slots.count(), before);
+  analysis::RunSpec spec;
+  spec.protocol = "ca-arrow";
+  spec.n = 5;
+  spec.bound_r = 3;
+  spec.slot_policy = "perstation";
+  spec.injector.rho = util::Ratio(1, 2);
+  spec.injector.burst_ticks = 8 * kTicksPerUnit;
+  spec.horizon_units = 600;
+  spec.checkpoint_interval = 97;
+  const sim::StopCondition stop =
+      sim::until(spec.horizon_units * kTicksPerUnit);
+  auto saves_of = [&spec](sim::Engine& engine, const sim::StopCondition& s,
+                          const std::string& dir) {
+    std::filesystem::remove_all(dir);
+    snapshot::AutoSaver saver(dir, spec, /*retention=*/1000);
+    saver.run(engine, s);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const std::string& path : saver.files())
+      payloads.push_back(
+          snapshot::read_file(path, snapshot::FileKind::kEngineRun));
+    std::filesystem::remove_all(dir);
+    return payloads;
+  };
 
-  auto dense = engine_from(dense_materials(17));
-  auto twin = engine_from(dense_materials(17));
-  expect_same_run(*dense, *twin, sim::until(300 * kTicksPerUnit), slots,
-                  "without checkpointing");
-  EXPECT_EQ(dense->stats(), checkpointed->stats());
+  auto dense = analysis::build_engine(spec);
+  auto twin = analysis::build_engine(spec);
+  ASSERT_TRUE(dense->dense());
+  const std::uint64_t before = slots.count();
+  const auto saved = saves_of(*dense, stop, "ckpt_dense_autosave_dir");
+  const auto twin_saved =
+      saves_of(*twin, general(stop), "ckpt_twin_autosave_dir");
+
+  const std::uint64_t total = dense->stats().total_slots;
+  EXPECT_EQ(dense->dense_slots(), total);
+  EXPECT_EQ(slots.count() - before, total);
+  EXPECT_EQ(twin->dense_slots(), 0u);
+  EXPECT_EQ(bytes(*dense), bytes(*twin));
+  ASSERT_EQ(saved.size(), total / spec.checkpoint_interval);
+  ASSERT_GE(saved.size(), 5u);
+  EXPECT_EQ(saved, twin_saved);
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    const snapshot::ResumedRun run = snapshot::decode_checkpoint(saved[i]);
+    EXPECT_EQ(run.engine->stats().total_slots,
+              (i + 1) * spec.checkpoint_interval)
+        << "save " << i;
+  }
 }
 
 // A stop with a predicate, and a traced run, take the general loop: a

@@ -1,9 +1,11 @@
 // The docs name only what exists. Every backticked `ns::Name` in the
 // project's docs (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and
 // the src/*/README.md module notes), for each of the library's 15
-// namespaces, must match an identifier somewhere under src/. The
-// history and paper files (CHANGES.md, ROADMAP.md, PAPER*.md,
-// SNIPPETS.md) are not read: they record what was, not what is.
+// namespaces, must match an identifier somewhere under src/, and every
+// backticked repository path (src/, tests/, docs/, bench/, tools/,
+// examples/, perfbench/) must exist in the tree. The history and paper
+// files (CHANGES.md, ROADMAP.md, PAPER*.md, SNIPPETS.md) are not read:
+// they record what was, not what is.
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
@@ -70,6 +72,45 @@ std::vector<fs::path> docs() {
   return out;
 }
 
+/// An inline code span of a doc: its text and the line it starts on.
+struct Span {
+  std::string text;
+  std::ptrdiff_t line;
+};
+
+/// The inline code spans of `file`, outside fenced code blocks. A span
+/// lies between the first and second backtick, the third and fourth, and
+/// so on; it may wrap a line.
+std::vector<Span> code_spans(const fs::path& file) {
+  std::istringstream lines(read_file(file));
+  std::string line;
+  std::string text;  // the file outside fenced code blocks
+  bool fenced = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("```", 0) == 0) {
+      fenced = !fenced;
+      line.clear();
+    }
+    text += (fenced ? std::string() : line) + '\n';
+  }
+  std::vector<std::size_t> ticks;
+  for (std::size_t i = text.find('`'); i != std::string::npos;
+       i = text.find('`', i + 1))
+    ticks.push_back(i);
+  std::vector<Span> spans;
+  for (std::size_t k = 0; k + 1 < ticks.size(); k += 2) {
+    const std::size_t from = ticks[k] + 1;
+    const auto at = static_cast<std::ptrdiff_t>(from);
+    spans.push_back({text.substr(from, ticks[k + 1] - from),
+                     1 + std::count(text.begin(), text.begin() + at, '\n')});
+  }
+  return spans;
+}
+
+std::string where(const fs::path& file, const Span& span) {
+  return fs::relative(file, kRoot).string() + ':' + std::to_string(span.line);
+}
+
 TEST(Docs, NamespacedNamesExistInTheSources) {
   const std::set<std::string> kNamespaces = {
       "snapshot", "util", "telemetry", "energy", "channel", "sim", "metrics",
@@ -80,26 +121,8 @@ TEST(Docs, NamespacedNamesExistInTheSources) {
   EXPECT_GE(files.size(), 20u);
   std::size_t checked = 0;
   for (const fs::path& file : files) {
-    std::istringstream lines(read_file(file));
-    std::string line;
-    std::string text;  // the file outside fenced code blocks
-    bool fenced = false;
-    while (std::getline(lines, line)) {
-      if (line.rfind("```", 0) == 0) {
-        fenced = !fenced;
-        line.clear();
-      }
-      text += (fenced ? std::string() : line) + '\n';
-    }
-    // Inline code spans lie between the first and second backtick, the
-    // third and fourth, and so on; a span may wrap a line.
-    std::vector<std::size_t> ticks;
-    for (std::size_t i = text.find('`'); i != std::string::npos;
-         i = text.find('`', i + 1))
-      ticks.push_back(i);
-    for (std::size_t k = 0; k + 1 < ticks.size(); k += 2) {
-      const std::size_t from = ticks[k] + 1;
-      const std::string span = text.substr(from, ticks[k + 1] - from);
+    for (const Span& s : code_spans(file)) {
+      const std::string& span = s.text;
       // `ns::Name`: a whole token ns, then "::", then the token Name.
       for (std::size_t i = 0; i < span.size();) {
         const std::size_t end = token_end(span, i);
@@ -113,18 +136,44 @@ TEST(Docs, NamespacedNamesExistInTheSources) {
             name_end > end + 2) {
           ++checked;
           const std::string name = span.substr(end + 2, name_end - end - 2);
-          const auto at = static_cast<std::ptrdiff_t>(from + i);
-          const auto line_no =
-              1 + std::count(text.begin(), text.begin() + at, '\n');
           EXPECT_TRUE(ids.count(name) != 0)
-              << fs::relative(file, kRoot).string() << ':' << line_no
-              << ": `" << ns << "::" << name << "` names nothing under src/";
+              << where(file, s) << ": `" << ns << "::" << name
+              << "` names nothing under src/";
         }
         i = end;
       }
     }
   }
   EXPECT_GT(checked, 50u);
+}
+
+TEST(Docs, RepositoryPathsExist) {
+  const std::vector<std::string> kRoots = {"src/",   "tests/",    "docs/",
+                                           "bench/", "tools/",    "examples/",
+                                           "perfbench/"};
+  std::size_t checked = 0;
+  for (const fs::path& file : docs()) {
+    for (const Span& s : code_spans(file)) {
+      // Each whitespace-separated word of the span that starts with a
+      // repository root is a path, up to a `:line` suffix. A word holding
+      // a glob or a placeholder (`*`, `<name>`) names no one file.
+      std::istringstream words(s.text);
+      std::string word;
+      while (words >> word) {
+        const bool rooted =
+            std::any_of(kRoots.begin(), kRoots.end(), [&word](const auto& r) {
+              return word.rfind(r, 0) == 0;
+            });
+        if (!rooted || word.find_first_of("*<") != std::string::npos)
+          continue;
+        const std::string path = word.substr(0, word.find(':'));
+        ++checked;
+        EXPECT_TRUE(fs::exists(kRoot / path))
+            << where(file, s) << ": `" << path << "` is not in the tree";
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 }  // namespace

@@ -764,16 +764,6 @@ analysis::RunSpec make_run_spec(const Options& opt) {
   return spec;
 }
 
-/// Autosaves `engine` into `dir`. The saver's SnapshotError (such as a
-/// directory that cannot be created) is the caller's exit-1 path.
-std::shared_ptr<snapshot::AutoSaver> autosave(sim::Engine& engine,
-                                              const std::string& dir,
-                                              const analysis::RunSpec& spec) {
-  auto saver = std::make_shared<snapshot::AutoSaver>(dir, spec);
-  engine.set_checkpoint_sink([saver](const sim::Engine& e) { (*saver)(e); });
-  return saver;
-}
-
 /// Stats text/JSON + optional trace render, shared between run mode,
 /// `resume` and `live-serve` (the determinism contract makes their
 /// output identical for the same effective run — the resume smoke test
@@ -845,11 +835,15 @@ int run_single(Options& opt) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  std::shared_ptr<snapshot::AutoSaver> saver;
+  // The saver's SnapshotError (such as a directory that cannot be
+  // created) exits 1.
+  std::optional<snapshot::AutoSaver> saver;
   try {
+    const sim::StopCondition stop = sim::until(spec.horizon_units * U);
     if (opt.checkpoint_every > 0)
-      saver = autosave(*engine, opt.checkpoint_dir, spec);
-    engine->run(sim::until(spec.horizon_units * U));
+      saver.emplace(opt.checkpoint_dir, spec).run(*engine, stop);
+    else
+      engine->run(stop);
   } catch (const snapshot::SnapshotError& e) {
     std::cerr << "asyncmac_cli: autosave failed: " << e.what() << "\n";
     return 1;
@@ -1072,12 +1066,16 @@ int run_resume(const Options& opt) {
     usage("this checkpoint was written without --checkpoint-every; "
           "--checkpoint-dir cannot re-arm autosaving");
   try {
-    if (!opt.checkpoint_dir.empty())
-      autosave(*run.engine, opt.checkpoint_dir, spec);
+    std::optional<snapshot::AutoSaver> saver;
+    if (!opt.checkpoint_dir.empty()) saver.emplace(opt.checkpoint_dir, spec);
     std::cerr << "resumed " << spec.protocol << " n=" << spec.n
               << " from " << path << " at t=" << to_units(run.engine->now())
               << " units\n";
-    run.engine->run(sim::until(spec.horizon_units * U));
+    const sim::StopCondition stop = sim::until(spec.horizon_units * U);
+    if (saver)
+      saver->run(*run.engine, stop);
+    else
+      run.engine->run(stop);
   } catch (const snapshot::SnapshotError& e) {
     std::cerr << "asyncmac_cli resume: autosave failed: " << e.what() << "\n";
     return 1;
