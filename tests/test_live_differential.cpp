@@ -39,6 +39,8 @@ snapshot::RunSpec spec_from_case(const EngineGoldenCase& c) {
   spec.seed = c.seed;
   spec.horizon_units = c.horizon_units;
   spec.record_trace = true;
+  spec.restrained = c.restrained;
+  spec.energy = c.energy;
   return spec;
 }
 
