@@ -50,13 +50,13 @@ Tick CostBucket::next_afford_time(Tick cost) const {
 }
 
 void CostBucket::save_state(snapshot::Writer& w) const {
-  snapshot::save_i128(w, tokens_scaled_);
-  w.i64(last_);
+  field(w, tokens_scaled_);
+  field(w, last_);
 }
 
 void CostBucket::load_state(snapshot::Reader& r) {
-  tokens_scaled_ = snapshot::load_i128(r);
-  last_ = r.i64();
+  field(r, tokens_scaled_);
+  field(r, last_);
 }
 
 // ---------------------------------------------------------------- helpers
@@ -149,39 +149,26 @@ std::string SaturatingInjector::name() const {
   return "saturating(rho=" + bucket_.rate().str() + ")";
 }
 
-void SaturatingInjector::save_state(snapshot::Writer& w) const {
-  bucket_.save_state(w);
-  w.u32(rr_next_);
-  snapshot::save_rng(w, rng_);
-  w.i64(injected_cost_);
-  w.i64(hint_cost_);
-  w.boolean(keep_log_);
-  w.u64(log_.size());
-  for (const sim::Injection& inj : log_) {
-    w.i64(inj.time);
-    w.u32(inj.station);
-    w.i64(inj.cost);
-  }
+template <typename S, typename Self>
+void SaturatingInjector::fields(S& s, Self& self) {
+  section(s, self.bucket_);
+  field(s, self.rr_next_);
+  field(s, self.rng_);
+  field(s, self.injected_cost_);
+  field(s, self.hint_cost_);
+  field(s, self.keep_log_);
+  elements(s, self.log_, 8 + 4 + 8, [&s](auto& inj) {
+    field(s, inj.time);
+    field(s, inj.station);
+    field(s, inj.cost);
+  });
 }
 
-void SaturatingInjector::load_state(snapshot::Reader& r) {
-  bucket_.load_state(r);
-  rr_next_ = r.u32();
-  snapshot::load_rng(r, rng_);
-  injected_cost_ = r.i64();
-  hint_cost_ = r.i64();
-  keep_log_ = r.boolean();
-  const std::uint64_t count = r.count(8 + 4 + 8);  // time, station, cost
-  log_.clear();
-  log_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::Injection inj;
-    inj.time = r.i64();
-    inj.station = r.u32();
-    inj.cost = r.i64();
-    log_.push_back(inj);
-  }
+void SaturatingInjector::save_state(snapshot::Writer& w) const {
+  fields(w, *this);
 }
+
+void SaturatingInjector::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 // ------------------------------------------------------------- BurstyInjector
 
@@ -236,19 +223,17 @@ std::string BurstyInjector::name() const {
   return "bursty(rho=" + bucket_.rate().str() + ")";
 }
 
-void BurstyInjector::save_state(snapshot::Writer& w) const {
-  bucket_.save_state(w);
-  w.i64(next_burst_);
-  w.u32(rr_next_);
-  snapshot::save_rng(w, rng_);
+template <typename S, typename Self>
+void BurstyInjector::fields(S& s, Self& self) {
+  section(s, self.bucket_);
+  field(s, self.next_burst_);
+  field(s, self.rr_next_);
+  field(s, self.rng_);
 }
 
-void BurstyInjector::load_state(snapshot::Reader& r) {
-  bucket_.load_state(r);
-  next_burst_ = r.i64();
-  rr_next_ = r.u32();
-  snapshot::load_rng(r, rng_);
-}
+void BurstyInjector::save_state(snapshot::Writer& w) const { fields(w, *this); }
+
+void BurstyInjector::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 // -------------------------------------------------------- DrainChasingInjector
 
@@ -288,13 +273,13 @@ std::string DrainChasingInjector::name() const {
 }
 
 void DrainChasingInjector::save_state(snapshot::Writer& w) const {
-  bucket_.save_state(w);
-  w.i64(min_cost_);
+  section(w, bucket_);
+  field(w, min_cost_);
 }
 
 void DrainChasingInjector::load_state(snapshot::Reader& r) {
-  bucket_.load_state(r);
-  min_cost_ = r.i64();
+  section(r, bucket_);
+  field(r, min_cost_);
 }
 
 // ------------------------------------------------------------ MaxQueueInjector
@@ -338,13 +323,13 @@ std::string MaxQueueInjector::name() const {
 }
 
 void MaxQueueInjector::save_state(snapshot::Writer& w) const {
-  bucket_.save_state(w);
-  w.i64(min_cost_);
+  section(w, bucket_);
+  field(w, min_cost_);
 }
 
 void MaxQueueInjector::load_state(snapshot::Reader& r) {
-  bucket_.load_state(r);
-  min_cost_ = r.i64();
+  section(r, bucket_);
+  field(r, min_cost_);
 }
 
 // ------------------------------------------------------------------ factory
@@ -402,11 +387,12 @@ Tick ScriptedInjector::next_arrival_hint(Tick) {
 }
 
 void ScriptedInjector::save_state(snapshot::Writer& w) const {
-  w.u64(next_);
+  field(w, next_);
 }
 
 void ScriptedInjector::load_state(snapshot::Reader& r) {
-  const std::uint64_t cursor = r.u64();
+  std::uint64_t cursor = 0;
+  field(r, cursor);
   if (cursor > script_.size())
     throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
                                   "scripted injector cursor past script end");

@@ -88,6 +88,8 @@ class SaturatingInjector final : public sim::InjectionPolicy {
   void load_state(snapshot::Reader& r) override;
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   StationId pick(const sim::EngineView& view);
 
   CostBucket bucket_;
@@ -123,6 +125,8 @@ class BurstyInjector final : public sim::InjectionPolicy {
   void load_state(snapshot::Reader& r) override;
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   StationId pick(const sim::EngineView& view);
 
   CostBucket bucket_;

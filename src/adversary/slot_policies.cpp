@@ -68,19 +68,18 @@ Tick RandomSlotPolicy::slot_length(StationId s, SlotIndex, Tick, SlotAction) {
 
 std::string RandomSlotPolicy::name() const { return "random"; }
 
-void RandomSlotPolicy::save_state(snapshot::Writer& w) const {
-  w.u64(rngs_.size());
-  for (const util::Rng& rng : rngs_) snapshot::save_rng(w, rng);
+template <typename S, typename Self>
+void RandomSlotPolicy::fields(S& s, Self& self) {
+  echo(s, "random slot policy was saved with a different station count",
+       self.rngs_.size());
+  for (auto& rng : self.rngs_) field(s, rng);
 }
 
-void RandomSlotPolicy::load_state(snapshot::Reader& r) {
-  const std::uint64_t count = r.u64();
-  if (count != rngs_.size())
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "random slot policy was saved with a different station count");
-  for (util::Rng& rng : rngs_) snapshot::load_rng(r, rng);
+void RandomSlotPolicy::save_state(snapshot::Writer& w) const {
+  fields(w, *this);
 }
+
+void RandomSlotPolicy::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 StretchTransmitsPolicy::StretchTransmitsPolicy(Tick stretch_ticks)
     : stretch_(require_slot_length(stretch_ticks)) {}

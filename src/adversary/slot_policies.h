@@ -77,6 +77,8 @@ class RandomSlotPolicy final : public sim::SlotPolicy {
   void load_state(snapshot::Reader& r) override;
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   Tick min_, max_;
   std::vector<util::Rng> rngs_;
 };

@@ -106,39 +106,70 @@ RunSpec cell_run_spec(const ExperimentSpec& spec, const GridCell& cell) {
   return run;
 }
 
+namespace {
+
+template <typename S, typename Spec>
+void grid_spec_fields(S& s, Spec& spec) {
+  elements(s, spec.protocols, 8);  // a string's u64 length
+  elements(s, spec.station_counts, 4);
+  elements(s, spec.bounds_r, 4);
+  elements(s, spec.rho_percents, 8,
+           [&s](auto& rho) { field_as<std::int64_t>(s, rho); });
+  elements(s, spec.slot_policies, 8);
+  field(s, spec.burst_units);
+  field(s, spec.horizon_units);
+  field(s, spec.seed);
+  field_as<std::int64_t>(s, spec.seeds);
+  restrained_fields(s, spec.restrained);
+  energy_model_fields(s, spec.energy);
+}
+
+template <typename S, typename Record>
+void record_fields(S& s, Record& rec) {
+  field(s, rec.protocol);
+  field(s, rec.n);
+  field(s, rec.bound_r);
+  field_as<std::int64_t>(s, rec.rho_pct);
+  field(s, rec.slot_policy);
+  field(s, rec.seed);
+  field(s, rec.injected);
+  field(s, rec.delivered);
+  field(s, rec.queued);
+  field(s, rec.max_queue_cost_units);
+  field(s, rec.final_queue_cost_units);
+  field(s, rec.collisions);
+  field(s, rec.control_msgs);
+  field(s, rec.delivered_fraction);
+  field(s, rec.p99_latency_units);
+  field(s, rec.energy_total);
+  field(s, rec.energy_peak_station);
+  field(s, rec.energy_per_delivery);
+}
+
+/// The manifest payload: the sweep's fingerprint and cell count, then a
+/// done flag per cell and each done cell's record.
+template <typename S, typename Done, typename Records>
+void manifest_fields(S& s, const std::string& dir, std::uint32_t fingerprint,
+                     Done& done, Records& records) {
+  echo(s, "grid manifest in " + dir + " was written for a different sweep",
+       fingerprint);
+  echo(s, "grid manifest in " + dir + " has a different cell count",
+       done.size());
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    field_as<bool>(s, done[i]);
+    if (done[i]) record_fields(s, records[i]);
+  }
+}
+
+}  // namespace
+
 void save_grid_spec(snapshot::Writer& w, const ExperimentSpec& spec) {
-  snapshot::save_strings(w, spec.protocols);
-  w.u64(spec.station_counts.size());
-  for (std::uint32_t n : spec.station_counts) w.u32(n);
-  w.u64(spec.bounds_r.size());
-  for (std::uint32_t r : spec.bounds_r) w.u32(r);
-  w.u64(spec.rho_percents.size());
-  for (int rho : spec.rho_percents) w.i64(rho);
-  snapshot::save_strings(w, spec.slot_policies);
-  w.i64(spec.burst_units);
-  w.i64(spec.horizon_units);
-  w.u64(spec.seed);
-  w.i64(spec.seeds);
-  save_restrained(w, spec.restrained);
-  save_energy_model(w, spec.energy);
+  grid_spec_fields(w, spec);
 }
 
 ExperimentSpec load_grid_spec(snapshot::Reader& r) {
   ExperimentSpec spec;
-  spec.protocols = snapshot::load_strings(r);
-  spec.station_counts.resize(r.count(4));
-  for (auto& n : spec.station_counts) n = r.u32();
-  spec.bounds_r.resize(r.count(4));
-  for (auto& bound : spec.bounds_r) bound = r.u32();
-  spec.rho_percents.resize(r.count(8));
-  for (auto& rho : spec.rho_percents) rho = static_cast<int>(r.i64());
-  spec.slot_policies = snapshot::load_strings(r);
-  spec.burst_units = r.i64();
-  spec.horizon_units = r.i64();
-  spec.seed = r.u64();
-  spec.seeds = static_cast<int>(r.i64());
-  spec.restrained = load_restrained(r);
-  spec.energy = load_energy_model(r);
+  grid_spec_fields(r, spec);
   return spec;
 }
 
@@ -149,46 +180,12 @@ std::uint32_t grid_fingerprint(const ExperimentSpec& spec) {
 }
 
 void save_record(snapshot::Writer& w, const ExperimentRecord& rec) {
-  w.str(rec.protocol);
-  w.u32(rec.n);
-  w.u32(rec.bound_r);
-  w.i64(rec.rho_pct);
-  w.str(rec.slot_policy);
-  w.u64(rec.seed);
-  w.u64(rec.injected);
-  w.u64(rec.delivered);
-  w.u64(rec.queued);
-  w.f64(rec.max_queue_cost_units);
-  w.f64(rec.final_queue_cost_units);
-  w.u64(rec.collisions);
-  w.u64(rec.control_msgs);
-  w.f64(rec.delivered_fraction);
-  w.f64(rec.p99_latency_units);
-  w.u64(rec.energy_total);
-  w.u64(rec.energy_peak_station);
-  w.f64(rec.energy_per_delivery);
+  record_fields(w, rec);
 }
 
 ExperimentRecord load_record(snapshot::Reader& r) {
   ExperimentRecord rec;
-  rec.protocol = r.str();
-  rec.n = r.u32();
-  rec.bound_r = r.u32();
-  rec.rho_pct = static_cast<int>(r.i64());
-  rec.slot_policy = r.str();
-  rec.seed = r.u64();
-  rec.injected = r.u64();
-  rec.delivered = r.u64();
-  rec.queued = r.u64();
-  rec.max_queue_cost_units = r.f64();
-  rec.final_queue_cost_units = r.f64();
-  rec.collisions = r.u64();
-  rec.control_msgs = r.u64();
-  rec.delivered_fraction = r.f64();
-  rec.p99_latency_units = r.f64();
-  rec.energy_total = r.u64();
-  rec.energy_peak_station = r.u64();
-  rec.energy_per_delivery = r.f64();
+  record_fields(r, rec);
   return rec;
 }
 
@@ -251,12 +248,7 @@ void write_grid_manifest(const std::string& dir, std::uint32_t fingerprint,
                          const std::vector<std::uint8_t>& done,
                          const std::vector<ExperimentRecord>& records) {
   snapshot::Writer w;
-  w.u32(fingerprint);
-  w.u64(done.size());
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    w.boolean(done[i] != 0);
-    if (done[i]) save_record(w, records[i]);
-  }
+  manifest_fields(w, dir, fingerprint, done, records);
   snapshot::write_file(grid_manifest_path(dir),
                        snapshot::FileKind::kGridManifest, w.buffer());
 }
@@ -269,24 +261,9 @@ std::size_t load_grid_manifest(const std::string& dir,
   const auto payload = snapshot::read_file(
       grid_manifest_path(dir), snapshot::FileKind::kGridManifest);
   snapshot::Reader r(payload);
-  if (r.u32() != fingerprint)
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "grid manifest in " + dir + " was written for a different sweep");
-  if (r.u64() != done.size())
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "grid manifest in " + dir + " has a different cell count");
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    done[i] = r.boolean() ? 1 : 0;
-    if (done[i]) {
-      records[i] = load_record(r);
-      ++completed;
-    }
-  }
+  manifest_fields(r, dir, fingerprint, done, records);
   r.expect_end();
-  return completed;
+  return static_cast<std::size_t>(std::count(done.begin(), done.end(), 1));
 }
 
 }  // namespace asyncmac::analysis

@@ -11,18 +11,49 @@ namespace {
 using snapshot::ErrorKind;
 using snapshot::SnapshotError;
 
-void save_injector_spec(snapshot::Writer& w,
-                        const adversary::InjectorSpec& spec) {
-  w.str(spec.kind);
-  w.i64(spec.rho.num);
-  w.i64(spec.rho.den);
-  w.i64(spec.burst_ticks);
-  w.str(spec.pattern);
-  w.u32(spec.single_target);
-  w.i64(spec.period_ticks);
-  w.u32(spec.drain_a);
-  w.u32(spec.drain_b);
-  w.u64(spec.seed);
+template <typename S, typename Spec>
+void injector_spec_fields(S& s, Spec& spec) {
+  field(s, spec.kind);
+  std::int64_t num = spec.rho.num;
+  std::int64_t den = spec.rho.den;
+  field(s, num);
+  field(s, den);
+  if constexpr (snapshot::kLoading<S>) {
+    if (num < 0 || den <= 0)
+      throw SnapshotError(ErrorKind::kCorrupt, "invalid injection rate ratio");
+    spec.rho = util::Ratio(num, den);
+  }
+  field(s, spec.burst_ticks);
+  field(s, spec.pattern);
+  field(s, spec.single_target);
+  field(s, spec.period_ticks);
+  field(s, spec.drain_a);
+  field(s, spec.drain_b);
+  field(s, spec.seed);
+}
+
+template <typename S, typename Spec>
+void run_spec_fields(S& s, Spec& spec) {
+  field(s, spec.protocol);
+  field(s, spec.n);
+  field(s, spec.bound_r);
+  field(s, spec.slot_policy);
+  field(s, spec.has_injector);
+  injector_spec_fields(s, spec.injector);
+  field(s, spec.seed);
+  field(s, spec.horizon_units);
+  field(s, spec.keep_channel_history);
+  field(s, spec.record_trace);
+  field(s, spec.record_deliveries);
+  field(s, spec.allow_control);
+  field(s, spec.prune_interval);
+  field(s, spec.checkpoint_interval);
+  restrained_fields(s, spec.restrained);
+  energy_model_fields(s, spec.energy);
+  if constexpr (snapshot::kLoading<S>)
+    if (spec.n < 1 || spec.bound_r < 1 || spec.prune_interval < 1)
+      throw SnapshotError(ErrorKind::kCorrupt,
+                          "run spec violates engine invariants");
 }
 
 /// True when every station's slot boundaries coincide: one station,
@@ -35,96 +66,37 @@ bool boundaries_coincide(const RunSpec& spec, const sim::SlotPolicy& policy) {
   return length != 0;
 }
 
-adversary::InjectorSpec load_injector_spec(snapshot::Reader& r) {
-  adversary::InjectorSpec spec;
-  spec.kind = r.str();
-  const std::int64_t num = r.i64();
-  const std::int64_t den = r.i64();
-  if (num < 0 || den <= 0)
-    throw SnapshotError(ErrorKind::kCorrupt, "invalid injection rate ratio");
-  spec.rho = util::Ratio(num, den);
-  spec.burst_ticks = r.i64();
-  spec.pattern = r.str();
-  spec.single_target = r.u32();
-  spec.period_ticks = r.i64();
-  spec.drain_a = r.u32();
-  spec.drain_b = r.u32();
-  spec.seed = r.u64();
-  return spec;
-}
-
 }  // namespace
 
 void save_restrained(snapshot::Writer& w,
                      const channel::RestrainedSpec& spec) {
-  w.u32(spec.k);
-  w.boolean(spec.jam);
+  restrained_fields(w, spec);
 }
 
 channel::RestrainedSpec load_restrained(snapshot::Reader& r) {
   channel::RestrainedSpec spec;
-  spec.k = r.u32();
-  spec.jam = r.boolean();
+  restrained_fields(r, spec);
   return spec;
 }
 
 void save_energy_model(snapshot::Writer& w,
                        const energy::EnergyModel& model) {
-  w.boolean(model.enabled);
-  w.u64(model.cost_transmit);
-  w.u64(model.cost_listen);
-  w.u64(model.cost_sleep);
+  energy_model_fields(w, model);
 }
 
 energy::EnergyModel load_energy_model(snapshot::Reader& r) {
   energy::EnergyModel model;
-  model.enabled = r.boolean();
-  model.cost_transmit = r.u64();
-  model.cost_listen = r.u64();
-  model.cost_sleep = r.u64();
+  energy_model_fields(r, model);
   return model;
 }
 
 void save_run_spec(snapshot::Writer& w, const RunSpec& spec) {
-  w.str(spec.protocol);
-  w.u32(spec.n);
-  w.u32(spec.bound_r);
-  w.str(spec.slot_policy);
-  w.boolean(spec.has_injector);
-  save_injector_spec(w, spec.injector);
-  w.u64(spec.seed);
-  w.i64(spec.horizon_units);
-  w.boolean(spec.keep_channel_history);
-  w.boolean(spec.record_trace);
-  w.boolean(spec.record_deliveries);
-  w.boolean(spec.allow_control);
-  w.u64(spec.prune_interval);
-  w.u64(spec.checkpoint_interval);
-  save_restrained(w, spec.restrained);
-  save_energy_model(w, spec.energy);
+  run_spec_fields(w, spec);
 }
 
 RunSpec load_run_spec(snapshot::Reader& r) {
   RunSpec spec;
-  spec.protocol = r.str();
-  spec.n = r.u32();
-  spec.bound_r = r.u32();
-  spec.slot_policy = r.str();
-  spec.has_injector = r.boolean();
-  spec.injector = load_injector_spec(r);
-  spec.seed = r.u64();
-  spec.horizon_units = r.i64();
-  spec.keep_channel_history = r.boolean();
-  spec.record_trace = r.boolean();
-  spec.record_deliveries = r.boolean();
-  spec.allow_control = r.boolean();
-  spec.prune_interval = r.u64();
-  spec.checkpoint_interval = r.u64();
-  spec.restrained = load_restrained(r);
-  spec.energy = load_energy_model(r);
-  if (spec.n < 1 || spec.bound_r < 1 || spec.prune_interval < 1)
-    throw SnapshotError(ErrorKind::kCorrupt,
-                        "run spec violates engine invariants");
+  run_spec_fields(r, spec);
   return spec;
 }
 

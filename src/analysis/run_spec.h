@@ -11,8 +11,8 @@
 // protocol instances, a slot policy and an injector. Single runs, --msr,
 // checkpoint resume, grid cells, fuzz scenarios (verify::Scenario is a
 // RunSpec plus its case seed) and the live daemon all build through it,
-// so a new run knob is a RunSpec field, its line in the codec below and
-// its line in materials().
+// so a new run knob is a RunSpec field, its line in the field list of
+// run_spec.cpp and its line in materials().
 //
 // save_run_spec/load_run_spec is the RunSpec section of kEngineRun
 // checkpoint files (docs/CHECKPOINT.md); its layout is pinned by
@@ -27,7 +27,7 @@
 #include "channel/transmission.h"
 #include "energy/model.h"
 #include "sim/engine.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/types.h"
 
 namespace asyncmac::analysis {
@@ -57,8 +57,21 @@ struct RunSpec {
   bool operator==(const RunSpec&) const = default;
 };
 
-/// Binary codecs, shared by the RunSpec codec and the grid-spec encoding
-/// (analysis/grid.h). Loaders throw typed snapshot::SnapshotErrors.
+/// The field lists of the k-restrained channel spec and the energy model,
+/// shared by the RunSpec section and the grid-spec encoding
+/// (analysis/grid.h), and their codecs.
+template <typename S, typename Spec>
+void restrained_fields(S& s, Spec& spec) {
+  field(s, spec.k);
+  field(s, spec.jam);
+}
+template <typename S, typename Model>
+void energy_model_fields(S& s, Model& model) {
+  field(s, model.enabled);
+  field(s, model.cost_transmit);
+  field(s, model.cost_listen);
+  field(s, model.cost_sleep);
+}
 void save_restrained(snapshot::Writer& w, const channel::RestrainedSpec& spec);
 channel::RestrainedSpec load_restrained(snapshot::Reader& r);
 void save_energy_model(snapshot::Writer& w, const energy::EnergyModel& model);

@@ -12,7 +12,7 @@
 #pragma once
 
 #include "sim/protocol.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::baselines {
 
@@ -49,12 +49,12 @@ class BebProtocol final : public sim::Protocol {
   std::string name() const override { return "BEB"; }
 
   void save_state(snapshot::Writer& w) const override {
-    w.u32(window_);
-    w.u64(backoff_);
+    field(w, window_);
+    field(w, backoff_);
   }
   void load_state(snapshot::Reader& r, sim::StationContext&) override {
-    window_ = r.u32();
-    backoff_ = r.u64();
+    field(r, window_);
+    field(r, backoff_);
   }
 
  private:

@@ -25,7 +25,7 @@
 #include <algorithm>
 
 #include "sim/protocol.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::baselines {
 
@@ -78,18 +78,19 @@ class CsmaLbtProtocol final : public sim::Protocol {
 
   std::string name() const override { return "CSMA-LBT"; }
 
-  void save_state(snapshot::Writer& w) const override {
-    w.u32(window_);
-    w.u64(backoff_);
-    w.u64(idle_run_);
-  }
+  void save_state(snapshot::Writer& w) const override { fields(w, *this); }
   void load_state(snapshot::Reader& r, sim::StationContext&) override {
-    window_ = r.u32();
-    backoff_ = r.u64();
-    idle_run_ = r.u64();
+    fields(r, *this);
   }
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self) {
+    field(s, self.window_);
+    field(s, self.backoff_);
+    field(s, self.idle_run_);
+  }
+
   std::uint32_t gap_slots_;
   std::uint32_t window_;
   std::uint32_t initial_window_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::baselines {
@@ -56,20 +56,33 @@ SlotAction MbtfProtocol::next_action(const std::optional<sim::SlotResult>& prev,
   return SlotAction::kListen;
 }
 
-void MbtfProtocol::save_state(snapshot::Writer& w) const {
-  w.u64(list_.size());
-  for (StationId s : list_) w.u32(s);
-  w.u64(token_);
-  w.u64(seq_len_);
+template <typename S, typename Self>
+void MbtfProtocol::fields(S& s, Self& self) {
+  elements(s, self.list_, 4);
+  field(s, self.token_);
+  field(s, self.seq_len_);
 }
 
-void MbtfProtocol::load_state(snapshot::Reader& r, sim::StationContext&) {
-  const std::uint64_t count = r.count(4);
-  list_.clear();
-  list_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) list_.push_back(r.u32());
-  token_ = static_cast<std::size_t>(r.u64());
-  seq_len_ = r.u64();
+void MbtfProtocol::save_state(snapshot::Writer& w) const { fields(w, *this); }
+
+void MbtfProtocol::load_state(snapshot::Reader& r, sim::StationContext& ctx) {
+  fields(r, *this);
+  // holder() and sequence_ended() read list_[token_] unchecked, so the
+  // list must be empty (before the first slot) or hold each station ID
+  // once, and the token must index it.
+  const auto corrupt = [](const char* what) {
+    return snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
+                                   std::string("mbtf ") + what);
+  };
+  if (!list_.empty() && list_.size() != ctx.n())
+    throw corrupt("list length is neither 0 nor the station count");
+  std::vector<StationId> ids = list_;
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    if (ids[i] != i + 1)
+      throw corrupt("list is not a permutation of the station IDs");
+  if (token_ >= std::max<std::size_t>(list_.size(), 1))
+    throw corrupt("token past the end of its list");
 }
 
 }  // namespace asyncmac::baselines

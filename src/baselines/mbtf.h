@@ -38,6 +38,8 @@ class MbtfProtocol final : public sim::Protocol {
   void load_state(snapshot::Reader& r, sim::StationContext& ctx) override;
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   void ensure_init(const sim::StationContext& ctx);
   void sequence_ended(const sim::StationContext& ctx);
 

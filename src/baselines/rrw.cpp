@@ -1,6 +1,6 @@
 #include "baselines/rrw.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::baselines {
 
@@ -17,10 +17,10 @@ SlotAction RrwProtocol::next_action(const std::optional<sim::SlotResult>& prev,
   return SlotAction::kListen;
 }
 
-void RrwProtocol::save_state(snapshot::Writer& w) const { w.u32(turn_); }
+void RrwProtocol::save_state(snapshot::Writer& w) const { field(w, turn_); }
 
 void RrwProtocol::load_state(snapshot::Reader& r, sim::StationContext&) {
-  turn_ = r.u32();
+  field(r, turn_);
 }
 
 }  // namespace asyncmac::baselines

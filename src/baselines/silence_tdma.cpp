@@ -1,6 +1,6 @@
 #include "baselines/silence_tdma.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::baselines {
 
@@ -26,12 +26,12 @@ SlotAction SilenceCountTdmaProtocol::next_action(
 }
 
 void SilenceCountTdmaProtocol::save_state(snapshot::Writer& w) const {
-  w.u64(silent_run_);
+  field(w, silent_run_);
 }
 
 void SilenceCountTdmaProtocol::load_state(snapshot::Reader& r,
                                           sim::StationContext&) {
-  silent_run_ = r.u64();
+  field(r, silent_run_);
 }
 
 }  // namespace asyncmac::baselines

@@ -48,33 +48,30 @@ SlotAction SyncBinaryLeProtocol::next_action(
   return a;
 }
 
+template <typename S, typename Self>
+void SyncBinaryLeAutomaton::fields(S& s, Self& self) {
+  field(s, self.id_);
+  field(s, self.outcome_, Outcome::kEliminated);
+  field(s, self.phase_);
+  field(s, self.slots_);
+}
+
 void SyncBinaryLeAutomaton::save_state(snapshot::Writer& w) const {
-  w.u32(id_);
-  w.u8(static_cast<std::uint8_t>(outcome_));
-  w.u32(phase_);
-  w.u64(slots_);
+  fields(w, *this);
 }
 
 void SyncBinaryLeAutomaton::load_state(snapshot::Reader& r) {
-  id_ = r.u32();
-  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
-  phase_ = r.u32();
-  slots_ = r.u64();
+  fields(r, *this);
 }
 
 void SyncBinaryLeProtocol::save_state(snapshot::Writer& w) const {
-  w.boolean(automaton_.has_value());
-  if (automaton_) automaton_->save_state(w);
+  optional_section(w, automaton_);
 }
 
 void SyncBinaryLeProtocol::load_state(snapshot::Reader& r,
                                       sim::StationContext& ctx) {
-  if (r.boolean()) {
-    automaton_.emplace(ctx.id());
-    automaton_->load_state(r);
-  } else {
-    automaton_.reset();
-  }
+  optional_section(r, automaton_,
+                   [&ctx] { return SyncBinaryLeAutomaton(ctx.id()); });
 }
 
 }  // namespace asyncmac::baselines

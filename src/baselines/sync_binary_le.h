@@ -43,6 +43,8 @@ class SyncBinaryLeAutomaton final : public core::LeaderElection {
 
  private:
   SlotAction phase_action();
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
 
   std::uint32_t id_;
   Outcome outcome_ = Outcome::kActive;

@@ -69,35 +69,32 @@ SlotAction TreeResolutionProtocol::next_action(
   return a;
 }
 
+template <typename S, typename Self>
+void TreeResolutionAutomaton::fields(S& s, Self& self) {
+  field(s, self.id_);
+  field(s, self.bit_);
+  field(s, self.counter_);
+  field(s, self.outcome_, Outcome::kEliminated);
+  field(s, self.slots_);
+}
+
 void TreeResolutionAutomaton::save_state(snapshot::Writer& w) const {
-  w.u32(id_);
-  w.u32(bit_);
-  w.i64(counter_);
-  w.u8(static_cast<std::uint8_t>(outcome_));
-  w.u64(slots_);
+  fields(w, *this);
 }
 
 void TreeResolutionAutomaton::load_state(snapshot::Reader& r) {
-  id_ = r.u32();
-  bit_ = r.u32();
-  counter_ = r.i64();
-  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
-  slots_ = r.u64();
+  fields(r, *this);
 }
 
 void TreeResolutionProtocol::save_state(snapshot::Writer& w) const {
-  w.boolean(automaton_.has_value());
-  if (automaton_) automaton_->save_state(w);
+  optional_section(w, automaton_);
 }
 
 void TreeResolutionProtocol::load_state(snapshot::Reader& r,
                                         sim::StationContext& ctx) {
-  if (r.boolean()) {
-    automaton_.emplace(ctx.id(), ctx.n());
-    automaton_->load_state(r);
-  } else {
-    automaton_.reset();
-  }
+  optional_section(r, automaton_, [&ctx] {
+    return TreeResolutionAutomaton(ctx.id(), ctx.n());
+  });
 }
 
 }  // namespace asyncmac::baselines

@@ -39,6 +39,8 @@ class TreeResolutionAutomaton final : public core::LeaderElection {
 
  private:
   SlotAction decide();
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
 
   std::uint32_t id_;
   std::uint32_t bit_;       // next ID bit (from the most significant)

@@ -14,29 +14,16 @@ namespace {
 /// packet, successful, decided, admission.
 constexpr std::size_t kEntryBytes = 4 + 8 + 8 + 1 + 8 + 1 + 1 + 1;
 
-void save_transmission(snapshot::Writer& w, const Transmission& t) {
-  w.u32(t.station);
-  w.i64(t.begin);
-  w.i64(t.end);
-  w.boolean(t.is_control);
-  w.u64(t.packet);
-  w.boolean(t.successful);
-  w.boolean(t.decided);
-  w.u8(t.admission);
-}
-
-Transmission load_transmission(snapshot::Reader& r) {
-  Transmission t;
-  t.station = r.u32();
-  t.begin = r.i64();
-  t.end = r.i64();
-  t.is_control = r.boolean();
-  t.packet = r.u64();
-  t.successful = r.boolean();
-  t.decided = r.boolean();
-  t.admission = static_cast<std::uint8_t>(
-      snapshot::load_enum(r, Admission::kRejected));
-  return t;
+template <typename S, typename T>
+void transmission(S& s, T& t) {
+  field(s, t.station);
+  field(s, t.begin);
+  field(s, t.end);
+  field(s, t.is_control);
+  field(s, t.packet);
+  field(s, t.successful);
+  field(s, t.decided);
+  field(s, t.admission, Admission::kRejected);
 }
 
 bool rejected(std::uint8_t admission) {
@@ -312,82 +299,60 @@ std::vector<Transmission> Window::entries() const {
   return out;
 }
 
-void Window::save(snapshot::Writer& w) const {
-  AM_CHECK_MSG(open_.empty(), "a window with open entries cannot be saved");
-  w.boolean(keep_history_);
-  w.u32(restrained_.k);
-  w.boolean(restrained_.jam);
-  w.u64(live());
-  for (std::size_t i = head_; i < begin_.size(); ++i)
-    save_transmission(w, entry(i));
-  w.u64(finalized_ - head_);
-  w.u64(history_.size());
-  for (const Transmission& t : history_) save_transmission(w, t);
-  w.u64(stats_.transmissions);
-  w.u64(stats_.successful);
-  w.u64(stats_.collided);
-  w.u64(stats_.control_transmissions);
-  w.u64(stats_.successful_packets);
-  w.i64(stats_.successful_packet_time);
-  w.i64(stats_.successful_control_time);
-  w.u64(stats_.rejected);
-  w.u64(stats_.jammed);
-  w.i64(last_begin_);
-  w.i64(latest_end_);
-  w.i64(max_duration_);
-}
-
-void Window::load(snapshot::Reader& r) {
-  if (r.boolean() != keep_history_)
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "ledger keep_history flag differs from the snapshot's");
-  const std::uint32_t restrained_k = r.u32();
-  const bool restrained_jam = r.boolean();
-  if (restrained_k != restrained_.k || restrained_jam != restrained_.jam)
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "ledger restrained-channel spec differs from the snapshot's");
-  *this = Window(keep_history_, restrained_);
-  const auto live_count = static_cast<std::size_t>(r.count(kEntryBytes));
-  const auto reserve = [live_count](auto& v) { v.reserve(live_count); };
-  reserve(begin_);
-  reserve(end_);
-  reserve(station_);
-  reserve(packet_);
-  reserve(is_control_);
-  reserve(successful_);
-  reserve(decided_);
-  reserve(admission_);
-  for (std::size_t i = 0; i < live_count; ++i) append(load_transmission(r));
-  const std::uint64_t finalized = r.u64();
-  if (finalized > live_count)
-    throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
-                                  "ledger finalized cursor beyond window");
-  finalized_ = static_cast<std::size_t>(finalized);
-  const auto history_count = static_cast<std::size_t>(r.count(kEntryBytes));
-  history_.reserve(history_count);
-  for (std::size_t i = 0; i < history_count; ++i)
-    history_.push_back(load_transmission(r));
-  stats_.transmissions = r.u64();
-  stats_.successful = r.u64();
-  stats_.collided = r.u64();
-  stats_.control_transmissions = r.u64();
-  stats_.successful_packets = r.u64();
-  stats_.successful_packet_time = r.i64();
-  stats_.successful_control_time = r.i64();
-  stats_.rejected = r.u64();
-  stats_.jammed = r.u64();
-  last_begin_ = r.i64();
-  latest_end_ = r.i64();
-  max_duration_ = r.i64();
-  for (std::size_t i = finalized_; i < begin_.size(); ++i)
-    if (!decided_[i]) next_due_ = std::min(next_due_, end_[i]);
-  if (restrained_.enabled()) {
-    for (std::size_t i = 0; i < begin_.size(); ++i)
-      if (!rejected(admission_[i])) live_ends_.push_back(end_[i]);
-    std::make_heap(live_ends_.begin(), live_ends_.end(), std::greater<Tick>());
+template <typename S, typename Self>
+void Window::fields(S& s, Self& self) {
+  echo(s, "ledger keep_history flag differs from the snapshot's",
+       self.keep_history_);
+  echo(s, "ledger restrained-channel spec differs from the snapshot's",
+       self.restrained_.k, self.restrained_.jam);
+  const auto each = [&s](auto& t) { transmission(s, t); };
+  // The live entries travel as rows; the window keeps them as columns.
+  std::vector<Transmission> live;
+  if constexpr (!snapshot::kLoading<S>) live = self.entries();
+  elements(s, live, kEntryBytes, each);
+  std::uint64_t finalized = self.finalized_ - self.head_;
+  field(s, finalized);
+  if constexpr (snapshot::kLoading<S>) {
+    if (finalized > live.size())
+      throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
+                                    "ledger finalized cursor beyond window");
+    self = Window(self.keep_history_, self.restrained_);
+    for (const Transmission& t : live) self.append(t);
+    self.finalized_ = static_cast<std::size_t>(finalized);
+  }
+  elements(s, self.history_, kEntryBytes, each);
+  auto& stats = self.stats_;
+  field(s, stats.transmissions);
+  field(s, stats.successful);
+  field(s, stats.collided);
+  field(s, stats.control_transmissions);
+  field(s, stats.successful_packets);
+  field(s, stats.successful_packet_time);
+  field(s, stats.successful_control_time);
+  field(s, stats.rejected);
+  field(s, stats.jammed);
+  field(s, self.last_begin_);
+  field(s, self.latest_end_);
+  field(s, self.max_duration_);
+  if constexpr (snapshot::kLoading<S>) {
+    for (std::size_t i = self.finalized_; i < self.begin_.size(); ++i)
+      if (!self.decided_[i])
+        self.next_due_ = std::min(self.next_due_, self.end_[i]);
+    if (self.restrained_.enabled()) {
+      for (std::size_t i = 0; i < self.begin_.size(); ++i)
+        if (!rejected(self.admission_[i]))
+          self.live_ends_.push_back(self.end_[i]);
+      std::make_heap(self.live_ends_.begin(), self.live_ends_.end(),
+                     std::greater<Tick>());
+    }
   }
 }
+
+void Window::save(snapshot::Writer& w) const {
+  AM_CHECK_MSG(open_.empty(), "a window with open entries cannot be saved");
+  fields(w, *this);
+}
+
+void Window::load(snapshot::Reader& r) { fields(r, *this); }
 
 }  // namespace asyncmac::channel

@@ -148,6 +148,8 @@ class Window {
   void load(snapshot::Reader& r);
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   Transmission entry(std::size_t i) const;
   /// Append `t` verbatim (flags included).
   void append(const Transmission& t);

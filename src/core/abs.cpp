@@ -98,31 +98,23 @@ SlotAction AbsAutomaton::next(const std::optional<sim::SlotResult>& prev) {
   return action;
 }
 
-void AbsAutomaton::save_state(snapshot::Writer& w) const {
-  w.u32(cfg_.id);
-  w.u32(cfg_.R);
-  w.u64(cfg_.threshold0);
-  w.u64(cfg_.threshold1);
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.u8(static_cast<std::uint8_t>(outcome_));
-  w.u32(phase_);
-  w.u64(counter_);
-  w.u64(target_);
-  w.u64(slots_);
+template <typename S, typename Self>
+void AbsAutomaton::fields(S& s, Self& self) {
+  field(s, self.cfg_.id);
+  field(s, self.cfg_.R);
+  field(s, self.cfg_.threshold0);
+  field(s, self.cfg_.threshold1);
+  field(s, self.state_, State::kDone);
+  field(s, self.outcome_, Outcome::kEliminated);
+  field(s, self.phase_);
+  field(s, self.counter_);
+  field(s, self.target_);
+  field(s, self.slots_);
 }
 
-void AbsAutomaton::load_state(snapshot::Reader& r) {
-  cfg_.id = r.u32();
-  cfg_.R = r.u32();
-  cfg_.threshold0 = r.u64();
-  cfg_.threshold1 = r.u64();
-  state_ = snapshot::load_enum(r, State::kDone);
-  outcome_ = snapshot::load_enum(r, Outcome::kEliminated);
-  phase_ = r.u32();
-  counter_ = r.u64();
-  target_ = r.u64();
-  slots_ = r.u64();
-}
+void AbsAutomaton::save_state(snapshot::Writer& w) const { fields(w, *this); }
+
+void AbsAutomaton::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 AbsProtocol::AbsProtocol(std::uint64_t threshold0, std::uint64_t threshold1)
     : override_t0_(threshold0), override_t1_(threshold1) {}
@@ -147,19 +139,15 @@ SlotAction AbsProtocol::next_action(const std::optional<sim::SlotResult>& prev,
 }
 
 void AbsProtocol::save_state(snapshot::Writer& w) const {
-  w.boolean(automaton_.has_value());
-  if (automaton_) automaton_->save_state(w);
+  optional_section(w, automaton_);
 }
 
 void AbsProtocol::load_state(snapshot::Reader& r, sim::StationContext& ctx) {
-  if (r.boolean()) {
-    // Any valid config works as the emplacement seed — load_state
-    // overwrites it with the snapshotted one.
-    automaton_.emplace(AbsAutomaton::standard(ctx.id(), ctx.bound_r()));
-    automaton_->load_state(r);
-  } else {
-    automaton_.reset();
-  }
+  // Any valid config works as the emplacement seed — load_state
+  // overwrites it with the snapshotted one.
+  optional_section(r, automaton_, [&ctx] {
+    return AbsAutomaton(AbsAutomaton::standard(ctx.id(), ctx.bound_r()));
+  });
 }
 
 }  // namespace asyncmac::core

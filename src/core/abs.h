@@ -83,6 +83,8 @@ class AbsAutomaton final : public LeaderElection {
   };
 
   SlotAction begin_listen_loop();
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
 
   Config cfg_;
   State state_ = State::kWaitSilence;

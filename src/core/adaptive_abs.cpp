@@ -92,35 +92,28 @@ SlotAction AdaptiveAbsProtocol::next_action(
   return SlotAction::kListen;
 }
 
+template <typename S, typename Self, typename MakeAbs>
+void AdaptiveAbsProtocol::fields(S& s, Self& self, MakeAbs&& make_abs) {
+  field(s, self.state_, State::kBarrier);
+  field(s, self.status_, Status::kObservedWinner);
+  optional_section(s, self.abs_, make_abs);
+  field(s, self.r_est_);
+  field(s, self.epochs_);
+  field(s, self.max_phases_);
+  field(s, self.silent_run_);
+  field(s, self.barrier_target_);
+  field(s, self.slots_);
+}
+
 void AdaptiveAbsProtocol::save_state(snapshot::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.u8(static_cast<std::uint8_t>(status_));
-  w.boolean(abs_.has_value());
-  if (abs_) abs_->save_state(w);
-  w.u32(r_est_);
-  w.u32(epochs_);
-  w.u32(max_phases_);
-  w.u64(silent_run_);
-  w.u64(barrier_target_);
-  w.u64(slots_);
+  fields(w, *this, nullptr);
 }
 
 void AdaptiveAbsProtocol::load_state(snapshot::Reader& r,
                                      sim::StationContext& ctx) {
-  state_ = snapshot::load_enum(r, State::kBarrier);
-  status_ = snapshot::load_enum(r, Status::kObservedWinner);
-  if (r.boolean()) {
-    abs_.emplace(AbsAutomaton::standard(ctx.id(), ctx.bound_r()));
-    abs_->load_state(r);
-  } else {
-    abs_.reset();
-  }
-  r_est_ = r.u32();
-  epochs_ = r.u32();
-  max_phases_ = r.u32();
-  silent_run_ = r.u64();
-  barrier_target_ = r.u64();
-  slots_ = r.u64();
+  fields(r, *this, [&ctx] {
+    return AbsAutomaton(AbsAutomaton::standard(ctx.id(), ctx.bound_r()));
+  });
 }
 
 }  // namespace asyncmac::core

@@ -57,6 +57,9 @@ class AdaptiveAbsProtocol final : public sim::Protocol {
 
  private:
   SlotAction restart_barrier();
+  /// The snapshot section; make_abs builds the election a load restores.
+  template <typename S, typename Self, typename MakeAbs>
+  static void fields(S& s, Self& self, MakeAbs&& make_abs);
 
   enum class State : std::uint8_t { kInit, kElecting, kBarrier };
 

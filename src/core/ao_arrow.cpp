@@ -181,41 +181,32 @@ SlotAction AoArrowProtocol::next_action(
   return SlotAction::kListen;
 }
 
+template <typename S, typename Self, typename MakeLe>
+void AoArrowProtocol::fields(S& s, Self& self, MakeLe&& make_le) {
+  field(s, self.state_, State::kSyncTransmit);
+  optional_section(s, self.le_, make_le);
+  field(s, self.wait_);
+  field(s, self.silent_run_);
+  field(s, self.countdown_);
+  field(s, self.threshold_);
+  field(s, self.sync_countdown_);
+  field(s, self.elections_);
+  field(s, self.wins_);
+  field(s, self.long_silences_);
+  field(s, self.syncs_);
+}
+
 void AoArrowProtocol::save_state(snapshot::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.boolean(le_ != nullptr);
-  if (le_) le_->save_state(w);
-  w.u32(wait_);
-  w.u64(silent_run_);
-  w.u64(countdown_);
-  w.u64(threshold_);
-  w.u64(sync_countdown_);
-  w.u64(elections_);
-  w.u64(wins_);
-  w.u64(long_silences_);
-  w.u64(syncs_);
+  fields(w, *this, nullptr);
 }
 
 void AoArrowProtocol::load_state(snapshot::Reader& r,
                                  sim::StationContext& ctx) {
-  state_ = snapshot::load_enum(r, State::kSyncTransmit);
-  if (r.boolean()) {
-    le_ = le_factory_ ? le_factory_(ctx.id(), ctx.n(), ctx.bound_r())
-                      : AbsAutomaton::factory()(ctx.id(), ctx.n(),
-                                                ctx.bound_r());
-    le_->load_state(r);
-  } else {
-    le_.reset();
-  }
-  wait_ = r.u32();
-  silent_run_ = r.u64();
-  countdown_ = r.u64();
-  threshold_ = r.u64();
-  sync_countdown_ = r.u64();
-  elections_ = r.u64();
-  wins_ = r.u64();
-  long_silences_ = r.u64();
-  syncs_ = r.u64();
+  fields(r, *this, [&] {
+    return le_factory_ ? le_factory_(ctx.id(), ctx.n(), ctx.bound_r())
+                       : AbsAutomaton::factory()(ctx.id(), ctx.n(),
+                                                 ctx.bound_r());
+  });
 }
 
 }  // namespace asyncmac::core

@@ -97,6 +97,9 @@ class AoArrowProtocol final : public sim::Protocol {
  private:
   SlotAction begin_iteration(sim::StationContext& ctx);
   SlotAction enter_leader_election(sim::StationContext& ctx);
+  /// The snapshot section; make_le builds the election a load restores.
+  template <typename S, typename Self, typename MakeLe>
+  static void fields(S& s, Self& self, MakeLe&& make_le);
 
   State state_ = State::kInit;
   Tuning tuning_;

@@ -30,20 +30,25 @@ SlotAction CaArrowProtocol::next_action(
   return action;
 }
 
+namespace {
+
+template <typename S, typename Automaton>
+void automaton_fields(S& s, Automaton& a) {
+  field(s, a.state, CaArrowProtocol::State::kAwaitSequenceEnd);
+  field(s, a.turn);
+  field(s, a.countdown);
+  field(s, a.heard_transmission);
+  field(s, a.turns_taken);
+}
+
+}  // namespace
+
 void CaArrowProtocol::save_state(snapshot::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(automaton_.state));
-  w.u32(automaton_.turn);
-  w.u64(automaton_.countdown);
-  w.boolean(automaton_.heard_transmission);
-  w.u64(automaton_.turns_taken);
+  automaton_fields(w, automaton_);
 }
 
 void CaArrowProtocol::load_state(snapshot::Reader& r, sim::StationContext&) {
-  automaton_.state = snapshot::load_enum(r, State::kAwaitSequenceEnd);
-  automaton_.turn = r.u32();
-  automaton_.countdown = r.u64();
-  automaton_.heard_transmission = r.boolean();
-  automaton_.turns_taken = r.u64();
+  automaton_fields(r, automaton_);
 }
 
 }  // namespace asyncmac::core

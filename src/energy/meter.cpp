@@ -1,25 +1,19 @@
 #include "energy/meter.h"
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 
 namespace asyncmac::energy {
 
-void EnergyMeter::save_state(snapshot::Writer& w) const {
-  w.u32(n_);
-  for (StationId i = 1; i <= n_; ++i) w.u64(tx_slots_[i]);
-  for (StationId i = 1; i <= n_; ++i) w.u64(listen_slots_[i]);
-  for (StationId i = 1; i <= n_; ++i) w.u64(sleep_slots_[i]);
+template <typename S, typename Self>
+void EnergyMeter::fields(S& s, Self& self) {
+  echo(s, "energy meter station count differs from the snapshot's", self.n_);
+  for (StationId i = 1; i <= self.n_; ++i) field(s, self.tx_slots_[i]);
+  for (StationId i = 1; i <= self.n_; ++i) field(s, self.listen_slots_[i]);
+  for (StationId i = 1; i <= self.n_; ++i) field(s, self.sleep_slots_[i]);
 }
 
-void EnergyMeter::load_state(snapshot::Reader& r) {
-  const std::uint32_t n = r.u32();
-  if (n != n_)
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "energy meter station count differs from the snapshot's");
-  for (StationId i = 1; i <= n_; ++i) tx_slots_[i] = r.u64();
-  for (StationId i = 1; i <= n_; ++i) listen_slots_[i] = r.u64();
-  for (StationId i = 1; i <= n_; ++i) sleep_slots_[i] = r.u64();
-}
+void EnergyMeter::save_state(snapshot::Writer& w) const { fields(w, *this); }
+
+void EnergyMeter::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 }  // namespace asyncmac::energy

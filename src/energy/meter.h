@@ -106,6 +106,8 @@ class EnergyMeter {
   void load_state(snapshot::Reader& r);
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   std::uint32_t n_ = 0;
   std::vector<std::uint64_t> tx_slots_;
   std::vector<std::uint64_t> listen_slots_;

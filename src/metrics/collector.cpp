@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::metrics {
@@ -50,80 +50,46 @@ void Collector::on_delivery(StationId station, Tick declared_cost,
   s.queued_cost -= declared_cost;
 }
 
-void Collector::save_state(snapshot::Writer& w) const {
-  w.u64(stats_.injected_packets);
-  w.i64(stats_.injected_cost);
-  w.u64(stats_.delivered_packets);
-  w.i64(stats_.delivered_cost);
-  w.i64(stats_.realized_cost);
-  w.u64(stats_.queued_packets);
-  w.i64(stats_.queued_cost);
-  w.u64(stats_.max_queued_packets);
-  w.i64(stats_.max_queued_cost);
-  w.u64(stats_.total_slots);
-  w.u64(stats_.listen_slots);
-  w.u64(stats_.transmit_slots);
-  w.u64(stats_.control_slots);
-  const util::Histogram::State h = stats_.latency.state();
-  w.u64(h.buckets.size());
-  for (std::uint64_t b : h.buckets) w.u64(b);
-  w.u64(h.count);
-  w.i64(h.sum.hi);
-  w.u64(h.sum.lo);
-  w.i64(h.min);
-  w.i64(h.max);
-  w.u64(stats_.station.size());
-  for (const StationStats& s : stats_.station) {
-    w.u64(s.slots);
-    w.u64(s.transmit_slots);
-    w.u64(s.injected);
-    w.u64(s.delivered);
-    w.u64(s.queued);
-    w.i64(s.queued_cost);
-    w.u64(s.max_queued);
-    w.i64(s.max_queued_cost);
+template <typename S, typename Self>
+void Collector::fields(S& s, Self& self) {
+  auto& st = self.stats_;
+  field(s, st.injected_packets);
+  field(s, st.injected_cost);
+  field(s, st.delivered_packets);
+  field(s, st.delivered_cost);
+  field(s, st.realized_cost);
+  field(s, st.queued_packets);
+  field(s, st.queued_cost);
+  field(s, st.max_queued_packets);
+  field(s, st.max_queued_cost);
+  field(s, st.total_slots);
+  field(s, st.listen_slots);
+  field(s, st.transmit_slots);
+  field(s, st.control_slots);
+  util::Histogram::State h = st.latency.state();
+  elements(s, h.buckets, 8);
+  field(s, h.count);
+  field(s, h.sum.hi);
+  field(s, h.sum.lo);
+  field(s, h.min);
+  field(s, h.max);
+  if constexpr (snapshot::kLoading<S>) st.latency.restore(std::move(h));
+  echo(s, "collector station count differs from the snapshot's",
+       st.station.size());
+  for (auto& station : st.station) {
+    field(s, station.slots);
+    field(s, station.transmit_slots);
+    field(s, station.injected);
+    field(s, station.delivered);
+    field(s, station.queued);
+    field(s, station.queued_cost);
+    field(s, station.max_queued);
+    field(s, station.max_queued_cost);
   }
 }
 
-void Collector::load_state(snapshot::Reader& r) {
-  stats_.injected_packets = r.u64();
-  stats_.injected_cost = r.i64();
-  stats_.delivered_packets = r.u64();
-  stats_.delivered_cost = r.i64();
-  stats_.realized_cost = r.i64();
-  stats_.queued_packets = r.u64();
-  stats_.queued_cost = r.i64();
-  stats_.max_queued_packets = r.u64();
-  stats_.max_queued_cost = r.i64();
-  stats_.total_slots = r.u64();
-  stats_.listen_slots = r.u64();
-  stats_.transmit_slots = r.u64();
-  stats_.control_slots = r.u64();
-  util::Histogram::State h;
-  const std::uint64_t buckets = r.count(8);
-  h.buckets.reserve(static_cast<std::size_t>(buckets));
-  for (std::uint64_t i = 0; i < buckets; ++i) h.buckets.push_back(r.u64());
-  h.count = r.u64();
-  h.sum.hi = r.i64();
-  h.sum.lo = r.u64();
-  h.min = r.i64();
-  h.max = r.i64();
-  stats_.latency.restore(std::move(h));
-  const std::uint64_t n = r.u64();
-  if (n != stats_.station.size())
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "collector station count differs from the snapshot's");
-  for (StationStats& s : stats_.station) {
-    s.slots = r.u64();
-    s.transmit_slots = r.u64();
-    s.injected = r.u64();
-    s.delivered = r.u64();
-    s.queued = r.u64();
-    s.queued_cost = r.i64();
-    s.max_queued = r.u64();
-    s.max_queued_cost = r.i64();
-  }
-}
+void Collector::save_state(snapshot::Writer& w) const { fields(w, *this); }
+
+void Collector::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 }  // namespace asyncmac::metrics

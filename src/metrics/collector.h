@@ -78,6 +78,8 @@ class Collector {
   void load_state(snapshot::Reader& r);
 
  private:
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
   StationStats& st(StationId id);
   RunStats stats_;
 };

@@ -314,186 +314,123 @@ bool Engine::all_finished() const {
 
 namespace {
 
-[[noreturn]] void throw_mismatch(const char* what) {
-  throw snapshot::SnapshotError(
-      snapshot::ErrorKind::kMismatch,
-      std::string("engine snapshot was saved under a different ") + what);
-}
+/// Wire sizes of one queued packet (seq, station, injection time, cost),
+/// one trace record (station, index, begin, end, action, feedback) and
+/// one delivery record (seq, station, four times and costs).
+constexpr std::size_t kPacketBytes = 8 + 4 + 8 + 8;
+constexpr std::size_t kSlotRecordBytes = 4 + 8 + 8 + 8 + 1 + 1;
+constexpr std::size_t kDeliveryBytes = 8 + 4 + 4 * 8;
 
 }  // namespace
 
-void Engine::save_state(snapshot::Writer& w) const {
+template <typename S, typename Self>
+void Engine::fields(S& s, Self& self) {
   // Defensive echo of the configuration facets the mutable state depends
-  // on; load_state refuses a payload saved under a different shape.
-  w.u32(cfg_.n);
-  w.u32(cfg_.bound_r);
-  w.boolean(cfg_.keep_channel_history);
-  w.boolean(cfg_.record_trace);
-  w.boolean(cfg_.record_deliveries);
-  w.boolean(cfg_.allow_control);
+  // on: a payload saved under a different shape is kMismatch.
+  const EngineConfig& cfg = self.cfg_;
+  echo(s, "engine snapshot was saved under a different station count",
+       cfg.n);
+  echo(s, "engine snapshot was saved under a different asynchrony bound R",
+       cfg.bound_r);
+  echo(s,
+       "engine snapshot was saved under a different keep_channel_history "
+       "setting",
+       cfg.keep_channel_history);
+  echo(s, "engine snapshot was saved under a different record_trace setting",
+       cfg.record_trace);
+  echo(s,
+       "engine snapshot was saved under a different record_deliveries "
+       "setting",
+       cfg.record_deliveries);
+  echo(s, "engine snapshot was saved under a different allow_control model",
+       cfg.allow_control);
 
-  for (const StationRuntime& s : stations_) {
-    w.u64(s.ctx.queue_.size());
-    for (const Packet& p : s.ctx.queue_) {
-      w.u64(p.seq);
-      w.u32(p.station);
-      w.i64(p.injected_at);
-      w.i64(p.cost);
+  for (auto& st : self.stations_) {
+    elements(s, st.ctx.queue_, kPacketBytes, [&s](auto& p) {
+      field(s, p.seq);
+      field(s, p.station);
+      field(s, p.injected_at);
+      field(s, p.cost);
+    });
+    field(s, st.ctx.queue_cost_);
+    field(s, st.ctx.rng_);
+    field(s, st.slot_index);
+    field(s, st.slot_begin);
+    field(s, st.slot_end);
+    // begin_slot commits only slots of [1, R] units from a time >= 0; any
+    // other end would wrap the packed scheduler key or stall the station.
+    // Ordered so the subtraction cannot overflow.
+    if constexpr (snapshot::kLoading<S>)
+      if (st.slot_begin < 0 || st.slot_end <= st.slot_begin ||
+          st.slot_end - st.slot_begin < kTicksPerUnit ||
+          st.slot_end - st.slot_begin > self.max_slot_ticks_)
+        throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
+                                      "committed slot outside [1, R] units");
+    field(s, st.action, SlotAction::kTransmitControl);
+    if constexpr (snapshot::kLoading<S>) {
+      st.protocol->load_state(s, st.ctx);
+      // The scheduler's top depends only on the (end, station) key set, so
+      // re-keying every station reproduces the saved scheduler exactly.
+      self.events_.update(st.ctx.id(), st.slot_end);
+    } else {
+      st.protocol->save_state(s);
     }
-    w.i64(s.ctx.queue_cost_);
-    snapshot::save_rng(w, s.ctx.rng_);
-    w.u64(s.slot_index);
-    w.i64(s.slot_begin);
-    w.i64(s.slot_end);
-    w.u8(static_cast<std::uint8_t>(s.action));
-    s.protocol->save_state(w);
   }
 
-  slot_policy_->save_state(w);
-  w.boolean(injection_ != nullptr);
-  if (injection_) injection_->save_state(w);
+  section(s, *self.slot_policy_);
+  echo(s,
+       "engine snapshot was saved under a different injection adversary "
+       "presence",
+       self.injection_ != nullptr);
+  if (self.injection_) section(s, *self.injection_);
+  section(s, self.ledger_);
+  section(s, self.metrics_);
 
-  ledger_.save_state(w);
-  metrics_.save_state(w);
+  elements(s, self.trace_.slots(), kSlotRecordBytes, [&s](auto& rec) {
+    field(s, rec.station);
+    field(s, rec.index);
+    field(s, rec.begin);
+    field(s, rec.end);
+    field(s, rec.action, SlotAction::kTransmitControl);
+    field(s, rec.feedback, Feedback::kAck);
+  });
+  elements(s, self.deliveries_, kDeliveryBytes, [&s](auto& d) {
+    field(s, d.seq);
+    field(s, d.station);
+    field(s, d.injected_at);
+    field(s, d.declared_cost);
+    field(s, d.realized_cost);
+    field(s, d.delivered_at);
+  });
 
-  const auto& slots = trace_.slots();
-  w.u64(slots.size());
-  for (const trace::SlotRecord& rec : slots) {
-    w.u32(rec.station);
-    w.u64(rec.index);
-    w.i64(rec.begin);
-    w.i64(rec.end);
-    w.u8(static_cast<std::uint8_t>(rec.action));
-    w.u8(static_cast<std::uint8_t>(rec.feedback));
-  }
-
-  w.u64(deliveries_.size());
-  for (const DeliveryRecord& d : deliveries_) {
-    w.u64(d.seq);
-    w.u32(d.station);
-    w.i64(d.injected_at);
-    w.i64(d.declared_cost);
-    w.i64(d.realized_cost);
-    w.i64(d.delivered_at);
-  }
-
-  w.i64(now_);
-  w.i64(next_injection_poll_);
-  w.i64(last_injection_time_);
-  w.u64(next_seq_);
-  w.u32(last_successful_);
-  w.u64(steps_since_prune_);
+  field(s, self.now_);
+  field(s, self.next_injection_poll_);
+  field(s, self.last_injection_time_);
+  field(s, self.next_seq_);
+  field(s, self.last_successful_);
+  field(s, self.steps_since_prune_);
+  // Telemetry, not state: the saved run counted the time-0 injections
+  // this engine's constructor polled.
+  if constexpr (snapshot::kLoading<S>)
+    self.pending_slots_ = self.pending_deliveries_ = self.pending_injections_ =
+        self.pending_polls_skipped_ = 0;
 
   // Energy accounting tail, gated by the enabled flag: a disabled run
   // contributes one flag byte regardless of the configured costs, so the
   // energy-off snapshot bytes never depend on the cost vector.
-  w.boolean(cfg_.energy.enabled);
-  if (cfg_.energy.enabled) {
-    w.u64(cfg_.energy.cost_transmit);
-    w.u64(cfg_.energy.cost_listen);
-    w.u64(cfg_.energy.cost_sleep);
-    meter_.save_state(w);
+  echo(s, "engine snapshot was saved under a different energy accounting "
+          "setting",
+       cfg.energy.enabled);
+  if (cfg.energy.enabled) {
+    echo(s, "engine snapshot was saved under a different energy cost model",
+         cfg.energy.cost_transmit, cfg.energy.cost_listen,
+         cfg.energy.cost_sleep);
+    section(s, self.meter_);
   }
 }
 
-void Engine::load_state(snapshot::Reader& r) {
-  if (r.u32() != cfg_.n) throw_mismatch("station count");
-  if (r.u32() != cfg_.bound_r) throw_mismatch("asynchrony bound R");
-  if (r.boolean() != cfg_.keep_channel_history)
-    throw_mismatch("keep_channel_history setting");
-  if (r.boolean() != cfg_.record_trace) throw_mismatch("record_trace setting");
-  if (r.boolean() != cfg_.record_deliveries)
-    throw_mismatch("record_deliveries setting");
-  if (r.boolean() != cfg_.allow_control) throw_mismatch("allow_control model");
+void Engine::save_state(snapshot::Writer& w) const { fields(w, *this); }
 
-  for (StationRuntime& s : stations_) {
-    const std::uint64_t qlen = r.u64();
-    s.ctx.queue_.clear();
-    for (std::uint64_t i = 0; i < qlen; ++i) {
-      Packet p;
-      p.seq = r.u64();
-      p.station = r.u32();
-      p.injected_at = r.i64();
-      p.cost = r.i64();
-      s.ctx.queue_.push_back(p);
-    }
-    s.ctx.queue_cost_ = r.i64();
-    snapshot::load_rng(r, s.ctx.rng_);
-    s.slot_index = r.u64();
-    s.slot_begin = r.i64();
-    s.slot_end = r.i64();
-    // begin_slot commits only slots of [1, R] units from a time >= 0; any
-    // other end would wrap the packed scheduler key or stall the station.
-    // Ordered so the subtraction cannot overflow.
-    if (s.slot_begin < 0 || s.slot_end <= s.slot_begin ||
-        s.slot_end - s.slot_begin < kTicksPerUnit ||
-        s.slot_end - s.slot_begin > max_slot_ticks_)
-      throw snapshot::SnapshotError(snapshot::ErrorKind::kCorrupt,
-                                    "committed slot outside [1, R] units");
-    s.action = snapshot::load_enum(r, SlotAction::kTransmitControl);
-    s.protocol->load_state(r, s.ctx);
-    // The scheduler's top depends only on the (end, station) key set, so
-    // re-keying every station reproduces the saved scheduler exactly.
-    events_.update(s.ctx.id(), s.slot_end);
-  }
-
-  slot_policy_->load_state(r);
-  const bool had_injection = r.boolean();
-  if (had_injection != (injection_ != nullptr))
-    throw_mismatch("injection adversary presence");
-  if (injection_) injection_->load_state(r);
-
-  ledger_.load_state(r);
-  metrics_.load_state(r);
-
-  const std::uint64_t trace_count = r.u64();
-  trace_.clear();
-  for (std::uint64_t i = 0; i < trace_count; ++i) {
-    trace::SlotRecord rec;
-    rec.station = r.u32();
-    rec.index = r.u64();
-    rec.begin = r.i64();
-    rec.end = r.i64();
-    rec.action = snapshot::load_enum(r, SlotAction::kTransmitControl);
-    rec.feedback = snapshot::load_enum(r, Feedback::kAck);
-    trace_.record(rec);
-  }
-
-  const std::uint64_t delivery_count = r.u64();
-  deliveries_.clear();
-  for (std::uint64_t i = 0; i < delivery_count; ++i) {
-    DeliveryRecord d;
-    d.seq = r.u64();
-    d.station = r.u32();
-    d.injected_at = r.i64();
-    d.declared_cost = r.i64();
-    d.realized_cost = r.i64();
-    d.delivered_at = r.i64();
-    deliveries_.push_back(d);
-  }
-
-  now_ = r.i64();
-  next_injection_poll_ = r.i64();
-  last_injection_time_ = r.i64();
-  next_seq_ = r.u64();
-  last_successful_ = r.u32();
-  steps_since_prune_ = r.u64();
-  // Telemetry, not state: the saved run counted the time-0 injections
-  // this engine's constructor polled.
-  pending_slots_ = pending_deliveries_ = pending_injections_ =
-      pending_polls_skipped_ = 0;
-
-  if (r.boolean() != cfg_.energy.enabled)
-    throw_mismatch("energy accounting setting");
-  if (cfg_.energy.enabled) {
-    const std::uint64_t tx = r.u64();
-    const std::uint64_t listen = r.u64();
-    const std::uint64_t sleep = r.u64();
-    if (tx != cfg_.energy.cost_transmit || listen != cfg_.energy.cost_listen ||
-        sleep != cfg_.energy.cost_sleep)
-      throw_mismatch("energy cost model");
-    meter_.load_state(r);
-  }
-}
+void Engine::load_state(snapshot::Reader& r) { fields(r, *this); }
 
 }  // namespace asyncmac::sim

@@ -278,6 +278,9 @@ class Engine final : public EngineView {
   void flush_telemetry();
   StationRuntime& rt(StationId id);
   const StationRuntime& rt(StationId id) const;
+  /// The snapshot section: saves from a Writer, loads from a Reader.
+  template <typename S, typename Self>
+  static void fields(S& s, Self& self);
 
   EngineConfig cfg_;
   std::vector<StationRuntime> stations_;

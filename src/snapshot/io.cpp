@@ -173,15 +173,4 @@ void Reader::expect_end() const {
                             " trailing bytes after payload");
 }
 
-void save_strings(Writer& w, const std::vector<std::string>& v) {
-  w.u64(v.size());
-  for (const auto& s : v) w.str(s);
-}
-
-std::vector<std::string> load_strings(Reader& r) {
-  std::vector<std::string> v(r.count(8));  // a string's u64 length
-  for (auto& s : v) s = r.str();
-  return v;
-}
-
 }  // namespace asyncmac::snapshot

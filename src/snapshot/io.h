@@ -181,8 +181,4 @@ class Reader {
   const std::uint8_t* end_;
 };
 
-/// A length-prefixed string list (the count read through Reader::count).
-void save_strings(Writer& w, const std::vector<std::string>& v);
-std::vector<std::string> load_strings(Reader& r);
-
 }  // namespace asyncmac::snapshot

@@ -1,6 +1,7 @@
 #include "sweep/protocol.h"
 
 #include "analysis/grid.h"
+#include "snapshot/state.h"
 #include "util/check.h"
 
 namespace asyncmac::sweep {
@@ -21,36 +22,30 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-void save_job(Writer& w, const SweepJob& job) {
-  w.u8(static_cast<std::uint8_t>(job.kind));
-  if (job.kind == JobKind::kGrid) {
-    analysis::save_grid_spec(w, job.grid);
-  } else {
-    w.u64(job.fuzz.seed);
-    w.u64(job.fuzz.cases);
-    w.u64(job.fuzz.chunk);
-    snapshot::save_strings(w, job.fuzz.protocols);
+template <typename S, typename Job>
+void job_fields(S& s, Job& job) {
+  auto kind = static_cast<std::uint8_t>(job.kind);
+  field(s, kind);
+  if constexpr (snapshot::kLoading<S>) {
+    if (kind != static_cast<std::uint8_t>(JobKind::kGrid) &&
+        kind != static_cast<std::uint8_t>(JobKind::kFuzz))
+      throw SnapshotError(ErrorKind::kCorrupt, "unknown sweep job kind");
+    job.kind = static_cast<JobKind>(kind);
   }
-}
-
-SweepJob load_job(Reader& r) {
-  SweepJob job;
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(JobKind::kGrid) &&
-      kind != static_cast<std::uint8_t>(JobKind::kFuzz))
-    throw SnapshotError(ErrorKind::kCorrupt, "unknown sweep job kind");
-  job.kind = static_cast<JobKind>(kind);
   if (job.kind == JobKind::kGrid) {
-    job.grid = analysis::load_grid_spec(r);
+    if constexpr (snapshot::kLoading<S>)
+      job.grid = analysis::load_grid_spec(s);
+    else
+      analysis::save_grid_spec(s, job.grid);
   } else {
-    job.fuzz.seed = r.u64();
-    job.fuzz.cases = r.u64();
-    job.fuzz.chunk = r.u64();
-    if (job.fuzz.chunk == 0)
-      throw SnapshotError(ErrorKind::kCorrupt, "fuzz chunk must be nonzero");
-    job.fuzz.protocols = snapshot::load_strings(r);
+    field(s, job.fuzz.seed);
+    field(s, job.fuzz.cases);
+    field(s, job.fuzz.chunk);
+    if constexpr (snapshot::kLoading<S>)
+      if (job.fuzz.chunk == 0)
+        throw SnapshotError(ErrorKind::kCorrupt, "fuzz chunk must be nonzero");
+    elements(s, job.fuzz.protocols, 8);
   }
-  return job;
 }
 
 }  // namespace
@@ -83,7 +78,7 @@ std::vector<std::uint8_t> to_frame(const WelcomeMsg& m) {
   w.u32(m.worker_id);
   w.u64(m.heartbeat_ms);
   w.u64(m.lease_timeout_ms);
-  save_job(w, m.job);
+  job_fields(w, m.job);
   return seal_frame(MsgType::kWelcome, std::move(w));
 }
 
@@ -154,7 +149,7 @@ Message decode_message(const Frame& f) {
       m.worker_id = r.u32();
       m.heartbeat_ms = r.u64();
       m.lease_timeout_ms = r.u64();
-      m.job = load_job(r);
+      job_fields(r, m.job);
       out = std::move(m);
       break;
     }

@@ -30,6 +30,7 @@ class Recorder {
   void record(const SlotRecord& r) { slots_.push_back(r); }
 
   const std::vector<SlotRecord>& slots() const noexcept { return slots_; }
+  std::vector<SlotRecord>& slots() noexcept { return slots_; }
   bool empty() const noexcept { return slots_.empty(); }
   void clear() { slots_.clear(); }
 

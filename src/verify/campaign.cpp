@@ -7,7 +7,7 @@
 
 #include "analysis/registry.h"
 #include "snapshot/format.h"
-#include "snapshot/io.h"
+#include "snapshot/state.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/registry.h"
 #include "util/check.h"
@@ -40,17 +40,28 @@ std::uint32_t campaign_fingerprint(const CampaignConfig& config,
   return snapshot::crc32(w.buffer().data(), w.buffer().size());
 }
 
+/// The cursor payload: the campaign's fingerprint, then the verdicts
+/// already decided.
+template <typename S, typename Verdicts>
+void cursor_fields(S& s, const std::string& path, std::uint32_t fingerprint,
+                   Verdicts& verdicts) {
+  echo(s,
+       "campaign cursor " + path +
+           " was written for a different campaign (seed/cases/pool)",
+       fingerprint);
+  // index, case_seed, ok, and the violation string's length prefix.
+  elements(s, verdicts, 8 + 8 + 1 + 8, [&s](auto& v) {
+    field(s, v.index);
+    field(s, v.case_seed);
+    field(s, v.ok);
+    field(s, v.violation);
+  });
+}
+
 void write_cursor(const std::string& path, std::uint32_t fingerprint,
                   const std::vector<CaseVerdict>& verdicts) {
   snapshot::Writer w;
-  w.u32(fingerprint);
-  w.u64(verdicts.size());
-  for (const CaseVerdict& v : verdicts) {
-    w.u64(v.index);
-    w.u64(v.case_seed);
-    w.boolean(v.ok);
-    w.str(v.violation);
-  }
+  cursor_fields(w, path, fingerprint, verdicts);
   snapshot::write_file(path, snapshot::FileKind::kCampaignCursor, w.buffer());
 }
 
@@ -64,22 +75,7 @@ std::vector<CaseVerdict> load_cursor(const std::string& path,
   const auto payload =
       snapshot::read_file(path, snapshot::FileKind::kCampaignCursor);
   snapshot::Reader r(payload);
-  if (r.u32() != fingerprint)
-    throw snapshot::SnapshotError(
-        snapshot::ErrorKind::kMismatch,
-        "campaign cursor " + path +
-            " was written for a different campaign (seed/cases/pool)");
-  // index, case_seed, ok, and the violation string's length prefix.
-  const std::uint64_t count = r.count(8 + 8 + 1 + 8);
-  verdicts.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CaseVerdict v;
-    v.index = r.u64();
-    v.case_seed = r.u64();
-    v.ok = r.boolean();
-    v.violation = r.str();
-    verdicts.push_back(std::move(v));
-  }
+  cursor_fields(r, path, fingerprint, verdicts);
   r.expect_end();
   return verdicts;
 }
